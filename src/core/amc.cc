@@ -1,6 +1,8 @@
 #include "core/amc.h"
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "core/ell.h"
 #include "core/spectral_epoch.h"
@@ -10,6 +12,95 @@
 #include "util/check.h"
 
 namespace geer {
+namespace {
+
+// What every walk pair of one RunAmcT call reads. A step landing on u
+// adds plus[u]·inv_plus − minus[u]·inv_minus to Z_k: (s, t) on the
+// s-walk, (t, s) on the t-walk.
+struct PairWalkInputs {
+  NodeId s;
+  NodeId t;
+  const double* svec;
+  const double* tvec;
+  double inv_ws;
+  double inv_wt;
+  std::uint32_t ell_f;
+};
+
+// Z_k of one walk pair drawn serially off `rng`: Alg. 1's loop body, the
+// reference the lane kernel reproduces and its replay path.
+template <typename WalkerT>
+double SerialPairSample(const WalkerT& walker, const PairWalkInputs& in,
+                        Rng& rng) {
+  double z = 0.0;
+  const auto walk = [&](NodeId cur, const double* plus, double inv_plus,
+                        const double* minus, double inv_minus) {
+    for (std::uint32_t step = 0; step < in.ell_f; ++step) {
+      cur = walker.Step(cur, rng);
+      z += plus[cur] * inv_plus - minus[cur] * inv_minus;
+    }
+  };
+  walk(in.s, in.svec, in.inv_ws, in.tvec, in.inv_wt);
+  walk(in.t, in.tvec, in.inv_wt, in.svec, in.inv_ws);
+  return z;
+}
+
+// Writes Z_k of the next `lanes` ≤ kAmcLanes walk pairs of `rng`'s stream
+// into z[0, lanes), bit-identical to `lanes` SerialPairSample calls and
+// leaving `rng` where they would. `words` holds 2·ℓf·kWordsPerStep·lanes
+// words of scratch. See the lockstep-lane note in core/amc.h.
+template <typename WalkerT>
+void SamplePairGroup(const WalkerT& walker, const PairWalkInputs& in,
+                     std::uint32_t lanes, std::uint64_t* words, double* z,
+                     Rng& rng) {
+  const Rng snapshot = rng;
+  const std::size_t walk_words =
+      std::size_t{in.ell_f} * WalkerT::kWordsPerStep;
+  for (std::size_t i = 0; i < 2 * walk_words * lanes; ++i) {
+    words[i] = rng.Next();
+  }
+  bool needs_more = false;
+  const std::uint64_t* offsets = walker.graph().Offsets().data();
+  NodeId cur[kAmcLanes] = {};
+  // Advances every lane's walk from `start` on its own words, lane j
+  // reading words[2·j·walk_words + first_word + step·kWordsPerStep].
+  const auto walk = [&](NodeId start, std::size_t first_word,
+                        const double* plus, double inv_plus,
+                        const double* minus, double inv_minus) {
+    std::fill(cur, cur + lanes, start);
+    for (std::size_t word = first_word; word < first_word + walk_words;
+         word += WalkerT::kWordsPerStep) {
+      for (std::uint32_t j = 0; j < lanes; ++j) {
+        const WordStep step =
+            walker.StepFromWords(cur[j], words + 2 * j * walk_words + word);
+        needs_more |= step.needs_more;
+        cur[j] = step.next;
+        // Lane j's next step starts at this row; fetch it while the
+        // other lanes step.
+        __builtin_prefetch(offsets + step.next);
+        z[j] += plus[cur[j]] * inv_plus - minus[cur[j]] * inv_minus;
+      }
+    }
+  };
+  std::fill(z, z + lanes, 0.0);
+  walk(in.s, 0, in.svec, in.inv_ws, in.tvec, in.inv_wt);
+  walk(in.t, walk_words, in.tvec, in.inv_wt, in.svec, in.inv_ws);
+  if (!needs_more) return;
+  // A Lemire rejection shifted the serial stream by a word: replay the
+  // group serially from the snapshot.
+  rng = snapshot;
+  for (std::uint32_t j = 0; j < lanes; ++j) {
+    z[j] = SerialPairSample(walker, in, rng);
+  }
+}
+
+}  // namespace
+
+std::uint64_t AmcFirstBatchSize(std::uint64_t eta_star, int tau) {
+  const std::uint64_t eta = CeilToCount(static_cast<double>(eta_star) /
+                                        std::pow(2.0, tau - 1));
+  return std::max<std::uint64_t>(eta, 1);
+}
 
 double AmcPsi(std::uint32_t ell_f, double max1_s, double max2_s,
               double weight_s, double max1_t, double max2_t,
@@ -51,34 +142,29 @@ AmcRunResult RunAmcT(const typename WP::GraphT& graph,
   const std::uint64_t eta_star =
       AmcMaxSamples(params.epsilon, psi, params.delta, params.tau);
   result.eta_star = eta_star;
-  const double pow_tau = std::pow(2.0, params.tau - 1);
-  std::uint64_t eta = static_cast<std::uint64_t>(
-      std::ceil(static_cast<double>(eta_star) / pow_tau));
-  if (eta == 0) eta = 1;
+  std::uint64_t eta = AmcFirstBatchSize(eta_star, params.tau);
 
   const double per_batch_delta = params.delta / params.tau;
   MeanVarAccumulator acc;
+  const PairWalkInputs inputs{s,      t,      svec.data(), tvec.data(),
+                              inv_ws, inv_wt, params.ell_f};
+  std::vector<std::uint64_t> words(2 * std::size_t{params.ell_f} *
+                                   WalkerFor<WP>::kWordsPerStep * kAmcLanes);
+  double z[kAmcLanes] = {};
 
   double z_mean = 0.0;
   for (int batch = 1; batch <= params.tau; ++batch) {
-    // Lines 4–12: fresh batch; previous samples are discarded.
+    // Lines 4–12: fresh batch; previous samples are discarded. Walk S_k
+    // from s and T_k from t, both of length ℓf, and accumulate
+    //   Z_k = Σ_{u∈S_k} (s(u)/w(s) − t(u)/w(t))
+    //       + Σ_{u∈T_k} (t(u)/w(t) − s(u)/w(s)),
+    // kAmcLanes pairs at a time.
     acc.Reset();
-    for (std::uint64_t k = 0; k < eta; ++k) {
-      // Walk S_k from s and T_k from t, both of length ℓf; accumulate
-      //   Z_k = Σ_{u∈S_k} (s(u)/w(s) − t(u)/w(t))
-      //       + Σ_{u∈T_k} (t(u)/w(t) − s(u)/w(s)).
-      double z = 0.0;
-      NodeId cur = s;
-      for (std::uint32_t step = 0; step < params.ell_f; ++step) {
-        cur = walker.Step(cur, rng);
-        z += svec[cur] * inv_ws - tvec[cur] * inv_wt;
-      }
-      cur = t;
-      for (std::uint32_t step = 0; step < params.ell_f; ++step) {
-        cur = walker.Step(cur, rng);
-        z += tvec[cur] * inv_wt - svec[cur] * inv_ws;
-      }
-      acc.Add(z);
+    for (std::uint64_t k = 0; k < eta; k += kAmcLanes) {
+      const auto lanes = static_cast<std::uint32_t>(
+          std::min<std::uint64_t>(kAmcLanes, eta - k));
+      SamplePairGroup(walker, inputs, lanes, words.data(), z, rng);
+      for (std::uint32_t j = 0; j < lanes; ++j) acc.Add(z[j]);
     }
     result.walks += 2 * eta;
     result.steps += 2 * eta * params.ell_f;

@@ -8,6 +8,29 @@
 // (Theorem 3.4 — the empirical Bernstein machinery is weight-independent
 // because Lemma 3.3 bounds walk sums by visit counts). GEER reuses
 // RunAmcT with the SMM iterates as s, t.
+//
+// Lockstep lanes. A walk step is a chain of dependent loads (the node's
+// CSR offset, its neighbor, the input vectors at the neighbor), so one
+// walk at a time leaves the core waiting on cache misses. RunAmcT
+// instead samples kAmcLanes walk pairs at once, one lane per pair, and
+// advances every lane one step before any lane takes the next, so the
+// lanes' misses overlap (each lane also prefetches the CSR row of the
+// node it just reached). Answers stay bit-identical to the one-pair-at-a-
+// time loop (every r_f, walk and step count, and the Rng state after):
+//  - Word layout. Per group the kernel draws the group's raw Rng words up
+//    front, in serial stream order: with W = kWordsPerStep (1 uniform, 2
+//    weighted), pair j's s-walk owns words [2jWℓf, 2jWℓf + Wℓf) and its
+//    t-walk the next Wℓf. Each step consumes its words through the
+//    walker's StepFromWords, the same function its Step() runs.
+//  - Order. Each lane sums its pair's Z_k as the serial loop does (s-walk
+//    steps, then t-walk steps), and the group's Z_k reach the batch
+//    accumulator in pair order.
+//  - Rewind on rejection. The serial stream assumes no Lemire rejection;
+//    a rejected index word (probability < degree/2^64 per step) makes the
+//    serial Step draw an extra word, shifting everything after it. If any
+//    lane reports one, the group restores the Rng snapshot taken before
+//    its draw and replays its pairs through the serial Step.
+// Scratch is 2·W·ℓf·kAmcLanes words per call; nothing is per node.
 
 #ifndef GEER_CORE_AMC_H_
 #define GEER_CORE_AMC_H_
@@ -22,6 +45,9 @@
 #include "rw/walker_policy.h"
 
 namespace geer {
+
+/// Walk pairs RunAmcT advances in lockstep (see the note above).
+inline constexpr std::uint32_t kAmcLanes = 16;
 
 /// Parameters for one RunAmc invocation.
 struct AmcParams {
@@ -50,6 +76,10 @@ struct AmcRunResult {
 double AmcPsi(std::uint32_t ell_f, double max1_s, double max2_s,
               double weight_s, double max1_t, double max2_t,
               double weight_t);
+
+/// Alg. 1 line 2: the first batch's sample count
+/// η = max(1, ⌈η*/2^{τ−1}⌉), saturating at UINT64_MAX.
+std::uint64_t AmcFirstBatchSize(std::uint64_t eta_star, int tau);
 
 /// Runs Algorithm 1 under weight policy WP. `svec` / `tvec` are the
 /// length-n non-negative input vectors (e_s / e_t for standalone AMC; the

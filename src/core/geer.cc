@@ -18,12 +18,13 @@ namespace geer {
 std::uint64_t GeerRemainingSampleBudget(double epsilon, double delta,
                                         int tau, double psi) {
   if (psi <= 0.0) return 0;
-  const std::uint64_t eta_star = AmcMaxSamples(epsilon, psi, delta, tau);
-  const double pow_tau = std::pow(2.0, tau - 1);
-  const std::uint64_t eta = static_cast<std::uint64_t>(
-      std::ceil(static_cast<double>(eta_star) / pow_tau));
-  // h(ℓf) = Σ_{i=1}^{τ} 2^{i−1} η = (2^τ − 1) η.
-  return ((1ull << tau) - 1ull) * (eta == 0 ? 1 : eta);
+  const std::uint64_t eta =
+      AmcFirstBatchSize(AmcMaxSamples(epsilon, psi, delta, tau), tau);
+  // h(ℓf) = Σ_{i=1}^{τ} 2^{i−1} η = (2^τ − 1) η, saturating: a wrapped
+  // budget would make Eq. 17 stop SMM early.
+  if (tau >= 64) return UINT64_MAX;
+  const std::uint64_t batches = (1ull << tau) - 1ull;
+  return eta > UINT64_MAX / batches ? UINT64_MAX : batches * eta;
 }
 
 template <WeightPolicy WP>

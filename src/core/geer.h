@@ -13,7 +13,9 @@
 // where h(ℓf) = (2^τ − 1)⌈η*(ℓf)/2^{τ−1}⌉ is AMC's worst-case sample
 // count for the remaining tail. On weighted graphs every 1/d(·) becomes
 // 1/w(·) and walks step through the alias sampler; the control flow is
-// byte-for-byte the same template.
+// byte-for-byte the same template. The AMC tail runs through RunAmcT's
+// lockstep lanes (core/amc.h), which overlap the walks' cache misses
+// without changing a bit of the answer.
 
 #ifndef GEER_CORE_GEER_H_
 #define GEER_CORE_GEER_H_
@@ -30,8 +32,8 @@
 namespace geer {
 
 /// AMC's worst-case remaining sample count h(ℓf) for the given range
-/// bound ψ — the RHS of the greedy rule (Eq. 17). Exposed for tests and
-/// the cost-model ablation bench.
+/// bound ψ — the RHS of the greedy rule (Eq. 17), saturating at
+/// UINT64_MAX. Exposed for tests and the cost-model ablation bench.
 std::uint64_t GeerRemainingSampleBudget(double epsilon, double delta,
                                         int tau, double psi);
 

@@ -55,16 +55,24 @@ class WeightedWalker {
   // Stores a pointer to `graph`; a temporary would dangle.
   explicit WeightedWalker(WeightedGraph&&) = delete;
 
+  /// Raw Rng words per step: the alias slot, then the acceptance coin.
+  static constexpr int kWordsPerStep = 2;
+
   /// One walk step from `v`: neighbor u with probability w(v,u)/w(v).
   /// `v` must have positive degree.
-  NodeId Step(NodeId v, Rng& rng) const {
+  NodeId Step(NodeId v, Rng& rng) const { return DrawStep(*this, v, rng); }
+
+  /// The step from `v` on the pre-drawn words: words[0] picks the slot,
+  /// words[1] flips its acceptance coin (see WordStep).
+  WordStep StepFromWords(NodeId v, const std::uint64_t* words) const {
     const std::uint64_t off = graph_->Offsets()[v];
     const std::uint64_t deg = graph_->Offsets()[v + 1] - off;
     GEER_DCHECK(deg > 0);
-    const std::uint64_t slot = off + rng.NextBounded(deg);
+    const BoundedDraw draw = LemireBounded(words[0], deg);
+    const std::uint64_t slot = off + draw.index;
     const std::uint64_t pick =
-        rng.NextDouble() < prob_[slot] ? slot : alias_[slot];
-    return graph_->NeighborArray()[pick];
+        UnitDouble(words[1]) < prob_[slot] ? slot : alias_[slot];
+    return {graph_->NeighborArray()[pick], !draw.accepted};
   }
 
   /// The node reached by a length-`length` walk from `source`.

@@ -15,10 +15,6 @@ inline std::uint64_t SplitMix64(std::uint64_t& x) {
   return z ^ (z >> 31);
 }
 
-inline std::uint64_t Rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) {
@@ -26,37 +22,15 @@ Rng::Rng(std::uint64_t seed) {
   for (auto& word : state_) word = SplitMix64(sm);
 }
 
-std::uint64_t Rng::Next() {
-  const std::uint64_t result = Rotl(state_[0] + state_[3], 23) + state_[0];
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = Rotl(state_[3], 45);
-  return result;
-}
-
-std::uint64_t Rng::NextBounded(std::uint64_t bound) {
-  GEER_DCHECK(bound > 0);
-  // Lemire's multiply-shift with rejection to remove modulo bias.
-  std::uint64_t x = Next();
-  __uint128_t m = static_cast<__uint128_t>(x) * bound;
-  std::uint64_t low = static_cast<std::uint64_t>(m);
-  if (low < bound) {
-    std::uint64_t threshold = (0 - bound) % bound;
-    while (low < threshold) {
-      x = Next();
-      m = static_cast<__uint128_t>(x) * bound;
-      low = static_cast<std::uint64_t>(m);
-    }
-  }
-  return static_cast<std::uint64_t>(m >> 64);
-}
-
-double Rng::NextDouble() {
-  return static_cast<double>(Next() >> 11) * 0x1.0p-53;
+Rng Rng::FromState(std::uint64_t s0, std::uint64_t s1, std::uint64_t s2,
+                   std::uint64_t s3) {
+  GEER_CHECK((s0 | s1 | s2 | s3) != 0) << "xoshiro state must be non-zero";
+  Rng rng;
+  rng.state_[0] = s0;
+  rng.state_[1] = s1;
+  rng.state_[2] = s2;
+  rng.state_[3] = s3;
+  return rng;
 }
 
 double Rng::NextGaussian() {

@@ -34,6 +34,35 @@ struct WalkFirstVisit {
   std::uint64_t steps = 0;        ///< steps taken
 };
 
+/// One walk step computed from pre-drawn Rng words (StepFromWords).
+struct WordStep {
+  /// The node reached: a neighbor of the start node, though not the
+  /// serial stream's one when needs_more is set.
+  NodeId next;
+  /// The index word fell in Lemire's biased sliver (LemireBounded), so
+  /// the serial stream draws a replacement word before stepping. Happens
+  /// with probability < degree/2^64.
+  bool needs_more;
+};
+
+/// One step of `walker` from `v` in serial stream order: draws the
+/// walker's kWordsPerStep words and steps on them. The index word is
+/// always the first, so on needs_more the window slides by one fresh
+/// word — exactly Rng::NextBounded's redraw. Every walker's Step() is
+/// this, so Step() and StepFromWords() cannot drift apart.
+template <typename WalkerT>
+NodeId DrawStep(const WalkerT& walker, NodeId v, Rng& rng) {
+  constexpr int kWords = WalkerT::kWordsPerStep;
+  std::uint64_t words[kWords];
+  for (std::uint64_t& word : words) word = rng.Next();
+  for (;;) {
+    const WordStep step = walker.StepFromWords(v, words);
+    if (!step.needs_more) return step.next;
+    for (int i = 0; i + 1 < kWords; ++i) words[i] = words[i + 1];
+    words[kWords - 1] = rng.Next();
+  }
+}
+
 /// Walks from `source` (first step mandatory) until it either returns to
 /// `source` or reaches `target`. For the walk law of `walker`, the escape
 /// probability Pr[hit target first] equals 1/(w(source)·r(source,target))
@@ -88,12 +117,20 @@ class Walker {
   // Stores a pointer to `graph`; a temporary would dangle.
   explicit Walker(Graph&&) = delete;
 
+  /// Raw Rng words per step: the neighbor index.
+  static constexpr int kWordsPerStep = 1;
+
   /// One walk step: a uniformly random neighbor of `v`. `v` must have
   /// positive degree.
-  NodeId Step(NodeId v, Rng& rng) const {
-    const std::uint64_t d = graph_->Degree(v);
-    GEER_DCHECK(d > 0);
-    return graph_->NeighborAt(v, rng.NextBounded(d));
+  NodeId Step(NodeId v, Rng& rng) const { return DrawStep(*this, v, rng); }
+
+  /// The step from `v` on the pre-drawn word words[0] (see WordStep).
+  WordStep StepFromWords(NodeId v, const std::uint64_t* words) const {
+    const std::uint64_t off = graph_->Offsets()[v];
+    const std::uint64_t deg = graph_->Offsets()[v + 1] - off;
+    GEER_DCHECK(deg > 0);
+    const BoundedDraw draw = LemireBounded(words[0], deg);
+    return {graph_->NeighborArray()[off + draw.index], !draw.accepted};
   }
 
   /// The node reached by a length-`length` walk from `source`.

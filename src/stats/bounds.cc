@@ -28,13 +28,19 @@ double HoeffdingBound(std::uint64_t num_samples, double range_psi,
   return range_psi * std::sqrt(std::log(2.0 / delta) / (2.0 * n));
 }
 
+std::uint64_t CeilToCount(double x) {
+  constexpr double kTwoTo64 = 18446744073709551616.0;
+  const double c = std::ceil(x);
+  return c < kTwoTo64 ? static_cast<std::uint64_t>(c) : UINT64_MAX;
+}
+
 std::uint64_t HoeffdingSampleCount(double epsilon, double range_psi,
                                    double delta) {
   GEER_CHECK(epsilon > 0.0);
   GEER_CHECK(delta > 0.0 && delta < 1.0);
   const double n =
       range_psi * range_psi * std::log(2.0 / delta) / (2.0 * epsilon * epsilon);
-  return static_cast<std::uint64_t>(std::ceil(std::max(n, 1.0)));
+  return CeilToCount(std::max(n, 1.0));
 }
 
 std::uint64_t AmcMaxSamples(double epsilon, double range_psi, double delta,
@@ -45,7 +51,7 @@ std::uint64_t AmcMaxSamples(double epsilon, double range_psi, double delta,
   const double n = 2.0 * range_psi * range_psi *
                    std::log(2.0 * num_batches_tau / delta) /
                    (epsilon * epsilon);
-  return static_cast<std::uint64_t>(std::ceil(std::max(n, 1.0)));
+  return CeilToCount(std::max(n, 1.0));
 }
 
 }  // namespace geer

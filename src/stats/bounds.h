@@ -22,14 +22,18 @@ double EmpiricalBernsteinBound(std::uint64_t num_samples,
 double HoeffdingBound(std::uint64_t num_samples, double range_psi,
                       double delta);
 
+/// ⌈x⌉ as a sample count for x ≥ 0, saturating at UINT64_MAX (also for
+/// NaN) where a plain cast would be undefined.
+std::uint64_t CeilToCount(double x);
+
 /// Hoeffding sample-size bound: smallest n with ε(n, ψ, δ) ≤ ε, i.e.
-///   n = ⌈ψ² log(2/δ) / (2 ε²)⌉.
+///   n = ⌈ψ² log(2/δ) / (2 ε²)⌉, saturating at UINT64_MAX.
 std::uint64_t HoeffdingSampleCount(double epsilon, double range_psi,
                                    double delta);
 
 /// AMC's maximum sample count η* (Eq. 8): 2 ψ² log(2τ/δ) / ε², the
 /// Hoeffding count that makes the τ-th batch alone ε/2-accurate with
-/// failure probability δ/τ.
+/// failure probability δ/τ. Saturates at UINT64_MAX (e.g. at ε = 1e-9).
 std::uint64_t AmcMaxSamples(double epsilon, double range_psi, double delta,
                             int num_batches_tau);
 

@@ -2,16 +2,261 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
 
 #include "core/smm.h"
 #include "graph/generators.h"
+#include "graph/weighted_generators.h"
 #include "linalg/spectral.h"
 #include "stats/accumulator.h"
+#include "stats/bounds.h"
 #include "test_util.h"
 
 namespace geer {
 namespace {
+
+// Algorithm 1 one walk pair at a time, exactly as RunAmcT ran before its
+// walks moved into lockstep lanes: the reference the lanes must match bit
+// for bit.
+template <WeightPolicy WP>
+AmcRunResult SerialRunAmc(const typename WP::GraphT& graph,
+                          const WalkerFor<WP>& walker, NodeId s, NodeId t,
+                          const Vector& svec, const Vector& tvec,
+                          const AmcParams& params, Rng& rng) {
+  AmcRunResult result;
+  if (params.ell_f == 0) return result;
+  const double ws = WP::NodeWeight(graph, s);
+  const double wt = WP::NodeWeight(graph, t);
+  const double inv_ws = 1.0 / ws;
+  const double inv_wt = 1.0 / wt;
+  const auto [max1_s, max2_s] = TopTwo(svec);
+  const auto [max1_t, max2_t] = TopTwo(tvec);
+  const double psi =
+      AmcPsi(params.ell_f, max1_s, max2_s, ws, max1_t, max2_t, wt);
+  result.psi = psi;
+  if (psi <= 0.0) return result;
+  const std::uint64_t eta_star =
+      AmcMaxSamples(params.epsilon, psi, params.delta, params.tau);
+  result.eta_star = eta_star;
+  std::uint64_t eta = static_cast<std::uint64_t>(std::ceil(
+      static_cast<double>(eta_star) / std::pow(2.0, params.tau - 1)));
+  if (eta == 0) eta = 1;
+  MeanVarAccumulator acc;
+  double z_mean = 0.0;
+  for (int batch = 1; batch <= params.tau; ++batch) {
+    acc.Reset();
+    for (std::uint64_t k = 0; k < eta; ++k) {
+      double z = 0.0;
+      NodeId cur = s;
+      for (std::uint32_t step = 0; step < params.ell_f; ++step) {
+        cur = walker.Step(cur, rng);
+        z += svec[cur] * inv_ws - tvec[cur] * inv_wt;
+      }
+      cur = t;
+      for (std::uint32_t step = 0; step < params.ell_f; ++step) {
+        cur = walker.Step(cur, rng);
+        z += tvec[cur] * inv_wt - svec[cur] * inv_ws;
+      }
+      acc.Add(z);
+    }
+    result.walks += 2 * eta;
+    result.steps += 2 * eta * params.ell_f;
+    result.batches = batch;
+    z_mean = acc.Mean();
+    const double bound = EmpiricalBernsteinBound(
+        eta, acc.Variance(), psi, params.delta / params.tau);
+    if (bound <= params.epsilon / 2.0) {
+      result.early_stop = batch < params.tau;
+      break;
+    }
+    eta *= 2;
+  }
+  result.r_f = z_mean;
+  return result;
+}
+
+// Runs RunAmcT and SerialRunAmc from copies of `start` and expects every
+// output, and the next word of each Rng afterwards, to be bitwise equal.
+// Returns the lane kernel's result so callers can check the case shape.
+template <WeightPolicy WP>
+AmcRunResult ExpectLanesMatchSerial(const typename WP::GraphT& graph,
+                                    NodeId s, NodeId t, const Vector& svec,
+                                    const Vector& tvec,
+                                    const AmcParams& params,
+                                    const Rng& start) {
+  const std::string mode(WP::kNamePrefix);
+  const WalkerFor<WP> walker(graph);
+  Rng lane_rng = start;
+  Rng serial_rng = start;
+  const AmcRunResult lane =
+      RunAmcT<WP>(graph, walker, s, t, svec, tvec, params, lane_rng);
+  const AmcRunResult serial =
+      SerialRunAmc<WP>(graph, walker, s, t, svec, tvec, params, serial_rng);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(lane.r_f),
+            std::bit_cast<std::uint64_t>(serial.r_f))
+      << mode << " r_f " << lane.r_f << " vs " << serial.r_f;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(lane.psi),
+            std::bit_cast<std::uint64_t>(serial.psi))
+      << mode;
+  EXPECT_EQ(lane.eta_star, serial.eta_star) << mode;
+  EXPECT_EQ(lane.walks, serial.walks) << mode;
+  EXPECT_EQ(lane.steps, serial.steps) << mode;
+  EXPECT_EQ(lane.batches, serial.batches) << mode;
+  EXPECT_EQ(lane.early_stop, serial.early_stop) << mode;
+  EXPECT_EQ(lane_rng.Next(), serial_rng.Next()) << mode;
+  return lane;
+}
+
+// AMC's first-batch size η for these inputs, as RunAmcT derives it.
+std::uint64_t FirstBatchSize(const Vector& svec, const Vector& tvec,
+                             double ws, double wt, const AmcParams& params) {
+  const auto [max1_s, max2_s] = TopTwo(svec);
+  const auto [max1_t, max2_t] = TopTwo(tvec);
+  const double psi =
+      AmcPsi(params.ell_f, max1_s, max2_s, ws, max1_t, max2_t, wt);
+  return AmcFirstBatchSize(
+      AmcMaxSamples(params.epsilon, psi, params.delta, params.tau),
+      params.tau);
+}
+
+// One lane-vs-serial check per weight policy, with the lane results and
+// the first-batch sizes so a test can assert which case it covers.
+struct LaneCase {
+  AmcRunResult result[2];  // [unit weight, edge weight]
+  std::uint64_t eta[2];
+};
+
+// Both weight modes on one topology, with GEER-like dense input vectors
+// (so every step's contribution is a distinct double).
+struct LaneFixture {
+  LaneFixture()
+      : graph(testing::DenseTestGraph(20)),
+        weighted(gen::WithUniformWeights(graph, 0.5, 2.0, 5)),
+        svec(graph.NumNodes()),
+        tvec(graph.NumNodes()) {
+    Rng vec_rng(3);
+    for (double& v : svec) v = vec_rng.NextDouble();
+    for (double& v : tvec) v = vec_rng.NextDouble();
+  }
+
+  LaneCase ExpectBoth(const AmcParams& params, const Rng& start) const {
+    LaneCase out;
+    out.result[0] = ExpectLanesMatchSerial<UnitWeight>(graph, kS, kT, svec,
+                                                       tvec, params, start);
+    out.result[1] = ExpectLanesMatchSerial<EdgeWeight>(weighted, kS, kT, svec,
+                                                       tvec, params, start);
+    out.eta[0] = FirstBatchSize(svec, tvec, graph.Degree(kS),
+                                graph.Degree(kT), params);
+    out.eta[1] = FirstBatchSize(svec, tvec, weighted.Strength(kS),
+                                weighted.Strength(kT), params);
+    return out;
+  }
+
+  static constexpr NodeId kS = 2;
+  static constexpr NodeId kT = 13;
+  Graph graph;
+  WeightedGraph weighted;
+  Vector svec;
+  Vector tvec;
+};
+
+TEST(AmcLaneKernelTest, EtaBelowLaneCount) {
+  const LaneFixture f;
+  AmcParams params;
+  params.epsilon = 3.0;
+  params.delta = 0.1;
+  params.tau = 2;
+  params.ell_f = 5;
+  const LaneCase c = f.ExpectBoth(params, Rng(11));
+  for (int mode = 0; mode < 2; ++mode) EXPECT_LT(c.eta[mode], kAmcLanes);
+}
+
+TEST(AmcLaneKernelTest, EtaNotMultipleOfLaneCount) {
+  const LaneFixture f;
+  AmcParams params;
+  params.epsilon = 0.8;
+  params.delta = 0.05;
+  params.tau = 3;
+  params.ell_f = 6;
+  const LaneCase c = f.ExpectBoth(params, Rng(12));
+  for (int mode = 0; mode < 2; ++mode) {
+    EXPECT_GT(c.eta[mode], kAmcLanes);
+    EXPECT_NE(c.eta[mode] % kAmcLanes, 0u);
+  }
+}
+
+TEST(AmcLaneKernelTest, SingleStepWalks) {
+  const LaneFixture f;
+  AmcParams params;
+  params.epsilon = 0.3;
+  params.delta = 0.05;
+  params.tau = 3;
+  params.ell_f = 1;
+  const LaneCase c = f.ExpectBoth(params, Rng(13));
+  for (int mode = 0; mode < 2; ++mode) {
+    EXPECT_EQ(c.result[mode].steps, c.result[mode].walks);
+  }
+}
+
+TEST(AmcLaneKernelTest, MultiBatchWithoutEarlyStop) {
+  const LaneFixture f;
+  AmcParams params;
+  params.epsilon = 1.5;
+  params.delta = 0.05;
+  params.tau = 3;
+  params.ell_f = 7;
+  const LaneCase c = f.ExpectBoth(params, Rng(14));
+  for (int mode = 0; mode < 2; ++mode) {
+    EXPECT_EQ(c.result[mode].batches, params.tau) << "mode " << mode;
+    EXPECT_FALSE(c.result[mode].early_stop) << "mode " << mode;
+  }
+}
+
+TEST(AmcLaneKernelTest, RejectedWordRewindsAndReplaysSerially) {
+  // xoshiro256++ outputs rotl(s0 + s3, 23) + s0, so a state with
+  // s0 = s3 = 0 draws the word 0 first: pair 0's first s-step. For a
+  // degree d that is not a power of two, 2^64 mod d > 0 and Lemire
+  // rejects x = 0 (low word 0) — the serial Step draws one more word.
+  const LaneFixture f;
+  const Walker walker(f.graph);
+  const WeightedWalker weighted_walker(f.weighted);
+  const std::uint64_t zero_words[2] = {0, 0};
+  ASSERT_TRUE(walker.StepFromWords(LaneFixture::kS, zero_words).needs_more);
+  ASSERT_TRUE(
+      weighted_walker.StepFromWords(LaneFixture::kS, zero_words).needs_more);
+  const Rng start = Rng::FromState(0, 0x0123456789abcdefULL,
+                                   0xfedcba9876543210ULL, 0);
+  EXPECT_EQ(Rng(start).Next(), 0u);
+  AmcParams params;
+  params.epsilon = 0.8;
+  params.delta = 0.05;
+  params.tau = 3;
+  params.ell_f = 6;
+  f.ExpectBoth(params, start);
+}
+
+TEST(AmcBoundsTest, MaxSamplesSaturates) {
+  // 2ψ²log(2τ/δ)/ε² ≈ 1.4e31 at ε = 1e-9: past 2^64, where a plain cast
+  // is undefined.
+  EXPECT_EQ(AmcMaxSamples(1e-9, 1e3, 0.01, 5), UINT64_MAX);
+  EXPECT_EQ(HoeffdingSampleCount(1e-12, 1e3, 0.01), UINT64_MAX);
+  // Below 2^64 the count is exact.
+  EXPECT_EQ(AmcMaxSamples(0.5, 0.25, 0.5, 1),
+            static_cast<std::uint64_t>(
+                std::ceil(2.0 * 0.0625 * std::log(4.0) / 0.25)));
+}
+
+TEST(AmcBoundsTest, FirstBatchSizeSaturates) {
+  // η* = UINT64_MAX rounds up to 2^64 as a double: τ = 1 must not cast it.
+  EXPECT_EQ(AmcFirstBatchSize(UINT64_MAX, 1), UINT64_MAX);
+  EXPECT_EQ(AmcFirstBatchSize(UINT64_MAX, 2), 1ull << 63);
+  EXPECT_EQ(AmcFirstBatchSize(100, 3), 25u);
+  EXPECT_EQ(AmcFirstBatchSize(101, 3), 26u);
+  EXPECT_EQ(AmcFirstBatchSize(1, 10), 1u);
+}
 
 TEST(AmcPsiTest, OneHotMatchesClosedForm) {
   // With e_s, e_t inputs: ψ = 2⌈ℓ/2⌉(1/ds + 1/dt).

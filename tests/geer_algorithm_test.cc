@@ -135,6 +135,27 @@ TEST(GeerTest, RemainingSampleBudgetFormula) {
   EXPECT_EQ(GeerEstimator::RemainingSampleBudget(eps, delta, tau, 0.0), 0u);
 }
 
+TEST(GeerTest, RemainingSampleBudgetSaturates) {
+  // η* itself past 2^64 (ε = 1e-9): the budget pins at UINT64_MAX.
+  EXPECT_EQ(GeerRemainingSampleBudget(1e-9, 0.01, 5, 1e3), UINT64_MAX);
+  // η* ≈ 1.4e19 fits in 64 bits, but (2^τ − 1)⌈η*/2^{τ−1}⌉ ≈ 2η* does
+  // not: a wrapped product would be a small budget and stop SMM early.
+  const double eps = 1e-6;
+  const double delta = 0.01;
+  const int tau = 5;
+  const double psi =
+      std::sqrt(1.4e19 * eps * eps / (2.0 * std::log(2.0 * tau / delta)));
+  const std::uint64_t eta_star = AmcMaxSamples(eps, psi, delta, tau);
+  ASSERT_GT(eta_star, 1ull << 63);
+  ASSERT_LT(eta_star, UINT64_MAX);
+  EXPECT_EQ(GeerRemainingSampleBudget(eps, delta, tau, psi), UINT64_MAX);
+  // So does τ ≥ 64, where 2^τ − 1 alone overflows.
+  EXPECT_EQ(GeerRemainingSampleBudget(0.5, 0.01, 64, 1.0), UINT64_MAX);
+  // Budgets that fit are unchanged.
+  EXPECT_EQ(GeerRemainingSampleBudget(0.5, 0.01, 3, 1.0),
+            7 * AmcFirstBatchSize(AmcMaxSamples(0.5, 1.0, 0.01, 3), 3));
+}
+
 TEST(GeerTest, DeterministicPerSeed) {
   Graph g = testing::DenseTestGraph(16);
   ErOptions opt;
