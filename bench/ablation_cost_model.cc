@@ -53,7 +53,7 @@ AblationResult RunVariant(const Dataset& ds,
       const auto [m1t, m2t] = TopTwo(smm.tvec());
       const double psi =
           AmcPsi(remaining, m1s, m2s, ds_deg, m1t, m2t, dt_deg);
-      double budget = static_cast<double>(GeerEstimator::RemainingSampleBudget(
+      double budget = static_cast<double>(GeerRemainingSampleBudget(
           opt.epsilon, opt.delta, opt.tau, psi));
       if (model == CostModel::kSampleSteps) budget *= remaining;
       if (static_cast<double>(smm.NextIterationCost()) > budget) break;

@@ -31,8 +31,8 @@
 #include "bench/bench_common.h"
 #include "centrality/landmarks.h"
 #include "core/registry.h"
+#include "eval/arrival_trace.h"
 #include "eval/experiment.h"
-#include "serve/trace.h"
 #include "util/check.h"
 
 namespace geer {

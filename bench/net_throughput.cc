@@ -28,13 +28,13 @@
 
 #include "bench/bench_common.h"
 #include "core/registry.h"
+#include "eval/arrival_trace.h"
 #include "eval/experiment.h"
 #include "linalg/spectral.h"
 #include "net/router.h"
 #include "net/shard_service.h"
 #include "net/submitter.h"
 #include "serve/query_service.h"
-#include "serve/trace.h"
 #include "util/check.h"
 
 namespace geer {

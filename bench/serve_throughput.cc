@@ -41,9 +41,9 @@
 
 #include "bench/bench_common.h"
 #include "core/registry.h"
+#include "eval/arrival_trace.h"
 #include "eval/experiment.h"
 #include "obs/metrics.h"
-#include "serve/trace.h"
 #include "util/check.h"
 
 namespace geer {

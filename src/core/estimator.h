@@ -252,10 +252,11 @@ class ErEstimator {
     return nullptr;
   }
 
-  /// Retains EstimateBatch's shared per-source precomputation (SMM/GEER
-  /// iterate caches) inside this instance so later batches on recurring
-  /// sources reuse it instead of rebuilding per call — the serving
-  /// layer's session state. Off by default so one-shot batch runs keep
+  /// Retains per-node state (SMM/GEER iterate streams, TP/TPC walk
+  /// populations, EXACT/CG solver columns) inside this instance, in one
+  /// NodeStateCache (core/node_state_cache.h), so later batches on
+  /// recurring endpoints reuse it instead of rebuilding per call — the
+  /// serving layer's session state. Off by default so one-shot batch runs keep
   /// their O(n) memory profile. `budget_bytes` bounds the retained
   /// memory (0 = the implementation default); retained state never
   /// changes answer VALUES, only the cost charged for them. A no-op for
@@ -269,9 +270,6 @@ class ErEstimator {
   /// Drops any state retained by EnableSessionCache (the cache stays
   /// enabled; subsequent batches repopulate it).
   virtual void ClearSessionCache() {}
-
-  /// True iff this instance currently retains cross-batch session state.
-  virtual bool SessionCacheEnabled() const { return false; }
 
   /// Aggregated hit/miss/byte counters over this instance's session and
   /// landmark caches (zeroes when it has none). hits/misses/evictions

@@ -134,7 +134,7 @@ std::shared_ptr<const CholeskyFactor> ExactEstimatorT<WP>::TryIncrementalFactor(
 template <WeightPolicy WP>
 ExactEstimatorT<WP>::ExactEstimatorT(const GraphT& graph, ErOptions options,
                                      NodeId max_nodes)
-    : graph_(&graph), max_nodes_(max_nodes) {
+    : Base(graph), max_nodes_(max_nodes) {
   ValidateOptions(options);
   factor_ = BuildFactor(graph, max_nodes);
   shared_factor_ = std::make_shared<EpochShared<FactorEntry>>(
@@ -169,48 +169,29 @@ bool ExactEstimatorT<WP>::RebindGraph(const GraphT& graph,
     incremental_rebinds_.fetch_add(1, std::memory_order_relaxed);
   }
   graph_ = &graph;
-  // Columns are functions of the whole factorization: flush wholesale.
-  // Landmark columns re-warm lazily (pin-on-miss via is_landmark_).
-  if (session_ != nullptr) session_->Clear();
+  // Columns are functions of the whole factorization: the session
+  // flushes wholesale; landmark columns re-warm (and re-pin) lazily.
+  if (session_ != nullptr) session_->Rebind(epoch);
   return true;
 }
 
 template <WeightPolicy WP>
-Vector ExactEstimatorT<WP>::SolveColumn(NodeId node) const {
+ExactColumn ExactEstimatorT<WP>::SolveColumn(NodeId node) const {
   Vector b(graph_->NumNodes(), 0.0);
   b[node] = 1.0;
   // M⁻¹ e_node = L† e_node + 𝟙/n (M⁻¹𝟙 = 𝟙); the rank-one part cancels
   // when two columns are differenced, so the combination is exact.
-  return factor_->Solve(b);
+  return {factor_->Solve(b)};
 }
 
 template <WeightPolicy WP>
-const Vector* ExactEstimatorT<WP>::ColumnFor(NodeId node, Vector* scratch) {
+const ExactColumn* ExactEstimatorT<WP>::ColumnFor(NodeId node,
+                                                  ExactColumn* scratch) {
   if (session_ == nullptr) {
     *scratch = SolveColumn(node);
     return scratch;
   }
-  if (const Vector* hit = session_->Find(node)) return hit;
-  Vector col = SolveColumn(node);
-  const std::size_t bytes = col.size() * sizeof(double) + sizeof(Vector);
-  return session_->Insert(node, std::move(col), bytes, IsLandmark(node));
-}
-
-template <WeightPolicy WP>
-std::size_t ExactEstimatorT<WP>::WarmLandmarks(
-    std::span<const NodeId> landmarks) {
-  if (session_ == nullptr) EnableSessionCache();
-  is_landmark_.assign(graph_->NumNodes(), 0);
-  for (const NodeId lm : landmarks) {
-    GEER_CHECK(lm < graph_->NumNodes());
-    is_landmark_[lm] = 1;
-  }
-  Vector scratch;
-  for (const NodeId lm : landmarks) {
-    (void)ColumnFor(lm, &scratch);  // solve + pin (counts hit or miss)
-  }
-  session_->EvictOverBudget();
-  return landmarks.size();
+  return session_->GetOrCreate(node, [&] { return SolveColumn(node); });
 }
 
 template <WeightPolicy WP>
@@ -221,14 +202,14 @@ QueryStats ExactEstimatorT<WP>::EstimateWithStats(NodeId s, NodeId t) {
   if (s == t) return stats;
   const NodeId u = std::min(s, t);
   const NodeId v = std::max(s, t);
-  Vector scratch_u;
-  Vector scratch_v;
-  const Vector* yu = ColumnFor(u, &scratch_u);
-  const Vector* yv = ColumnFor(v, &scratch_v);
+  ExactColumn scratch_u;
+  ExactColumn scratch_v;
+  const Vector& yu = ColumnFor(u, &scratch_u)->y;
+  const Vector& yv = ColumnFor(v, &scratch_v)->y;
   // r(u,v) = (e_u − e_v)ᵀ M⁻¹ (e_u − e_v), combined column-wise in fixed
   // canonical order — bitwise symmetric and cache-independent.
-  stats.value = ((*yu)[u] - (*yu)[v]) - ((*yv)[u] - (*yv)[v]);
-  if (session_ != nullptr) session_->EvictOverBudget();
+  stats.value = (yu[u] - yu[v]) - (yv[u] - yv[v]);
+  if (session_ != nullptr) session_->Sweep();
   return stats;
 }
 

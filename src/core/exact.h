@@ -13,15 +13,27 @@
 
 #include "core/epoch_shared.h"
 #include "core/estimator.h"
+#include "core/node_state_cache.h"
 #include "core/options.h"
 #include "graph/weight_policy.h"
 #include "linalg/cholesky.h"
-#include "util/lru_byte_cache.h"
 
 namespace geer {
 
+/// A cached solver column M⁻¹ e_v — EXACT's session payload. It is a
+/// function of the whole factorization (no DependsOn), so every epoch
+/// flushes it.
+struct ExactColumn {
+  Vector y;
+  std::size_t ApproxBytes() const {
+    return y.size() * sizeof(double) + sizeof(Vector);
+  }
+};
+
 template <WeightPolicy WP>
-class ExactEstimatorT : public ErEstimator {
+class ExactEstimatorT
+    : public SessionCachedEstimator<typename WP::GraphT, NodeId,
+                                    ExactColumn> {
  public:
   using GraphT = typename WP::GraphT;
 
@@ -52,25 +64,6 @@ class ExactEstimatorT : public ErEstimator {
     return std::unique_ptr<ErEstimator>(new ExactEstimatorT<WP>(*this));
   }
 
-  /// Retains solver columns M⁻¹ e_v per node across queries. Values are
-  /// unchanged: the direct path combines the same two columns.
-  void EnableSessionCache(std::size_t budget_bytes = 0) override {
-    session_ = std::make_unique<LruByteCache<NodeId, Vector>>(
-        budget_bytes == 0 ? 64ull << 20 : budget_bytes);
-  }
-  void ClearSessionCache() override {
-    if (session_ != nullptr) session_->Clear();
-  }
-  bool SessionCacheEnabled() const override { return session_ != nullptr; }
-  CacheStats SessionCacheStats() const override {
-    return session_ != nullptr ? session_->stats() : CacheStats{};
-  }
-
-  /// Solves and pins the landmarks' columns in the session cache
-  /// (enabling it if off). Any (s, t) query combining a landmark column
-  /// is exact — not an approximation — by the linearity argument above.
-  std::size_t WarmLandmarks(std::span<const NodeId> landmarks) override;
-
   /// Dynamic-graph hook: the factorization depends on the WHOLE graph,
   /// so any epoch change invalidates it — but it is rebuilt exactly once
   /// per epoch across every clone sharing it (core/epoch_shared.h), not
@@ -96,11 +89,14 @@ class ExactEstimatorT : public ErEstimator {
   }
 
  private:
+  using Base = SessionCachedEstimator<GraphT, NodeId, ExactColumn>;
+  using Base::graph_;
+  using Base::session_;
+
   // Clone constructor: adopts the shared factorization and its
-  // epoch-keyed holder; the column cache and landmark set start empty
-  // (per-worker state).
+  // epoch-keyed holder; the session cache starts off (per-worker state).
   ExactEstimatorT(const ExactEstimatorT& other)
-      : graph_(other.graph_),
+      : Base(*other.graph_),
         max_nodes_(other.max_nodes_),
         factor_(other.factor_),
         shared_factor_(other.shared_factor_) {}
@@ -122,21 +118,20 @@ class ExactEstimatorT : public ErEstimator {
       const CholeskyFactor& prev, const GraphT& before, const GraphT& after,
       std::span<const NodeId> touched);
 
-  /// M⁻¹ e_node — from the session cache when enabled (inserting, and
-  /// pinning landmarks, on miss), else into `scratch`. The returned
-  /// pointer stays valid across one more ColumnFor call (list-backed).
-  const Vector* ColumnFor(NodeId node, Vector* scratch);
-  Vector SolveColumn(NodeId node) const;
-  bool IsLandmark(NodeId v) const {
-    return v < is_landmark_.size() && is_landmark_[v] != 0;
+  /// M⁻¹ e_node — from the session cache when enabled (solved on a
+  /// miss), else into `scratch`. The returned pointer stays valid across
+  /// one more ColumnFor call (list-backed).
+  const ExactColumn* ColumnFor(NodeId node, ExactColumn* scratch);
+  ExactColumn SolveColumn(NodeId node) const;
+
+  /// Solves and pins the landmark's column.
+  void WarmLandmark(NodeId lm) override {
+    session_->GetOrCreate(lm, [&] { return SolveColumn(lm); });
   }
 
-  const GraphT* graph_;
   NodeId max_nodes_ = 8192;
   std::shared_ptr<const CholeskyFactor> factor_;
   std::shared_ptr<EpochShared<FactorEntry>> shared_factor_;
-  std::unique_ptr<LruByteCache<NodeId, Vector>> session_;
-  std::vector<char> is_landmark_;
   std::atomic<std::uint64_t> incremental_rebinds_{0};
 };
 

@@ -2,14 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
-#include <unordered_map>
 
 #include "core/amc.h"
 #include "core/ell.h"
 #include "core/smm.h"
-#include "core/spectral_epoch.h"
-#include "linalg/spectral.h"
 #include "stats/bounds.h"
 #include "util/check.h"
 
@@ -28,121 +24,14 @@ std::uint64_t GeerRemainingSampleBudget(double epsilon, double delta,
 }
 
 template <WeightPolicy WP>
-GeerEstimatorT<WP>::GeerEstimatorT(const GraphT& graph, ErOptions options)
-    : graph_(&graph), options_(options), op_(graph), walker_(graph) {
-  ValidateOptions(options_);
-  lambda_ = options_.lambda.has_value()
-                ? *options_.lambda
-                : ComputeSpectralBoundsT<WP>(graph).lambda;
+std::uint32_t GeerEstimatorT<WP>::WarmDepth() const {
+  return PengEll(options_.epsilon, lambda_, options_.max_ell);
 }
 
 template <WeightPolicy WP>
-bool GeerEstimatorT<WP>::RebindGraph(const GraphT& graph,
-                                     const GraphEpoch& epoch) {
-  graph_ = &graph;
-  op_ = TransitionOperatorT<WP>(graph);  // stable address: retained
-                                         // session caches keep their op_
-  walker_ = WalkerFor<WP>(graph);
-  bool warm = false;
-  lambda_ = RebindLambda<WP>(graph, epoch, &warm);
-  if (warm) incremental_rebinds_.fetch_add(1, std::memory_order_relaxed);
-  if (session_ != nullptr) session_->Rebind(graph, epoch);
-  return true;
-}
-
-template <WeightPolicy WP>
-QueryStats GeerEstimatorT<WP>::EstimateWithStats(NodeId s, NodeId t) {
-  GEER_CHECK(s < graph_->NumNodes());
-  GEER_CHECK(t < graph_->NumNodes());
-  // Canonical endpoint order: fixed accumulation order plus a canonical
-  // AMC stream seed make Estimate(s, t) ≡ Estimate(t, s) bitwise — the
-  // symmetry the node-keyed batch caches rely on.
-  const NodeId u = std::min(s, t);
-  const NodeId v = std::max(s, t);
-  return EstimateWithCache(u, v, nullptr, nullptr);
-}
-
-template <WeightPolicy WP>
-std::size_t GeerEstimatorT<WP>::EstimateBatch(
-    std::span<const QueryPair> queries, std::span<QueryStats> stats,
-    const BatchContext& context) {
-  GEER_CHECK(stats.size() >= queries.size());
-  // Node-keyed iterate pool shared by both query sides (see SMM's
-  // EstimateBatch — the structure is identical; GEER adds the per-query
-  // AMC tail, which carries no cross-query state).
-  std::optional<SmmSessionCacheT<WP>> local;
-  SmmSessionCacheT<WP>* pool = session_.get();
-  if (pool == nullptr) {
-    constexpr std::size_t kOneShotPoolBytes = 256ull << 20;
-    local.emplace(*graph_, &op_, kOneShotPoolBytes, /*deep_entries=*/true);
-    pool = &*local;
-  }
-  // Same admission rule as SMM's EstimateBatch: materialize a stream
-  // only for nodes that recur in this batch or are pinned landmarks;
-  // batch-singletons read resident streams (Lookup) or iterate
-  // privately — bit-identical either way.
-  std::unordered_map<NodeId, std::uint32_t> uses;
-  for (const QueryPair& q : queries) {
-    if (q.s == q.t) continue;
-    ++uses[q.s];
-    ++uses[q.t];
-  }
-  const auto stream_for = [&](NodeId node) -> SmmSourceCacheT<WP>* {
-    if (IsLandmark(node) || uses[node] > 1) {
-      return pool->CacheFor(node, IsLandmark(node));
-    }
-    return pool->Lookup(node);
-  };
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    if (context.Cancelled()) return i;
-    const QueryPair& q = queries[i];
-    GEER_CHECK(q.s < graph_->NumNodes());
-    GEER_CHECK(q.t < graph_->NumNodes());
-    if (q.s == q.t) {
-      stats[i] = QueryStats{};
-      context.ReportAnswered();
-      continue;
-    }
-    const NodeId u = std::min(q.s, q.t);
-    const NodeId v = std::max(q.s, q.t);
-    SmmSourceCacheT<WP>* u_cache = stream_for(u);
-    SmmSourceCacheT<WP>* v_cache = stream_for(v);
-    stats[i] = EstimateWithCache(u, v, u_cache, v_cache);
-    pool->Sweep({u, v});
-    context.ReportAnswered();
-  }
-  return queries.size();
-}
-
-template <WeightPolicy WP>
-std::size_t GeerEstimatorT<WP>::WarmLandmarks(
-    std::span<const NodeId> landmarks) {
-  if (session_ == nullptr) EnableSessionCache();
-  is_landmark_.assign(graph_->NumNodes(), 0);
-  for (const NodeId lm : landmarks) {
-    GEER_CHECK(lm < graph_->NumNodes());
-    is_landmark_[lm] = 1;
-  }
-  // The greedy rule stops SMM somewhere below ℓ; PengEll bounds every
-  // per-pair ℓ, so warming to it (capped by the entry depth) covers any
-  // ℓ_b a query can reach. Extra depth is never read — values are
-  // unaffected either way.
-  const std::uint32_t depth =
-      std::min(PengEll(options_.epsilon, lambda_, options_.max_ell),
-               session_->per_source_iterate_cap());
-  for (const NodeId lm : landmarks) {
-    SmmSourceCacheT<WP>* cache = session_->CacheFor(lm, /*pin=*/true);
-    std::uint64_t fresh = 0;
-    cache->EnsureIterations(depth, &fresh);
-    session_->Sweep({lm});
-  }
-  return landmarks.size();
-}
-
-template <WeightPolicy WP>
-QueryStats GeerEstimatorT<WP>::EstimateWithCache(
-    NodeId s, NodeId t, SmmSourceCacheT<WP>* s_cache,
-    SmmSourceCacheT<WP>* t_cache) {
+QueryStats GeerEstimatorT<WP>::EstimateWithCache(NodeId s, NodeId t,
+                                                 Stream* s_cache,
+                                                 Stream* t_cache) {
   QueryStats stats;
   if (s == t) return stats;
 

@@ -37,93 +37,52 @@ namespace geer {
 std::uint64_t GeerRemainingSampleBudget(double epsilon, double delta,
                                         int tau, double psi);
 
+/// GEER shares SMM's node-keyed iterate streams, batch loop, landmark
+/// warm-up and rebind (SmmStreamEstimatorT). The AMC tail runs per query
+/// on its canonical (seed, min, max) stream and carries no cross-query
+/// state, so batched and session-served values are bit-identical to
+/// serial ones.
 template <WeightPolicy WP>
-class GeerEstimatorT : public ErEstimator {
+class GeerEstimatorT : public SmmStreamEstimatorT<WP> {
  public:
   using GraphT = typename WP::GraphT;
 
-  explicit GeerEstimatorT(const GraphT& graph, ErOptions options = {});
+  explicit GeerEstimatorT(const GraphT& graph, ErOptions options = {})
+      : SmmStreamEstimatorT<WP>(graph, options), walker_(graph) {}
   // Stores a pointer to `graph`; a temporary would dangle.
   explicit GeerEstimatorT(GraphT&&, ErOptions = {}) = delete;
 
   std::string Name() const override {
     return std::string(WP::kNamePrefix) + "GEER";
   }
-  QueryStats EstimateWithStats(NodeId s, NodeId t) override;
-
-  /// Shares node-keyed SMM iterate sequences for BOTH query sides via an
-  /// SmmSessionCacheT pool (the session when enabled, a batch-local pool
-  /// otherwise); the AMC tail still runs per query on its canonical
-  /// (seed, min, max) stream, so batched values are bit-identical to
-  /// serial ones.
-  std::size_t EstimateBatch(std::span<const QueryPair> queries,
-                            std::span<QueryStats> stats,
-                            const BatchContext& context = {}) override;
-  BatchPlan PlanBatch(std::span<const QueryPair> queries) const override {
-    return BatchPlan::GroupByEndpoint(queries);
-  }
-  bool SharesBatchWork() const override { return true; }
   std::unique_ptr<ErEstimator> CloneForBatch() const override {
     ErOptions opt = options_;
     opt.lambda = lambda_;  // clones never re-run Lanczos
     return std::make_unique<GeerEstimatorT<WP>>(*graph_, opt);
   }
 
-  /// Retains source iterate caches across EstimateBatch calls in an
-  /// SmmSessionCacheT (the serving layer's session state). The AMC tail
-  /// still runs per query on its (seed, s, t) stream, so retained state
-  /// never changes answer values.
-  void EnableSessionCache(std::size_t budget_bytes = 0) override {
-    session_ = std::make_unique<SmmSessionCacheT<WP>>(*graph_, &op_,
-                                                      budget_bytes);
-  }
-  void ClearSessionCache() override {
-    if (session_ != nullptr) session_->Clear();
-  }
-  bool SessionCacheEnabled() const override { return session_ != nullptr; }
-  CacheStats SessionCacheStats() const override {
-    return session_ != nullptr ? session_->stats() : CacheStats{};
-  }
-
-  /// Pins prebuilt SMM iterate streams for the landmarks in the session
-  /// cache (enabling it if off); the AMC tail is per query either way.
-  std::size_t WarmLandmarks(std::span<const NodeId> landmarks) override;
-
-  /// Dynamic-graph hook: repoints at the new snapshot, rebuilds the
-  /// transition operator and walk sampler, re-derives λ, and invalidates
-  /// the SMM session selectively (only entries whose iterate supports
-  /// were touched; the AMC tail carries no cross-query state).
+  /// Also rebuilds the walk sampler for the new snapshot.
   using ErEstimator::RebindGraph;
-  bool RebindGraph(const GraphT& graph, const GraphEpoch& epoch) override;
-
-  std::uint64_t IncrementalRebinds() const override {
-    return incremental_rebinds_.load(std::memory_order_relaxed);
-  }
-
-  double lambda() const { return lambda_; }
-
-  /// Compat spelling of GeerRemainingSampleBudget.
-  static std::uint64_t RemainingSampleBudget(double epsilon, double delta,
-                                             int tau, double psi) {
-    return GeerRemainingSampleBudget(epsilon, delta, tau, psi);
+  bool RebindGraph(const GraphT& graph, const GraphEpoch& epoch) override {
+    walker_ = WalkerFor<WP>(graph);
+    return SmmStreamEstimatorT<WP>::RebindGraph(graph, epoch);
   }
 
  private:
-  QueryStats EstimateWithCache(NodeId s, NodeId t,
-                               SmmSourceCacheT<WP>* s_cache,
-                               SmmSourceCacheT<WP>* t_cache);
-  bool IsLandmark(NodeId v) const {
-    return v < is_landmark_.size() && is_landmark_[v] != 0;
-  }
+  using Base = SmmStreamEstimatorT<WP>;
+  using Base::graph_;
+  using Base::lambda_;
+  using Base::op_;
+  using Base::options_;
+  using Stream = SmmSourceCacheT<WP>;
 
-  const GraphT* graph_;
-  ErOptions options_;
-  double lambda_;
-  TransitionOperatorT<WP> op_;
+  QueryStats EstimateWithCache(NodeId s, NodeId t, Stream* s_cache,
+                               Stream* t_cache) override;
+  /// The greedy rule stops SMM somewhere below ℓ, and PengEll bounds
+  /// every per-pair ℓ, so warming to it covers any ℓ_b a query reaches.
+  std::uint32_t WarmDepth() const override;
+
   WalkerFor<WP> walker_;
-  std::unique_ptr<SmmSessionCacheT<WP>> session_;
-  std::vector<char> is_landmark_;
-  std::atomic<std::uint64_t> incremental_rebinds_{0};
 };
 
 /// The two stacks, by their historical names.

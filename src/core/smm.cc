@@ -11,62 +11,14 @@
 namespace geer {
 
 template <WeightPolicy WP>
-SmmSessionCacheT<WP>::SmmSessionCacheT(const GraphT& graph,
-                                       TransitionOperatorT<WP>* op,
-                                       std::size_t budget_bytes,
-                                       bool deep_entries)
-    : graph_(&graph), op_(op), cache_(budget_bytes) {
-  constexpr std::size_t kDefaultBudgetBytes = 64ull << 20;
-  if (budget_bytes == 0) {
-    budget_bytes = kDefaultBudgetBytes;
-    cache_.set_budget_bytes(budget_bytes);
-  }
-  // Depth cap per entry: the session splits its budget across
-  // kMaxSources resident streams; the one-shot pool instead grants each
-  // stream the historical standalone SmmSourceCacheT budget (~256 MB)
-  // so batch-local runs keep their depth.
-  constexpr std::uint64_t kDeepEntryBytes = 256ull << 20;
-  const std::uint64_t entry_budget =
-      deep_entries ? kDeepEntryBytes : budget_bytes / kMaxSources;
+std::uint32_t SmmSourceCacheT<WP>::DepthCapFor(NodeId num_nodes,
+                                               std::uint64_t bytes) {
   const std::uint64_t per_iterate =
-      static_cast<std::uint64_t>(graph.NumNodes()) * sizeof(double);
+      static_cast<std::uint64_t>(num_nodes) * sizeof(double);
   const std::uint64_t derived =
-      entry_budget / std::max<std::uint64_t>(per_iterate, 1);
-  // Floor of 2 so there is always something to share.
-  per_source_cap_ = static_cast<std::uint32_t>(
+      bytes / std::max<std::uint64_t>(per_iterate, 1);
+  return static_cast<std::uint32_t>(
       std::clamp<std::uint64_t>(derived, 2, 1u << 20));
-}
-
-template <WeightPolicy WP>
-void SmmSessionCacheT<WP>::Rebind(const GraphT& graph,
-                                  const GraphEpoch& epoch) {
-  graph_ = &graph;
-  if (epoch.resized) {
-    cache_.Clear();  // dense iterates are sized to the old node count
-    return;
-  }
-  cache_.EvictIf([&epoch](NodeId, const SmmSourceCacheT<WP>& cache) {
-    return cache.DependsOn(epoch.touched);
-  });
-}
-
-template <WeightPolicy WP>
-SmmSourceCacheT<WP>* SmmSessionCacheT<WP>::CacheFor(NodeId node, bool pin) {
-  SmmSourceCacheT<WP>* cache = cache_.GetOrCreate(node, [this, node] {
-    return SmmSourceCacheT<WP>(*graph_, op_, node, per_source_cap_);
-  });
-  if (pin) cache_.Pin(node);
-  return cache;
-}
-
-template <WeightPolicy WP>
-void SmmSessionCacheT<WP>::Sweep(std::initializer_list<NodeId> grown) {
-  for (const NodeId node : grown) {
-    if (const SmmSourceCacheT<WP>* cache = cache_.Peek(node)) {
-      cache_.SetBytes(node, cache->ApproxBytes());
-    }
-  }
-  cache_.EvictOverBudget();
 }
 
 template <WeightPolicy WP>
@@ -75,22 +27,13 @@ SmmSourceCacheT<WP>::SmmSourceCacheT(const GraphT& graph,
                                      NodeId source, std::uint32_t max_cached)
     : source_(source), op_(op) {
   GEER_CHECK(source < graph.NumNodes());
-  if (max_cached > 0) {
-    max_cached_ = max_cached;
-  } else {
-    // ~256 MB of cached dense iterates: deep enough for every ℓ_b that
-    // arises on graphs small enough for the cache to be cheap, and a
-    // hard bound on the ones where it would not be (the floor is 2 so
-    // there is always SOMETHING to share — never enough to break the
-    // byte budget by more than one iterate).
-    constexpr std::uint64_t kMaxCachedBytes = 256ull << 20;
-    const std::uint64_t per_iterate =
-        static_cast<std::uint64_t>(graph.NumNodes()) * sizeof(double);
-    const std::uint64_t derived = kMaxCachedBytes / std::max<std::uint64_t>(
-                                                        per_iterate, 1);
-    max_cached_ = static_cast<std::uint32_t>(
-        std::clamp<std::uint64_t>(derived, 2, 1u << 20));
-  }
+  // ~256 MB of dense iterates by default: deep enough for every ℓ_b that
+  // arises on graphs small enough for the stream to be cheap, and a hard
+  // bound on the ones where it would not be.
+  constexpr std::uint64_t kDefaultStreamBytes = 256ull << 20;
+  max_cached_ = max_cached > 0
+                    ? max_cached
+                    : DepthCapFor(graph.NumNodes(), kDefaultStreamBytes);
   live_.InitOneHot(source, graph);
   iterates_.push_back(live_.values);
   support_costs_.push_back(live_.support_degree_sum);
@@ -198,8 +141,11 @@ void SmmIteratorT<WP>::Advance() {
 }
 
 template <WeightPolicy WP>
-SmmEstimatorT<WP>::SmmEstimatorT(const GraphT& graph, ErOptions options)
-    : graph_(&graph), options_(options), op_(graph) {
+SmmStreamEstimatorT<WP>::SmmStreamEstimatorT(const GraphT& graph,
+                                             ErOptions options)
+    : Base(graph),
+      options_(options),
+      op_(graph) {
   ValidateOptions(options_);
   lambda_ = options_.lambda.has_value()
                 ? *options_.lambda
@@ -207,22 +153,120 @@ SmmEstimatorT<WP>::SmmEstimatorT(const GraphT& graph, ErOptions options)
 }
 
 template <WeightPolicy WP>
-bool SmmEstimatorT<WP>::RebindGraph(const GraphT& graph,
-                                    const GraphEpoch& epoch) {
+bool SmmStreamEstimatorT<WP>::RebindGraph(const GraphT& graph,
+                                          const GraphEpoch& epoch) {
   graph_ = &graph;
   op_ = TransitionOperatorT<WP>(graph);  // member address is stable, so
-                                         // retained caches keep their op_
+                                         // retained streams keep their op_
   bool warm = false;
   lambda_ = RebindLambda<WP>(graph, epoch, &warm);
   if (warm) incremental_rebinds_.fetch_add(1, std::memory_order_relaxed);
-  if (session_ != nullptr) session_->Rebind(graph, epoch);
+  if (session_ != nullptr) session_->Rebind(epoch);
   return true;
 }
 
 template <WeightPolicy WP>
-QueryStats SmmEstimatorT<WP>::EstimateWithCache(
-    NodeId s, NodeId t, SmmSourceCacheT<WP>* s_cache,
-    SmmSourceCacheT<WP>* t_cache) {
+QueryStats SmmStreamEstimatorT<WP>::EstimateWithStats(NodeId s, NodeId t) {
+  GEER_CHECK(s < graph_->NumNodes());
+  GEER_CHECK(t < graph_->NumNodes());
+  // Canonical endpoint order with a fixed accumulation order makes
+  // Estimate(s, t) ≡ Estimate(t, s) bitwise — the symmetry the
+  // node-keyed batch caches rely on.
+  const NodeId u = std::min(s, t);
+  const NodeId v = std::max(s, t);
+  return EstimateWithCache(u, v, nullptr, nullptr);
+}
+
+template <WeightPolicy WP>
+std::uint32_t SmmStreamEstimatorT<WP>::SessionDepthCap() const {
+  return Stream::DepthCapFor(graph_->NumNodes(),
+                             session_->budget_bytes() /
+                                 kSessionStreams);
+}
+
+template <WeightPolicy WP>
+std::size_t SmmStreamEstimatorT<WP>::EstimateBatch(
+    std::span<const QueryPair> queries, std::span<QueryStats> stats,
+    const BatchContext& context) {
+  GEER_CHECK(stats.size() >= queries.size());
+  const GraphT& graph = *graph_;
+  // The session when enabled; otherwise a batch-local pool whose streams
+  // keep the full default depth (max_cached = 0).
+  using Pool = typename Base::SessionCache;
+  std::optional<Pool> local;
+  Pool* pool = session_.get();
+  std::uint32_t depth_cap = 0;
+  if (pool == nullptr) {
+    constexpr std::size_t kOneShotPoolBytes = 256ull << 20;
+    local.emplace(kOneShotPoolBytes);
+    pool = &*local;
+  } else {
+    depth_cap = SessionDepthCap();
+  }
+  // Admission: a cached stream materializes every iterate densely, which
+  // only pays off when the stream is read more than once. Create one for
+  // a node that recurs in this batch or is a landmark; a batch-singleton
+  // endpoint reads a stream another batch left resident (Find) but
+  // iterates privately in place otherwise — both paths run the identical
+  // ApplyAuto sequence, so the answer never moves.
+  std::unordered_map<NodeId, std::uint32_t> uses;
+  for (const QueryPair& q : queries) {
+    if (q.s == q.t) continue;
+    ++uses[q.s];
+    ++uses[q.t];
+  }
+  const auto stream_for = [&](NodeId node) -> Stream* {
+    if (pool->IsLandmark(node) || uses[node] > 1) {
+      return pool->GetOrCreate(node, [&] {
+        return Stream(graph, &op_, node, depth_cap);
+      });
+    }
+    return pool->Find(node);
+  };
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    if (context.Cancelled()) return i;
+    const QueryPair& q = queries[i];
+    GEER_CHECK(q.s < graph.NumNodes());
+    GEER_CHECK(q.t < graph.NumNodes());
+    if (q.s == q.t) {
+      stats[i] = QueryStats{};
+      context.ReportAnswered();
+      continue;
+    }
+    const NodeId u = std::min(q.s, q.t);
+    const NodeId v = std::max(q.s, q.t);
+    Stream* u_cache = stream_for(u);
+    Stream* v_cache = stream_for(v);
+    stats[i] = EstimateWithCache(u, v, u_cache, v_cache);
+    pool->Sweep();
+    context.ReportAnswered();
+  }
+  return queries.size();
+}
+
+template <WeightPolicy WP>
+void SmmStreamEstimatorT<WP>::WarmLandmark(NodeId lm) {
+  const std::uint32_t depth_cap = SessionDepthCap();
+  Stream* stream = session_->GetOrCreate(lm, [&] {
+    return Stream(*graph_, &op_, lm, depth_cap);
+  });
+  // Deeper demands spill past the cap as usual; extra depth is never
+  // read, so values are unaffected either way.
+  std::uint64_t fresh = 0;
+  stream->EnsureIterations(std::min(WarmDepth(), depth_cap), &fresh);
+}
+
+template <WeightPolicy WP>
+std::uint32_t SmmEstimatorT<WP>::WarmDepth() const {
+  return options_.smm_iterations > 0
+             ? options_.smm_iterations
+             : PengEll(options_.epsilon, lambda_, options_.max_ell);
+}
+
+template <WeightPolicy WP>
+QueryStats SmmEstimatorT<WP>::EstimateWithCache(NodeId s, NodeId t,
+                                                Stream* s_cache,
+                                                Stream* t_cache) {
   QueryStats stats;
   if (s == t) return stats;
   const double ws = WP::NodeWeight(*graph_, s);
@@ -249,105 +293,12 @@ QueryStats SmmEstimatorT<WP>::EstimateWithCache(
   return stats;
 }
 
-template <WeightPolicy WP>
-QueryStats SmmEstimatorT<WP>::EstimateWithStats(NodeId s, NodeId t) {
-  GEER_CHECK(s < graph_->NumNodes());
-  GEER_CHECK(t < graph_->NumNodes());
-  // Canonical endpoint order with a fixed accumulation order makes
-  // Estimate(s, t) ≡ Estimate(t, s) bitwise — the symmetry the
-  // node-keyed batch caches rely on.
-  const NodeId u = std::min(s, t);
-  const NodeId v = std::max(s, t);
-  return EstimateWithCache(u, v, nullptr, nullptr);
-}
-
-template <WeightPolicy WP>
-std::size_t SmmEstimatorT<WP>::EstimateBatch(
-    std::span<const QueryPair> queries, std::span<QueryStats> stats,
-    const BatchContext& context) {
-  GEER_CHECK(stats.size() >= queries.size());
-  // Every endpoint's iterate stream lives in a node-keyed pool — the
-  // session when enabled, a batch-local pool otherwise — so both query
-  // sides reuse streams across the whole batch. The canonical (min, max)
-  // evaluation order matches the serial path bit-for-bit.
-  std::optional<SmmSessionCacheT<WP>> local;
-  SmmSessionCacheT<WP>* pool = session_.get();
-  if (pool == nullptr) {
-    constexpr std::size_t kOneShotPoolBytes = 256ull << 20;
-    local.emplace(*graph_, &op_, kOneShotPoolBytes, /*deep_entries=*/true);
-    pool = &*local;
-  }
-  // Admission: a cached stream materializes every iterate densely, which
-  // only pays off when the stream is read more than once. Create one for
-  // a node that recurs in this batch or is a pinned landmark; a
-  // batch-singleton endpoint reads a stream another batch left resident
-  // (Lookup) but iterates privately in place otherwise — both paths run
-  // the identical ApplyAuto sequence, so the answer never moves.
-  std::unordered_map<NodeId, std::uint32_t> uses;
-  for (const QueryPair& q : queries) {
-    if (q.s == q.t) continue;
-    ++uses[q.s];
-    ++uses[q.t];
-  }
-  const auto stream_for = [&](NodeId node) -> SmmSourceCacheT<WP>* {
-    if (IsLandmark(node) || uses[node] > 1) {
-      return pool->CacheFor(node, IsLandmark(node));
-    }
-    return pool->Lookup(node);
-  };
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    if (context.Cancelled()) return i;
-    const QueryPair& q = queries[i];
-    GEER_CHECK(q.s < graph_->NumNodes());
-    GEER_CHECK(q.t < graph_->NumNodes());
-    if (q.s == q.t) {
-      stats[i] = QueryStats{};
-      context.ReportAnswered();
-      continue;
-    }
-    const NodeId u = std::min(q.s, q.t);
-    const NodeId v = std::max(q.s, q.t);
-    SmmSourceCacheT<WP>* u_cache = stream_for(u);
-    SmmSourceCacheT<WP>* v_cache = stream_for(v);
-    stats[i] = EstimateWithCache(u, v, u_cache, v_cache);
-    pool->Sweep({u, v});
-    context.ReportAnswered();
-  }
-  return queries.size();
-}
-
-template <WeightPolicy WP>
-std::size_t SmmEstimatorT<WP>::WarmLandmarks(
-    std::span<const NodeId> landmarks) {
-  if (session_ == nullptr) EnableSessionCache();
-  is_landmark_.assign(graph_->NumNodes(), 0);
-  for (const NodeId lm : landmarks) {
-    GEER_CHECK(lm < graph_->NumNodes());
-    is_landmark_[lm] = 1;
-  }
-  // Warm to the depth a PengEll-budgeted query would iterate (the
-  // pair-independent bound; refined per-pair ℓ never exceeds it),
-  // clamped by the per-entry cap — deeper demands spill as usual.
-  std::uint32_t depth = options_.smm_iterations > 0
-                            ? options_.smm_iterations
-                            : PengEll(options_.epsilon, lambda_,
-                                      options_.max_ell);
-  depth = std::min(depth, session_->per_source_iterate_cap());
-  for (const NodeId lm : landmarks) {
-    SmmSourceCacheT<WP>* cache = session_->CacheFor(lm, /*pin=*/true);
-    std::uint64_t fresh = 0;
-    cache->EnsureIterations(depth, &fresh);
-    session_->Sweep({lm});
-  }
-  return landmarks.size();
-}
-
 template class SmmSourceCacheT<UnitWeight>;
 template class SmmSourceCacheT<EdgeWeight>;
-template class SmmSessionCacheT<UnitWeight>;
-template class SmmSessionCacheT<EdgeWeight>;
 template class SmmIteratorT<UnitWeight>;
 template class SmmIteratorT<EdgeWeight>;
+template class SmmStreamEstimatorT<UnitWeight>;
+template class SmmStreamEstimatorT<EdgeWeight>;
 template class SmmEstimatorT<UnitWeight>;
 template class SmmEstimatorT<EdgeWeight>;
 

@@ -12,9 +12,10 @@
 // iterates to AMC.
 //
 // Batching: the iterate sequence {P^j e_x} is a pure function of the
-// node x, so EstimateBatch keys SmmSourceCacheT streams by node and
-// reuses them for the s- AND t-side of every query in the batch (and,
-// with a session enabled, across batches). Queries are evaluated in
+// node x, so EstimateBatch keys SmmSourceCacheT streams by node in a
+// NodeStateCache and reuses them for the s- AND t-side of every query in
+// the batch (and, with a session enabled, across batches). SMM and GEER
+// share that loop through SmmStreamEstimatorT. Queries are evaluated in
 // canonical endpoint order (min, max) with a fixed accumulation order,
 // making Estimate(s, t) ≡ Estimate(t, s) bitwise — so one cached stream
 // serves a node regardless of which side of a query it appears on. The
@@ -25,12 +26,13 @@
 #ifndef GEER_CORE_SMM_H_
 #define GEER_CORE_SMM_H_
 
-#include <initializer_list>
+#include <atomic>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "core/estimator.h"
+#include "core/node_state_cache.h"
 #include "core/options.h"
 #include "graph/weight_policy.h"
 #include "linalg/spectral.h"
@@ -42,19 +44,24 @@ namespace geer {
 /// shared by the queries of a same-source group (SMM and GEER both use
 /// it through SmmIteratorT). Stores one dense vector per iterate plus
 /// the Eq. 17 support cost, growing to the deepest ℓ_b any query needs
-/// — but never past max_cached_iterations(), which bounds the cache to
-/// ~256 MB regardless of n and ℓ_b (the serial path runs in O(n)
-/// memory; a group cache must not turn that into gigabytes). Queries
-/// that iterate deeper continue on a private copy of the boundary state
-/// (bit-identical, just unshared past the cap).
+/// — but never past max_cached_iterations(), which bounds the stream's
+/// memory regardless of ℓ_b (the serial path runs in O(n) memory; a
+/// group cache must not turn that into gigabytes). Queries that iterate
+/// deeper continue on a private copy of the boundary state
+/// (bit-identical, just unshared past the cap). The NodeStateCache
+/// payload: ApproxBytes() and DependsOn().
 template <WeightPolicy WP>
 class SmmSourceCacheT {
  public:
   using GraphT = typename WP::GraphT;
   using SparseVector = typename TransitionOperatorT<WP>::SparseVector;
 
-  /// `max_cached` = 0 derives the memory-bounded default; tests pass a
-  /// tiny cap to exercise the past-the-cap spill path.
+  /// Depth cap of a stream allowed `bytes` of dense iterates on an
+  /// n-node graph; at least 2, so there is always something to share.
+  static std::uint32_t DepthCapFor(NodeId num_nodes, std::uint64_t bytes);
+
+  /// `max_cached` = 0 caps the stream at ~256 MB of iterates; tests pass
+  /// a tiny cap to exercise the past-the-cap spill path.
   SmmSourceCacheT(const GraphT& graph, TransitionOperatorT<WP>* op,
                   NodeId source, std::uint32_t max_cached = 0);
   // The operator outlives the cache; a temporary graph would dangle.
@@ -112,82 +119,6 @@ class SmmSourceCacheT {
   std::vector<std::uint64_t> support_costs_;
   std::vector<char> dep_mark_;  // n flags: vertex ∈ dependency set
   bool dep_dense_ = false;      // an iterate stopped support tracking
-};
-
-/// A byte-budgeted pool of per-node iterate caches — the cross-batch
-/// session state behind ErEstimator::EnableSessionCache for SMM and
-/// GEER, and the batch-local sharing pool of one-shot EstimateBatch
-/// runs. Entries are keyed by NODE (not "source"): a query pulls the
-/// caches for both of its endpoints, so the serving layer's recurring
-/// endpoints hit warm streams regardless of query side. Admission and
-/// eviction run through the shared LruByteCache; landmark entries are
-/// pinned (budget-exempt) by WarmLandmarks. Retained state never
-/// changes answer values — deeper queries spill onto a private copy of
-/// the boundary state exactly as in the uncached path.
-template <WeightPolicy WP>
-class SmmSessionCacheT {
- public:
-  using GraphT = typename WP::GraphT;
-
-  /// Budget split used to derive each entry's iterate-depth cap: a
-  /// session sized for `budget_bytes` keeps kMaxSources streams of the
-  /// per-entry cap resident before the LRU starts evicting.
-  static constexpr std::size_t kMaxSources = 8;
-
-  /// `budget_bytes` = 0 picks the 64 MB default. With `deep_entries`
-  /// each entry caps its depth by the one-shot SmmSourceCacheT default
-  /// (~256 MB of iterates) instead of the session split — the
-  /// batch-local pool uses this so one-shot runs keep the historical
-  /// per-source depth.
-  SmmSessionCacheT(const GraphT& graph, TransitionOperatorT<WP>* op,
-                   std::size_t budget_bytes = 0, bool deep_entries = false);
-  // The operator outlives the session; a temporary graph would dangle.
-  SmmSessionCacheT(GraphT&&, TransitionOperatorT<WP>*, std::size_t = 0,
-                   bool = false) = delete;
-
-  /// The pool's cache for `node`: the retained one (bumped to most
-  /// recently used, counted as a hit) or a fresh one (a miss). Never
-  /// evicts — a query holds both endpoints' pointers at once; call
-  /// Sweep() once they are released.
-  SmmSourceCacheT<WP>* CacheFor(NodeId node, bool pin = false);
-
-  /// The retained cache for `node` if one is resident (bumped + counted
-  /// like CacheFor), nullptr otherwise — never creates. The admission
-  /// policy in SMM/GEER EstimateBatch uses this for batch-singleton
-  /// endpoints: a warm stream is free to read, but a one-off node is
-  /// not worth materializing a dense stream for.
-  SmmSourceCacheT<WP>* Lookup(NodeId node) { return cache_.Find(node); }
-
-  /// Re-records the grown entries' bytes and evicts LRU unpinned
-  /// entries over budget. Call between queries, with no CacheFor
-  /// pointers outstanding.
-  void Sweep(std::initializer_list<NodeId> grown);
-
-  /// Drops every retained cache (hit/miss counters persist).
-  void Clear() { cache_.Clear(); }
-
-  /// Dynamic-epoch invalidation: repoints at the new snapshot and evicts
-  /// ONLY the entries whose dependency set intersects epoch.touched —
-  /// pinned landmarks included; they re-warm lazily on next use — or
-  /// all of them when the node count changed (the dense iterate vectors
-  /// are sized to the old n). Surviving caches answer bit-identically
-  /// on the new epoch; dyn_consistency_test enforces it.
-  void Rebind(const GraphT& graph, const GraphEpoch& epoch);
-  void Rebind(GraphT&&, const GraphEpoch&) = delete;
-
-  std::size_t num_sources() const { return cache_.size(); }
-
-  /// Iterate-depth cap applied to each retained entry.
-  std::uint32_t per_source_iterate_cap() const { return per_source_cap_; }
-
-  /// Hit/miss/byte counters (ServeMetrics feed).
-  CacheStats stats() const { return cache_.stats(); }
-
- private:
-  const GraphT* graph_;
-  TransitionOperatorT<WP>* op_;
-  std::uint32_t per_source_cap_;
-  LruByteCache<NodeId, SmmSourceCacheT<WP>> cache_;
 };
 
 /// Step-at-a-time driver for Alg. 2 on a fixed query pair.
@@ -271,28 +202,22 @@ class SmmIteratorT {
   std::uint64_t spmv_ops_ = 0;
 };
 
-/// The standalone SMM competitor: runs Alg. 2 for ℓ_b = ℓ iterations
-/// (refined ℓ of Eq. 6 by default, Peng et al.'s Eq. 5 with
-/// options.use_peng_ell — the Fig. 11 comparison; or a fixed count with
-/// options.smm_iterations, which is how the paper builds ground truth).
+/// What SMM and GEER share: a per-query Alg. 2 driver over node-keyed
+/// iterate streams, one batch loop, the landmark warm-up, and the epoch
+/// rebind. Every endpoint's stream lives in a NodeStateCache pool (the
+/// session when enabled, a batch-local pool otherwise), so both query
+/// sides reuse streams across the whole batch. Queries run in canonical
+/// (min, max) order with a fixed accumulation order, making
+/// Estimate(s, t) ≡ Estimate(t, s) bitwise and batched values
+/// bit-identical to serial ones.
 template <WeightPolicy WP>
-class SmmEstimatorT : public ErEstimator {
+class SmmStreamEstimatorT
+    : public SessionCachedEstimator<typename WP::GraphT, NodeId,
+                                    SmmSourceCacheT<WP>> {
  public:
   using GraphT = typename WP::GraphT;
 
-  explicit SmmEstimatorT(const GraphT& graph, ErOptions options = {});
-  // Stores a pointer to `graph`; a temporary would dangle.
-  explicit SmmEstimatorT(GraphT&&, ErOptions = {}) = delete;
-
-  std::string Name() const override {
-    return std::string(WP::kNamePrefix) +
-           (options_.use_peng_ell ? "SMM-PengEll" : "SMM");
-  }
   QueryStats EstimateWithStats(NodeId s, NodeId t) override;
-
-  /// Shares node-keyed iterate sequences across the batch for BOTH query
-  /// sides via an SmmSessionCacheT pool (the session when enabled, a
-  /// batch-local pool otherwise).
   std::size_t EstimateBatch(std::span<const QueryPair> queries,
                             std::span<QueryStats> stats,
                             const BatchContext& context = {}) override;
@@ -300,34 +225,10 @@ class SmmEstimatorT : public ErEstimator {
     return BatchPlan::GroupByEndpoint(queries);
   }
   bool SharesBatchWork() const override { return true; }
-  std::unique_ptr<ErEstimator> CloneForBatch() const override {
-    ErOptions opt = options_;
-    opt.lambda = lambda_;  // clones never re-run Lanczos
-    return std::make_unique<SmmEstimatorT<WP>>(*graph_, opt);
-  }
-
-  /// Retains source iterate caches across EstimateBatch calls in an
-  /// SmmSessionCacheT (the serving layer's session state).
-  void EnableSessionCache(std::size_t budget_bytes = 0) override {
-    session_ = std::make_unique<SmmSessionCacheT<WP>>(*graph_, &op_,
-                                                      budget_bytes);
-  }
-  void ClearSessionCache() override {
-    if (session_ != nullptr) session_->Clear();
-  }
-  bool SessionCacheEnabled() const override { return session_ != nullptr; }
-  CacheStats SessionCacheStats() const override {
-    return session_ != nullptr ? session_->stats() : CacheStats{};
-  }
-
-  /// Pins prebuilt iterate streams for the landmarks in the session
-  /// cache (enabling it if off) so queries touching a hub endpoint
-  /// start from a warm stream.
-  std::size_t WarmLandmarks(std::span<const NodeId> landmarks) override;
 
   /// Dynamic-graph hook: repoints at the new snapshot, rebuilds the
   /// transition operator, re-derives λ, and invalidates the session
-  /// selectively (only entries whose iterate supports were touched).
+  /// selectively (only streams whose iterate supports were touched).
   using ErEstimator::RebindGraph;
   bool RebindGraph(const GraphT& graph, const GraphEpoch& epoch) override;
 
@@ -338,39 +239,91 @@ class SmmEstimatorT : public ErEstimator {
   /// λ in use (from options or computed at construction).
   double lambda() const { return lambda_; }
 
- private:
-  QueryStats EstimateWithCache(NodeId s, NodeId t,
-                               SmmSourceCacheT<WP>* s_cache,
-                               SmmSourceCacheT<WP>* t_cache);
-  bool IsLandmark(NodeId v) const {
-    return v < is_landmark_.size() && is_landmark_[v] != 0;
-  }
+ protected:
+  using Base = SessionCachedEstimator<GraphT, NodeId, SmmSourceCacheT<WP>>;
+  using Base::graph_;
+  using Base::session_;
+  using Stream = SmmSourceCacheT<WP>;
 
-  const GraphT* graph_;
+  SmmStreamEstimatorT(const GraphT& graph, ErOptions options);
+
+  /// Answers canonical endpoints s < t, reading each side's iterates
+  /// from its stream when one is given.
+  virtual QueryStats EstimateWithCache(NodeId s, NodeId t, Stream* s_cache,
+                                       Stream* t_cache) = 0;
+  /// Iterate depth a landmark stream is warmed to, before the session's
+  /// per-stream cap.
+  virtual std::uint32_t WarmDepth() const = 0;
+
+  /// Builds and pins the landmark's stream to WarmDepth().
+  void WarmLandmark(NodeId lm) override;
+
   ErOptions options_;
   double lambda_;
   TransitionOperatorT<WP> op_;
-  std::unique_ptr<SmmSessionCacheT<WP>> session_;
-  std::vector<char> is_landmark_;
   std::atomic<std::uint64_t> incremental_rebinds_{0};
+
+ private:
+  /// A session stream's depth cap splits the session budget across
+  /// this many streams, so that many full-depth streams stay resident
+  /// before the LRU starts evicting.
+  static constexpr std::size_t kSessionStreams = 8;
+  std::uint32_t SessionDepthCap() const;
+};
+
+/// The standalone SMM competitor: runs Alg. 2 for ℓ_b = ℓ iterations
+/// (refined ℓ of Eq. 6 by default, Peng et al.'s Eq. 5 with
+/// options.use_peng_ell — the Fig. 11 comparison; or a fixed count with
+/// options.smm_iterations, which is how the paper builds ground truth).
+template <WeightPolicy WP>
+class SmmEstimatorT : public SmmStreamEstimatorT<WP> {
+ public:
+  using GraphT = typename WP::GraphT;
+
+  explicit SmmEstimatorT(const GraphT& graph, ErOptions options = {})
+      : SmmStreamEstimatorT<WP>(graph, options) {}
+  // Stores a pointer to `graph`; a temporary would dangle.
+  explicit SmmEstimatorT(GraphT&&, ErOptions = {}) = delete;
+
+  std::string Name() const override {
+    return std::string(WP::kNamePrefix) +
+           (options_.use_peng_ell ? "SMM-PengEll" : "SMM");
+  }
+  std::unique_ptr<ErEstimator> CloneForBatch() const override {
+    ErOptions opt = options_;
+    opt.lambda = lambda_;  // clones never re-run Lanczos
+    return std::make_unique<SmmEstimatorT<WP>>(*graph_, opt);
+  }
+
+ private:
+  using Base = SmmStreamEstimatorT<WP>;
+  using Base::graph_;
+  using Base::lambda_;
+  using Base::op_;
+  using Base::options_;
+  using Stream = SmmSourceCacheT<WP>;
+
+  QueryStats EstimateWithCache(NodeId s, NodeId t, Stream* s_cache,
+                               Stream* t_cache) override;
+  /// A PengEll-budgeted query's depth (the pair-independent bound; the
+  /// refined per-pair ℓ never exceeds it), or the fixed iteration count.
+  std::uint32_t WarmDepth() const override;
 };
 
 /// The two stacks, by their historical names.
 using SmmIterator = SmmIteratorT<UnitWeight>;
 using SmmEstimator = SmmEstimatorT<UnitWeight>;
 using SmmSourceCache = SmmSourceCacheT<UnitWeight>;
-using SmmSessionCache = SmmSessionCacheT<UnitWeight>;
 using WeightedSmmIterator = SmmIteratorT<EdgeWeight>;
 using WeightedSmmEstimator = SmmEstimatorT<EdgeWeight>;
 using WeightedSmmSourceCache = SmmSourceCacheT<EdgeWeight>;
-using WeightedSmmSessionCache = SmmSessionCacheT<EdgeWeight>;
 
 extern template class SmmSourceCacheT<UnitWeight>;
 extern template class SmmSourceCacheT<EdgeWeight>;
-extern template class SmmSessionCacheT<UnitWeight>;
-extern template class SmmSessionCacheT<EdgeWeight>;
 extern template class SmmIteratorT<UnitWeight>;
 extern template class SmmIteratorT<EdgeWeight>;
+extern template class SmmStreamEstimatorT<UnitWeight>;
+extern template class SmmStreamEstimatorT<EdgeWeight>;
 extern template class SmmEstimatorT<UnitWeight>;
 extern template class SmmEstimatorT<EdgeWeight>;
 

@@ -23,7 +23,7 @@ typename LaplacianSolverT<WP>::Options SolverOptionsFor(
 template <WeightPolicy WP>
 SolverEstimatorT<WP>::SolverEstimatorT(const GraphT& graph,
                                        ErOptions options)
-    : graph_(&graph),
+    : Base(graph),
       solver_(std::make_shared<const LaplacianSolverT<WP>>(
           graph, SolverOptionsFor<WP>(options))) {
   ValidateOptions(options);
@@ -59,18 +59,17 @@ bool SolverEstimatorT<WP>::RebindGraph(const GraphT& graph,
     incremental_rebinds_.fetch_add(1, std::memory_order_relaxed);
   }
   graph_ = &graph;
-  // Columns are solutions against the old Laplacian: flush wholesale.
-  // Landmark columns re-warm lazily (pin-on-miss via is_landmark_).
-  if (session_ != nullptr) session_->Clear();
+  // Columns are solutions against the old Laplacian: the session
+  // flushes wholesale; landmark columns re-warm (and re-pin) lazily.
+  if (session_ != nullptr) session_->Rebind(epoch);
   return true;
 }
 
 template <WeightPolicy WP>
-typename SolverEstimatorT<WP>::Column SolverEstimatorT<WP>::SolveColumn(
-    NodeId node) const {
+CgColumn SolverEstimatorT<WP>::SolveColumn(NodeId node) const {
   Vector b(graph_->NumNodes(), 0.0);
   b[node] = 1.0;
-  Column col;
+  CgColumn col;
   CgStats cg;
   // Solve() centers b onto 𝟙^⊥, so y = L† ê_node; the centering parts
   // cancel when two columns are differenced.
@@ -80,33 +79,13 @@ typename SolverEstimatorT<WP>::Column SolverEstimatorT<WP>::SolveColumn(
 }
 
 template <WeightPolicy WP>
-const typename SolverEstimatorT<WP>::Column* SolverEstimatorT<WP>::ColumnFor(
-    NodeId node, Column* scratch) {
+const CgColumn* SolverEstimatorT<WP>::ColumnFor(NodeId node,
+                                                CgColumn* scratch) {
   if (session_ == nullptr) {
     *scratch = SolveColumn(node);
     return scratch;
   }
-  if (const Column* hit = session_->Find(node)) return hit;
-  Column col = SolveColumn(node);
-  const std::size_t bytes = col.y.size() * sizeof(double) + sizeof(Column);
-  return session_->Insert(node, std::move(col), bytes, IsLandmark(node));
-}
-
-template <WeightPolicy WP>
-std::size_t SolverEstimatorT<WP>::WarmLandmarks(
-    std::span<const NodeId> landmarks) {
-  if (session_ == nullptr) EnableSessionCache();
-  is_landmark_.assign(graph_->NumNodes(), 0);
-  for (const NodeId lm : landmarks) {
-    GEER_CHECK(lm < graph_->NumNodes());
-    is_landmark_[lm] = 1;
-  }
-  Column scratch;
-  for (const NodeId lm : landmarks) {
-    (void)ColumnFor(lm, &scratch);  // solve + pin (counts hit or miss)
-  }
-  session_->EvictOverBudget();
-  return landmarks.size();
+  return session_->GetOrCreate(node, [&] { return SolveColumn(node); });
 }
 
 template <WeightPolicy WP>
@@ -117,13 +96,13 @@ QueryStats SolverEstimatorT<WP>::EstimateWithStats(NodeId s, NodeId t) {
   if (s == t) return stats;
   const NodeId u = std::min(s, t);
   const NodeId v = std::max(s, t);
-  Column scratch_u;
-  Column scratch_v;
-  const Column* yu = ColumnFor(u, &scratch_u);
-  const Column* yv = ColumnFor(v, &scratch_v);
+  CgColumn scratch_u;
+  CgColumn scratch_v;
+  const CgColumn* yu = ColumnFor(u, &scratch_u);
+  const CgColumn* yv = ColumnFor(v, &scratch_v);
   stats.value = (yu->y[u] - yu->y[v]) - (yv->y[u] - yv->y[v]);
   stats.truncated = !(yu->converged && yv->converged);
-  if (session_ != nullptr) session_->EvictOverBudget();
+  if (session_ != nullptr) session_->Sweep();
   return stats;
 }
 

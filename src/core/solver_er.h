@@ -12,15 +12,27 @@
 
 #include "core/epoch_shared.h"
 #include "core/estimator.h"
+#include "core/node_state_cache.h"
 #include "core/options.h"
 #include "graph/weight_policy.h"
 #include "linalg/laplacian_solver.h"
-#include "util/lru_byte_cache.h"
 
 namespace geer {
 
+/// One cached CG solve L† ê_v — CG's session payload; `converged`
+/// feeds QueryStats::truncated. It is a function of the whole Laplacian
+/// (no DependsOn), so every epoch flushes it.
+struct CgColumn {
+  Vector y;
+  bool converged = false;
+  std::size_t ApproxBytes() const {
+    return y.size() * sizeof(double) + sizeof(CgColumn);
+  }
+};
+
 template <WeightPolicy WP>
-class SolverEstimatorT : public ErEstimator {
+class SolverEstimatorT
+    : public SessionCachedEstimator<typename WP::GraphT, NodeId, CgColumn> {
  public:
   using GraphT = typename WP::GraphT;
 
@@ -48,24 +60,6 @@ class SolverEstimatorT : public ErEstimator {
     return std::unique_ptr<ErEstimator>(new SolverEstimatorT<WP>(*this));
   }
 
-  /// Retains CG solution columns L† ê_v per node across queries. Values
-  /// are unchanged: the direct path combines the same two columns.
-  void EnableSessionCache(std::size_t budget_bytes = 0) override {
-    session_ = std::make_unique<LruByteCache<NodeId, Column>>(
-        budget_bytes == 0 ? 64ull << 20 : budget_bytes);
-  }
-  void ClearSessionCache() override {
-    if (session_ != nullptr) session_->Clear();
-  }
-  bool SessionCacheEnabled() const override { return session_ != nullptr; }
-  CacheStats SessionCacheStats() const override {
-    return session_ != nullptr ? session_->stats() : CacheStats{};
-  }
-
-  /// Solves and pins the landmarks' columns in the session cache
-  /// (enabling it if off).
-  std::size_t WarmLandmarks(std::span<const NodeId> landmarks) override;
-
   /// Dynamic-graph hook: once per epoch across every clone sharing the
   /// holder (core/epoch_shared.h), the solver is rebound — by refreshing
   /// only the touched rows of the Jacobi diagonal (O(|touched|),
@@ -80,11 +74,9 @@ class SolverEstimatorT : public ErEstimator {
   }
 
  private:
-  /// One cached CG solve; `converged` feeds QueryStats::truncated.
-  struct Column {
-    Vector y;
-    bool converged = false;
-  };
+  using Base = SessionCachedEstimator<GraphT, NodeId, CgColumn>;
+  using Base::graph_;
+  using Base::session_;
 
   // One epoch's shared solver plus its provenance (full rebuild vs
   // touched-row refresh) — adopters read the flag into their counters.
@@ -94,23 +86,25 @@ class SolverEstimatorT : public ErEstimator {
   };
 
   // Clone constructor: adopts the shared solver and its epoch holder;
-  // the column cache and landmark set start empty (per-worker state).
+  // the session cache starts off (per-worker state).
   SolverEstimatorT(const SolverEstimatorT& other)
-      : graph_(other.graph_),
+      : Base(*other.graph_),
         solver_(other.solver_),
         shared_solver_(other.shared_solver_) {}
 
-  const Column* ColumnFor(NodeId node, Column* scratch);
-  Column SolveColumn(NodeId node) const;
-  bool IsLandmark(NodeId v) const {
-    return v < is_landmark_.size() && is_landmark_[v] != 0;
+  /// L† ê_node — from the session cache when enabled (solved on a
+  /// miss), else into `scratch`. The returned pointer stays valid across
+  /// one more ColumnFor call (list-backed).
+  const CgColumn* ColumnFor(NodeId node, CgColumn* scratch);
+  CgColumn SolveColumn(NodeId node) const;
+
+  /// Solves and pins the landmark's column.
+  void WarmLandmark(NodeId lm) override {
+    session_->GetOrCreate(lm, [&] { return SolveColumn(lm); });
   }
 
-  const GraphT* graph_;
   std::shared_ptr<const LaplacianSolverT<WP>> solver_;
   std::shared_ptr<EpochShared<SolverEntry>> shared_solver_;
-  std::unique_ptr<LruByteCache<NodeId, Column>> session_;
-  std::vector<char> is_landmark_;
   std::atomic<std::uint64_t> incremental_rebinds_{0};
 };
 

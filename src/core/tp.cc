@@ -15,26 +15,19 @@ namespace {
 // decorrelated from TPC's per-walk streams on the same seed and source).
 constexpr std::uint64_t kTpStreamTag = 0x5450u;  // "TP"
 
-// Stamps the walk schedule and the retained-byte estimate on a freshly
-// recorded population (shared by the session path and WarmLandmarks).
-template <typename Population>
-void FinalizePopulation(std::uint32_t ell, std::uint64_t eta,
-                        Population* rec) {
-  rec->ell = ell;
-  rec->eta = eta;
-  std::size_t bytes = sizeof(Population) + rec->visits.bytes();
-  for (const auto& row : rec->hist) {
-    bytes += row.size() * sizeof(std::pair<NodeId, std::uint32_t>) +
-             sizeof(row);
-  }
-  rec->bytes = bytes;
-}
-
 }  // namespace
 
-template <WeightPolicy WP>
-std::uint32_t TpSessionCacheT<WP>::NodePopulation::Count(std::uint32_t i,
-                                                         NodeId v) const {
+TpPopulation TpPopulation::Recorder(std::uint32_t ell, std::uint64_t eta,
+                                    NodeId num_nodes) {
+  TpPopulation rec;
+  rec.ell = ell;
+  rec.eta = eta;
+  rec.hist.reserve(ell);
+  rec.visits = VisitFilter(num_nodes);
+  return rec;
+}
+
+std::uint32_t TpPopulation::Count(std::uint32_t i, NodeId v) const {
   GEER_DCHECK(i >= 1 && i <= ell);
   for (const auto& [endpoint, count] : hist[i - 1]) {
     if (endpoint == v) return count;
@@ -42,31 +35,18 @@ std::uint32_t TpSessionCacheT<WP>::NodePopulation::Count(std::uint32_t i,
   return 0;
 }
 
-template <WeightPolicy WP>
-TpSessionCacheT<WP>::TpSessionCacheT(std::size_t budget_bytes)
-    : cache_(budget_bytes == 0 ? 64ull << 20 : budget_bytes) {}
-
-template <WeightPolicy WP>
-const typename TpSessionCacheT<WP>::NodePopulation*
-TpSessionCacheT<WP>::Find(NodeId node) {
-  return cache_.Find(node);
-}
-
-template <WeightPolicy WP>
-void TpSessionCacheT<WP>::Insert(NodePopulation pop, bool pinned) {
-  // Larger than the whole budget: admitting would only evict every other
-  // population and then be dropped itself next insert — skip admission
-  // entirely (pinned landmarks are budget-exempt, so they always enter).
-  if (!pinned && pop.bytes > cache_.budget_bytes()) return;
-  const NodeId node = pop.node;
-  const std::size_t bytes = pop.bytes;
-  cache_.Insert(node, std::move(pop), bytes, pinned);
-  cache_.EvictOverBudget();
+std::size_t TpPopulation::ApproxBytes() const {
+  std::size_t bytes = sizeof(TpPopulation) + visits.bytes();
+  for (const auto& row : hist) {
+    bytes += row.size() * sizeof(std::pair<NodeId, std::uint32_t>) +
+             sizeof(row);
+  }
+  return bytes;
 }
 
 template <WeightPolicy WP>
 TpEstimatorT<WP>::TpEstimatorT(const GraphT& graph, ErOptions options)
-    : graph_(&graph), options_(options), walker_(graph) {
+    : Base(graph), options_(options), walker_(graph) {
   ValidateOptions(options_);
   lambda_ = options_.lambda.has_value()
                 ? *options_.lambda
@@ -85,34 +65,20 @@ bool TpEstimatorT<WP>::RebindGraph(const GraphT& graph,
   graph_ = &graph;
   walker_ = WalkerFor<WP>(graph);
   bool incremental = false;
-  bool warm = false;
-  lambda_ = RebindLambda<WP>(graph, epoch, &warm);
-  incremental = warm;
+  lambda_ = RebindLambda<WP>(graph, epoch, &incremental);
   const std::uint32_t new_ell =
       PengEll(options_.epsilon, lambda_, options_.max_ell);
   if (session_ != nullptr) {
-    if (epoch.resized || new_ell != old_ell ||
-        WalksPerLength(new_ell) != old_eta) {
-      // Resize or schedule change: every population is stale (wrong
-      // dimension or wrong (ℓ, η)). Landmark populations are re-warmed
-      // lazily — their pin-on-insert flag comes from is_landmark_, so
-      // the next query (or WarmLandmarks call) restores them.
+    if (new_ell != old_ell || WalksPerLength(new_ell) != old_eta) {
+      // Schedule change: every population has the wrong (ℓ, η).
+      // Landmark populations are re-warmed (and re-pinned) lazily.
       session_->Clear();
-    } else {
+    } else if (session_->Rebind(epoch)) {
       // Selective retention: a population whose recorded visit set is
       // disjoint from the touched rows replays bit-identically on the
-      // new graph — evict only the intersecting ones. Pinned landmarks
-      // are evicted too when they intersect (lazy re-warm restores
-      // them).
-      session_->EvictIf([&](NodeId, const SessionPopulation& pop) {
-        return pop.visits.Intersects(epoch.touched);
-      });
+      // new graph.
       incremental = true;
     }
-  }
-  if (epoch.resized) {
-    hist_count_.clear();
-    hist_touched_.clear();
   }
   if (incremental) {
     incremental_rebinds_.fetch_add(1, std::memory_order_relaxed);
@@ -131,6 +97,14 @@ std::uint64_t TpEstimatorT<WP>::WalksPerLength(std::uint32_t ell) const {
 }
 
 template <WeightPolicy WP>
+void TpEstimatorT<WP>::EnsureHistScratch() {
+  if (hist_count_.size() != graph_->NumNodes()) {
+    hist_count_.assign(graph_->NumNodes(), 0);
+    hist_touched_.clear();
+  }
+}
+
+template <WeightPolicy WP>
 void TpEstimatorT<WP>::ResetHistScratch() {
   for (const NodeId v : hist_touched_) hist_count_[v] = 0;
   hist_touched_.clear();
@@ -139,7 +113,7 @@ void TpEstimatorT<WP>::ResetHistScratch() {
 template <WeightPolicy WP>
 void TpEstimatorT<WP>::SimulateLength(NodeId node, std::uint32_t i,
                                       std::uint64_t eta, Rng& rng,
-                                      SessionPopulation* record) {
+                                      TpPopulation* record) {
   ResetHistScratch();
   for (std::uint64_t k = 0; k < eta; ++k) {
     NodeId end;
@@ -332,10 +306,7 @@ void TpEstimatorT<WP>::EstimateKeyGroupSession(
   const double inv_eta = 1.0 / static_cast<double>(eta);
   const double inv_wk = 1.0 / WP::NodeWeight(*graph_, key);
   const std::size_t m = queries.size();
-  if (hist_count_.size() != n) {
-    hist_count_.assign(n, 0);
-    hist_touched_.clear();
-  }
+  EnsureHistScratch();
 
   // Per-query live state; the i = 0 term of Eq. (4) seeds the estimate.
   struct QueryState {
@@ -345,8 +316,8 @@ void TpEstimatorT<WP>::EstimateKeyGroupSession(
     double inv_wo = 0.0;
     double estimate = 0.0;
     Rng rng_o{0};
-    const SessionPopulation* o_pop = nullptr;  // session hit, other side
-    SessionPopulation o_rec;                   // session recorder (miss)
+    const TpPopulation* o_pop = nullptr;  // session hit, other side
+    TpPopulation o_rec;                   // session recorder (miss)
     bool record_o = false;
   };
   std::vector<QueryState> state(m);
@@ -377,25 +348,19 @@ void TpEstimatorT<WP>::EstimateKeyGroupSession(
       GEER_DCHECK(st.o_pop->ell == ell && st.o_pop->eta == eta);
     } else {
       st.record_o = true;
-      st.o_rec.node = st.other;
-      st.o_rec.hist.reserve(ell);
-      st.o_rec.visits = VisitFilter(n);
+      st.o_rec = TpPopulation::Recorder(ell, eta, n);
     }
     if (first_live == m) first_live = j;
   }
   if (first_live == m) return;  // every query was s == t
 
-  const SessionPopulation* key_pop = session_->Find(key);
+  const TpPopulation* key_pop = session_->Find(key);
   if (key_pop != nullptr) {
     GEER_DCHECK(key_pop->ell == ell && key_pop->eta == eta);
   }
-  SessionPopulation key_rec;
+  TpPopulation key_rec;
   const bool record_key = key_pop == nullptr;
-  if (record_key) {
-    key_rec.node = key;
-    key_rec.hist.reserve(ell);
-    key_rec.visits = VisitFilter(n);
-  }
+  if (record_key) key_rec = TpPopulation::Recorder(ell, eta, n);
 
   Rng rng_k(MixSeed(MixSeed(options_.seed, kTpStreamTag), key));
   QueryStats shared;  // key-side cost, charged to the first live query
@@ -463,56 +428,31 @@ void TpEstimatorT<WP>::EstimateKeyGroupSession(
   stats[first_live].walks += shared.walks;
   stats[first_live].walk_steps += shared.walk_steps;
 
-  // Retain the populations built this group; landmark nodes are pinned
-  // on insert (the lazy re-warm after an epoch flush).
-  if (record_key) {
-    FinalizePopulation(ell, eta, &key_rec);
-    session_->Insert(std::move(key_rec), IsLandmark(key));
-  }
+  // Retain the populations built this group; landmark populations are
+  // pinned on insert (the lazy re-warm after an epoch flush).
+  if (record_key) session_->Insert(key, std::move(key_rec));
   for (std::size_t j = 0; j < m; ++j) {
     if (state[j].live && state[j].record_o) {
-      FinalizePopulation(ell, eta, &state[j].o_rec);
-      session_->Insert(std::move(state[j].o_rec),
-                       IsLandmark(state[j].other));
+      session_->Insert(state[j].other, std::move(state[j].o_rec));
     }
   }
+  session_->Sweep();
 }
 
 template <WeightPolicy WP>
-std::size_t TpEstimatorT<WP>::WarmLandmarks(
-    std::span<const NodeId> landmarks) {
-  if (session_ == nullptr) EnableSessionCache();
-  const NodeId n = graph_->NumNodes();
-  is_landmark_.assign(n, 0);
-  for (const NodeId lm : landmarks) {
-    GEER_CHECK(lm < n);
-    is_landmark_[lm] = 1;
-  }
+void TpEstimatorT<WP>::WarmLandmark(NodeId lm) {
   const std::uint32_t ell =
       PengEll(options_.epsilon, lambda_, options_.max_ell);
   const std::uint64_t eta = WalksPerLength(ell);
-  if (hist_count_.size() != n) {
-    hist_count_.assign(n, 0);
-    hist_touched_.clear();
-  }
-  for (const NodeId lm : landmarks) {
-    // Find counts a hit or a miss — warming is part of the cache trace.
-    if (session_->Find(lm) != nullptr) {
-      session_->Pin(lm);
-      continue;
-    }
-    SessionPopulation rec;
-    rec.node = lm;
-    rec.hist.reserve(ell);
-    rec.visits = VisitFilter(n);
+  EnsureHistScratch();
+  session_->GetOrCreate(lm, [&] {
+    TpPopulation rec = TpPopulation::Recorder(ell, eta, graph_->NumNodes());
     Rng rng(MixSeed(MixSeed(options_.seed, kTpStreamTag), lm));
     for (std::uint32_t i = 1; i <= ell; ++i) {
       SimulateLength(lm, i, eta, rng, &rec);
     }
-    FinalizePopulation(ell, eta, &rec);
-    session_->Insert(std::move(rec), /*pinned=*/true);
-  }
-  return landmarks.size();
+    return rec;
+  });
 }
 
 template <WeightPolicy WP>
@@ -540,8 +480,6 @@ std::size_t TpEstimatorT<WP>::EstimateBatch(
       });
 }
 
-template class TpSessionCacheT<UnitWeight>;
-template class TpSessionCacheT<EdgeWeight>;
 template class TpEstimatorT<UnitWeight>;
 template class TpEstimatorT<EdgeWeight>;
 

@@ -33,85 +33,54 @@
 #include <vector>
 
 #include "core/estimator.h"
+#include "core/node_state_cache.h"
 #include "core/options.h"
 #include "graph/weight_policy.h"
 #include "rw/walker_policy.h"
-#include "util/lru_byte_cache.h"
 #include "util/visit_filter.h"
 
 namespace geer {
 
-/// Cross-batch session state for TP (ErEstimator::EnableSessionCache):
-/// per-NODE walk populations, materialized as one endpoint histogram per
-/// length. A node's population is a pure function of (seed, node, ℓ, η)
-/// — the per-source stream law — so it serves BOTH roles: the shared
-/// source side of a group and the per-query target side. A session hit
-/// answers every count lookup (p̂_i(v, s), p̂_i(v, t)) from the histogram
-/// without simulating a single walk; values stay bit-identical because
-/// the counts are exactly what the serial simulation would produce.
-/// LRU over nodes under a byte budget (LruByteCache admission layer;
-/// pinned landmark populations are exempt from eviction).
-template <WeightPolicy WP>
-class TpSessionCacheT {
- public:
-  struct NodePopulation {
-    NodeId node = 0;
-    std::uint32_t ell = 0;   ///< lengths materialized: 1..ell
-    std::uint64_t eta = 0;   ///< walks per length
-    /// hist[i-1]: (endpoint, count) pairs of the η length-i walks, in
-    /// first-visit order (deterministic; NOT sorted — consumers splat
-    /// into a dense scratch or scan for the two keys they need).
-    std::vector<std::vector<std::pair<NodeId, std::uint32_t>>> hist;
-    /// Every node the walks stepped FROM (start node included; final
-    /// endpoints excluded — their rows never influenced a step). On an
-    /// epoch swap the population stays valid iff this set is disjoint
-    /// from epoch.touched: the stream is content-addressed by
-    /// (seed, node), so untouched rows replay bit-identically.
-    VisitFilter visits;
-    std::size_t bytes = 0;
+/// TP's session payload: one node's walk population, materialized as
+/// one endpoint histogram per length. A node's population is a pure
+/// function of (seed, node, ℓ, η) — the per-source stream law — so it
+/// serves BOTH roles: the shared key side of a group and the per-query
+/// other side. A session hit answers every count lookup (p̂_i(v, s),
+/// p̂_i(v, t)) from the histogram without simulating a single walk;
+/// values stay bit-identical because the counts are exactly what the
+/// serial simulation would produce.
+struct TpPopulation {
+  std::uint32_t ell = 0;  ///< lengths materialized: 1..ell
+  std::uint64_t eta = 0;  ///< walks per length
+  /// hist[i-1]: (endpoint, count) pairs of the η length-i walks, in
+  /// first-visit order (deterministic; NOT sorted — consumers splat
+  /// into a dense scratch or scan for the two keys they need).
+  std::vector<std::vector<std::pair<NodeId, std::uint32_t>>> hist;
+  /// Every node the walks stepped FROM (start node included; final
+  /// endpoints excluded — their rows never influenced a step). On an
+  /// epoch swap the population stays valid iff this set is disjoint
+  /// from epoch.touched: the stream is content-addressed by
+  /// (seed, node), so untouched rows replay bit-identically.
+  VisitFilter visits;
 
-    /// Count of length-i walks from `node` ending at `v` (linear scan —
-    /// for the target side's two lookups per length).
-    std::uint32_t Count(std::uint32_t i, NodeId v) const;
-  };
+  /// An empty population to record the (ℓ, η) schedule's walks into.
+  static TpPopulation Recorder(std::uint32_t ell, std::uint64_t eta,
+                               NodeId num_nodes);
 
-  /// `budget_bytes` = 0 picks the 64 MB default.
-  explicit TpSessionCacheT(std::size_t budget_bytes);
+  /// Count of length-i walks from the node ending at `v` (linear scan —
+  /// for the other side's two lookups per length).
+  std::uint32_t Count(std::uint32_t i, NodeId v) const;
 
-  /// The retained population for `node` (bumped to most recently used),
-  /// or nullptr. Counts a cache hit or miss. The caller checks ell/η
-  /// compatibility.
-  const NodePopulation* Find(NodeId node);
-
-  /// Retains `pop` (replacing any entry for the same node), evicting
-  /// least-recently-used unpinned populations beyond the byte budget.
-  /// Pinned populations (landmarks) are exempt from both the admission
-  /// size check and eviction.
-  void Insert(NodePopulation pop, bool pinned = false);
-
-  /// Marks an existing node's population as pinned (no-op when absent).
-  void Pin(NodeId node) { cache_.Pin(node); }
-
-  void Clear() { cache_.Clear(); }
-
-  /// Removes every population (pinned included) matching
-  /// pred(node, population) — the epoch-swap selective-invalidation
-  /// hook. Returns the number removed.
-  template <typename Pred>
-  std::size_t EvictIf(Pred&& pred) {
-    return cache_.EvictIf(std::forward<Pred>(pred));
+  std::size_t ApproxBytes() const;
+  bool DependsOn(std::span<const NodeId> touched) const {
+    return visits.Intersects(touched);
   }
-
-  std::size_t num_nodes_retained() const { return cache_.size(); }
-  std::size_t bytes_retained() const { return cache_.bytes(); }
-  CacheStats stats() const { return cache_.stats(); }
-
- private:
-  LruByteCache<NodeId, NodePopulation> cache_;
 };
 
 template <WeightPolicy WP>
-class TpEstimatorT : public ErEstimator {
+class TpEstimatorT
+    : public SessionCachedEstimator<typename WP::GraphT, NodeId,
+                                    TpPopulation> {
  public:
   using GraphT = typename WP::GraphT;
 
@@ -139,27 +108,6 @@ class TpEstimatorT : public ErEstimator {
     return std::make_unique<TpEstimatorT<WP>>(*graph_, opt);
   }
 
-  /// Retains per-node walk populations (endpoint histograms per length)
-  /// across EstimateBatch calls — the serving layer's session state.
-  /// Retained counts never change answer values, only the walks charged.
-  void EnableSessionCache(std::size_t budget_bytes = 0) override {
-    session_ = std::make_unique<TpSessionCacheT<WP>>(budget_bytes);
-  }
-  void ClearSessionCache() override {
-    if (session_ != nullptr) session_->Clear();
-  }
-  bool SessionCacheEnabled() const override { return session_ != nullptr; }
-  CacheStats SessionCacheStats() const override {
-    return session_ != nullptr ? session_->stats() : CacheStats{};
-  }
-
-  /// Pins full walk populations for the landmarks in the session cache
-  /// (enabling it if off): ℓ = PengEll, η = WalksPerLength(ℓ), so a
-  /// pinned population answers any query's count lookups. Values are
-  /// unchanged — the population is exactly what serial simulation of the
-  /// landmark's stream produces.
-  std::size_t WarmLandmarks(std::span<const NodeId> landmarks) override;
-
   /// Dynamic-graph hook: repoints at the new snapshot, rebuilds the walk
   /// sampler, and re-derives λ (through epoch.spectral when attached —
   /// warm-started when epoch.incremental). Session populations are
@@ -182,7 +130,9 @@ class TpEstimatorT : public ErEstimator {
   std::uint64_t WalksPerLength(std::uint32_t ell) const;
 
  private:
-  using SessionPopulation = typename TpSessionCacheT<WP>::NodePopulation;
+  using Base = SessionCachedEstimator<GraphT, NodeId, TpPopulation>;
+  using Base::graph_;
+  using Base::session_;
 
   /// Answers a run of queries sharing endpoint `key` (on either side) in
   /// lockstep over the walk length i, simulating the key's η walks once
@@ -199,23 +149,23 @@ class TpEstimatorT : public ErEstimator {
   void EstimateKeyGroupSession(NodeId key,
                                std::span<const QueryPair> queries,
                                std::span<QueryStats> stats);
-  bool IsLandmark(NodeId v) const {
-    return v < is_landmark_.size() && is_landmark_[v] != 0;
-  }
+  /// Pins a full walk population for the landmark: ℓ = PengEll,
+  /// η = WalksPerLength(ℓ), so it answers any query's count lookups.
+  void WarmLandmark(NodeId lm) override;
 
   /// Session path: resets the dense histogram scratch, then either
   /// simulates the η length-i walks of `node` (appending the compacted
   /// row to `record` when non-null) or splats a retained row into it.
   void SimulateLength(NodeId node, std::uint32_t i, std::uint64_t eta,
-                      Rng& rng, SessionPopulation* record);
+                      Rng& rng, TpPopulation* record);
   void SplatRow(const std::vector<std::pair<NodeId, std::uint32_t>>& row);
   void ResetHistScratch();
+  /// Sizes the dense histogram scratch to the bound graph.
+  void EnsureHistScratch();
 
-  const GraphT* graph_;
   ErOptions options_;
   double lambda_;
   WalkerFor<WP> walker_;
-  std::unique_ptr<TpSessionCacheT<WP>> session_;
   // Direct-path scratch for multi-target endpoint counting: per-node
   // chain heads (1-based query index) + per-query next links, reset via
   // the touched list after every group.
@@ -227,7 +177,6 @@ class TpEstimatorT : public ErEstimator {
   // from a retained row) and doubles as the session recorder.
   std::vector<std::uint32_t> hist_count_;
   std::vector<NodeId> hist_touched_;
-  std::vector<char> is_landmark_;
   // RebindGraph calls that reused previous-epoch state (warm λ and/or
   // selective session retention). Atomic: serve workers may read the
   // metric while another thread rebinds.
@@ -237,11 +186,7 @@ class TpEstimatorT : public ErEstimator {
 /// The two stacks, by their historical names.
 using TpEstimator = TpEstimatorT<UnitWeight>;
 using WeightedTpEstimator = TpEstimatorT<EdgeWeight>;
-using TpSessionCache = TpSessionCacheT<UnitWeight>;
-using WeightedTpSessionCache = TpSessionCacheT<EdgeWeight>;
 
-extern template class TpSessionCacheT<UnitWeight>;
-extern template class TpSessionCacheT<EdgeWeight>;
 extern template class TpEstimatorT<UnitWeight>;
 extern template class TpEstimatorT<EdgeWeight>;
 

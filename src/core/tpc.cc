@@ -16,45 +16,19 @@ constexpr std::uint64_t kTpcStreamTag = 0x545043u;  // "TPC"
 
 }  // namespace
 
-template <WeightPolicy WP>
-TpcSessionCacheT<WP>::TpcSessionCacheT(std::size_t budget_bytes)
-    : cache_(budget_bytes == 0 ? 64ull << 20 : budget_bytes) {}
-
-template <WeightPolicy WP>
-typename TpcSessionCacheT<WP>::Population*
-TpcSessionCacheT<WP>::GetOrCreate(NodeId node, std::uint64_t side,
-                                  std::uint64_t stream_base, bool pinned) {
-  const std::uint64_t key = Key(node, side);
-  Population* pop = cache_.GetOrCreate(key, [&] {
-    Population fresh;
-    fresh.node = node;
-    fresh.side = side;
-    fresh.stream_base = stream_base;
-    return fresh;
-  });
-  if (pinned) cache_.Pin(key);
-  return pop;
-}
-
-template <WeightPolicy WP>
-void TpcSessionCacheT<WP>::Reaccount(std::span<Population* const> grown) {
-  for (Population* pop : grown) {
-    std::size_t bytes = sizeof(Population);
-    for (const auto& row : pop->ends_at) {
-      bytes += row.size() * sizeof(NodeId) + sizeof(row);
-    }
-    bytes += pop->rngs.size() * sizeof(Rng);
-    bytes += pop->cur_len.size() * sizeof(std::uint32_t);
-    bytes += pop->visits.bytes();
-    pop->bytes = bytes;
-    cache_.SetBytes(Key(pop->node, pop->side), bytes);
+std::size_t TpcSessionPopulation::ApproxBytes() const {
+  std::size_t bytes = sizeof(TpcSessionPopulation);
+  for (const auto& row : ends_at) {
+    bytes += row.size() * sizeof(NodeId) + sizeof(row);
   }
-  cache_.EvictOverBudget();
+  bytes += rngs.size() * sizeof(Rng);
+  bytes += cur_len.size() * sizeof(std::uint32_t);
+  return bytes + visits.bytes();
 }
 
 template <WeightPolicy WP>
 TpcEstimatorT<WP>::TpcEstimatorT(const GraphT& graph, ErOptions options)
-    : graph_(&graph),
+    : Base(graph),
       options_(options),
       walker_(graph),
       count_a_(graph.NumNodes(), 0),
@@ -70,29 +44,17 @@ bool TpcEstimatorT<WP>::RebindGraph(const GraphT& graph,
                                     const GraphEpoch& epoch) {
   graph_ = &graph;
   walker_ = WalkerFor<WP>(graph);
-  bool warm = false;
-  lambda_ = RebindLambda<WP>(graph, epoch, &warm);
-  bool incremental = warm;
+  bool incremental = false;
+  lambda_ = RebindLambda<WP>(graph, epoch, &incremental);
   count_a_.assign(graph.NumNodes(), 0);
   count_b_.assign(graph.NumNodes(), 0);
   touched_.clear();
-  if (session_ != nullptr) {
-    if (epoch.resized) {
-      session_->Clear();
-    } else {
-      // Selective retention: populations are prefix-pure — their
-      // recorded snapshots stay valid at any (length, walk-count)
-      // prefix even when the new λ changes the schedule, because the
-      // schedule only decides how far queries read or extend. Only
-      // populations whose walks stepped from a touched row replay
-      // differently on the new graph; evict exactly those (pinned
-      // landmarks included — WarmLandmarks re-warms lazily).
-      session_->EvictIf([&](std::uint64_t, const SessionPopulation& pop) {
-        return pop.visits.Intersects(epoch.touched);
-      });
-      incremental = true;
-    }
-  }
+  // Selective retention: populations are prefix-pure — their recorded
+  // snapshots stay valid at any (length, walk-count) prefix even when
+  // the new λ changes the schedule, because the schedule only decides
+  // how far queries read or extend. Only populations whose walks stepped
+  // from a touched row replay differently on the new graph.
+  if (session_ != nullptr && session_->Rebind(epoch)) incremental = true;
   if (incremental) {
     incremental_rebinds_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -128,8 +90,7 @@ typename TpcEstimatorT<WP>::Population TpcEstimatorT<WP>::MakePopulation(
     NodeId source, std::uint64_t side) const {
   Population pop;
   pop.source = source;
-  pop.stream_base = MixSeed(
-      MixSeed(MixSeed(options_.seed, kTpcStreamTag), source), side);
+  pop.stream_base = StreamBase(source, side);
   return pop;
 }
 
@@ -161,7 +122,7 @@ void TpcEstimatorT<WP>::AdvancePopulation(Population* pop,
 }
 
 template <WeightPolicy WP>
-void TpcEstimatorT<WP>::AdvanceSessionPopulation(SessionPopulation* pop,
+void TpcEstimatorT<WP>::AdvanceSessionPopulation(TpcSessionPopulation* pop,
                                                  std::uint32_t length,
                                                  std::uint64_t n_walks,
                                                  QueryStats* stats) {
@@ -282,6 +243,17 @@ std::uint64_t TpcEstimatorT<WP>::StreamBase(NodeId node,
 }
 
 template <WeightPolicy WP>
+TpcSessionPopulation* TpcEstimatorT<WP>::SessionPopulationFor(
+    NodeId node, std::uint32_t side) {
+  return session_->GetOrCreate({node, side}, [&] {
+    TpcSessionPopulation fresh;
+    fresh.node = node;
+    fresh.stream_base = StreamBase(node, side);
+    return fresh;
+  });
+}
+
+template <WeightPolicy WP>
 void TpcEstimatorT<WP>::EstimateKeyGroup(NodeId key,
                                          std::span<const QueryPair> queries,
                                          std::span<QueryStats> stats) {
@@ -306,15 +278,9 @@ void TpcEstimatorT<WP>::EstimateKeyGroup(NodeId key,
   Population b_k_local;
   PopHandle a_k;
   PopHandle b_k;
-  std::vector<SessionPopulation*> used;  // for post-group re-accounting
   if (use_session) {
-    used.reserve(2 + 2 * m);
-    a_k.session =
-        session_->GetOrCreate(key, 0, StreamBase(key, 0), IsLandmark(key));
-    b_k.session =
-        session_->GetOrCreate(key, 1, StreamBase(key, 1), IsLandmark(key));
-    used.push_back(a_k.session);
-    used.push_back(b_k.session);
+    a_k.session = SessionPopulationFor(key, 0);
+    b_k.session = SessionPopulationFor(key, 1);
   } else {
     a_k_local = MakePopulation(key, 0);
     b_k_local = MakePopulation(key, 1);
@@ -345,14 +311,8 @@ void TpcEstimatorT<WP>::EstimateKeyGroup(NodeId key,
     // i = 0 seed 1/w(u) + 1/w(v): FP addition is commutative bitwise.
     st.estimate = inv_wk + 1.0 / WP::NodeWeight(*graph_, st.other);
     if (use_session) {
-      st.a_o.session = session_->GetOrCreate(st.other, 0,
-                                             StreamBase(st.other, 0),
-                                             IsLandmark(st.other));
-      st.b_o.session = session_->GetOrCreate(st.other, 1,
-                                             StreamBase(st.other, 1),
-                                             IsLandmark(st.other));
-      used.push_back(st.a_o.session);
-      used.push_back(st.b_o.session);
+      st.a_o.session = SessionPopulationFor(st.other, 0);
+      st.b_o.session = SessionPopulationFor(st.other, 1);
     } else {
       st.a_o_local = MakePopulation(st.other, 0);
       st.b_o_local = MakePopulation(st.other, 1);
@@ -419,40 +379,25 @@ void TpcEstimatorT<WP>::EstimateKeyGroup(NodeId key,
   }
   stats[first_live].walks += shared.walks;
   stats[first_live].walk_steps += shared.walk_steps;
-  if (use_session) session_->Reaccount(used);  // budget + LRU eviction
+  if (use_session) session_->Sweep();  // byte re-accounting + LRU eviction
 }
 
 template <WeightPolicy WP>
-std::size_t TpcEstimatorT<WP>::WarmLandmarks(
-    std::span<const NodeId> landmarks) {
-  if (session_ == nullptr) EnableSessionCache();
-  const NodeId n = graph_->NumNodes();
-  is_landmark_.assign(n, 0);
-  for (const NodeId lm : landmarks) {
-    GEER_CHECK(lm < n);
-    is_landmark_[lm] = 1;
-  }
+void TpcEstimatorT<WP>::WarmLandmark(NodeId lm) {
   const std::uint32_t ell =
       PengEll(options_.epsilon, lambda_, options_.max_ell);
+  TpcSessionPopulation* a = SessionPopulationFor(lm, 0);
+  TpcSessionPopulation* b = SessionPopulationFor(lm, 1);
+  // Advance to the full per-length schedule at the landmark's own β (a
+  // lower bound on any query's β with this endpoint may not hold, so
+  // queries extend the populations in place when they need more walks —
+  // content-addressed streams keep that bit-identical).
   QueryStats scratch;
-  for (const NodeId lm : landmarks) {
-    SessionPopulation* a =
-        session_->GetOrCreate(lm, 0, StreamBase(lm, 0), /*pinned=*/true);
-    SessionPopulation* b =
-        session_->GetOrCreate(lm, 1, StreamBase(lm, 1), /*pinned=*/true);
-    // Advance to the full per-length schedule at the landmark's own β
-    // (a lower bound on any query's β with this endpoint may not hold,
-    // so queries extend the populations in place when they need more
-    // walks — content-addressed streams keep that bit-identical).
-    for (std::uint32_t i = 1; i <= ell; ++i) {
-      const std::uint64_t n_walks = WalksForLength(i, ell, lm, lm);
-      AdvanceSessionPopulation(a, (i + 1) / 2, n_walks, &scratch);
-      AdvanceSessionPopulation(b, i / 2, n_walks, &scratch);
-    }
-    SessionPopulation* const used[] = {a, b};
-    session_->Reaccount(used);
+  for (std::uint32_t i = 1; i <= ell; ++i) {
+    const std::uint64_t n_walks = WalksForLength(i, ell, lm, lm);
+    AdvanceSessionPopulation(a, (i + 1) / 2, n_walks, &scratch);
+    AdvanceSessionPopulation(b, i / 2, n_walks, &scratch);
   }
-  return landmarks.size();
 }
 
 template <WeightPolicy WP>
@@ -480,8 +425,6 @@ std::size_t TpcEstimatorT<WP>::EstimateBatch(
       });
 }
 
-template class TpcSessionCacheT<UnitWeight>;
-template class TpcSessionCacheT<EdgeWeight>;
 template class TpcEstimatorT<UnitWeight>;
 template class TpcEstimatorT<EdgeWeight>;
 

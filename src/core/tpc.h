@@ -36,94 +36,69 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/estimator.h"
+#include "core/node_state_cache.h"
 #include "core/options.h"
 #include "graph/weight_policy.h"
 #include "rw/rng.h"
 #include "rw/walker_policy.h"
-#include "util/lru_byte_cache.h"
 #include "util/visit_filter.h"
 
 namespace geer {
 
-/// Cross-batch session state for TPC (ErEstimator::EnableSessionCache):
-/// per-(node, side) walk populations that RECORD each walk's endpoint at
-/// every half-length as they extend, so later batches can collide any
-/// (length, walk-count) prefix without re-simulating — the cross-batch
-/// generalization of the in-place extension the one-shot path uses.
-/// Content-addressed streams (walk k of a population owns
-/// Rng(MixSeed(stream_base, k))) make every recorded endpoint a pure
-/// function of (seed, node, side, k, length), so retained populations
-/// never change answer values. LRU over (node, side) under a byte
-/// budget (LruByteCache admission layer), enforced between groups
-/// (Reaccount) so pointers handed out during a group stay valid. Pinned
-/// landmark populations are exempt from eviction.
-template <WeightPolicy WP>
-class TpcSessionCacheT {
- public:
-  struct Population {
-    NodeId node = 0;
-    std::uint64_t side = 0;
-    std::uint64_t stream_base = 0;
-    /// ends_at[len][k]: endpoint of walk k at length len (len 0 = node).
-    /// Row len holds exactly the walks whose recorded length is ≥ len,
-    /// which is always a prefix of the walk index space.
-    std::vector<std::vector<NodeId>> ends_at;
-    std::vector<Rng> rngs;                 ///< live stream per walk
-    std::vector<std::uint32_t> cur_len;    ///< recorded length per walk
-    /// Every node the walks stepped FROM (the source included; live
-    /// endpoints excluded — their rows feed future extensions, which
-    /// read the new graph either way). On an epoch swap the population
-    /// stays valid iff this set is disjoint from epoch.touched.
-    VisitFilter visits;
-    std::size_t bytes = 0;
-  };
+/// TPC's session payload: a per-(node, side) walk population that
+/// RECORDS each walk's endpoint at every half-length as it extends, so
+/// later batches can collide any (length, walk-count) prefix without
+/// re-simulating — the cross-batch generalization of the in-place
+/// extension the one-shot path uses. Content-addressed streams (walk k
+/// of a population owns Rng(MixSeed(stream_base, k))) make every
+/// recorded endpoint a pure function of (seed, node, side, k, length),
+/// so retained populations never change answer values.
+struct TpcSessionPopulation {
+  NodeId node = 0;
+  std::uint64_t stream_base = 0;
+  /// ends_at[len][k]: endpoint of walk k at length len (len 0 = node).
+  /// Row len holds exactly the walks whose recorded length is ≥ len,
+  /// which is always a prefix of the walk index space.
+  std::vector<std::vector<NodeId>> ends_at;
+  std::vector<Rng> rngs;               ///< live stream per walk
+  std::vector<std::uint32_t> cur_len;  ///< recorded length per walk
+  /// Every node the walks stepped FROM (the source included; live
+  /// endpoints excluded — their rows feed future extensions, which read
+  /// the new graph either way). On an epoch swap the population stays
+  /// valid iff this set is disjoint from epoch.touched.
+  VisitFilter visits;
 
-  /// `budget_bytes` = 0 picks the 64 MB default.
-  explicit TpcSessionCacheT(std::size_t budget_bytes);
-
-  /// The population for (node, side), created empty on first use; bumped
-  /// to most recently used (counts a hit or a miss). The pointer stays
-  /// valid until Reaccount(). `pinned` marks the population budget-exempt
-  /// (landmarks).
-  Population* GetOrCreate(NodeId node, std::uint64_t side,
-                          std::uint64_t stream_base, bool pinned = false);
-
-  /// Re-accounts the byte usage of exactly the populations a group used
-  /// (duplicates are fine — the update is idempotent) and evicts the
-  /// least recently used unpinned populations beyond the budget.
-  /// O(grown), not O(cache).
-  void Reaccount(std::span<Population* const> grown);
-
-  void Clear() { cache_.Clear(); }
-
-  /// Removes every population (pinned included) matching
-  /// pred(key, population) — the epoch-swap selective-invalidation hook.
-  /// Returns the number removed.
-  template <typename Pred>
-  std::size_t EvictIf(Pred&& pred) {
-    return cache_.EvictIf(std::forward<Pred>(pred));
+  std::size_t ApproxBytes() const;
+  bool DependsOn(std::span<const NodeId> touched) const {
+    return visits.Intersects(touched);
   }
+};
 
-  std::size_t num_populations() const { return cache_.size(); }
-  std::size_t bytes_retained() const { return cache_.bytes(); }
-  CacheStats stats() const { return cache_.stats(); }
-
- private:
-  static std::uint64_t Key(NodeId node, std::uint64_t side) {
-    return (static_cast<std::uint64_t>(node) << 1) | (side & 1);
+/// Session key of a TPC population: side 0 = A, 1 = B.
+struct TpcPopulationKey {
+  NodeId node = 0;
+  std::uint32_t side = 0;
+  bool operator==(const TpcPopulationKey&) const = default;
+};
+struct TpcPopulationKeyHash {
+  std::size_t operator()(const TpcPopulationKey& key) const {
+    return std::hash<std::uint64_t>{}(
+        (static_cast<std::uint64_t>(key.node) << 1) | key.side);
   }
-
-  LruByteCache<std::uint64_t, Population> cache_;
 };
 
 template <WeightPolicy WP>
-class TpcEstimatorT : public ErEstimator {
+class TpcEstimatorT
+    : public SessionCachedEstimator<typename WP::GraphT, TpcPopulationKey,
+                                    TpcSessionPopulation,
+                                    TpcPopulationKeyHash> {
  public:
   using GraphT = typename WP::GraphT;
 
@@ -151,26 +126,6 @@ class TpcEstimatorT : public ErEstimator {
     return std::make_unique<TpcEstimatorT<WP>>(*graph_, opt);
   }
 
-  /// Retains per-(node, side) walk populations across EstimateBatch
-  /// calls — the serving layer's session state. Retained walks never
-  /// change answer values, only the steps charged.
-  void EnableSessionCache(std::size_t budget_bytes = 0) override {
-    session_ = std::make_unique<TpcSessionCacheT<WP>>(budget_bytes);
-  }
-  void ClearSessionCache() override {
-    if (session_ != nullptr) session_->Clear();
-  }
-  bool SessionCacheEnabled() const override { return session_ != nullptr; }
-  CacheStats SessionCacheStats() const override {
-    return session_ != nullptr ? session_->stats() : CacheStats{};
-  }
-
-  /// Pins A/B walk populations for the landmarks in the session cache
-  /// (enabling it if off), advanced to the full per-length schedule at
-  /// the landmark's own β. Queries extend them in place if they need
-  /// more walks — content-addressed streams keep values unchanged.
-  std::size_t WarmLandmarks(std::span<const NodeId> landmarks) override;
-
   /// Dynamic-graph hook: repoints at the new snapshot, rebuilds the walk
   /// sampler, and re-derives λ (through epoch.spectral when attached —
   /// warm-started when epoch.incremental). Session populations are
@@ -197,6 +152,12 @@ class TpcEstimatorT : public ErEstimator {
                                NodeId t) const;
 
  private:
+  using Base = SessionCachedEstimator<GraphT, TpcPopulationKey,
+                                      TpcSessionPopulation,
+                                      TpcPopulationKeyHash>;
+  using Base::graph_;
+  using Base::session_;
+
   /// A lazily grown walk population from one (source, side): walk k owns
   /// stream Rng(MixSeed(stream_base, k)), its current endpoint and
   /// length. Prefixes are content-addressed (see the header comment).
@@ -208,15 +169,13 @@ class TpcEstimatorT : public ErEstimator {
     std::vector<Rng> rngs;
   };
 
-  using SessionPopulation = typename TpcSessionCacheT<WP>::Population;
-
   /// A population in either storage mode: a group-local one-shot
   /// Population (endpoints in place, O(η) memory) or a session
   /// population (per-length endpoint snapshots, reusable across
   /// batches). Both expose Advance + the endpoint prefix at a length.
   struct PopHandle {
     Population* local = nullptr;
-    SessionPopulation* session = nullptr;
+    TpcSessionPopulation* session = nullptr;
   };
 
   /// side: 0 = A (length ⌈i/2⌉), 1 = B (length ⌊i/2⌋).
@@ -231,7 +190,7 @@ class TpcEstimatorT : public ErEstimator {
   /// Session analogue of AdvancePopulation: extends walks one step at a
   /// time (stream-identical), recording the endpoint at every length.
   /// Already-recorded (length, walk) cells cost nothing.
-  void AdvanceSessionPopulation(SessionPopulation* pop, std::uint32_t length,
+  void AdvanceSessionPopulation(TpcSessionPopulation* pop, std::uint32_t length,
                                 std::uint64_t n_walks, QueryStats* stats);
 
   void Advance(const PopHandle& pop, std::uint32_t length,
@@ -256,20 +215,20 @@ class TpcEstimatorT : public ErEstimator {
                         std::span<QueryStats> stats);
 
   std::uint64_t StreamBase(NodeId node, std::uint64_t side) const;
-  bool IsLandmark(NodeId v) const {
-    return v < is_landmark_.size() && is_landmark_[v] != 0;
-  }
+  /// The session population for (node, side), created empty on a miss.
+  TpcSessionPopulation* SessionPopulationFor(NodeId node, std::uint32_t side);
 
-  const GraphT* graph_;
+  /// Pins the landmark's A/B populations, advanced to the full
+  /// per-length schedule at its own β.
+  void WarmLandmark(NodeId lm) override;
+
   ErOptions options_;
   double lambda_;
   WalkerFor<WP> walker_;
-  std::unique_ptr<TpcSessionCacheT<WP>> session_;
   // Scratch: endpoint histograms with touched-lists, reused across calls.
   std::vector<std::uint32_t> count_a_;
   std::vector<std::uint32_t> count_b_;
   std::vector<NodeId> touched_;
-  std::vector<char> is_landmark_;
   // RebindGraph calls that reused previous-epoch state (warm λ and/or
   // selective session retention). Atomic: serve workers may read the
   // metric while another thread rebinds.
@@ -279,11 +238,7 @@ class TpcEstimatorT : public ErEstimator {
 /// The two stacks, by their historical names.
 using TpcEstimator = TpcEstimatorT<UnitWeight>;
 using WeightedTpcEstimator = TpcEstimatorT<EdgeWeight>;
-using TpcSessionCache = TpcSessionCacheT<UnitWeight>;
-using WeightedTpcSessionCache = TpcSessionCacheT<EdgeWeight>;
 
-extern template class TpcSessionCacheT<UnitWeight>;
-extern template class TpcSessionCacheT<EdgeWeight>;
 extern template class TpcEstimatorT<UnitWeight>;
 extern template class TpcEstimatorT<EdgeWeight>;
 

@@ -1,4 +1,4 @@
-#include "serve/trace.h"
+#include "eval/arrival_trace.h"
 
 #include <algorithm>
 #include <cmath>

@@ -1,12 +1,12 @@
-// Timestamped query traces: the input format of the serving layer's
-// workload replay (RunServedWorkload) and the serve benches. A trace is
-// a sequence of client arrivals — (arrival offset, query) — replayed
+// Arrival traces: timestamped query streams, the input format of the
+// serving layer's workload replay (RunServedWorkload) and the serve
+// benches. A trace is a sequence of client arrivals — (arrival offset, query) — replayed
 // open-loop: arrivals happen at their recorded times no matter how far
 // the server falls behind, which is what exposes queueing delay under
 // load (a closed loop would throttle the clients instead).
 
-#ifndef GEER_SERVE_TRACE_H_
-#define GEER_SERVE_TRACE_H_
+#ifndef GEER_EVAL_ARRIVAL_TRACE_H_
+#define GEER_EVAL_ARRIVAL_TRACE_H_
 
 #include <cstdint>
 #include <span>
@@ -48,4 +48,4 @@ std::vector<QueryPair> MakeZipfQueries(std::span<const NodeId> ranking,
 
 }  // namespace geer
 
-#endif  // GEER_SERVE_TRACE_H_
+#endif  // GEER_EVAL_ARRIVAL_TRACE_H_

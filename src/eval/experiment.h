@@ -15,12 +15,12 @@
 #include <vector>
 
 #include "core/options.h"
+#include "eval/arrival_trace.h"
 #include "eval/datasets.h"
 #include "eval/queries.h"
 #include "graph/weight_policy.h"
 #include "graph/weighted_graph.h"
 #include "serve/query_service.h"
-#include "serve/trace.h"
 
 namespace geer {
 

@@ -8,6 +8,7 @@
 #include <optional>
 #include <thread>
 
+#include "eval/arrival_trace.h"
 #include "eval/datasets.h"
 #include "eval/experiment.h"
 #include "net/client.h"
@@ -16,7 +17,6 @@
 #include "net/submitter.h"
 #include "obs/stats.h"
 #include "obs/trace.h"
-#include "serve/trace.h"
 
 namespace geer::net {
 namespace {

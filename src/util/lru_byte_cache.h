@@ -1,8 +1,8 @@
-// Shared byte-budgeted LRU admission layer for the session/landmark
-// caches (SMM iterate streams, TP/TPC walk populations, EXACT/CG solver
-// columns). One template replaces the three hand-rolled per-estimator
-// LRU lists so eviction policy, byte accounting and hit/miss counters
-// behave identically everywhere.
+// Byte-budgeted LRU admission layer under the estimators' session and
+// landmark caches (SMM/GEER iterate streams, TP/TPC walk populations,
+// EXACT/CG solver columns), all of which reach it through
+// core/node_state_cache.h, so eviction policy, byte accounting and
+// hit/miss counters behave identically everywhere.
 //
 // Semantics the estimators rely on:
 //   * Entries live in a std::list, so Value pointers stay stable across

@@ -130,9 +130,8 @@ TEST(GeerTest, RemainingSampleBudgetFormula) {
   const std::uint64_t eta_star = AmcMaxSamples(eps, psi, delta, tau);
   const std::uint64_t eta =
       static_cast<std::uint64_t>(std::ceil(eta_star / 16.0));
-  EXPECT_EQ(GeerEstimator::RemainingSampleBudget(eps, delta, tau, psi),
-            31 * eta);
-  EXPECT_EQ(GeerEstimator::RemainingSampleBudget(eps, delta, tau, 0.0), 0u);
+  EXPECT_EQ(GeerRemainingSampleBudget(eps, delta, tau, psi), 31 * eta);
+  EXPECT_EQ(GeerRemainingSampleBudget(eps, delta, tau, 0.0), 0u);
 }
 
 TEST(GeerTest, RemainingSampleBudgetSaturates) {

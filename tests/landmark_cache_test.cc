@@ -14,13 +14,14 @@
 
 #include <algorithm>
 #include <numeric>
+#include <ostream>
 #include <vector>
 
 #include "centrality/landmarks.h"
+#include "core/batch_engine.h"
 #include "core/exact.h"
 #include "core/registry.h"
 #include "core/solver_er.h"
-#include "core/tp.h"
 #include "dyn/dynamic_graph.h"
 #include "graph/generators.h"
 #include "graph/weighted_generators.h"
@@ -212,72 +213,105 @@ TEST(LandmarkCacheTest, WeightedWarmedMethodsWithinBoundsVsWeightedCg) {
   }
 }
 
-// EXACT's lookup script is fully predictable: every query resolves the
-// canonical (min, max) endpoint columns through the cache, one Find
-// each — so the hit/miss counters are EXACT, not just monotone.
-TEST(LandmarkCacheTest, ExactHitMissCountersOnScriptedTrace) {
-  const Graph graph = Fixture();
-  ExactEstimator estimator(graph);
-  const std::vector<NodeId> landmarks = {0, 1};
-  estimator.WarmLandmarks(landmarks);
-  CacheStats s = estimator.SessionCacheStats();
-  EXPECT_EQ(s.misses, 2u);  // both landmark columns solved fresh
-  EXPECT_EQ(s.hits, 0u);
-  EXPECT_EQ(s.entries, 2u);
-  EXPECT_EQ(s.pinned, 2u);
+// The session cache's counters on one scripted trace, per estimator:
+// warm two landmarks, run a batch, repeat it, swap the epoch, run it
+// again. Every lookup of the six node-keyed caches is deterministic, so
+// hits/misses/evictions/entries/pinned are pinned EXACTLY at each
+// checkpoint. The budgets are small enough that the LRU evicts, and the
+// post-swap batch exercises the lazy re-pin of invalidated landmarks.
+struct CacheCounters {
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+  std::uint64_t evictions = 0;
+  std::uint64_t entries = 0;
+  std::uint64_t pinned = 0;
 
-  (void)estimator.Estimate(0, 1);  // both endpoints warm
-  s = estimator.SessionCacheStats();
-  EXPECT_EQ(s.hits, 2u);
-  EXPECT_EQ(s.misses, 2u);
+  bool operator==(const CacheCounters&) const = default;
+};
 
-  (void)estimator.Estimate(2, 0);  // column 0 warm, column 2 fresh
-  s = estimator.SessionCacheStats();
-  EXPECT_EQ(s.hits, 3u);
-  EXPECT_EQ(s.misses, 3u);
-  EXPECT_EQ(s.entries, 3u);
-
-  (void)estimator.Estimate(0, 2);  // same canonical pair: both warm now
-  s = estimator.SessionCacheStats();
-  EXPECT_EQ(s.hits, 5u);
-  EXPECT_EQ(s.misses, 3u);
-  EXPECT_EQ(s.pinned, 2u);
-  EXPECT_GT(s.bytes, 0u);
+CacheCounters CountersOf(const CacheStats& s) {
+  return {s.hits, s.misses, s.evictions, s.entries, s.pinned};
 }
 
-// TP's session is node-keyed and looked up for BOTH endpoints of a
-// query (other side first, then the shared key side), so every lookup
-// in this script is accounted for exactly.
-TEST(LandmarkCacheTest, TpHitMissCountersOnScriptedTrace) {
-  const Graph graph = Fixture();
-  ErOptions opt = FastOptions();
-  opt.lambda = ComputeSpectralBounds(graph).lambda;
-  TpEstimator estimator(graph, opt);
-  estimator.EnableSessionCache();
+std::ostream& operator<<(std::ostream& os, const CacheCounters& c) {
+  return os << "{" << c.hits << ", " << c.misses << ", " << c.evictions
+            << ", " << c.entries << ", " << c.pinned << "}";
+}
 
-  (void)estimator.Estimate(3, 5);  // populations 5 then 3: both fresh
-  CacheStats s = estimator.SessionCacheStats();
-  EXPECT_EQ(s.misses, 2u);
-  EXPECT_EQ(s.hits, 0u);
-  EXPECT_EQ(s.entries, 2u);
+struct CacheTraceCase {
+  const char* name;
+  std::size_t budget_bytes;
+  // After: warm, batch, repeat batch, epoch swap, post-swap batch.
+  CacheCounters expected[5];
+};
 
-  (void)estimator.Estimate(3, 9);  // 9 fresh, 3 warm
-  s = estimator.SessionCacheStats();
-  EXPECT_EQ(s.hits, 1u);
-  EXPECT_EQ(s.misses, 3u);
-  EXPECT_EQ(s.entries, 3u);
+TEST(LandmarkCacheTest, SessionCacheCountersOnScriptedTrace) {
+  const CacheTraceCase cases[] = {
+      {"SMM", 2048,
+       {{0, 2, 0, 2, 2}, {11, 13, 5, 6, 2}, {22, 24, 14, 6, 2},
+        {22, 24, 18, 2, 0}, {31, 37, 25, 6, 2}}},
+      {"GEER", 2048,
+       {{0, 2, 0, 2, 2}, {11, 13, 5, 6, 2}, {22, 24, 14, 6, 2},
+        {22, 24, 18, 2, 0}, {31, 37, 25, 6, 2}}},
+      {"TP", 8192,
+       {{0, 2, 0, 2, 2}, {9, 12, 1, 10, 2}, {24, 16, 5, 10, 2},
+        {24, 16, 15, 0, 0}, {31, 28, 16, 10, 2}}},
+      {"TPC", 98304,
+       {{0, 4, 0, 4, 4}, {11, 33, 25, 8, 4}, {22, 62, 54, 8, 4},
+        {22, 62, 60, 2, 0}, {29, 95, 87, 8, 4}}},
+      {"EXACT", 2048,
+       {{0, 2, 0, 2, 2}, {11, 13, 4, 9, 2}, {26, 20, 11, 9, 2},
+        {26, 20, 11, 0, 0}, {35, 33, 15, 9, 2}}},
+      {"CG", 2048,
+       {{0, 2, 0, 2, 2}, {11, 13, 4, 9, 2}, {26, 20, 11, 9, 2},
+        {26, 20, 11, 0, 0}, {35, 33, 15, 9, 2}}},
+  };
+  const ErOptions options = FastOptions();
+  for (const CacheTraceCase& c : cases) {
+    DynamicGraph dyn(gen::ErdosRenyi(30, 140, 7));
+    auto snapshot = dyn.Current();
+    std::vector<decltype(snapshot)> held = {snapshot};  // graphs must live
+    auto estimator = CreateEstimator(c.name, *snapshot->graph, options);
+    ASSERT_NE(estimator, nullptr) << c.name;
+    estimator->EnableSessionCache(c.budget_bytes);
+    const std::vector<NodeId> landmarks = SelectLandmarks(*snapshot->graph, 2);
+    const NodeId a = landmarks[0];
+    const NodeId b = landmarks[1];
+    // Landmark and non-landmark endpoints on both sides, recurring and
+    // batch-singleton nodes, a reversed pair and an s == t query.
+    const std::vector<QueryPair> queries = {
+        {a, 5},  {5, 9},   {9, b},   {12, 27}, {27, 12}, {7, 7},
+        {3, 18}, {18, a},  {21, 25}, {b, 3},   {14, 5},  {25, 9}};
+    std::vector<QueryStats> stats(queries.size());
+    CacheCounters actual[5];
 
-  (void)estimator.Estimate(5, 3);  // both warm (populations are
-  s = estimator.SessionCacheStats();  // role-agnostic: key or other side)
-  EXPECT_EQ(s.hits, 3u);
-  EXPECT_EQ(s.misses, 3u);
+    estimator->WarmLandmarks(landmarks);
+    actual[0] = CountersOf(estimator->SessionCacheStats());
+    RunQueryBatch(*estimator, queries, stats);
+    actual[1] = CountersOf(estimator->SessionCacheStats());
+    RunQueryBatch(*estimator, queries, stats);
+    actual[2] = CountersOf(estimator->SessionCacheStats());
 
-  (void)estimator.Estimate(5, 14);  // 14 fresh, 5 warm
-  s = estimator.SessionCacheStats();
-  EXPECT_EQ(s.hits, 4u);
-  EXPECT_EQ(s.misses, 4u);
-  EXPECT_EQ(s.entries, 4u);
-  EXPECT_GT(s.bytes, 0u);
+    UpdateGenerator generator(dyn, 4242);
+    for (const EdgeUpdate& op : generator.NextBatch(3)) dyn.Apply(op);
+    snapshot = dyn.Commit();
+    held.push_back(snapshot);
+    GraphEpoch epoch;
+    epoch.epoch = snapshot->epoch;
+    epoch.touched = std::span<const NodeId>(snapshot->touched);
+    epoch.resized = snapshot->resized;
+    ASSERT_TRUE(estimator->RebindGraph(*snapshot->graph, epoch)) << c.name;
+    actual[3] = CountersOf(estimator->SessionCacheStats());
+    RunQueryBatch(*estimator, queries, stats);
+    actual[4] = CountersOf(estimator->SessionCacheStats());
+
+    for (int step = 0; step < 5; ++step) {
+      EXPECT_EQ(actual[step], c.expected[step])
+          << c.name << " checkpoint " << step << "; full trace: " << actual[0]
+          << ", " << actual[1] << ", " << actual[2] << ", " << actual[3]
+          << ", " << actual[4];
+    }
+  }
 }
 
 // Epoch swap: landmark state bound to the old graph must not leak into

@@ -24,6 +24,7 @@
 #include "core/registry.h"
 #include "dyn/dyn_serve.h"
 #include "dyn/dynamic_graph.h"
+#include "eval/arrival_trace.h"
 #include "eval/datasets.h"
 #include "linalg/spectral.h"
 #include "net/codec.h"
@@ -31,7 +32,6 @@
 #include "net/shard_service.h"
 #include "net/submitter.h"
 #include "serve/query_service.h"
-#include "serve/trace.h"
 #include "test_util.h"
 
 namespace geer::net {

@@ -4,12 +4,22 @@
 // named synthetic dataset), pick an algorithm, and answer PER queries from
 // the command line or stdin. The first bare word selects a subcommand:
 //
-//   geer query   one-shot / batch queries (the default when omitted)
-//   geer batch   answer through the batch engine (same as --batch)
-//   geer serve   replay through the micro-batching serving front end
-//   geer dynamic replay a dynamic workload with epoch swaps
+//   geer query   one-shot queries (the default when omitted)
+//   geer batch   answer through the batch engine: queries are grouped by
+//                the method's BatchPlan (groups sharing an endpoint share
+//                walk populations / SpMV iterates)
+//   geer serve   answer through the async serving front end
+//                (serve/query_service.h): queries arrive as an open-loop
+//                trace, coalesce in the micro-batching scheduler, and the
+//                summary reports p50/p95/p99 client latency + throughput
+//   geer dynamic replay a DYNAMIC workload (src/dyn/): the query stream
+//                is interleaved with generated edge updates, each commit
+//                publishing a new epoch that is swapped into the serving
+//                scheduler between micro-batches; the summary reports
+//                per-epoch commit/swap cost and latency percentiles
 //   geer net     networked serving roles: shard | router | client
-//   geer list    print registered estimators and datasets
+//   geer list    print registered estimators and datasets (with their
+//                batch-sharing capability)
 //
 //   geer query --graph=com-dblp.txt --method=GEER --epsilon=0.05 --pair=3:17
 //   geer serve --dataset=facebook --random=100 --qps=500
@@ -17,10 +27,7 @@
 //   geer net router --shards=127.0.0.1:7001,127.0.0.1:7002
 //   geer net client --connect=127.0.0.1:7000 --queries=200 --zipf-exp=0.8
 //
-// The pre-subcommand spellings (--serve / --batch / --dynamic / --list
-// as mode flags) are still accepted as hidden aliases for existing
-// scripts; they are DEPRECATED and will be dropped one release after
-// this one. Flags:
+// Flags:
 //   --graph=PATH        SNAP edge list (largest CC, bipartiteness broken)
 //   --dataset=NAME      registry dataset (facebook|dblp|youtube|orkut|
 //                       livejournal|friendster), --scale=F node scale
@@ -33,39 +40,23 @@
 //   --stdin             read "s t" pairs from stdin
 //   --stats             print per-query cost columns
 //   --csv               machine-readable output
-//   --list              print registered estimators and datasets (with
-//                       their batch-sharing capability), exit
 //   --weighted          treat --graph as a "u v w" conductance list and
 //                       run the weighted instantiation of --method (every
-//                       registered algorithm; "W-GEER" ≡ "GEER")
-//   --batch             answer through the batch engine: queries are
-//                       grouped by the method's BatchPlan (same-source
-//                       groups share walk populations / SpMV iterates)
-//   --threads=N         batch-engine worker threads (implies --batch;
-//                       0 = hardware concurrency). Values are
+//                       registered algorithm; "W-GEER" ≡ "GEER"); works
+//                       with every subcommand, dynamic included
+//                       (insert/delete/re-weight)
+//   --threads=N         batch-engine worker threads (implies batch in
+//                       query mode; 0 = hardware concurrency), or the
+//                       serve/dynamic dispatch workers. Values are
 //                       bit-identical at any thread count.
-//   --serve             answer through the async serving front end
-//                       (serve/query_service.h): queries arrive as an
-//                       open-loop trace, coalesce in the micro-batching
-//                       scheduler, and the summary reports p50/p95/p99
-//                       client latency + throughput. --threads sets the
-//                       dispatch workers (values stay bit-identical).
 //   --qps=F             serve arrival rate (Poisson); 0 = one burst
 //   --linger-ms=F       serve flush timer (default 2 ms)
 //   --batch-size=N      serve coalescing cap (default 64; 1 = no
 //                       coalescing, the micro-batching ablation)
 //   --deadline-ms=F     per-query deadline; still-queued queries expire
 //                       when it lapses (default: none)
-//   --dynamic           replay a DYNAMIC workload (src/dyn/): the query
-//                       stream is interleaved with generated edge
-//                       updates, each commit publishing a new epoch that
-//                       is swapped into the serving scheduler between
-//                       micro-batches; the summary reports per-epoch
-//                       commit/swap cost and latency percentiles. Works
-//                       with --weighted (insert/delete/re-weight) and
-//                       honors --threads/--batch-size/--linger-ms.
-//   --updates=N         total generated edge updates (default 64)
-//   --commit-every=K    updates per commit/epoch (default 16)
+//   --updates=N         dynamic: total generated edge updates (default 64)
+//   --commit-every=K    dynamic: updates per commit/epoch (default 16)
 
 #include <cstdio>
 #include <cstdlib>
@@ -76,19 +67,19 @@
 
 #include "core/batch_engine.h"
 #include "core/registry.h"
-#include "net/roles.h"
 #include "dyn/dynamic_graph.h"
+#include "eval/arrival_trace.h"
 #include "eval/datasets.h"
 #include "eval/dynamic_workload.h"
 #include "eval/experiment.h"
 #include "eval/queries.h"
 #include "graph/algorithms.h"
+#include "graph/weighted_io.h"
 #include "linalg/spectral.h"
+#include "net/roles.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "serve/trace.h"
 #include "util/timer.h"
-#include "graph/weighted_io.h"
 
 namespace geer {
 namespace {
@@ -158,7 +149,7 @@ void MaybeDumpObs(const CliArgs& args) {
       stdout);
 }
 
-// The --dynamic path: interleave the query stream with generated edge
+// The `dynamic` path: interleave the query stream with generated edge
 // updates (inserts, deletes of generated edges, weight changes on
 // conductance graphs), committing every --commit-every ops and swapping
 // the published epoch into the serving scheduler. Reports per-epoch
@@ -249,7 +240,7 @@ int RunDynamicQueries(const typename WPolicy::GraphT& graph,
   return result.failed > 0 ? 1 : 0;
 }
 
-// The --serve path: replay the query set as an open-loop arrival trace
+// The `serve` path: replay the query set as an open-loop arrival trace
 // through the micro-batching QueryService and report what an interactive
 // client sees — per-query latency and the tail summary.
 int RunServedQueries(ErEstimator* estimator,
@@ -300,7 +291,7 @@ int RunServedQueries(ErEstimator* estimator,
   return 0;
 }
 
-// The --batch / --threads path: one engine run over the whole query set,
+// The `batch` / --threads path: one engine run over the whole query set,
 // grouped by the method's plan, then one result row per query in input
 // order. Per-query wall time is meaningless under sharing/parallelism,
 // so the summary reports amortized milliseconds instead.
@@ -411,7 +402,7 @@ int RunWeighted(const CliArgs& args, std::vector<QueryPair> queries) {
     if (name == canonical) known = true;
   }
   if (!known) {
-    std::fprintf(stderr, "error: unknown weighted method '%s' (try --list)\n",
+    std::fprintf(stderr, "error: unknown weighted method '%s' (try `list`)\n",
                  args.method.c_str());
     return 2;
   }
@@ -502,9 +493,7 @@ int Usage(const char* argv0) {
       "          [--obs-dump]\n"
       "  dynamic serve flags + [--updates=N] [--commit-every=K]\n"
       "  net     shard|router|client ... (see `%s net`)\n"
-      "  list    print estimators and datasets\n"
-      "(legacy mode flags --batch/--serve/--dynamic/--list still accepted; "
-      "deprecated)\n",
+      "  list    print estimators and datasets\n",
       argv0, argv0);
   return 2;
 }
@@ -517,7 +506,7 @@ int Run(const CliArgs& args) {
     for (const auto& name : WeightedEstimatorNames()) {
       std::printf(" %s", name.c_str());
     }
-    std::printf("\nbatch shared-precompute (--batch):");
+    std::printf("\nbatch shared-precompute:");
     for (const auto& name : EstimatorNames()) {
       if (EstimatorSharesBatchWork(name)) std::printf(" %s", name.c_str());
     }
@@ -606,7 +595,7 @@ int Run(const CliArgs& args) {
     if (name == args.method) known = true;
   }
   if (!known) {
-    std::fprintf(stderr, "error: unknown method '%s' (try --list)\n",
+    std::fprintf(stderr, "error: unknown method '%s' (try `list`)\n",
                  args.method.c_str());
     return 2;
   }
@@ -701,8 +690,7 @@ int main(int argc, char** argv) {
   CliArgs args;
   int first_flag = 1;
   // Subcommand dispatch: a leading bare word picks the mode; everything
-  // after it is the mode's flags. Omitting it (or the legacy --serve /
-  // --batch / --dynamic / --list mode flags below) still works.
+  // after it is the mode's flags. Omitting it means `query`.
   if (argc > 1 && argv[1][0] != '-') {
     const std::string command = argv[1];
     first_flag = 2;
@@ -776,20 +764,12 @@ int main(int argc, char** argv) {
     } else if (auto v = value("--commit-every")) {
       args.commit_every = static_cast<std::size_t>(std::atoll(v->c_str()));
       args.dynamic = true;
-    } else if (arg == "--dynamic") {
-      args.dynamic = true;
-    } else if (arg == "--serve") {
-      args.serve = true;
-    } else if (arg == "--batch") {
-      args.batch = true;
     } else if (arg == "--stdin") {
       args.read_stdin = true;
     } else if (arg == "--stats") {
       args.stats = true;
     } else if (arg == "--csv") {
       args.csv = true;
-    } else if (arg == "--list") {
-      args.list = true;
     } else if (arg == "--weighted") {
       args.weighted = true;
     } else {
