@@ -49,8 +49,8 @@ AblationResult RunVariant(const Dataset& ds,
     SmmIterator smm(ds.graph, &op, q.s, q.t);
     while (smm.iterations() < ell) {
       const std::uint32_t remaining = ell - smm.iterations();
-      const auto [m1s, m2s] = TopTwo(smm.svec());
-      const auto [m1t, m2t] = TopTwo(smm.tvec());
+      const auto [m1s, m2s] = smm.s_top_two();
+      const auto [m1t, m2t] = smm.t_top_two();
       const double psi =
           AmcPsi(remaining, m1s, m2s, ds_deg, m1t, m2t, dt_deg);
       double budget = static_cast<double>(GeerRemainingSampleBudget(

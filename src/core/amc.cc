@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <type_traits>
 #include <vector>
 
 #include "core/ell.h"
@@ -15,15 +16,11 @@ namespace geer {
 namespace {
 
 // What every walk pair of one RunAmcT call reads. A step landing on u
-// adds plus[u]·inv_plus − minus[u]·inv_minus to Z_k: (s, t) on the
-// s-walk, (t, s) on the t-walk.
+// adds g[u] to Z_k on the s-walk and subtracts it on the t-walk.
 struct PairWalkInputs {
   NodeId s;
   NodeId t;
-  const double* svec;
-  const double* tvec;
-  double inv_ws;
-  double inv_wt;
+  const double* g;
   std::uint32_t ell_f;
 };
 
@@ -33,15 +30,16 @@ template <typename WalkerT>
 double SerialPairSample(const WalkerT& walker, const PairWalkInputs& in,
                         Rng& rng) {
   double z = 0.0;
-  const auto walk = [&](NodeId cur, const double* plus, double inv_plus,
-                        const double* minus, double inv_minus) {
-    for (std::uint32_t step = 0; step < in.ell_f; ++step) {
-      cur = walker.Step(cur, rng);
-      z += plus[cur] * inv_plus - minus[cur] * inv_minus;
-    }
-  };
-  walk(in.s, in.svec, in.inv_ws, in.tvec, in.inv_wt);
-  walk(in.t, in.tvec, in.inv_wt, in.svec, in.inv_ws);
+  NodeId cur = in.s;
+  for (std::uint32_t step = 0; step < in.ell_f; ++step) {
+    cur = walker.Step(cur, rng);
+    z += in.g[cur];
+  }
+  cur = in.t;
+  for (std::uint32_t step = 0; step < in.ell_f; ++step) {
+    cur = walker.Step(cur, rng);
+    z -= in.g[cur];
+  }
   return z;
 }
 
@@ -56,17 +54,21 @@ void SamplePairGroup(const WalkerT& walker, const PairWalkInputs& in,
   const Rng snapshot = rng;
   const std::size_t walk_words =
       std::size_t{in.ell_f} * WalkerT::kWordsPerStep;
+  // Drawn on a local copy: through the reference, every words[i] store
+  // might alias the state and force a reload of it.
+  Rng draw = snapshot;
   for (std::size_t i = 0; i < 2 * walk_words * lanes; ++i) {
-    words[i] = rng.Next();
+    words[i] = draw.Next();
   }
+  rng = draw;
   bool needs_more = false;
   const std::uint64_t* offsets = walker.graph().Offsets().data();
+  const double* g = in.g;
   NodeId cur[kAmcLanes] = {};
   // Advances every lane's walk from `start` on its own words, lane j
-  // reading words[2·j·walk_words + first_word + step·kWordsPerStep].
-  const auto walk = [&](NodeId start, std::size_t first_word,
-                        const double* plus, double inv_plus,
-                        const double* minus, double inv_minus) {
+  // reading words[2·j·walk_words + first_word + step·kWordsPerStep];
+  // `t_walk` picks whether a step subtracts g at the node it lands on.
+  const auto walk = [&](NodeId start, std::size_t first_word, auto t_walk) {
     std::fill(cur, cur + lanes, start);
     for (std::size_t word = first_word; word < first_word + walk_words;
          word += WalkerT::kWordsPerStep) {
@@ -78,13 +80,17 @@ void SamplePairGroup(const WalkerT& walker, const PairWalkInputs& in,
         // Lane j's next step starts at this row; fetch it while the
         // other lanes step.
         __builtin_prefetch(offsets + step.next);
-        z[j] += plus[cur[j]] * inv_plus - minus[cur[j]] * inv_minus;
+        if constexpr (decltype(t_walk)::value) {
+          z[j] -= g[step.next];
+        } else {
+          z[j] += g[step.next];
+        }
       }
     }
   };
   std::fill(z, z + lanes, 0.0);
-  walk(in.s, 0, in.svec, in.inv_ws, in.tvec, in.inv_wt);
-  walk(in.t, walk_words, in.tvec, in.inv_wt, in.svec, in.inv_ws);
+  walk(in.s, 0, std::false_type{});
+  walk(in.t, walk_words, std::true_type{});
   if (!needs_more) return;
   // A Lemire rejection shifted the serial stream by a word: replay the
   // group serially from the snapshot.
@@ -111,14 +117,27 @@ double AmcPsi(std::uint32_t ell_f, double max1_s, double max2_s,
          2.0 * half_down * (max2_s / weight_s + max2_t / weight_t);
 }
 
+void FillAmcWalkTable(const Vector& svec, double weight_s,
+                      const Vector& tvec, double weight_t, Vector* table) {
+  GEER_CHECK_EQ(svec.size(), tvec.size());
+  const double inv_ws = 1.0 / weight_s;
+  const double inv_wt = 1.0 / weight_t;
+  table->resize(svec.size());
+  double* g = table->data();
+  const double* sv = svec.data();
+  const double* tv = tvec.data();
+  for (std::size_t v = 0; v < svec.size(); ++v) {
+    g[v] = sv[v] * inv_ws - tv[v] * inv_wt;
+  }
+}
+
 template <WeightPolicy WP>
 AmcRunResult RunAmcT(const typename WP::GraphT& graph,
                      const WalkerFor<WP>& walker, NodeId s, NodeId t,
-                     const Vector& svec, const Vector& tvec,
-                     const AmcParams& params, Rng& rng) {
+                     const AmcWalkTable& table, const AmcParams& params,
+                     Rng& rng) {
   GEER_CHECK_NE(s, t);
-  GEER_CHECK_EQ(svec.size(), static_cast<std::size_t>(graph.NumNodes()));
-  GEER_CHECK_EQ(tvec.size(), static_cast<std::size_t>(graph.NumNodes()));
+  GEER_CHECK_EQ(table.g.size(), static_cast<std::size_t>(graph.NumNodes()));
   GEER_CHECK(params.epsilon > 0.0);
   GEER_CHECK(params.delta > 0.0 && params.delta < 1.0);
   GEER_CHECK_GE(params.tau, 1);
@@ -128,13 +147,9 @@ AmcRunResult RunAmcT(const typename WP::GraphT& graph,
 
   const double ws = WP::NodeWeight(graph, s);
   const double wt = WP::NodeWeight(graph, t);
-  const double inv_ws = 1.0 / ws;
-  const double inv_wt = 1.0 / wt;
-
-  const auto [max1_s, max2_s] = TopTwo(svec);
-  const auto [max1_t, max2_t] = TopTwo(tvec);
   const double psi =
-      AmcPsi(params.ell_f, max1_s, max2_s, ws, max1_t, max2_t, wt);
+      AmcPsi(params.ell_f, table.s_top.first, table.s_top.second, ws,
+             table.t_top.first, table.t_top.second, wt);
   result.psi = psi;
   if (psi <= 0.0) return result;  // |Z_k| ≤ ψ/2 = 0: q is exactly 0
 
@@ -146,8 +161,7 @@ AmcRunResult RunAmcT(const typename WP::GraphT& graph,
 
   const double per_batch_delta = params.delta / params.tau;
   MeanVarAccumulator acc;
-  const PairWalkInputs inputs{s,      t,      svec.data(), tvec.data(),
-                              inv_ws, inv_wt, params.ell_f};
+  const PairWalkInputs inputs{s, t, table.g.data(), params.ell_f};
   std::vector<std::uint64_t> words(2 * std::size_t{params.ell_f} *
                                    WalkerFor<WP>::kWordsPerStep * kAmcLanes);
   double z[kAmcLanes] = {};
@@ -189,8 +203,7 @@ AmcEstimatorT<WP>::AmcEstimatorT(const GraphT& graph, ErOptions options)
     : graph_(&graph),
       options_(options),
       walker_(graph),
-      svec_(graph.NumNodes(), 0.0),
-      tvec_(graph.NumNodes(), 0.0) {
+      walk_table_(graph.NumNodes(), 0.0) {
   ValidateOptions(options_);
   lambda_ = options_.lambda.has_value()
                 ? *options_.lambda
@@ -207,8 +220,7 @@ bool AmcEstimatorT<WP>::RebindGraph(const GraphT& graph,
   bool warm = false;
   lambda_ = RebindLambda<WP>(graph, epoch, &warm);
   if (warm) incremental_rebinds_.fetch_add(1, std::memory_order_relaxed);
-  svec_.assign(graph.NumNodes(), 0.0);
-  tvec_.assign(graph.NumNodes(), 0.0);
+  walk_table_.assign(graph.NumNodes(), 0.0);
   return true;
 }
 
@@ -230,8 +242,10 @@ QueryStats AmcEstimatorT<WP>::EstimateWithStats(NodeId s, NodeId t) {
   stats.truncated = EllWasTruncated(options_.epsilon, lambda_, ws, wt,
                                     options_.max_ell, options_.use_peng_ell);
 
-  svec_[s] = 1.0;
-  tvec_[t] = 1.0;
+  // e_s/w(s) − e_t/w(t): each entry equals its two-vector term
+  // 1·(1/w(s)) − 0·(1/w(t)) or 0·(1/w(s)) − 1·(1/w(t)) exactly.
+  walk_table_[s] = 1.0 / ws;
+  walk_table_[t] = -(1.0 / wt);
   AmcParams params;
   params.epsilon = options_.epsilon;
   params.delta = options_.delta;
@@ -240,10 +254,12 @@ QueryStats AmcEstimatorT<WP>::EstimateWithStats(NodeId s, NodeId t) {
   // Per-query deterministic stream: reordering queries never changes an
   // individual answer.
   Rng rng(options_.seed ^ (static_cast<std::uint64_t>(s) << 32) ^ t);
-  AmcRunResult run =
-      RunAmcT<WP>(*graph_, walker_, s, t, svec_, tvec_, params, rng);
-  svec_[s] = 0.0;
-  tvec_[t] = 0.0;
+  constexpr std::pair<double, double> kOneHotTop{1.0, 0.0};
+  AmcRunResult run = RunAmcT<WP>(
+      *graph_, walker_, s, t,
+      AmcWalkTable{walk_table_, kOneHotTop, kOneHotTop}, params, rng);
+  walk_table_[s] = 0.0;
+  walk_table_[t] = 0.0;
 
   // Theorem 3.4: add the i = 0 term 1_{s≠t}(1/w(s) + 1/w(t)).
   stats.value = run.r_f + 1.0 / ws + 1.0 / wt;
@@ -256,14 +272,13 @@ QueryStats AmcEstimatorT<WP>::EstimateWithStats(NodeId s, NodeId t) {
 }
 
 template AmcRunResult RunAmcT<UnitWeight>(const Graph&, const Walker&,
-                                          NodeId, NodeId, const Vector&,
-                                          const Vector&, const AmcParams&,
-                                          Rng&);
+                                          NodeId, NodeId,
+                                          const AmcWalkTable&,
+                                          const AmcParams&, Rng&);
 template AmcRunResult RunAmcT<EdgeWeight>(const WeightedGraph&,
                                           const WeightedWalker&, NodeId,
-                                          NodeId, const Vector&,
-                                          const Vector&, const AmcParams&,
-                                          Rng&);
+                                          NodeId, const AmcWalkTable&,
+                                          const AmcParams&, Rng&);
 template class AmcEstimatorT<UnitWeight>;
 template class AmcEstimatorT<EdgeWeight>;
 

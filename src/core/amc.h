@@ -9,8 +9,20 @@
 // because Lemma 3.3 bounds walk sums by visit counts). GEER reuses
 // RunAmcT with the SMM iterates as s, t.
 //
+// One walk table. A step landing on v adds s(v)/w(s) − t(v)/w(t) to Z_k
+// on the s-walk and t(v)/w(t) − s(v)/w(s) on the t-walk. RunAmcT reads
+// both from one signed table g(v) = s(v)/w(s) − t(v)/w(t): the s-walk adds
+// g(v), the t-walk subtracts it. That is exact, not just close: in
+// round-to-nearest b − a = −(a − b), and Z_k starts at +0 so it never
+// becomes −0 (the build enables no FMA, so nothing is contracted). The
+// table is n doubles that the estimator owns as scratch: GEER fills it
+// from its SMM iterates with FillAmcWalkTable, standalone AMC sets the two
+// entries of its one-hot inputs and clears them after the query. The
+// top-two entries of s and t that bound ψ come with it, so RunAmcT
+// never scans an n-vector.
+//
 // Lockstep lanes. A walk step is a chain of dependent loads (the node's
-// CSR offset, its neighbor, the input vectors at the neighbor), so one
+// CSR offset, its neighbor, the table entry at the neighbor), so one
 // walk at a time leaves the core waiting on cache misses. RunAmcT
 // instead samples kAmcLanes walk pairs at once, one lane per pair, and
 // advances every lane one step before any lane takes the next, so the
@@ -30,12 +42,16 @@
 //    serial Step draw an extra word, shifting everything after it. If any
 //    lane reports one, the group restores the Rng snapshot taken before
 //    its draw and replays its pairs through the serial Step.
-// Scratch is 2·W·ℓf·kAmcLanes words per call; nothing is per node.
+// The words are drawn on a local Rng copy whose state stays in registers,
+// then written back. Scratch is 2·W·ℓf·kAmcLanes words per call, plus the
+// n-double walk table per estimator (one per batch worker).
 
 #ifndef GEER_CORE_AMC_H_
 #define GEER_CORE_AMC_H_
 
+#include <span>
 #include <string>
+#include <utility>
 
 #include "core/estimator.h"
 #include "core/options.h"
@@ -81,23 +97,42 @@ double AmcPsi(std::uint32_t ell_f, double max1_s, double max2_s,
 /// η = max(1, ⌈η*/2^{τ−1}⌉), saturating at UINT64_MAX.
 std::uint64_t AmcFirstBatchSize(std::uint64_t eta_star, int tau);
 
-/// Runs Algorithm 1 under weight policy WP. `svec` / `tvec` are the
-/// length-n non-negative input vectors (e_s / e_t for standalone AMC; the
-/// SMM iterates for GEER). Walks issue from `s` and `t` through `walker`,
-/// which must be built on `graph` — passing it in lets GEER amortize the
-/// O(m) alias construction across queries. Requires s ≠ t.
+/// What RunAmcT's walks read for input vectors s, t (see the walk-table
+/// note above).
+struct AmcWalkTable {
+  std::span<const double> g;  ///< g(v) = s(v)/w(s) − t(v)/w(t), n entries
+  std::pair<double, double> s_top;  ///< TopTwo(s)
+  std::pair<double, double> t_top;  ///< TopTwo(t)
+};
+
+/// Writes g(v) = svec(v)/weight_s − tvec(v)/weight_t into *table, sized
+/// to n (no allocation once it has been).
+void FillAmcWalkTable(const Vector& svec, double weight_s,
+                      const Vector& tvec, double weight_t, Vector* table);
+
+/// Runs Algorithm 1 under weight policy WP on non-negative length-n input
+/// vectors s, t given as their walk table (e_s / e_t for standalone AMC;
+/// the SMM iterates for GEER). Walks issue from `s` and `t` through
+/// `walker`, which must be built on `graph` — passing it in lets GEER
+/// amortize the O(m) alias construction across queries. Requires s ≠ t.
 template <WeightPolicy WP>
 AmcRunResult RunAmcT(const typename WP::GraphT& graph,
                      const WalkerFor<WP>& walker, NodeId s, NodeId t,
-                     const Vector& svec, const Vector& tvec,
-                     const AmcParams& params, Rng& rng);
+                     const AmcWalkTable& table, const AmcParams& params,
+                     Rng& rng);
 
-/// Unweighted compat entry point (constructs the trivial uniform walker).
+/// Unweighted compat entry point from the two input vectors: constructs
+/// the trivial uniform walker, scans svec and tvec for their top-two and
+/// builds a fresh table.
 inline AmcRunResult RunAmc(const Graph& graph, NodeId s, NodeId t,
                            const Vector& svec, const Vector& tvec,
                            const AmcParams& params, Rng& rng) {
   const Walker walker(graph);
-  return RunAmcT<UnitWeight>(graph, walker, s, t, svec, tvec, params, rng);
+  Vector g;
+  FillAmcWalkTable(svec, graph.Degree(s), tvec, graph.Degree(t), &g);
+  return RunAmcT<UnitWeight>(graph, walker, s, t,
+                             AmcWalkTable{g, TopTwo(svec), TopTwo(tvec)},
+                             params, rng);
 }
 
 /// The standalone AMC competitor: refined ℓ (Eq. 6) + Alg. 1 with one-hot
@@ -124,7 +159,7 @@ class AmcEstimatorT : public ErEstimator {
 
   /// Dynamic-graph hook: repoints at the new snapshot, rebuilds the walk
   /// sampler, re-derives λ (epoch.lambda or Lanczos) and resizes the
-  /// one-hot scratch.
+  /// walk table.
   using ErEstimator::RebindGraph;
   bool RebindGraph(const GraphT& graph, const GraphEpoch& epoch) override;
 
@@ -139,8 +174,9 @@ class AmcEstimatorT : public ErEstimator {
   ErOptions options_;
   double lambda_;
   WalkerFor<WP> walker_;
-  Vector svec_;  // reusable one-hot buffers
-  Vector tvec_;
+  // The walk table of the one-hot inputs e_s, e_t: all zeros between
+  // queries; a query sets g(s) = 1/w(s), g(t) = −1/w(t) and clears them.
+  Vector walk_table_;
   std::atomic<std::uint64_t> incremental_rebinds_{0};
 };
 
@@ -149,11 +185,11 @@ using AmcEstimator = AmcEstimatorT<UnitWeight>;
 using WeightedAmcEstimator = AmcEstimatorT<EdgeWeight>;
 
 extern template AmcRunResult RunAmcT<UnitWeight>(
-    const Graph&, const Walker&, NodeId, NodeId, const Vector&,
-    const Vector&, const AmcParams&, Rng&);
+    const Graph&, const Walker&, NodeId, NodeId, const AmcWalkTable&,
+    const AmcParams&, Rng&);
 extern template AmcRunResult RunAmcT<EdgeWeight>(
     const WeightedGraph&, const WeightedWalker&, NodeId, NodeId,
-    const Vector&, const Vector&, const AmcParams&, Rng&);
+    const AmcWalkTable&, const AmcParams&, Rng&);
 extern template class AmcEstimatorT<UnitWeight>;
 extern template class AmcEstimatorT<EdgeWeight>;
 

@@ -59,8 +59,8 @@ QueryStats GeerEstimatorT<WP>::EstimateWithCache(NodeId s, NodeId t,
       // Evaluate Eq. 17 with the CURRENT iterates: the cost of one more
       // SpMV pair vs AMC's worst-case remaining samples h(ℓ − ℓb).
       const std::uint32_t remaining = ell - smm.iterations();
-      const auto [max1_s, max2_s] = TopTwo(smm.svec());
-      const auto [max1_t, max2_t] = TopTwo(smm.tvec());
+      const auto [max1_s, max2_s] = smm.s_top_two();
+      const auto [max1_t, max2_t] = smm.t_top_two();
       const double psi =
           AmcPsi(remaining, max1_s, max2_s, ws, max1_t, max2_t, wt);
       const std::uint64_t budget = GeerRemainingSampleBudget(
@@ -79,8 +79,14 @@ QueryStats GeerEstimatorT<WP>::EstimateWithCache(NodeId s, NodeId t,
   params.tau = options_.tau;
   params.ell_f = ell - smm.iterations();
   Rng rng(options_.seed ^ (static_cast<std::uint64_t>(s) << 32) ^ t);
-  AmcRunResult run = RunAmcT<WP>(*graph_, walker_, s, t, smm.svec(),
-                                 smm.tvec(), params, rng);
+  AmcRunResult run;
+  if (params.ell_f > 0) {  // else SMM covered all of ℓ: no walks to feed
+    FillAmcWalkTable(smm.svec(), ws, smm.tvec(), wt, &walk_table_);
+    run = RunAmcT<WP>(
+        *graph_, walker_, s, t,
+        AmcWalkTable{walk_table_, smm.s_top_two(), smm.t_top_two()}, params,
+        rng);
+  }
 
   // Line 11: r'(s,t) = r_f + r_b.
   stats.value = run.r_f + smm.rb();

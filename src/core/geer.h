@@ -16,6 +16,12 @@
 // byte-for-byte the same template. The AMC tail runs through RunAmcT's
 // lockstep lanes (core/amc.h), which overlap the walks' cache misses
 // without changing a bit of the answer.
+//
+// No O(n) scan per greedy step: ApplyAuto reports each iterate's top-two
+// (linalg/transition.h) and the iterate streams keep it beside the
+// support cost, so Eq. 17's ψ and AMC's ψ read it directly. The one
+// O(n) pass left per query fills AMC's signed walk table from the final
+// iterates, into scratch the estimator owns.
 
 #ifndef GEER_CORE_GEER_H_
 #define GEER_CORE_GEER_H_
@@ -61,7 +67,8 @@ class GeerEstimatorT : public SmmStreamEstimatorT<WP> {
     return std::make_unique<GeerEstimatorT<WP>>(*graph_, opt);
   }
 
-  /// Also rebuilds the walk sampler for the new snapshot.
+  /// Also rebuilds the walk sampler for the new snapshot (the walk table
+  /// is resized on its next fill).
   using ErEstimator::RebindGraph;
   bool RebindGraph(const GraphT& graph, const GraphEpoch& epoch) override {
     walker_ = WalkerFor<WP>(graph);
@@ -83,6 +90,7 @@ class GeerEstimatorT : public SmmStreamEstimatorT<WP> {
   std::uint32_t WarmDepth() const override;
 
   WalkerFor<WP> walker_;
+  Vector walk_table_;  // AMC's walk table, refilled per query
 };
 
 /// The two stacks, by their historical names.

@@ -37,6 +37,7 @@ SmmSourceCacheT<WP>::SmmSourceCacheT(const GraphT& graph,
   live_.InitOneHot(source, graph);
   iterates_.push_back(live_.values);
   support_costs_.push_back(live_.support_degree_sum);
+  top_twos_.push_back(live_.top_two);
   dep_mark_.assign(graph.NumNodes(), 0);
   AbsorbSupport();
 }
@@ -67,6 +68,7 @@ void SmmSourceCacheT<WP>::EnsureIterations(std::uint32_t j,
     *fresh_ops += op_->ApplyAuto(&live_);
     iterates_.push_back(live_.values);
     support_costs_.push_back(live_.support_degree_sum);
+    top_twos_.push_back(live_.top_two);
     AbsorbSupport();
   }
 }

@@ -29,6 +29,7 @@
 #include <atomic>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/estimator.h"
@@ -43,11 +44,12 @@ namespace geer {
 /// Lazily materialized source-side iterate sequence {P^j e_source},
 /// shared by the queries of a same-source group (SMM and GEER both use
 /// it through SmmIteratorT). Stores one dense vector per iterate plus
-/// the Eq. 17 support cost, growing to the deepest ℓ_b any query needs
-/// — but never past max_cached_iterations(), which bounds the stream's
-/// memory regardless of ℓ_b (the serial path runs in O(n) memory; a
-/// group cache must not turn that into gigabytes). Queries that iterate
-/// deeper continue on a private copy of the boundary state
+/// the Eq. 17 support cost and the top-two entries that bound AMC's ψ
+/// (both reported by ApplyAuto), growing to the deepest ℓ_b any query
+/// needs — but never past max_cached_iterations(), which bounds the
+/// stream's memory regardless of ℓ_b (the serial path runs in O(n)
+/// memory; a group cache must not turn that into gigabytes). Queries that
+/// iterate deeper continue on a private copy of the boundary state
 /// (bit-identical, just unshared past the cap). The NodeStateCache
 /// payload: ApproxBytes() and DependsOn().
 template <WeightPolicy WP>
@@ -87,6 +89,11 @@ class SmmSourceCacheT {
     return support_costs_[j];
   }
 
+  /// TopTwo(Iterate(j)), as ApplyAuto reported it.
+  std::pair<double, double> IterateTopTwo(std::uint32_t j) const {
+    return top_twos_[j];
+  }
+
   /// The live sparse state at the deepest materialized iterate — the
   /// hand-off for past-the-cap iteration. Requires
   /// EnsureIterations(max_cached_iterations()).
@@ -117,6 +124,7 @@ class SmmSourceCacheT {
   SparseVector live_;
   std::vector<Vector> iterates_;
   std::vector<std::uint64_t> support_costs_;
+  std::vector<std::pair<double, double>> top_twos_;
   std::vector<char> dep_mark_;  // n flags: vertex ∈ dependency set
   bool dep_dense_ = false;      // an iterate stopped support tracking
 };
@@ -171,6 +179,16 @@ class SmmIteratorT {
   }
   const Vector& tvec() const {
     return ReadsTCache() ? t_cache_->Iterate(iterations_) : t_vec_.values;
+  }
+
+  /// TopTwo(svec()) and TopTwo(tvec()) without a pass over them.
+  std::pair<double, double> s_top_two() const {
+    return ReadsSCache() ? s_cache_->IterateTopTwo(iterations_)
+                         : s_vec_.top_two;
+  }
+  std::pair<double, double> t_top_two() const {
+    return ReadsTCache() ? t_cache_->IterateTopTwo(iterations_)
+                         : t_vec_.top_two;
   }
 
  private:

@@ -46,18 +46,10 @@ double Min(const Vector& x) {
 
 std::pair<double, double> TopTwo(const Vector& x) {
   GEER_CHECK(!x.empty());
-  double max1 = -1e300;
-  double max2 = -1e300;
-  for (double v : x) {
-    if (v > max1) {
-      max2 = max1;
-      max1 = v;
-    } else if (v > max2) {
-      max2 = v;
-    }
-  }
-  if (x.size() == 1) max2 = 0.0;
-  return {max1, max2};
+  TopTwoFold fold{-1e300, -1e300};
+  for (double v : x) fold.Add(v);
+  if (x.size() == 1) fold.max2 = 0.0;
+  return fold.Get();
 }
 
 void RemoveMean(Vector* x) {

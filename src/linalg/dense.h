@@ -6,6 +6,7 @@
 #define GEER_LINALG_DENSE_H_
 
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "util/check.h"
@@ -72,6 +73,26 @@ double Min(const Vector& x);
 /// The two largest entries of x: {max1, max2}. For a one-element vector
 /// max2 is 0 (matching the Eq. (9) convention where absent entries are 0).
 std::pair<double, double> TopTwo(const Vector& x);
+
+/// TopTwo's fold over a stream of entries, for loops that already visit
+/// every entry and report the top-two without a second pass. Starting at
+/// {0, 0} instead of TopTwo's {−1e300, −1e300} folds in the zeros a
+/// sparse vector leaves implicit; over two or more non-negative entries
+/// both starts give the same result.
+struct TopTwoFold {
+  double max1;
+  double max2;
+
+  void Add(double v) {
+    if (v > max1) {
+      max2 = max1;
+      max1 = v;
+    } else if (v > max2) {
+      max2 = v;
+    }
+  }
+  std::pair<double, double> Get() const { return {max1, max2}; }
+};
 
 /// Subtracts the mean from every entry (projection onto 𝟙^⊥), used when
 /// solving singular Laplacian systems.

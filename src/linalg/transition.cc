@@ -15,7 +15,7 @@ std::uint64_t TransitionOperatorT<WP>::ApplyAuto(SparseVector* x) {
     x->dense = true;
   }
   if (x->dense) {
-    ApplyDense(x->values, &scratch_);
+    x->top_two = ApplyDense(x->values, &scratch_);
     x->values.swap(scratch_);
     x->support.clear();
     x->support_degree_sum = graph_->NumArcs();
@@ -27,13 +27,16 @@ std::uint64_t TransitionOperatorT<WP>::ApplyAuto(SparseVector* x) {
 }
 
 template <WeightPolicy WP>
-void TransitionOperatorT<WP>::ApplyDense(const Vector& x, Vector* y) const {
+std::pair<double, double> TransitionOperatorT<WP>::ApplyDense(
+    const Vector& x, Vector* y) const {
   const NodeId n = graph_->NumNodes();
   GEER_CHECK_EQ(x.size(), static_cast<std::size_t>(n));
   y->assign(n, 0.0);
   const std::uint64_t* offsets = graph_->Offsets().data();
   const NodeId* adj = graph_->NeighborArray().data();
   const auto arcs = WP::Arcs(*graph_);
+  // TopTwo's own start, so the fold equals TopTwo(*y) for any x.
+  TopTwoFold top{-1e300, -1e300};
   for (NodeId u = 0; u < n; ++u) {
     double acc = 0.0;
     for (std::uint64_t k = offsets[u]; k < offsets[u + 1]; ++k) {
@@ -41,8 +44,12 @@ void TransitionOperatorT<WP>::ApplyDense(const Vector& x, Vector* y) const {
       acc += arcs[k] * x[adj[k]];
     }
     const double weight = WP::NodeWeight(*graph_, u);
-    (*y)[u] = weight == 0.0 ? 0.0 : acc / weight;
+    const double yu = weight == 0.0 ? 0.0 : acc / weight;
+    (*y)[u] = yu;
+    top.Add(yu);
   }
+  if (n == 1) top.max2 = 0.0;
+  return top.Get();
 }
 
 template <WeightPolicy WP>
@@ -72,16 +79,22 @@ void TransitionOperatorT<WP>::ApplySparse(SparseVector* x) {
       scratch_[u] += arcs[k] * xv;
     }
   }
-  // Clear old support entries in the destination, then commit.
+  // Clear old support entries in the destination, then commit, folding
+  // the top-two over the new support (the {0, 0} start stands in for the
+  // zeros off it).
   for (NodeId v : x->support) x->values[v] = 0.0;
   std::uint64_t degree_sum = 0;
+  TopTwoFold top{0.0, 0.0};
   for (NodeId u : touched_) {
-    x->values[u] = scratch_[u] / WP::NodeWeight(*graph_, u);
+    const double xu = scratch_[u] / WP::NodeWeight(*graph_, u);
+    x->values[u] = xu;
+    top.Add(xu);
     touched_flag_[u] = 0;
     degree_sum += graph_->Degree(u);
   }
   x->support.assign(touched_.begin(), touched_.end());
   x->support_degree_sum = degree_sum;
+  x->top_two = top.Get();
 }
 
 template <WeightPolicy WP>

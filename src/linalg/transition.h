@@ -9,7 +9,12 @@
 //    the mode the paper credits for SMM's locality on saturated iterates.
 //
 // ApplyAuto picks the mode from the support size, and reports the support
-// degree-sum the greedy rule needs — so GEER never pays an extra pass.
+// degree-sum the greedy rule needs and the iterate's top-two entries that
+// bound AMC's ψ (Eq. 9) — so GEER never pays an extra pass for either.
+// The top-two is read over the support in scatter mode (off-support
+// entries are zeros, and the top-two of non-negative entries is an order
+// statistic, so this equals TopTwo(values) exactly) and inside the sweep
+// in gather mode.
 //
 // The UnitWeight instantiation multiplies by the constexpr arc weight 1,
 // which constant-folds away: it is the paper's unweighted P = D^{-1} A
@@ -23,6 +28,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "graph/weight_policy.h"
@@ -58,6 +64,9 @@ class TransitionOperatorT {
     /// Σ_{v∈supp} d(v): the paper's per-iteration SMM cost (Eq. 17 LHS).
     std::uint64_t support_degree_sum = 0;
 
+    /// TopTwo(values), kept current by InitOneHot and ApplyAuto.
+    std::pair<double, double> top_two{0.0, 0.0};
+
     /// Initializes to the one-hot vector e_v.
     void InitOneHot(NodeId v, const GraphT& graph) {
       values.assign(graph.NumNodes(), 0.0);
@@ -66,16 +75,19 @@ class TransitionOperatorT {
       support.assign(1, v);
       dense = false;
       support_degree_sum = graph.Degree(v);
+      top_two = {1.0, 0.0};
     }
   };
 
   /// x ← P·x, choosing scatter vs gather from x's density, updating the
-  /// support metadata. Returns the number of arc traversals performed.
+  /// support metadata and top_two. Returns the number of arc traversals
+  /// performed.
   std::uint64_t ApplyAuto(SparseVector* x);
 
   /// Dense gather: y(u) = (1/w(u)) Σ_{v∈N(u)} w(u,v)·x(v). Always touches
-  /// all 2m arcs. `y` is resized to n.
-  void ApplyDense(const Vector& x, Vector* y) const;
+  /// all 2m arcs. `y` is resized to n. Returns TopTwo(*y), folded in the
+  /// same sweep.
+  std::pair<double, double> ApplyDense(const Vector& x, Vector* y) const;
 
   /// Fraction of nodes in the support above which ApplyAuto switches to
   /// dense mode permanently.

@@ -80,19 +80,27 @@ AmcRunResult SerialRunAmc(const typename WP::GraphT& graph,
 
 // Runs RunAmcT and SerialRunAmc from copies of `start` and expects every
 // output, and the next word of each Rng afterwards, to be bitwise equal.
-// Returns the lane kernel's result so callers can check the case shape.
+// RunAmcT reads `table` when given (GEER's hand-off), else a table
+// filled from svec, tvec with their scanned top-two. Returns the lane
+// kernel's result so callers can check the case shape.
 template <WeightPolicy WP>
 AmcRunResult ExpectLanesMatchSerial(const typename WP::GraphT& graph,
                                     NodeId s, NodeId t, const Vector& svec,
                                     const Vector& tvec,
                                     const AmcParams& params,
-                                    const Rng& start) {
+                                    const Rng& start,
+                                    const AmcWalkTable* table = nullptr) {
   const std::string mode(WP::kNamePrefix);
   const WalkerFor<WP> walker(graph);
+  Vector g;
+  FillAmcWalkTable(svec, WP::NodeWeight(graph, s), tvec,
+                   WP::NodeWeight(graph, t), &g);
+  const AmcWalkTable scanned{g, TopTwo(svec), TopTwo(tvec)};
   Rng lane_rng = start;
   Rng serial_rng = start;
   const AmcRunResult lane =
-      RunAmcT<WP>(graph, walker, s, t, svec, tvec, params, lane_rng);
+      RunAmcT<WP>(graph, walker, s, t, table != nullptr ? *table : scanned,
+                  params, lane_rng);
   const AmcRunResult serial =
       SerialRunAmc<WP>(graph, walker, s, t, svec, tvec, params, serial_rng);
   EXPECT_EQ(std::bit_cast<std::uint64_t>(lane.r_f),
@@ -236,6 +244,84 @@ TEST(AmcLaneKernelTest, RejectedWordRewindsAndReplaysSerially) {
   params.tau = 3;
   params.ell_f = 6;
   f.ExpectBoth(params, start);
+}
+
+TEST(AmcLaneKernelTest, ZeroTableEntriesFromEqualScaledMass) {
+  // s = 2 and t = 5 both have degree 9 in the fixture, and with constant
+  // conductance also equal strength, so equal s- and t-entries give table
+  // entries of exactly 0: a t-walk step then subtracts +0 where the
+  // two-vector form adds 0 − 0. Half the nodes are shared this way; with
+  // every node shared, every Z_k and r_f are exactly +0.
+  const Graph graph = testing::DenseTestGraph(20);
+  const WeightedGraph weighted = gen::WithUniformWeights(graph, 1.5, 1.5, 1);
+  constexpr NodeId kS = 2;
+  constexpr NodeId kT = 5;
+  ASSERT_EQ(graph.Degree(kS), graph.Degree(kT));
+  ASSERT_EQ(weighted.Strength(kS), weighted.Strength(kT));
+  Rng vec_rng(8);
+  Vector svec(graph.NumNodes());
+  Vector tvec(graph.NumNodes());
+  for (NodeId v = 0; v < graph.NumNodes(); ++v) {
+    svec[v] = vec_rng.NextDouble();
+    tvec[v] = v % 2 == 0 ? svec[v] : vec_rng.NextDouble();
+  }
+  tvec[3] = svec[3] = 0.0;  // a shared zero too
+  AmcParams params;
+  params.epsilon = 0.8;
+  params.delta = 0.05;
+  params.tau = 3;
+  params.ell_f = 6;
+  ExpectLanesMatchSerial<UnitWeight>(graph, kS, kT, svec, tvec, params,
+                                     Rng(21));
+  ExpectLanesMatchSerial<EdgeWeight>(weighted, kS, kT, svec, tvec, params,
+                                     Rng(21));
+  const AmcRunResult all_shared[2] = {
+      ExpectLanesMatchSerial<UnitWeight>(graph, kS, kT, svec, svec, params,
+                                         Rng(22)),
+      ExpectLanesMatchSerial<EdgeWeight>(weighted, kS, kT, svec, svec,
+                                         params, Rng(22))};
+  for (const AmcRunResult& r : all_shared) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(r.r_f), 0u);
+    EXPECT_GT(r.walks, 0u);
+  }
+}
+
+// GEER's hand-off at ℓ_b: the SMM iterates after `ell_b` steps, their
+// table filled as the estimator fills it and their top-two as the
+// iterate streams report it, against the two-vector serial reference.
+template <WeightPolicy WP>
+AmcRunResult ExpectSmmHandOffMatchesSerial(const typename WP::GraphT& graph,
+                                           std::uint32_t ell_b,
+                                           const AmcParams& params,
+                                           const Rng& start) {
+  constexpr NodeId kS = 2;
+  constexpr NodeId kT = 13;
+  TransitionOperatorT<WP> op(graph);
+  SmmIteratorT<WP> smm(graph, &op, kS, kT);
+  for (std::uint32_t i = 0; i < ell_b; ++i) smm.Advance();
+  Vector g;
+  FillAmcWalkTable(smm.svec(), WP::NodeWeight(graph, kS), smm.tvec(),
+                   WP::NodeWeight(graph, kT), &g);
+  const AmcWalkTable table{g, smm.s_top_two(), smm.t_top_two()};
+  return ExpectLanesMatchSerial<WP>(graph, kS, kT, smm.svec(), smm.tvec(),
+                                    params, start, &table);
+}
+
+TEST(AmcLaneKernelTest, SmmIteratesAtEllB1And2) {
+  const LaneFixture f;
+  AmcParams params;
+  params.epsilon = 0.1;
+  params.delta = 0.05;
+  params.tau = 3;
+  params.ell_f = 5;
+  for (std::uint32_t ell_b : {1u, 2u}) {
+    const AmcRunResult unit = ExpectSmmHandOffMatchesSerial<UnitWeight>(
+        f.graph, ell_b, params, Rng(30 + ell_b));
+    const AmcRunResult edge = ExpectSmmHandOffMatchesSerial<EdgeWeight>(
+        f.weighted, ell_b, params, Rng(30 + ell_b));
+    EXPECT_GT(unit.walks, 2 * kAmcLanes) << "l_b " << ell_b;
+    EXPECT_GT(edge.walks, 2 * kAmcLanes) << "l_b " << ell_b;
+  }
 }
 
 TEST(AmcBoundsTest, MaxSamplesSaturates) {

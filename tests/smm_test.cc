@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/ell.h"
 #include "graph/generators.h"
+#include "graph/weighted_generators.h"
 #include "linalg/spectral.h"
 #include "test_util.h"
 
@@ -64,6 +67,61 @@ TEST(SmmIteratorTest, NextIterationCostIsSupportDegreeSum) {
   SmmIterator iter(g, &op, 0, 3);  // hub and a leaf
   // supp(s*) = {0} (deg 7), supp(t*) = {3} (deg 1).
   EXPECT_EQ(iter.NextIterationCost(), 8u);
+}
+
+using testing::ExpectTopTwoOf;
+
+// Every cached iterate's top-two, through the sparse steps and past the
+// dense switch.
+template <WeightPolicy WP>
+void ExpectCachedTopTwos(const typename WP::GraphT& g, NodeId source) {
+  TransitionOperatorT<WP> op(g);
+  SmmSourceCacheT<WP> cache(g, &op, source);
+  std::uint64_t fresh = 0;
+  constexpr std::uint32_t kDepth = 10;
+  cache.EnsureIterations(kDepth, &fresh);
+  for (std::uint32_t j = 0; j <= kDepth; ++j) {
+    ExpectTopTwoOf(cache.IterateTopTwo(j), cache.Iterate(j),
+                   std::string(WP::kNamePrefix) + "iterate " +
+                       std::to_string(j));
+  }
+  EXPECT_TRUE(cache.BoundaryState().dense);
+}
+
+TEST(SmmSourceCacheTest, IterateTopTwoMatchesFullScan) {
+  const Graph g = gen::ErdosRenyi(60, 150, 3);
+  ExpectCachedTopTwos<UnitWeight>(g, 7);
+  ExpectCachedTopTwos<EdgeWeight>(gen::WithUniformWeights(g, 0.5, 2.0, 5),
+                                  7);
+}
+
+// The iterator's top-two on both sides, with each side's stream capped at
+// two iterates so it spills to a private copy from ℓ_b = 3 on.
+template <WeightPolicy WP>
+void ExpectIteratorTopTwos(const typename WP::GraphT& g, NodeId s,
+                           NodeId t) {
+  TransitionOperatorT<WP> op(g);
+  SmmSourceCacheT<WP> s_cache(g, &op, s, /*max_cached=*/2);
+  SmmSourceCacheT<WP> t_cache(g, &op, t, /*max_cached=*/2);
+  SmmIteratorT<WP> cached(g, &op, s, t, &s_cache, &t_cache);
+  SmmIteratorT<WP> uncached(g, &op, s, t);
+  for (int i = 0; i <= 8; ++i) {
+    const std::string where =
+        std::string(WP::kNamePrefix) + "l_b " + std::to_string(i);
+    ExpectTopTwoOf(cached.s_top_two(), cached.svec(), where + " cached s");
+    ExpectTopTwoOf(cached.t_top_two(), cached.tvec(), where + " cached t");
+    ExpectTopTwoOf(uncached.s_top_two(), uncached.svec(), where + " s");
+    ExpectTopTwoOf(uncached.t_top_two(), uncached.tvec(), where + " t");
+    cached.Advance();
+    uncached.Advance();
+  }
+}
+
+TEST(SmmIteratorTest, TopTwoMatchesFullScanPastTheCap) {
+  const Graph g = gen::ErdosRenyi(60, 150, 3);
+  ExpectIteratorTopTwos<UnitWeight>(g, 2, 41);
+  ExpectIteratorTopTwos<EdgeWeight>(gen::WithUniformWeights(g, 0.5, 2.0, 5),
+                                    2, 41);
 }
 
 TEST(SmmEstimatorTest, WithinEpsilonOfTruth) {

@@ -3,13 +3,21 @@
 #ifndef GEER_TESTS_TEST_UTIL_H_
 #define GEER_TESTS_TEST_UTIL_H_
 
+#include <gtest/gtest.h>
+
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/exact.h"
 #include "graph/builder.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
+#include "linalg/dense.h"
+#include "linalg/transition.h"
 
 namespace geer {
 namespace testing {
@@ -50,6 +58,36 @@ inline Graph DenseTestGraph(NodeId n = 24) {
   }
   for (NodeId u = 0; u < n; ++u) b.AddEdge(u, (u + 1) % n);
   return b.Build();
+}
+
+/// Expects a reported top-two to equal TopTwo(values), bit for bit.
+inline void ExpectTopTwoOf(std::pair<double, double> reported,
+                           const Vector& values, const std::string& where) {
+  const auto [max1, max2] = TopTwo(values);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(reported.first),
+            std::bit_cast<std::uint64_t>(max1))
+      << where << " max1 " << reported.first << " vs " << max1;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(reported.second),
+            std::bit_cast<std::uint64_t>(max2))
+      << where << " max2 " << reported.second << " vs " << max2;
+}
+
+/// One-hot at `source`, then `steps` ApplyAuto calls, expecting the
+/// reported top-two after each to equal a full scan. Returns whether the
+/// vector went dense.
+template <WeightPolicy WP>
+bool ExpectTopTwoAlongIteration(const typename WP::GraphT& graph,
+                                NodeId source, int steps,
+                                const std::string& name) {
+  TransitionOperatorT<WP> op(graph);
+  typename TransitionOperatorT<WP>::SparseVector x;
+  x.InitOneHot(source, graph);
+  ExpectTopTwoOf(x.top_two, x.values, name + " one-hot");
+  for (int i = 1; i <= steps; ++i) {
+    op.ApplyAuto(&x);
+    ExpectTopTwoOf(x.top_two, x.values, name + " step " + std::to_string(i));
+  }
+  return x.dense;
 }
 
 }  // namespace testing

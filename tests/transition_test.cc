@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "graph/generators.h"
 #include "rw/rng.h"
 #include "test_util.h"
@@ -135,6 +137,92 @@ TEST(TransitionTest, StationaryVectorIsFixedPoint) {
     rhs += static_cast<double>(g.Degree(v)) * x[v];
   }
   EXPECT_NEAR(lhs, rhs, 1e-9);
+}
+
+using testing::ExpectTopTwoOf;
+constexpr auto AlongIteration = testing::ExpectTopTwoAlongIteration<UnitWeight>;
+
+TEST(TransitionTopTwoTest, SparseStepsMatchFullScan) {
+  // A path stays in scatter mode throughout.
+  EXPECT_FALSE(AlongIteration(gen::Path(40), 20, 8, "path"));
+  EXPECT_FALSE(AlongIteration(gen::Path(40), 0, 8, "path end"));
+}
+
+TEST(TransitionTopTwoTest, DenseSwitchMatchesFullScan) {
+  // Both the scatter steps before the switch and the gather steps after.
+  EXPECT_TRUE(AlongIteration(gen::ErdosRenyi(60, 150, 3), 7, 8, "er"));
+  EXPECT_TRUE(AlongIteration(gen::Star(6), 0, 4, "star hub"));
+  EXPECT_TRUE(AlongIteration(gen::Star(6), 3, 4, "star leaf"));
+  EXPECT_TRUE(AlongIteration(gen::Complete(20), 0, 4, "complete"));
+}
+
+TEST(TransitionTopTwoTest, TwoNodeGraph) {
+  // n = 2 goes dense on the first step; the iterate alternates between
+  // e_1 and e_0, so max2 is always the off-support zero.
+  const Graph g = gen::Path(2);
+  EXPECT_TRUE(AlongIteration(g, 0, 3, "two-node"));
+  TransitionOperator op(g);
+  TransitionOperator::SparseVector x;
+  x.InitOneHot(0, g);
+  op.ApplyAuto(&x);
+  EXPECT_EQ(x.top_two, (std::pair<double, double>{1.0, 0.0}));
+}
+
+TEST(TransitionTopTwoTest, TiedMaxima) {
+  // From the star's hub every leaf gets P(leaf, hub) = 1: a tie in the
+  // scatter step. The next step (gather: the support is past the
+  // threshold) returns all mass to the hub, and the one after ties the
+  // leaves again, now in gather mode.
+  const Graph star = gen::Star(6);
+  TransitionOperator star_op(star);
+  TransitionOperator::SparseVector x;
+  x.InitOneHot(0, star);
+  star_op.ApplyAuto(&x);
+  EXPECT_FALSE(x.dense);
+  EXPECT_EQ(x.top_two, (std::pair<double, double>{1.0, 1.0}));
+  ExpectTopTwoOf(x.top_two, x.values, "star scatter tie");
+  star_op.ApplyAuto(&x);
+  star_op.ApplyAuto(&x);
+  EXPECT_TRUE(x.dense);
+  EXPECT_EQ(x.top_two, (std::pair<double, double>{1.0, 1.0}));
+  ExpectTopTwoOf(x.top_two, x.values, "star gather tie");
+
+  const Graph path = gen::Path(20);
+  TransitionOperator path_op(path);
+  x.InitOneHot(10, path);
+  path_op.ApplyAuto(&x);
+  EXPECT_FALSE(x.dense);
+  EXPECT_EQ(x.top_two, (std::pair<double, double>{0.5, 0.5}));
+  ExpectTopTwoOf(x.top_two, x.values, "path tie");
+}
+
+TEST(TransitionTopTwoTest, SupportHoldingExactZeros) {
+  // The smallest subnormal halves to exactly 0 on a degree-2 node, so the
+  // new support holds exact-zero entries. Alone they give {0, 0}; beside
+  // a single non-zero entry the zero is max2.
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  const Graph g = gen::Path(20);
+  TransitionOperator op(g);
+  TransitionOperator::SparseVector x;
+  x.InitOneHot(10, g);
+  x.values[10] = tiny;
+  op.ApplyAuto(&x);
+  ASSERT_FALSE(x.dense);
+  ASSERT_EQ(x.support.size(), 2u);
+  EXPECT_EQ(x.values[9], 0.0);
+  EXPECT_EQ(x.values[11], 0.0);
+  EXPECT_EQ(x.top_two, (std::pair<double, double>{0.0, 0.0}));
+  ExpectTopTwoOf(x.top_two, x.values, "zeros only");
+
+  x.InitOneHot(0, g);  // path end: one neighbor
+  x.values[10] = tiny;
+  x.support.push_back(10);
+  x.support_degree_sum += g.Degree(10);
+  op.ApplyAuto(&x);
+  ASSERT_FALSE(x.dense);
+  ASSERT_EQ(x.support.size(), 3u);
+  EXPECT_EQ(x.top_two, (std::pair<double, double>{0.5, 0.0}));
+  ExpectTopTwoOf(x.top_two, x.values, "one non-zero beside zeros");
 }
 
 TEST(NormalizedAdjacencyTest, TopEigenvectorIsFixed) {

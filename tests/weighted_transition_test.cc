@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "graph/weighted_generators.h"
 #include "graph/weighted_graph.h"
+#include "test_util.h"
 
 namespace geer {
 namespace {
@@ -115,6 +117,79 @@ TEST(WeightedTransitionTest, MassConservedUnderIteration) {
   for (int i = 0; i < 10; ++i) {
     op.ApplyAuto(&x);
     EXPECT_NEAR(weighted_mass(x.values), initial, 1e-9);
+  }
+}
+
+using testing::ExpectTopTwoOf;
+constexpr auto AlongIteration = testing::ExpectTopTwoAlongIteration<EdgeWeight>;
+
+WeightedGraph WeightedPath(NodeId n) {
+  WeightedGraphBuilder b;
+  for (NodeId v = 0; v + 1 < n; ++v) b.AddEdge(v, v + 1, 0.5 + 0.25 * v);
+  return b.Build();
+}
+
+TEST(WeightedTransitionTopTwoTest, SparseStepsMatchFullScan) {
+  EXPECT_FALSE(AlongIteration(WeightedPath(40), 20, 8, "path"));
+  EXPECT_FALSE(AlongIteration(SmallTestCircuit(), 3, 2, "tail"));
+}
+
+TEST(WeightedTransitionTopTwoTest, DenseSwitchMatchesFullScan) {
+  EXPECT_TRUE(AlongIteration(gen::TriangulatedGridCircuit(4, 4, 1.0, 1.0, 1),
+                             5, 6, "uniform grid"));
+  EXPECT_TRUE(AlongIteration(gen::TriangulatedGridCircuit(5, 5, 0.5, 2.0, 7),
+                             12, 8, "mixed grid"));
+  EXPECT_TRUE(AlongIteration(SmallTestCircuit(), 1, 6, "circuit"));
+}
+
+TEST(WeightedTransitionTopTwoTest, TwoNodeGraph) {
+  WeightedGraphBuilder b;
+  b.AddEdge(0, 1, 3.0);
+  const WeightedGraph g = b.Build();
+  EXPECT_TRUE(AlongIteration(g, 0, 3, "two-node"));
+}
+
+TEST(WeightedTransitionTopTwoTest, TiedMaxima) {
+  // Equal conductances from the hub: every leaf gets w/w = 1 (scatter),
+  // two steps later again (gather).
+  WeightedGraphBuilder b;
+  for (NodeId leaf = 1; leaf <= 5; ++leaf) b.AddEdge(0, leaf, 2.5);
+  const WeightedGraph star = b.Build();
+  WeightedTransitionOperator op(star);
+  WeightedTransitionOperator::SparseVector x;
+  x.InitOneHot(0, star);
+  op.ApplyAuto(&x);
+  EXPECT_FALSE(x.dense);
+  EXPECT_EQ(x.top_two, (std::pair<double, double>{1.0, 1.0}));
+  ExpectTopTwoOf(x.top_two, x.values, "star scatter tie");
+  op.ApplyAuto(&x);
+  op.ApplyAuto(&x);
+  EXPECT_TRUE(x.dense);
+  EXPECT_EQ(x.top_two, (std::pair<double, double>{1.0, 1.0}));
+  ExpectTopTwoOf(x.top_two, x.values, "star gather tie");
+}
+
+TEST(WeightedTransitionTopTwoTest, SupportHoldingExactZeros) {
+  // Node 1 has strength ~1e300 but a 1e-300 edge to node 2, so one step
+  // from e_2 puts P(1, 2) = 1e-300/1e300 — exactly 0 after underflow —
+  // on the support beside P(3, 2) = 1/2.
+  WeightedGraphBuilder b;
+  b.AddEdge(0, 1, 1e300).AddEdge(1, 2, 1e-300);
+  for (NodeId v = 2; v + 1 < 12; ++v) b.AddEdge(v, v + 1, 1.0);
+  const WeightedGraph g = b.Build();
+  WeightedTransitionOperator op(g);
+  WeightedTransitionOperator::SparseVector x;
+  x.InitOneHot(2, g);
+  op.ApplyAuto(&x);
+  ASSERT_FALSE(x.dense);
+  ASSERT_EQ(x.support.size(), 2u);
+  EXPECT_EQ(x.values[1], 0.0);
+  EXPECT_EQ(x.top_two, (std::pair<double, double>{0.5, 0.0}));
+  ExpectTopTwoOf(x.top_two, x.values, "zero beside one non-zero");
+  for (int i = 0; i < 4; ++i) {
+    op.ApplyAuto(&x);
+    ExpectTopTwoOf(x.top_two, x.values,
+                   "after zero step " + std::to_string(i));
   }
 }
 
