@@ -44,9 +44,7 @@ BatchReport RunQueryBatch(ErEstimator& estimator,
 
   obs::Tracer* const tracer = obs::Tracer::Current();
   const std::uint64_t plan_start = tracer != nullptr ? obs::NowNs() : 0;
-  const BatchPlan plan = options.use_plan
-                             ? estimator.PlanBatch(queries)
-                             : BatchPlan::Trivial(n);
+  const BatchPlan plan = estimator.PlanBatch(queries);
   ValidatePlan(plan, n);
   const std::size_t num_groups = plan.NumGroups();
   if (tracer != nullptr) {
@@ -122,8 +120,8 @@ BatchReport RunQueryBatch(ErEstimator& estimator,
           ws.queries.push_back(queries[plan.order[k]]);
         }
         ws.stats.assign(ws.queries.size(), QueryStats{});
-        const std::size_t done = SubmitGroup(*est, ws.queries, ws.stats,
-                                             context);
+        const std::size_t done =
+            est->EstimateBatch(ws.queries, ws.stats, context);
         for (std::size_t k = 0; k < done; ++k) {
           const std::uint32_t q = plan.order[begin + k];
           stats[q] = ws.stats[k];
@@ -135,14 +133,6 @@ BatchReport RunQueryBatch(ErEstimator& estimator,
   report.completed = report.answered == n;
   report.workers = workers;
   return report;
-}
-
-std::size_t SubmitGroup(ErEstimator& estimator,
-                        std::span<const QueryPair> queries,
-                        std::span<QueryStats> stats,
-                        const BatchContext& context) {
-  GEER_CHECK(stats.size() >= queries.size());
-  return estimator.EstimateBatch(queries, stats, context);
 }
 
 }  // namespace geer

@@ -29,9 +29,6 @@ struct BatchOptions {
   /// Cooperative wall-clock budget; ≤ 0 = none. At least one query is
   /// always answered; the cut granularity is one plan group.
   double deadline_seconds = 0.0;
-  /// Apply the estimator's PlanBatch grouping. When false the engine
-  /// schedules one group per query in input order (no sharing).
-  bool use_plan = true;
   /// External cooperative-cancel token, polled between queries alongside
   /// the deadline. A hard stop (no ≥ 1-query guarantee): the serving
   /// layer sets it on shutdown or when every queued deadline expired.
@@ -72,19 +69,6 @@ BatchReport RunQueryBatch(ErEstimator& estimator,
                           std::span<const QueryPair> queries,
                           std::span<QueryStats> stats,
                           const BatchOptions& options = {});
-
-/// The engine's group-level entry point, exposed for the serving
-/// scheduler: answers `queries` — typically one coalesced plan group —
-/// on the calling thread through `estimator`, honoring `context` for
-/// cooperative cancellation, and returns the answered prefix length
-/// (unsupported queries inside the prefix get zeroed stats). No
-/// planning, cloning, or worker threads. Re-entrant: safe to call
-/// concurrently from many threads provided each call uses a distinct
-/// estimator instance (e.g. one CloneForBatch clone per thread).
-std::size_t SubmitGroup(ErEstimator& estimator,
-                        std::span<const QueryPair> queries,
-                        std::span<QueryStats> stats,
-                        const BatchContext& context = {});
 
 }  // namespace geer
 

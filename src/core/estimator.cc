@@ -126,26 +126,6 @@ BatchPlan BatchPlan::GroupByEndpoint(std::span<const QueryPair> queries) {
   return plan;
 }
 
-std::size_t EstimateBySourceRuns(
-    std::span<const QueryPair> queries, std::span<QueryStats> stats,
-    const BatchContext& context,
-    const std::function<std::size_t(NodeId, std::span<const QueryPair>,
-                                    std::span<QueryStats>)>& run_fn) {
-  GEER_CHECK(stats.size() >= queries.size());
-  std::size_t i = 0;
-  while (i < queries.size()) {
-    if (context.Cancelled()) return i;
-    std::size_t j = i + 1;
-    while (j < queries.size() && queries[j].s == queries[i].s) ++j;
-    const std::size_t run = j - i;
-    const std::size_t done = run_fn(queries[i].s, queries.subspan(i, run),
-                                    stats.subspan(i, run));
-    i += done;
-    if (done < run) return i;
-  }
-  return i;
-}
-
 std::size_t EstimateByEndpointRuns(
     std::span<const QueryPair> queries, std::span<QueryStats> stats,
     const BatchContext& context,

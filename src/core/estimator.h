@@ -161,27 +161,19 @@ struct BatchPlan {
   static BatchPlan GroupByEndpoint(std::span<const QueryPair> queries);
 };
 
-/// Splits `queries` into maximal runs of consecutive same-source queries
-/// and feeds each run to `run_fn(source, run_queries, run_stats)`, which
-/// answers a prefix of its run and returns that prefix's length (the
-/// EstimateBatch contract, per run). Stops between runs once
+/// Splits `queries` into maximal runs whose queries all share at least
+/// one COMMON endpoint (s or t) and feeds each run to
+/// `run_fn(key, run_queries, run_stats)`, which answers a prefix of its
+/// run and returns that prefix's length (the EstimateBatch contract, per
+/// run). A run's common set starts as {s_0, t_0} and is intersected with
+/// each next query's endpoint pair until empty; the key is the smallest
+/// node id in the final common set — deterministic regardless of which
+/// endpoint position it occupied. Stops between runs once
 /// `context.Cancelled()`, or as soon as a run stops short; returns the
-/// total prefix answered. The same-source-sharing estimators implement
-/// EstimateBatch as this plus their per-run executor.
-std::size_t EstimateBySourceRuns(
-    std::span<const QueryPair> queries, std::span<QueryStats> stats,
-    const BatchContext& context,
-    const std::function<std::size_t(NodeId, std::span<const QueryPair>,
-                                    std::span<QueryStats>)>& run_fn);
-
-/// Like EstimateBySourceRuns, but a run extends while all its queries
-/// still share at least one COMMON endpoint (s or t): the run's common
-/// set starts as {s_0, t_0} and is intersected with each next query's
-/// endpoint pair until empty. The run key passed to `run_fn` is the
-/// smallest node id in the final common set — deterministic regardless
-/// of which endpoint position the key occupied. Lockstep group
-/// executors (TP/TPC) use this to share the key side across a run that
-/// mixes "key as source" and "key as target" queries.
+/// total prefix answered. The sharing estimators (SMM, GEER, TP, TPC)
+/// implement EstimateBatch as this plus their per-run executor, sharing
+/// the key side across runs that mix "key as source" and "key as target"
+/// queries.
 std::size_t EstimateByEndpointRuns(
     std::span<const QueryPair> queries, std::span<QueryStats> stats,
     const BatchContext& context,
@@ -233,7 +225,7 @@ class ErEstimator {
   /// Groups `queries` by shared structure for the batch engine. The
   /// default plan shares nothing (one group per query); estimators with
   /// an EstimateBatch override return the grouping their sharing needs
-  /// (typically BatchPlan::GroupBySource).
+  /// (SMM, GEER, TP and TPC use BatchPlan::GroupByEndpoint).
   virtual BatchPlan PlanBatch(std::span<const QueryPair> queries) const {
     return BatchPlan::Trivial(queries.size());
   }

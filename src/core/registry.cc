@@ -13,14 +13,14 @@
 #include "core/tpc.h"
 
 namespace geer {
-namespace {
 
 // One factory body for both weight modes: the registry IS the list of
 // weight-generic templates, instantiated per policy.
 template <WeightPolicy WP>
 std::unique_ptr<ErEstimator> CreateEstimatorT(
-    const std::string& name, const typename WP::GraphT& graph,
+    const std::string& display_name, const typename WP::GraphT& graph,
     const ErOptions& options) {
+  const std::string name = CanonicalEstimatorName(display_name);
   if (name == "GEER") {
     return std::make_unique<GeerEstimatorT<WP>>(graph, options);
   }
@@ -49,9 +49,10 @@ std::unique_ptr<ErEstimator> CreateEstimatorT(
 }
 
 template <WeightPolicy WP>
-bool EstimatorFeasibleT(const std::string& name,
+bool EstimatorFeasibleT(const std::string& display_name,
                         const typename WP::GraphT& graph,
                         const ErOptions& options) {
+  const std::string name = CanonicalEstimatorName(display_name);
   if (name == "EXACT") return ExactEstimatorT<WP>::Feasible(graph);
   if (name == "RP") return RpEstimatorT<WP>::Feasible(graph, options);
   for (const std::string& known : EstimatorNames()) {
@@ -60,7 +61,15 @@ bool EstimatorFeasibleT(const std::string& name,
   return false;
 }
 
-}  // namespace
+template std::unique_ptr<ErEstimator> CreateEstimatorT<UnitWeight>(
+    const std::string&, const Graph&, const ErOptions&);
+template std::unique_ptr<ErEstimator> CreateEstimatorT<EdgeWeight>(
+    const std::string&, const WeightedGraph&, const ErOptions&);
+template bool EstimatorFeasibleT<UnitWeight>(const std::string&,
+                                             const Graph&, const ErOptions&);
+template bool EstimatorFeasibleT<EdgeWeight>(const std::string&,
+                                             const WeightedGraph&,
+                                             const ErOptions&);
 
 std::string CanonicalEstimatorName(const std::string& name) {
   if (name.rfind("W-", 0) == 0) return name.substr(2);
@@ -83,40 +92,9 @@ bool EstimatorSharesBatchWork(const std::string& name) {
          canonical == "TPC";
 }
 
-std::unique_ptr<ErEstimator> CreateEstimator(const std::string& name,
-                                             const Graph& graph,
-                                             const ErOptions& options) {
-  return CreateEstimatorT<UnitWeight>(name, graph, options);
-}
-
 std::vector<std::string> EstimatorNames() {
   return {"GEER", "AMC", "SMM", "SMM-PengEll", "TP",    "TPC",
           "MC",   "MC2", "HAY", "RP",          "EXACT", "CG"};
-}
-
-bool EstimatorFeasible(const std::string& name, const Graph& graph,
-                       const ErOptions& options) {
-  return EstimatorFeasibleT<UnitWeight>(name, graph, options);
-}
-
-std::unique_ptr<ErEstimator> CreateWeightedEstimator(
-    const std::string& name, const WeightedGraph& graph,
-    const ErOptions& options) {
-  return CreateEstimatorT<EdgeWeight>(CanonicalEstimatorName(name), graph,
-                                      options);
-}
-
-std::vector<std::string> WeightedEstimatorNames() {
-  // Every registered algorithm generalizes: degrees become strengths and
-  // walks step through the alias sampler.
-  return EstimatorNames();
-}
-
-bool WeightedEstimatorFeasible(const std::string& name,
-                               const WeightedGraph& graph,
-                               const ErOptions& options) {
-  return EstimatorFeasibleT<EdgeWeight>(CanonicalEstimatorName(name), graph,
-                                        options);
 }
 
 }  // namespace geer

@@ -1,7 +1,8 @@
 // Name-based estimator factories, so the benchmark harness, CLI and
-// examples can select algorithms from the command line — one factory per
-// weight mode, both returning the same ErEstimator interface (every
-// estimator body is a weight-generic template; see graph/weight_policy.h).
+// examples can select algorithms from the command line. This is the one
+// module that maps a weight mode onto the estimator templates: callers
+// above it take the weight policy as a template parameter and call
+// CreateEstimatorT<WP> / EstimatorFeasibleT<WP>.
 
 #ifndef GEER_CORE_REGISTRY_H_
 #define GEER_CORE_REGISTRY_H_
@@ -13,55 +14,70 @@
 #include "core/estimator.h"
 #include "core/options.h"
 #include "graph/graph.h"
+#include "graph/weight_policy.h"
 #include "graph/weighted_graph.h"
 
 namespace geer {
 
-/// Creates the estimator registered under `name`. Known names:
-/// "GEER", "AMC", "SMM", "SMM-PengEll", "TP", "TPC", "MC", "MC2", "HAY",
-/// "RP", "EXACT", "CG" (case-sensitive). Returns nullptr for unknown
-/// names. Construction may abort if the algorithm's preconditions fail
-/// (e.g. EXACT on a too-large graph) — pre-check with EstimatorFeasible.
-std::unique_ptr<ErEstimator> CreateEstimator(const std::string& name,
-                                             const Graph& graph,
-                                             const ErOptions& options);
+/// Creates the WP instantiation of the estimator registered under
+/// `name` — the one factory behind both weight modes (every estimator
+/// body is a weight-generic template; see graph/weight_policy.h). Known
+/// names: "GEER", "AMC", "SMM", "SMM-PengEll", "TP", "TPC", "MC", "MC2",
+/// "HAY", "RP", "EXACT", "CG" (case-sensitive), each also accepted with
+/// the "W-" display prefix ("W-GEER" ≡ "GEER"). Returns nullptr for
+/// unknown names. Construction may abort if the algorithm's
+/// preconditions fail (e.g. EXACT on a too-large graph) — pre-check with
+/// EstimatorFeasibleT. Instantiated for UnitWeight and EdgeWeight.
+template <WeightPolicy WP>
+std::unique_ptr<ErEstimator> CreateEstimatorT(
+    const std::string& name, const typename WP::GraphT& graph,
+    const ErOptions& options);
 
 /// Estimators hold a pointer to `graph` for their whole lifetime, so a
 /// temporary would dangle past the call — rejected at compile time.
+template <WeightPolicy WP>
+std::unique_ptr<ErEstimator> CreateEstimatorT(
+    const std::string& name, typename WP::GraphT&& graph,
+    const ErOptions& options) = delete;
+
+/// True iff `name` (canonical or "W-"-prefixed) is registered and can be
+/// constructed for this graph/options without violating resource
+/// preconditions (EXACT's dense cap, RP's sketch memory budget).
+template <WeightPolicy WP>
+bool EstimatorFeasibleT(const std::string& name,
+                        const typename WP::GraphT& graph,
+                        const ErOptions& options);
+
+/// All registered names, canonical form, in the paper's presentation
+/// order. Every one generalizes to conductance graphs.
+std::vector<std::string> EstimatorNames();
+
+/// Weight-mode spellings of the two templates above, for callers that
+/// hold a concrete graph type.
+inline std::unique_ptr<ErEstimator> CreateEstimator(
+    const std::string& name, const Graph& graph, const ErOptions& options) {
+  return CreateEstimatorT<UnitWeight>(name, graph, options);
+}
 std::unique_ptr<ErEstimator> CreateEstimator(const std::string& name,
                                              Graph&& graph,
                                              const ErOptions& options) = delete;
-
-/// All registered names, in the paper's presentation order.
-std::vector<std::string> EstimatorNames();
-
-/// True iff `name` can be constructed for this graph/options without
-/// violating resource preconditions (EXACT's dense cap, RP's sketch
-/// memory budget).
-bool EstimatorFeasible(const std::string& name, const Graph& graph,
-                       const ErOptions& options);
-
-/// Weighted factory: creates the EdgeWeight instantiation of the
-/// algorithm registered under `name` on a conductance graph. Accepts the
-/// same canonical names as CreateEstimator (every registered algorithm is
-/// weight-generalizable) plus their "W-"-prefixed display names
-/// ("W-GEER" ≡ "GEER"). Returns nullptr for unknown names.
-std::unique_ptr<ErEstimator> CreateWeightedEstimator(
+inline bool EstimatorFeasible(const std::string& name, const Graph& graph,
+                              const ErOptions& options) {
+  return EstimatorFeasibleT<UnitWeight>(name, graph, options);
+}
+inline std::unique_ptr<ErEstimator> CreateWeightedEstimator(
     const std::string& name, const WeightedGraph& graph,
-    const ErOptions& options);
-
-/// Estimators hold a pointer to `graph`; a temporary would dangle.
+    const ErOptions& options) {
+  return CreateEstimatorT<EdgeWeight>(name, graph, options);
+}
 std::unique_ptr<ErEstimator> CreateWeightedEstimator(
     const std::string& name, WeightedGraph&& graph,
     const ErOptions& options) = delete;
-
-/// All names accepted by CreateWeightedEstimator, canonical form.
-std::vector<std::string> WeightedEstimatorNames();
-
-/// Weighted analogue of EstimatorFeasible.
-bool WeightedEstimatorFeasible(const std::string& name,
-                               const WeightedGraph& graph,
-                               const ErOptions& options);
+inline bool WeightedEstimatorFeasible(const std::string& name,
+                                      const WeightedGraph& graph,
+                                      const ErOptions& options) {
+  return EstimatorFeasibleT<EdgeWeight>(name, graph, options);
+}
 
 /// Strips the "W-" display prefix ("W-GEER" → "GEER"); canonical names
 /// pass through unchanged. Does not validate the name.

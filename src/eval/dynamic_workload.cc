@@ -19,18 +19,6 @@
 namespace geer {
 namespace {
 
-// Weight-mode dispatch onto the registry's two factories.
-std::unique_ptr<ErEstimator> MakeEstimator(const Graph& graph,
-                                           const std::string& method,
-                                           const ErOptions& options) {
-  return CreateEstimator(method, graph, options);
-}
-std::unique_ptr<ErEstimator> MakeEstimator(const WeightedGraph& graph,
-                                           const std::string& method,
-                                           const ErOptions& options) {
-  return CreateWeightedEstimator(method, graph, options);
-}
-
 template <WeightPolicy WP>
 std::optional<double> EpochLambda(const typename WP::GraphT& graph,
                                   bool reads_lambda) {
@@ -63,7 +51,7 @@ DynamicWorkloadResult RunDynamicWorkload(
     build_options.lambda = EpochLambda<WP>(*initial->graph, true);
   }
   std::unique_ptr<ErEstimator> estimator =
-      MakeEstimator(*initial->graph, method, build_options);
+      CreateEstimatorT<WP>(method, *initial->graph, build_options);
   GEER_CHECK(estimator != nullptr) << "unknown estimator " << method;
   result.method = estimator->Name();
 

@@ -85,27 +85,6 @@ MethodResult InitResult(const std::string& method,
   return result;
 }
 
-// Weight-mode dispatch onto the registry's two factory/feasibility
-// pairs (the registry keys on the concrete graph type, not the policy).
-bool FeasibleFor(const std::string& method, const Graph& graph,
-                 const ErOptions& options) {
-  return EstimatorFeasible(method, graph, options);
-}
-bool FeasibleFor(const std::string& method, const WeightedGraph& graph,
-                 const ErOptions& options) {
-  return WeightedEstimatorFeasible(method, graph, options);
-}
-std::unique_ptr<ErEstimator> CreateFor(const std::string& method,
-                                       const Graph& graph,
-                                       const ErOptions& options) {
-  return CreateEstimator(method, graph, options);
-}
-std::unique_ptr<ErEstimator> CreateFor(const std::string& method,
-                                       const WeightedGraph& graph,
-                                       const ErOptions& options) {
-  return CreateWeightedEstimator(method, graph, options);
-}
-
 }  // namespace
 
 template <WeightPolicy WP>
@@ -117,12 +96,13 @@ MethodResult RunMethodT(const typename WP::GraphT& graph,
                         const RunConfig& config) {
   MethodResult result = InitResult(method, dataset_name, options);
 
-  if (!FeasibleFor(method, graph, options)) {
+  if (!EstimatorFeasibleT<WP>(method, graph, options)) {
     result.feasible = false;
     result.completed = false;
     return result;
   }
-  std::unique_ptr<ErEstimator> estimator = CreateFor(method, graph, options);
+  std::unique_ptr<ErEstimator> estimator =
+      CreateEstimatorT<WP>(method, graph, options);
   GEER_CHECK(estimator != nullptr) << "unknown estimator " << method;
 
   MeasureQueries(estimator.get(), queries, ground_truth, config, &result);
@@ -147,17 +127,6 @@ MethodResult RunMethod(const Dataset& dataset, const std::string& method,
   if (!opt.lambda.has_value()) opt.lambda = dataset.spectral.lambda;
   return RunMethodT<UnitWeight>(dataset.graph, dataset.name, method, opt,
                                 queries, ground_truth, config);
-}
-
-MethodResult RunWeightedMethod(const WeightedGraph& graph,
-                               const std::string& dataset_name,
-                               const std::string& method,
-                               const ErOptions& options,
-                               const std::vector<QueryPair>& queries,
-                               const std::vector<double>& ground_truth,
-                               const RunConfig& config) {
-  return RunMethodT<EdgeWeight>(graph, dataset_name, method, options, queries,
-                                ground_truth, config);
 }
 
 namespace {

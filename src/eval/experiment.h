@@ -94,16 +94,6 @@ MethodResult RunMethod(const Dataset& dataset, const std::string& method,
                        const std::vector<double>& ground_truth,
                        const RunConfig& config = {});
 
-/// DEPRECATED spelling kept for existing callers: thin alias over
-/// RunMethodT<EdgeWeight>. Prefer RunMethodT in new code.
-MethodResult RunWeightedMethod(const WeightedGraph& graph,
-                               const std::string& dataset_name,
-                               const std::string& method,
-                               const ErOptions& options,
-                               const std::vector<QueryPair>& queries,
-                               const std::vector<double>& ground_truth,
-                               const RunConfig& config = {});
-
 /// Outcome of replaying one timestamped query trace through the serving
 /// front end (serve/query_service.h) — the interactive-workload
 /// counterpart of MethodResult's batch statistics.

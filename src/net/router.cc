@@ -1,6 +1,7 @@
 #include "net/router.h"
 
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <utility>
 
@@ -64,6 +65,36 @@ HandlerReply Router::Error(std::uint16_t code, std::string message) {
   return reply;
 }
 
+std::optional<HandlerReply> Router::Broadcast(
+    const char* what,
+    const std::function<bool(std::size_t, Client&, std::string*)>& call) {
+  std::vector<std::string> errors(pools_.size());
+  // Not vector<bool>: the per-shard threads write concurrently, and
+  // packed bits of one word are not distinct memory locations.
+  std::vector<unsigned char> oks(pools_.size(), 0);
+  std::vector<std::thread> threads;
+  threads.reserve(pools_.size());
+  for (std::size_t i = 0; i < pools_.size(); ++i) {
+    threads.emplace_back([this, i, &call, &errors, &oks] {
+      ClientPool::Lease lease = pools_[i]->Acquire();
+      if (!lease) {
+        errors[i] = pools_[i]->last_error();
+        return;
+      }
+      oks[i] = call(i, *lease.get(), &errors[i]) ? 1 : 0;
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (std::size_t i = 0; i < oks.size(); ++i) {
+    if (!oks[i]) {
+      return Error(ErrorMsg::kUpstream, std::string(what) + " on shard " +
+                                            std::to_string(i) + ": " +
+                                            errors[i]);
+    }
+  }
+  return std::nullopt;
+}
+
 HandlerReply Router::Handle(const Frame& frame) {
   switch (frame.type) {
     case FrameType::kHello: {
@@ -74,25 +105,12 @@ HandlerReply Router::Handle(const Frame& frame) {
       return HandleQuery(frame);
     case FrameType::kFlush: {
       std::shared_lock<std::shared_mutex> lock(swap_mu_);
-      std::vector<std::string> errors(pools_.size());
-      // Not vector<bool>: the per-shard threads write concurrently, and
-      // packed bits of one word are not distinct memory locations.
-      std::vector<unsigned char> oks(pools_.size(), 0);
-      std::vector<std::thread> threads;
-      threads.reserve(pools_.size());
-      for (std::size_t i = 0; i < pools_.size(); ++i) {
-        threads.emplace_back([this, i, &errors, &oks] {
-          ClientPool::Lease lease = pools_[i]->Acquire();
-          oks[i] = (lease && lease->Flush(&errors[i])) ? 1 : 0;
-        });
-      }
-      for (std::thread& t : threads) t.join();
-      for (std::size_t i = 0; i < oks.size(); ++i) {
-        if (!oks[i]) {
-          return Error(ErrorMsg::kUpstream,
-                       "flush failed on shard " + std::to_string(i) + ": " +
-                           errors[i]);
-        }
+      if (auto failed = Broadcast(
+              "flush failed",
+              [](std::size_t, Client& shard, std::string* error) {
+                return shard.Flush(error);
+              })) {
+        return *std::move(failed);
       }
       return {FrameType::kFlushAck, {}, false};
     }
@@ -105,31 +123,15 @@ HandlerReply Router::Handle(const Frame& frame) {
       }
       std::shared_lock<std::shared_mutex> lock(swap_mu_);
       std::vector<obs::StatsSnapshot> snapshots(pools_.size());
-      std::vector<std::string> errors(pools_.size());
-      std::vector<unsigned char> oks(pools_.size(), 0);
-      std::vector<std::thread> threads;
-      threads.reserve(pools_.size());
-      for (std::size_t i = 0; i < pools_.size(); ++i) {
-        threads.emplace_back([this, i, &request, &snapshots, &errors, &oks] {
-          ClientPool::Lease lease = pools_[i]->Acquire();
-          if (!lease) {
-            errors[i] = pools_[i]->last_error();
-            return;
-          }
-          StatsReplyMsg shard_reply;
-          if (lease->Stats(request, &shard_reply, &errors[i])) {
-            snapshots[i] = std::move(shard_reply.snapshot);
-            oks[i] = 1;
-          }
-        });
-      }
-      for (std::thread& t : threads) t.join();
-      for (std::size_t i = 0; i < oks.size(); ++i) {
-        if (!oks[i]) {
-          return Error(ErrorMsg::kUpstream,
-                       "stats failed on shard " + std::to_string(i) + ": " +
-                           errors[i]);
-        }
+      if (auto failed = Broadcast(
+              "stats failed",
+              [&](std::size_t i, Client& shard, std::string* error) {
+                StatsReplyMsg shard_reply;
+                if (!shard.Stats(request, &shard_reply, error)) return false;
+                snapshots[i] = std::move(shard_reply.snapshot);
+                return true;
+              })) {
+        return *std::move(failed);
       }
       StatsReplyMsg reply;
       reply.snapshot = obs::MergeSnapshots(snapshots);
@@ -194,27 +196,12 @@ HandlerReply Router::HandleApplyUpdates(const Frame& frame) {
   // cross-shard extension of QueryService's submission barrier.
   std::unique_lock<std::shared_mutex> lock(swap_mu_);
   std::vector<ApplyUpdatesAckMsg> acks(pools_.size());
-  std::vector<std::string> errors(pools_.size());
-  std::vector<int> status(pools_.size(), 0);  // 0 fail, 1 ok
-  std::vector<std::thread> threads;
-  threads.reserve(pools_.size());
-  for (std::size_t i = 0; i < pools_.size(); ++i) {
-    threads.emplace_back([this, i, &msg, &acks, &errors, &status] {
-      ClientPool::Lease lease = pools_[i]->Acquire();
-      if (!lease) {
-        errors[i] = pools_[i]->last_error();
-        return;
-      }
-      if (lease->ApplyUpdates(msg, &acks[i], &errors[i])) status[i] = 1;
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  for (std::size_t i = 0; i < pools_.size(); ++i) {
-    if (status[i] == 0) {
-      return Error(ErrorMsg::kUpstream,
-                   "apply-updates transport failure on shard " +
-                       std::to_string(i) + ": " + errors[i]);
-    }
+  if (auto failed = Broadcast(
+          "apply-updates transport failure",
+          [&](std::size_t i, Client& shard, std::string* error) {
+            return shard.ApplyUpdates(msg, &acks[i], error);
+          })) {
+    return *std::move(failed);
   }
   bool all_ok = true;
   for (const ApplyUpdatesAckMsg& ack : acks) all_ok = all_ok && ack.ok;

@@ -25,7 +25,9 @@
 #define GEER_NET_ROUTER_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <vector>
@@ -76,8 +78,15 @@ class Router {
   HandlerReply Handle(const Frame& frame);
   HandlerReply HandleQuery(const Frame& frame);
   HandlerReply HandleApplyUpdates(const Frame& frame);
-  HandlerReply Broadcast(FrameType type, FrameType ack_type,
-                         std::span<const std::uint8_t> payload);
+  /// The per-shard fan-out behind kFlush, kStats and kApplyUpdates:
+  /// runs `call(shard_index, client, &error)` on a leased connection to
+  /// every shard, one thread per shard, and joins them. Returns nullopt
+  /// when every call succeeded, else a kUpstream error reply
+  /// "<what> on shard <i>: <error>" for the lowest failing shard. The
+  /// caller holds swap_mu_ on the side its frame needs.
+  std::optional<HandlerReply> Broadcast(
+      const char* what,
+      const std::function<bool(std::size_t, Client&, std::string*)>& call);
   static HandlerReply Error(std::uint16_t code, std::string message);
 
   const std::vector<ShardAddress> shards_;

@@ -134,7 +134,7 @@ TEST(BatchDeterminismTest, WeightedBitIdenticalAtAnyThreadCount) {
       gen::WithUniformWeights(skeleton, 0.5, 2.0, 99);
   ErOptions opt = TestOptions();
   opt.lambda = ComputeWeightedSpectralBounds(graph).lambda;
-  for (const std::string& name : WeightedEstimatorNames()) {
+  for (const std::string& name : EstimatorNames()) {
     CheckBitIdentical(skeleton, "W-" + name, [&]() {
       return CreateWeightedEstimator(name, graph, opt);
     });

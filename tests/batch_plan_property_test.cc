@@ -282,7 +282,7 @@ TEST(BatchPlanPropertyTest, RandomBatchesWeightedBitIdentical) {
   const WeightedGraph graph = gen::WithUniformWeights(skeleton, 0.5, 2.0, 99);
   ErOptions opt = TestOptions();
   opt.lambda = ComputeWeightedSpectralBounds(graph).lambda;
-  for (const std::string& name : WeightedEstimatorNames()) {
+  for (const std::string& name : EstimatorNames()) {
     if (!EstimatorSharesBatchWork("W-" + name)) continue;
     CheckRandomBatchesBitIdentical(
         "W-" + name,

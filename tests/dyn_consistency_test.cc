@@ -242,30 +242,13 @@ TEST(DynConsistencyTest, InvalidUpdatesAreRejected) {
 // rebound through every epoch of an update sequence, answers
 // bit-identically to a fresh estimator on the from-scratch rebuild.
 template <WeightPolicy WP>
-std::unique_ptr<ErEstimator> MakeEstimatorFor(const typename WP::GraphT& g,
-                                              const std::string& name,
-                                              const ErOptions& opt) {
-  if constexpr (WP::kWeighted) {
-    return CreateWeightedEstimator(name, g, opt);
-  } else {
-    return CreateEstimator(name, g, opt);
-  }
-}
-
-template <WeightPolicy WP>
 void RunEveryEstimatorBitIdentical(bool enable_session) {
   const ErOptions options = TestOptions();  // no λ: rebinds re-derive it
-  std::vector<std::string> names;
-  if constexpr (WP::kWeighted) {
-    names = WeightedEstimatorNames();
-  } else {
-    names = EstimatorNames();
-  }
 
-  for (const std::string& name : names) {
+  for (const std::string& name : EstimatorNames()) {
     DynamicGraphT<WP> graph(BaseGraph<WP>());
     auto snapshot = graph.Current();
-    auto estimator = MakeEstimatorFor<WP>(*snapshot->graph, name, options);
+    auto estimator = CreateEstimatorT<WP>(name, *snapshot->graph, options);
     ASSERT_NE(estimator, nullptr) << name;
     if (enable_session) estimator->EnableSessionCache();
 
@@ -288,7 +271,7 @@ void RunEveryEstimatorBitIdentical(bool enable_session) {
     }
 
     const typename WP::GraphT rebuilt = graph.BuildFromScratch();
-    auto fresh = MakeEstimatorFor<WP>(rebuilt, name, options);
+    auto fresh = CreateEstimatorT<WP>(name, rebuilt, options);
     const auto final_edges = snapshot->graph->Edges();
     std::vector<QueryPair> queries = {{0, 5}, {3, 17}, {3, 9}, {7, 7},
                                       {12, 28}, {3, 17}};

@@ -1,5 +1,5 @@
 // Fig. 4-style conductance-graph sweep smoke for the WEIGHTED figure
-// workload: RunWeightedMethod over every registered algorithm on small
+// workload: RunMethodT<EdgeWeight> over every registered algorithm on small
 // conductance graphs (a social-skeleton with uniform random conductances
 // and a resistive grid circuit), checked against the W-CG oracle. This
 // is the eval-harness path the weighted figure benches drive
@@ -73,10 +73,10 @@ TEST(WeightedSweepTest, Fig4StyleConductanceSweep) {
     run_options.lambda = ComputeWeightedSpectralBounds(graph).lambda;
     RunConfig config;
     config.deadline_seconds = 30.0;
-    for (const std::string& method : WeightedEstimatorNames()) {
+    for (const std::string& method : EstimatorNames()) {
       const MethodResult result =
-          RunWeightedMethod(graph, sweep.name, method, run_options, queries,
-                            truth, config);
+          RunMethodT<EdgeWeight>(graph, sweep.name, method, run_options,
+                                 queries, truth, config);
       ASSERT_TRUE(result.feasible) << method << " on " << sweep.name;
       EXPECT_TRUE(result.completed) << method << " on " << sweep.name;
       EXPECT_EQ(result.method, method);
@@ -122,9 +122,9 @@ TEST(WeightedSweepTest, SweepIsThreadInvariant) {
     serial_config.threads = 1;
     RunConfig parallel_config;
     parallel_config.threads = 4;
-    const MethodResult serial = RunWeightedMethod(
+    const MethodResult serial = RunMethodT<EdgeWeight>(
         graph, "er-uniform", method, options, queries, {}, serial_config);
-    const MethodResult parallel = RunWeightedMethod(
+    const MethodResult parallel = RunMethodT<EdgeWeight>(
         graph, "er-uniform", method, options, queries, {}, parallel_config);
     EXPECT_EQ(serial.queries_answered, queries.size()) << method;
     EXPECT_EQ(parallel.queries_answered, queries.size()) << method;

@@ -58,11 +58,14 @@
 //   --updates=N         dynamic: total generated edge updates (default 64)
 //   --commit-every=K    dynamic: updates per commit/epoch (default 16)
 
+#include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <vector>
 
 #include "core/batch_engine.h"
@@ -141,6 +144,14 @@ class ScopedTraceExport {
   std::unique_ptr<obs::Tracer> tracer_;
 };
 
+ServeOptions ServeOptionsFrom(const CliArgs& args) {
+  ServeOptions options;
+  options.max_batch_size = args.serve_batch_size;
+  options.max_linger_seconds = args.linger_ms / 1e3;
+  options.threads = args.threads;
+  return options;
+}
+
 void MaybeDumpObs(const CliArgs& args) {
   if (!args.obs_dump) return;
   std::fputs(
@@ -154,17 +165,17 @@ void MaybeDumpObs(const CliArgs& args) {
 // conductance graphs), committing every --commit-every ops and swapping
 // the published epoch into the serving scheduler. Reports per-epoch
 // commit/swap cost and client latency.
-template <typename WPolicy>
-int RunDynamicQueries(const typename WPolicy::GraphT& graph,
+template <WeightPolicy WP>
+int RunDynamicQueries(const typename WP::GraphT& graph,
                       const std::string& method, const ErOptions& options,
                       const std::vector<QueryPair>& queries,
                       const CliArgs& args) {
-  DynamicGraphT<WPolicy> dyn(graph);
+  DynamicGraphT<WP> dyn(graph);
   // Generation runs against a shadow copy so the replay below applies
   // each batch exactly once (the generator requires its batches applied
   // before the next call).
-  DynamicGraphT<WPolicy> shadow(graph);
-  UpdateGeneratorT<WPolicy> generator(shadow, options.seed);
+  DynamicGraphT<WP> shadow(graph);
+  UpdateGeneratorT<WP> generator(shadow, options.seed);
 
   const std::size_t commit_every = std::max<std::size_t>(args.commit_every, 1);
   const std::size_t num_commits =
@@ -195,13 +206,10 @@ int RunDynamicQueries(const typename WPolicy::GraphT& graph,
     trace.push_back(DynTraceEvent::Update(std::move(batch)));
   }
 
-  ServeOptions serve_options;
-  serve_options.max_batch_size = args.serve_batch_size;
-  serve_options.max_linger_seconds = args.linger_ms / 1e3;
-  serve_options.threads = args.threads;
   ScopedTraceExport trace_export(args.trace_out);
-  const DynamicWorkloadResult result = RunDynamicWorkload<WPolicy>(
-      dyn, method, options, trace, serve_options, args.deadline_ms / 1e3);
+  const DynamicWorkloadResult result = RunDynamicWorkload<WP>(
+      dyn, method, options, trace, ServeOptionsFrom(args),
+      args.deadline_ms / 1e3);
 
   if (args.csv) {
     std::printf("epoch,updates,touched,commit_ms,swap_ms,answered,p50_ms,"
@@ -243,18 +251,14 @@ int RunDynamicQueries(const typename WPolicy::GraphT& graph,
 // The `serve` path: replay the query set as an open-loop arrival trace
 // through the micro-batching QueryService and report what an interactive
 // client sees — per-query latency and the tail summary.
-int RunServedQueries(ErEstimator* estimator,
+int RunServedQueries(ErEstimator& estimator,
                      const std::vector<QueryPair>& queries,
                      const CliArgs& args) {
   const std::vector<TraceEvent> trace =
       MakeOpenLoopTrace(queries, args.qps, args.options.seed);
-  ServeOptions serve_options;
-  serve_options.max_batch_size = args.serve_batch_size;
-  serve_options.max_linger_seconds = args.linger_ms / 1e3;
-  serve_options.threads = args.threads;
   ScopedTraceExport trace_export(args.trace_out);
   const ServedWorkloadResult result = RunServedWorkload(
-      *estimator, trace, serve_options, args.deadline_ms / 1e3);
+      estimator, trace, ServeOptionsFrom(args), args.deadline_ms / 1e3);
 
   if (args.csv) std::printf("s,t,er,latency_ms,status\n");
   for (std::size_t i = 0; i < trace.size(); ++i) {
@@ -288,196 +292,227 @@ int RunServedQueries(ErEstimator* estimator,
                              : "");
   }
   MaybeDumpObs(args);
+  return result.failed > 0 ? 1 : 0;
+}
+
+// Query and batch output share one row format: s, t, er, then the
+// per-query wall time in query mode only (meaningless under batch
+// sharing/parallelism), then the cost columns under --stats.
+void PrintRowHeader(const CliArgs& args, bool timed) {
+  if (args.csv) {
+    std::printf("s,t,er%s%s\n", timed ? ",ms" : "",
+                args.stats ? ",walks,walk_steps,spmv_ops,ell,ell_b" : "");
+  } else if (args.stats) {
+    std::printf("%8s %8s %12s", "s", "t", "er");
+    if (timed) std::printf(" %9s", "ms");
+    std::printf(" %10s %12s %12s %6s %6s\n", "walks", "walk_steps",
+                "spmv_ops", "ell", "ell_b");
+  }
+}
+
+void PrintRow(const CliArgs& args, bool timed, const QueryPair& q,
+              const QueryStats& st, double ms) {
+  const auto walks = static_cast<unsigned long long>(st.walks);
+  const auto walk_steps = static_cast<unsigned long long>(st.walk_steps);
+  const auto spmv_ops = static_cast<unsigned long long>(st.spmv_ops);
+  if (args.csv) {
+    std::printf("%u,%u,%.9g", q.s, q.t, st.value);
+    if (timed) std::printf(",%.3f", ms);
+    if (args.stats) {
+      std::printf(",%llu,%llu,%llu,%u,%u", walks, walk_steps, spmv_ops,
+                  st.ell, st.ell_b);
+    }
+  } else if (args.stats) {
+    std::printf("%8u %8u %12.6f", q.s, q.t, st.value);
+    if (timed) std::printf(" %9.2f", ms);
+    std::printf(" %10llu %12llu %12llu %6u %6u", walks, walk_steps, spmv_ops,
+                st.ell, st.ell_b);
+  } else {
+    std::printf("r(%u, %u) = %.6f", q.s, q.t, st.value);
+    if (timed) std::printf("   (%.2f ms)", ms);
+  }
+  std::printf("\n");
+}
+
+// Prints the skip line for a query the method cannot answer; true if
+// `q` is skipped.
+bool SkipUnsupported(const ErEstimator& estimator, const QueryPair& q,
+                     const CliArgs& args) {
+  if (estimator.SupportsQuery(q.s, q.t)) return false;
+  if (!args.csv) {
+    std::printf("r(%u, %u): unsupported by %s (edge-only method)\n", q.s, q.t,
+                estimator.Name().c_str());
+  }
+  return true;
+}
+
+// The `query` path: answer one query at a time and time each.
+int RunSerialQueries(ErEstimator& estimator,
+                     const std::vector<QueryPair>& queries,
+                     const CliArgs& args) {
+  PrintRowHeader(args, /*timed=*/true);
+  double total_ms = 0.0;
+  std::size_t skipped = 0;
+  for (const QueryPair& q : queries) {
+    if (SkipUnsupported(estimator, q, args)) {
+      ++skipped;
+      continue;
+    }
+    Timer query_timer;
+    const QueryStats st = estimator.EstimateWithStats(q.s, q.t);
+    const double ms = query_timer.ElapsedMillis();
+    total_ms += ms;
+    PrintRow(args, /*timed=*/true, q, st, ms);
+  }
+  if (!args.csv) {
+    const std::size_t answered = queries.size() - skipped;
+    std::printf("# %zu queries in %.1f ms (%.2f ms avg)%s\n", answered,
+                total_ms, total_ms / std::max<std::size_t>(answered, 1),
+                skipped > 0 ? " — some skipped" : "");
+  }
   return 0;
 }
 
-// The `batch` / --threads path: one engine run over the whole query set,
-// grouped by the method's plan, then one result row per query in input
-// order. Per-query wall time is meaningless under sharing/parallelism,
-// so the summary reports amortized milliseconds instead.
-int RunBatchQueries(ErEstimator* estimator,
+// The `batch` path (or any --threads): one engine run over the whole
+// set, grouped by the method's plan, with amortized milliseconds. Rows
+// come out in input order.
+int RunBatchQueries(ErEstimator& estimator,
                     const std::vector<QueryPair>& queries,
                     const CliArgs& args) {
   std::vector<QueryStats> stats(queries.size());
   BatchOptions options;
   options.threads = args.threads;
-  Timer timer;
-  const BatchReport report =
-      RunQueryBatch(*estimator, queries, stats, options);
-  const double wall_ms = timer.ElapsedMillis();
+  Timer batch_timer;
+  const BatchReport report = RunQueryBatch(estimator, queries, stats, options);
+  const double batch_ms = batch_timer.ElapsedMillis();
 
-  if (args.csv) {
-    std::printf(args.stats ? "s,t,er,walks,walk_steps,spmv_ops,ell,ell_b\n"
-                           : "s,t,er\n");
-  } else if (args.stats) {
-    std::printf("%8s %8s %12s %10s %12s %12s %6s %6s\n", "s", "t", "er",
-                "walks", "walk_steps", "spmv_ops", "ell", "ell_b");
-  }
+  PrintRowHeader(args, /*timed=*/false);
   std::size_t skipped = 0;
   for (std::size_t i = 0; i < queries.size(); ++i) {
     const QueryPair& q = queries[i];
-    if (!report.processed[i]) {  // deadline cut (no CLI deadline today)
+    if (!report.processed[i]) {  // deadline cut (no CLI deadline)
       ++skipped;
       if (!args.csv) {
         std::printf("r(%u, %u): not answered (batch cut short)\n", q.s, q.t);
       }
       continue;
     }
-    if (!estimator->SupportsQuery(q.s, q.t)) {
+    if (SkipUnsupported(estimator, q, args)) {
       ++skipped;
-      if (!args.csv) {
-        std::printf("r(%u, %u): unsupported by %s (edge-only method)\n",
-                    q.s, q.t, estimator->Name().c_str());
-      }
       continue;
     }
-    const QueryStats& st = stats[i];
-    if (args.csv) {
-      if (args.stats) {
-        std::printf("%u,%u,%.9g,%llu,%llu,%llu,%u,%u\n", q.s, q.t, st.value,
-                    static_cast<unsigned long long>(st.walks),
-                    static_cast<unsigned long long>(st.walk_steps),
-                    static_cast<unsigned long long>(st.spmv_ops), st.ell,
-                    st.ell_b);
-      } else {
-        std::printf("%u,%u,%.9g\n", q.s, q.t, st.value);
-      }
-    } else if (args.stats) {
-      std::printf("%8u %8u %12.6f %10llu %12llu %12llu %6u %6u\n", q.s, q.t,
-                  st.value, static_cast<unsigned long long>(st.walks),
-                  static_cast<unsigned long long>(st.walk_steps),
-                  static_cast<unsigned long long>(st.spmv_ops), st.ell,
-                  st.ell_b);
-    } else {
-      std::printf("r(%u, %u) = %.6f\n", q.s, q.t, st.value);
-    }
+    PrintRow(args, /*timed=*/false, q, stats[i], 0.0);
   }
   if (!args.csv) {
     const std::size_t answered = queries.size() - skipped;
     std::printf(
         "# batch: %zu queries in %.1f ms (%.2f ms/query amortized, "
         "threads=%d, shared_precompute=%s)%s\n",
-        answered, wall_ms,
-        wall_ms / static_cast<double>(answered > 0 ? answered : 1),
-        report.workers, estimator->SharesBatchWork() ? "yes" : "no",
+        answered, batch_ms, batch_ms / std::max<std::size_t>(answered, 1),
+        report.workers, estimator.SharesBatchWork() ? "yes" : "no",
         skipped > 0 ? " — some skipped" : "");
   }
   return 0;
 }
 
-// The --weighted path: conductance edge list in, the weighted
-// instantiation of any registered estimator out (core/registry.h).
-int RunWeighted(const CliArgs& args, std::vector<QueryPair> queries) {
-  Timer load_timer;
-  auto graph = LoadWeightedEdgeList(args.graph_path);
-  if (!graph) {
-    std::fprintf(stderr, "error: cannot load weighted list '%s'\n",
-                 args.graph_path.c_str());
-    return 1;
-  }
-  const Graph skeleton = graph->Skeleton();
-  if (!IsConnected(skeleton)) {
-    std::fprintf(stderr,
-                 "error: weighted input must be connected (use the largest "
-                 "component)\n");
-    return 1;
-  }
+// Everything after loading, for either weight mode: build and validate
+// the query set, pick the estimator, answer. `topology` is the graph's
+// unweighted skeleton (random pairs/edges are drawn on it), and `lambda`
+// is whatever the loader already knows; it is computed here only for
+// methods that read it.
+template <WeightPolicy WP>
+int RunT(const CliArgs& args, const typename WP::GraphT& graph,
+         const Graph& topology, std::optional<double> lambda) {
+  // --- Build the query set ------------------------------------------------
+  std::vector<QueryPair> queries = args.explicit_pairs;
   if (args.random_pairs > 0) {
-    auto extra = RandomPairs(skeleton, args.random_pairs, args.options.seed);
+    auto extra = RandomPairs(topology, args.random_pairs, args.options.seed);
     queries.insert(queries.end(), extra.begin(), extra.end());
   }
   if (args.random_edges > 0) {
-    auto extra = RandomEdges(skeleton, args.random_edges, args.options.seed);
+    auto extra = RandomEdges(topology, args.random_edges, args.options.seed);
     queries.insert(queries.end(), extra.begin(), extra.end());
+  }
+  if (args.read_stdin) {
+    unsigned long long s = 0, t = 0;
+    while (std::scanf("%llu %llu", &s, &t) == 2) {
+      queries.push_back({static_cast<NodeId>(s), static_cast<NodeId>(t)});
+    }
   }
   if (queries.empty()) {
     std::fprintf(stderr,
-                 "error: no queries (--pair / --random / --edges / "
-                 "--stdin)\n");
+                 "error: no queries (--pair / --random / --edges / --stdin)\n");
     return 2;
   }
-  const std::string canonical = CanonicalEstimatorName(args.method);
-  bool known = false;
-  for (const auto& name : WeightedEstimatorNames()) {
-    if (name == canonical) known = true;
+  for (const auto& q : queries) {
+    if (q.s >= graph.NumNodes() || q.t >= graph.NumNodes()) {
+      std::fprintf(stderr, "error: query (%u,%u) out of range (n=%u)\n", q.s,
+                   q.t, graph.NumNodes());
+      return 1;
+    }
   }
-  if (!known) {
-    std::fprintf(stderr, "error: unknown weighted method '%s' (try `list`)\n",
+
+  // --- Build the estimator -----------------------------------------------
+  // Only --weighted takes the "W-" display names.
+  const std::vector<std::string> names = EstimatorNames();
+  const std::string name =
+      WP::kWeighted ? CanonicalEstimatorName(args.method) : args.method;
+  if (std::find(names.begin(), names.end(), name) == names.end()) {
+    std::fprintf(stderr, "error: unknown method '%s' (try `list`)\n",
                  args.method.c_str());
     return 2;
   }
   ErOptions options = args.options;
+  options.lambda = lambda;
   // Lanczos preprocessing is only worth paying once, and only for the
   // methods that actually read λ (the walk-length formulas of Eq. 5/6).
-  if (EstimatorReadsLambda(canonical)) {
-    options.lambda = ComputeWeightedSpectralBounds(*graph).lambda;
+  if (!options.lambda.has_value() && EstimatorReadsLambda(args.method)) {
+    options.lambda = ComputeSpectralBoundsT<WP>(graph).lambda;
   }
-  if (!WeightedEstimatorFeasible(canonical, *graph, options)) {
+  if (!EstimatorFeasibleT<WP>(args.method, graph, options)) {
     std::fprintf(stderr,
                  "error: %s is infeasible on this graph (memory budget)\n",
                  args.method.c_str());
     return 1;
   }
-  for (const auto& q : queries) {
-    if (q.s >= graph->NumNodes() || q.t >= graph->NumNodes()) {
-      std::fprintf(stderr, "error: query (%u,%u) out of range (n=%u)\n", q.s,
-                   q.t, graph->NumNodes());
-      return 1;
-    }
-  }
   if (args.dynamic) {
     // RunDynamicWorkload constructs (and epoch-rebinds) its own
     // estimator — building one here would duplicate the preprocessing.
-    return RunDynamicQueries<EdgeWeight>(*graph, canonical, options, queries,
-                                         args);
+    return RunDynamicQueries<WP>(graph, args.method, options, queries, args);
   }
-  auto estimator = CreateWeightedEstimator(canonical, *graph, options);
+  Timer build_timer;
+  auto estimator = CreateEstimatorT<WP>(args.method, graph, options);
   if (!args.csv) {
-    std::printf("# weighted graph: n=%u m=%llu W=%.3f (loaded in %.0f ms); "
-                "method=%s epsilon=%g\n",
-                graph->NumNodes(),
-                static_cast<unsigned long long>(graph->NumEdges()),
-                graph->TotalWeight(), load_timer.ElapsedMillis(),
-                estimator->Name().c_str(), options.epsilon);
+    std::printf("# method=%s epsilon=%g delta=%g (constructed in %.0f ms)\n",
+                estimator->Name().c_str(), options.epsilon, options.delta,
+                build_timer.ElapsedMillis());
   }
-  if (args.serve) {
-    return RunServedQueries(estimator.get(), queries, args);
-  }
+
+  // --- Answer -------------------------------------------------------------
+  if (args.serve) return RunServedQueries(*estimator, queries, args);
   if (args.batch || args.threads != 1) {
-    return RunBatchQueries(estimator.get(), queries, args);
+    return RunBatchQueries(*estimator, queries, args);
   }
-  for (const auto& q : queries) {
-    if (!estimator->SupportsQuery(q.s, q.t)) {
-      if (!args.csv) {
-        std::printf("r(%u, %u): unsupported by %s (edge-only method)\n", q.s,
-                    q.t, estimator->Name().c_str());
-      }
-      continue;
-    }
-    Timer timer;
-    const QueryStats stats = estimator->EstimateWithStats(q.s, q.t);
-    if (args.csv) {
-      std::printf("%u,%u,%.9g,%.3f\n", q.s, q.t, stats.value,
-                  timer.ElapsedMillis());
-    } else {
-      std::printf("r(%u, %u) = %.6f   (%.2f ms)\n", q.s, q.t, stats.value,
-                  timer.ElapsedMillis());
-    }
-  }
-  return 0;
+  return RunSerialQueries(*estimator, queries, args);
+}
+
+// A decimal node id that spans all of `text`.
+std::optional<NodeId> ParseNodeId(std::string_view text) {
+  NodeId id = 0;
+  const char* end = text.data() + text.size();
+  const auto [parsed_end, ec] = std::from_chars(text.data(), end, id);
+  if (ec != std::errc() || parsed_end != end) return std::nullopt;
+  return id;
 }
 
 std::optional<QueryPair> ParsePair(const std::string& text) {
   const std::size_t colon = text.find(':');
-  if (colon == std::string::npos || colon == 0 ||
-      colon + 1 >= text.size()) {
-    return std::nullopt;
-  }
-  QueryPair q;
-  q.s = static_cast<NodeId>(std::strtoul(text.c_str(), nullptr, 10));
-  q.t = static_cast<NodeId>(
-      std::strtoul(text.c_str() + colon + 1, nullptr, 10));
-  return q;
+  if (colon == std::string::npos) return std::nullopt;
+  const std::string_view view(text);
+  const std::optional<NodeId> s = ParseNodeId(view.substr(0, colon));
+  const std::optional<NodeId> t = ParseNodeId(view.substr(colon + 1));
+  if (!s || !t) return std::nullopt;
+  return QueryPair{*s, *t};
 }
 
 int Usage(const char* argv0) {
@@ -498,42 +533,56 @@ int Usage(const char* argv0) {
   return 2;
 }
 
+void PrintNames(const char* label, const std::vector<std::string>& names) {
+  std::printf("%s", label);
+  for (const auto& name : names) std::printf(" %s", name.c_str());
+  std::printf("\n");
+}
+
+// Loading is the one weight-specific step: the unit path reads a dataset
+// or edge list together with its cached λ, the --weighted path a
+// conductance list (λ left to RunT). Everything after it is RunT<WP>.
 int Run(const CliArgs& args) {
   if (args.list) {
-    std::printf("estimators:");
-    for (const auto& name : EstimatorNames()) std::printf(" %s", name.c_str());
-    std::printf("\nweighted estimators (--weighted):");
-    for (const auto& name : WeightedEstimatorNames()) {
-      std::printf(" %s", name.c_str());
-    }
-    std::printf("\nbatch shared-precompute:");
+    PrintNames("estimators:", EstimatorNames());
+    std::vector<std::string> sharing;
     for (const auto& name : EstimatorNames()) {
-      if (EstimatorSharesBatchWork(name)) std::printf(" %s", name.c_str());
+      if (EstimatorSharesBatchWork(name)) sharing.push_back(name);
     }
-    std::printf("\ndatasets:");
-    for (const auto& name : DatasetNames()) std::printf(" %s", name.c_str());
-    std::printf("\n");
+    PrintNames("batch shared-precompute:", sharing);
+    PrintNames("datasets:", DatasetNames());
     return 0;
   }
 
+  Timer load_timer;
   if (args.weighted) {
     if (args.graph_path.empty()) {
       std::fprintf(stderr, "error: --weighted requires --graph\n");
       return 2;
     }
-    std::vector<QueryPair> queries = args.explicit_pairs;
-    if (args.read_stdin) {
-      unsigned long long s = 0, t = 0;
-      while (std::scanf("%llu %llu", &s, &t) == 2) {
-        queries.push_back({static_cast<NodeId>(s), static_cast<NodeId>(t)});
-      }
+    const auto graph = LoadWeightedEdgeList(args.graph_path);
+    if (!graph) {
+      std::fprintf(stderr, "error: cannot load weighted list '%s'\n",
+                   args.graph_path.c_str());
+      return 1;
     }
-    return RunWeighted(args, std::move(queries));
+    const Graph skeleton = graph->Skeleton();
+    if (!IsConnected(skeleton)) {
+      std::fprintf(stderr,
+                   "error: weighted input must be connected (use the largest "
+                   "component)\n");
+      return 1;
+    }
+    if (!args.csv) {
+      std::printf("# weighted graph: n=%u m=%llu W=%.3f (loaded in %.0f ms)\n",
+                  graph->NumNodes(),
+                  static_cast<unsigned long long>(graph->NumEdges()),
+                  graph->TotalWeight(), load_timer.ElapsedMillis());
+    }
+    return RunT<EdgeWeight>(args, *graph, skeleton, std::nullopt);
   }
 
-  // --- Load the graph ----------------------------------------------------
   std::optional<Dataset> dataset;
-  Timer load_timer;
   if (!args.graph_path.empty()) {
     dataset = LoadDatasetFromFile(args.graph_path);
     if (!dataset) {
@@ -556,130 +605,8 @@ int Run(const CliArgs& args) {
     std::printf("# %s  (loaded in %.0f ms)\n",
                 DescribeDataset(*dataset).c_str(), load_timer.ElapsedMillis());
   }
-
-  // --- Build the query set ------------------------------------------------
-  std::vector<QueryPair> queries = args.explicit_pairs;
-  if (args.random_pairs > 0) {
-    auto extra =
-        RandomPairs(dataset->graph, args.random_pairs, args.options.seed);
-    queries.insert(queries.end(), extra.begin(), extra.end());
-  }
-  if (args.random_edges > 0) {
-    auto extra =
-        RandomEdges(dataset->graph, args.random_edges, args.options.seed);
-    queries.insert(queries.end(), extra.begin(), extra.end());
-  }
-  if (args.read_stdin) {
-    unsigned long long s = 0, t = 0;
-    while (std::scanf("%llu %llu", &s, &t) == 2) {
-      queries.push_back(
-          {static_cast<NodeId>(s), static_cast<NodeId>(t)});
-    }
-  }
-  if (queries.empty()) {
-    std::fprintf(stderr,
-                 "error: no queries (--pair / --random / --edges / --stdin)\n");
-    return 2;
-  }
-  for (const auto& q : queries) {
-    if (q.s >= dataset->graph.NumNodes() || q.t >= dataset->graph.NumNodes()) {
-      std::fprintf(stderr, "error: query (%u,%u) out of range (n=%u)\n", q.s,
-                   q.t, dataset->graph.NumNodes());
-      return 1;
-    }
-  }
-
-  // --- Build the estimator -----------------------------------------------
-  bool known = false;
-  for (const auto& name : EstimatorNames()) {
-    if (name == args.method) known = true;
-  }
-  if (!known) {
-    std::fprintf(stderr, "error: unknown method '%s' (try `list`)\n",
-                 args.method.c_str());
-    return 2;
-  }
-  ErOptions options = args.options;
-  options.lambda = dataset->spectral.lambda;
-  if (!EstimatorFeasible(args.method, dataset->graph, options)) {
-    std::fprintf(stderr,
-                 "error: %s is infeasible on this graph (memory budget)\n",
-                 args.method.c_str());
-    return 1;
-  }
-  if (args.dynamic) {
-    // RunDynamicWorkload constructs (and epoch-rebinds) its own
-    // estimator — building one here would duplicate the preprocessing.
-    return RunDynamicQueries<UnitWeight>(dataset->graph, args.method,
-                                         options, queries, args);
-  }
-  Timer build_timer;
-  auto estimator = CreateEstimator(args.method, dataset->graph, options);
-  if (!args.csv) {
-    std::printf("# method=%s epsilon=%g delta=%g (constructed in %.0f ms)\n",
-                estimator->Name().c_str(), options.epsilon, options.delta,
-                build_timer.ElapsedMillis());
-  }
-
-  // --- Answer -------------------------------------------------------------
-  if (args.serve) {
-    return RunServedQueries(estimator.get(), queries, args);
-  }
-  if (args.batch || args.threads != 1) {
-    return RunBatchQueries(estimator.get(), queries, args);
-  }
-  if (args.csv) {
-    std::printf(args.stats ? "s,t,er,ms,walks,walk_steps,spmv_ops,ell,ell_b\n"
-                           : "s,t,er,ms\n");
-  } else if (args.stats) {
-    std::printf("%8s %8s %12s %9s %10s %12s %12s %6s %6s\n", "s", "t", "er",
-                "ms", "walks", "walk_steps", "spmv_ops", "ell", "ell_b");
-  }
-  double total_ms = 0.0;
-  std::size_t skipped = 0;
-  for (const auto& q : queries) {
-    if (!estimator->SupportsQuery(q.s, q.t)) {
-      ++skipped;
-      if (!args.csv) {
-        std::printf("r(%u, %u): unsupported by %s (edge-only method)\n", q.s,
-                    q.t, estimator->Name().c_str());
-      }
-      continue;
-    }
-    Timer query_timer;
-    const QueryStats stats = estimator->EstimateWithStats(q.s, q.t);
-    const double ms = query_timer.ElapsedMillis();
-    total_ms += ms;
-    if (args.csv) {
-      if (args.stats) {
-        std::printf("%u,%u,%.9g,%.3f,%llu,%llu,%llu,%u,%u\n", q.s, q.t,
-                    stats.value, ms,
-                    static_cast<unsigned long long>(stats.walks),
-                    static_cast<unsigned long long>(stats.walk_steps),
-                    static_cast<unsigned long long>(stats.spmv_ops),
-                    stats.ell, stats.ell_b);
-      } else {
-        std::printf("%u,%u,%.9g,%.3f\n", q.s, q.t, stats.value, ms);
-      }
-    } else if (args.stats) {
-      std::printf("%8u %8u %12.6f %9.2f %10llu %12llu %12llu %6u %6u\n", q.s,
-                  q.t, stats.value, ms,
-                  static_cast<unsigned long long>(stats.walks),
-                  static_cast<unsigned long long>(stats.walk_steps),
-                  static_cast<unsigned long long>(stats.spmv_ops), stats.ell,
-                  stats.ell_b);
-    } else {
-      std::printf("r(%u, %u) = %.6f   (%.2f ms)\n", q.s, q.t, stats.value,
-                  ms);
-    }
-  }
-  if (!args.csv) {
-    std::printf("# %zu queries in %.1f ms (%.2f ms avg)%s\n",
-                queries.size() - skipped, total_ms,
-                total_ms / std::max<std::size_t>(queries.size() - skipped, 1),
-                skipped > 0 ? " — some skipped" : "");
-  }
-  return 0;
+  return RunT<UnitWeight>(args, dataset->graph, dataset->graph,
+                          dataset->spectral.lambda);
 }
 
 }  // namespace

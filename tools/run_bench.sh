@@ -100,41 +100,49 @@ echo "== bench: batch_shared =="
 "$BUILD_DIR/bench_batch_shared" --csv --scale=0.1 --seed=1 \
     > "$TMP_DIR/batch_shared.csv"
 
-echo "== bench: serve_throughput (threads=${BENCH_THREADS}, best of 3) =="
-for rep in 1 2 3; do
-  "$BUILD_DIR/bench_serve_throughput" --csv --scale=0.1 --seed=1 --rounds=8 \
-      --threads="$BENCH_THREADS" > "$TMP_DIR/serve_rep${rep}.csv"
-done
-# Best-of per (method,dataset,eps,mode) series: max throughput (col 6),
-# min p95 (col 8). Only those two columns reach the BENCH file.
-awk -F, 'FNR == 1 { header = $0; next }
-  {
-    key = $1 FS $2 FS $3 FS $4
-    if (!(key in qps) || $6 + 0 > qps[key] + 0) qps[key] = $6
-    if (!(key in p95) || $8 + 0 < p95[key] + 0) p95[key] = $8
-    if (!(key in seen)) { order[++rows] = key; seen[key] = 1 }
-  }
-  END {
-    print header
-    for (r = 1; r <= rows; ++r) {
-      key = order[r]
-      printf "%s,0,%s,0,%s,0,0,0\n", key, qps[key], p95[key]
+# best_of_3 NAME CMD...: runs one serving bench 3× into
+# $TMP_DIR/NAME_rep{1,2,3}.csv and folds the reps into $TMP_DIR/NAME.csv
+# — the short burst traces are scheduler-noise dominated, and best-of is
+# the stable signal. The input rows are method,dataset,epsilon,mode,
+# queries,throughput_qps,p50_ms,p95_ms,p99_ms,<col 10>,ms_per_q; the
+# output has one row per (method,dataset,epsilon,mode) series, in
+# first-appearance order, with the max throughput (col 6), the min p95
+# (col 8) and the first rep's col 10 (landmark_serve's hit rate, which
+# is deterministic across reps). Every other column is zeroed.
+best_of_3() {
+  local name="$1"
+  shift
+  for rep in 1 2 3; do
+    "$@" > "$TMP_DIR/${name}_rep${rep}.csv"
+  done
+  awk -F, 'FNR == 1 { header = $0; next }
+    {
+      key = $1 FS $2 FS $3 FS $4
+      if (!(key in qps) || $6 + 0 > qps[key] + 0) qps[key] = $6
+      if (!(key in p95) || $8 + 0 < p95[key] + 0) p95[key] = $8
+      if (!(key in col10)) col10[key] = $10
+      if (!(key in seen)) { order[++rows] = key; seen[key] = 1 }
     }
-  }' "$TMP_DIR"/serve_rep*.csv > "$TMP_DIR/serve.csv"
+    END {
+      print header
+      for (r = 1; r <= rows; ++r) {
+        key = order[r]
+        printf "%s,0,%s,0,%s,0,%s,0\n", key, qps[key], p95[key], col10[key]
+      }
+    }' "$TMP_DIR/${name}"_rep*.csv > "$TMP_DIR/${name}.csv"
+}
+
+echo "== bench: serve_throughput (threads=${BENCH_THREADS}, best of 3) =="
+best_of_3 serve "$BUILD_DIR/bench_serve_throughput" --csv --scale=0.1 \
+    --seed=1 --rounds=8 --threads="$BENCH_THREADS"
 
 echo "== bench: obs overhead (threads=${BENCH_THREADS}, best of 3) =="
-for rep in 1 2 3; do
-  "$BUILD_DIR/bench_serve_throughput" --obs-overhead --csv --scale=0.1 \
-      --seed=1 --rounds=8 --threads="$BENCH_THREADS" \
-      > "$TMP_DIR/obs_rep${rep}.csv"
-done
-# Best-of qps per (method,dataset,eps,mode), then the percentage the
-# metrics registry costs when recording: (off - on) / off * 100.
+best_of_3 obs_ab "$BUILD_DIR/bench_serve_throughput" --obs-overhead --csv \
+    --scale=0.1 --seed=1 --rounds=8 --threads="$BENCH_THREADS"
+# The percentage the metrics registry costs when recording, from the
+# best-of qps: (off - on) / off * 100.
 awk -F, 'FNR == 1 { next }
-  {
-    key = $1 FS $2 FS $3 FS $4
-    if (!(key in qps) || $6 + 0 > qps[key] + 0) qps[key] = $6
-  }
+  { qps[$1 FS $2 FS $3 FS $4] = $6 }
   END {
     print "method,dataset,overhead_pct"
     for (key in qps) {
@@ -147,52 +155,17 @@ awk -F, 'FNR == 1 { next }
         }
       }
     }
-  }' "$TMP_DIR"/obs_rep*.csv > "$TMP_DIR/obs.csv"
+  }' "$TMP_DIR/obs_ab.csv" > "$TMP_DIR/obs.csv"
 
 echo "== bench: landmark_serve (threads=${BENCH_THREADS}, best of 3) =="
-for rep in 1 2 3; do
-  "$BUILD_DIR/bench_landmark_serve" --csv --scale=0.1 --seed=1 --queries=512 \
-      --threads="$BENCH_THREADS" > "$TMP_DIR/landmark_rep${rep}.csv"
-done
-# Best-of per series: max throughput (col 6), min p95 (col 8); the hit
-# rate (col 10) is deterministic across reps — keep the first.
-awk -F, 'FNR == 1 { header = $0; next }
-  {
-    key = $1 FS $2 FS $3 FS $4
-    if (!(key in qps) || $6 + 0 > qps[key] + 0) qps[key] = $6
-    if (!(key in p95) || $8 + 0 < p95[key] + 0) p95[key] = $8
-    if (!(key in hit)) hit[key] = $10
-    if (!(key in seen)) { order[++rows] = key; seen[key] = 1 }
-  }
-  END {
-    print header
-    for (r = 1; r <= rows; ++r) {
-      key = order[r]
-      printf "%s,0,%s,0,%s,0,%s,0\n", key, qps[key], p95[key], hit[key]
-    }
-  }' "$TMP_DIR"/landmark_rep*.csv > "$TMP_DIR/landmark.csv"
+best_of_3 landmark "$BUILD_DIR/bench_landmark_serve" --csv --scale=0.1 \
+    --seed=1 --queries=512 --threads="$BENCH_THREADS"
 
+# Loopback RPC latency is scheduler-noise dominated exactly like the
+# serve bench.
 echo "== bench: net_throughput (threads=${BENCH_THREADS}, best of 3) =="
-for rep in 1 2 3; do
-  "$BUILD_DIR/bench_net_throughput" --csv --scale=0.1 --seed=1 --rounds=4 \
-      --threads="$BENCH_THREADS" --clients=4 > "$TMP_DIR/net_rep${rep}.csv"
-done
-# Best-of per series: max throughput (col 6), min p95 (col 8) — loopback
-# RPC latency is scheduler-noise dominated exactly like the serve bench.
-awk -F, 'FNR == 1 { header = $0; next }
-  {
-    key = $1 FS $2 FS $3 FS $4
-    if (!(key in qps) || $6 + 0 > qps[key] + 0) qps[key] = $6
-    if (!(key in p95) || $8 + 0 < p95[key] + 0) p95[key] = $8
-    if (!(key in seen)) { order[++rows] = key; seen[key] = 1 }
-  }
-  END {
-    print header
-    for (r = 1; r <= rows; ++r) {
-      key = order[r]
-      printf "%s,0,%s,0,%s,0,0,0\n", key, qps[key], p95[key]
-    }
-  }' "$TMP_DIR"/net_rep*.csv > "$TMP_DIR/net.csv"
+best_of_3 net "$BUILD_DIR/bench_net_throughput" --csv --scale=0.1 --seed=1 \
+    --rounds=4 --threads="$BENCH_THREADS" --clients=4
 
 echo "== bench: dyn_update =="
 "$BUILD_DIR/bench_dyn_update" --csv --scale=0.1 --seed=1 --rounds=2 \
