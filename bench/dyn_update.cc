@@ -16,8 +16,8 @@
 //
 //   bench_dyn_update [--scale=F] [--seed=N] [--rounds=N] [--csv]
 //
-// CSV rows: metric,dataset,param,value — consumed by tools/run_bench.sh
-// into the BENCH_pr<N>.json perf trajectory.
+// CSV rows: metric,dataset,param,value. ctest runs it at --scale=0.02
+// (bench_dyn_update_smoke) for its checks.
 
 #include <algorithm>
 #include <cstdio>

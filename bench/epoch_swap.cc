@@ -16,10 +16,8 @@
 //
 //   bench_epoch_swap [--scale=F] [--seed=N] [--rounds=N] [--csv]
 //
-// CSV rows: metric,dataset,param,value — consumed by tools/run_bench.sh
-// into the BENCH_pr<N>.json perf trajectory (dyn/<ds>/<param>/swap_ms,
-// lower is better; dyn/<ds>/<param>/swap_speedup = full/incr, higher is
-// better). One warm-up epoch precedes the timed rounds in both modes so
+// CSV rows: metric,dataset,param,value (swap_ms, lower is better;
+// swap_speedup = full/incr, higher is better). One warm-up epoch precedes the timed rounds in both modes so
 // `incr` never charges its first (necessarily cold) swap.
 
 #include <algorithm>

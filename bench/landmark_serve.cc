@@ -16,9 +16,8 @@
 //
 // and verifies all three answer vectors are bit-identical to the serial
 // Estimate loop before reporting throughput, latency percentiles and
-// cache hit rate. The numbers land in EXPERIMENTS.md and in the CI
-// BENCH JSON landmark/ series (tools/run_bench.sh), where the
-// landmark-vs-off throughput ratio is an acceptance gate.
+// cache hit rate. The numbers land in EXPERIMENTS.md; ctest runs it at
+// --scale=0.02 (bench_landmark_serve_smoke) for the bit-identity check.
 //
 //   bench_landmark_serve [--scale=f] [--seed=n] [--tp-scale=f]
 //                        [--threads=n] [--queries=n] [--zipf=f]

@@ -17,7 +17,8 @@
 // replica would derive is pre-derived once here and shipped in options,
 // matching what the shards compute; net_determinism_test pins the
 // derivation itself). The numbers land in EXPERIMENTS.md ("Networked
-// serving") and in the CI BENCH JSON as net/<dataset>/<mode>/* series.
+// serving"); ctest runs it at --scale=0.02 (bench_net_throughput_smoke)
+// for the bit-identity check.
 //
 //   bench_net_throughput [--scale=f] [--seed=n] [--tp-scale=f]
 //                        [--threads=n] [--clients=n] [--rounds=n] [--csv]

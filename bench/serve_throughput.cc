@@ -15,8 +15,9 @@
 //
 // and verifies the three answer vectors are bit-identical to the serial
 // Estimate loop before reporting throughput, client-latency percentiles
-// and mean micro-batch size. The numbers land in EXPERIMENTS.md and in
-// the CI BENCH JSON (tools/run_bench.sh).
+// and mean micro-batch size. The numbers land in EXPERIMENTS.md; ctest
+// runs it at --scale=0.02 (bench_serve_throughput_smoke) for the
+// bit-identity check.
 //
 // The trace repeats a grouped-by-source query set (8 sources × 16
 // targets) over --rounds rounds, so sources RECUR across micro-batches —
@@ -25,9 +26,8 @@
 // --obs-overhead switches to the instrumentation-overhead harness: two
 // cells (GEER/dblp, TP/facebook) run the session configuration twice,
 // once with the metrics registry gated off (mode "obs_off") and once
-// recording (mode "obs_on"), same CSV columns. tools/run_bench.sh turns
-// the qps delta into the obs/<dataset>/overhead_pct series that
-// tools/check_bench.sh pins to ≤2%.
+// recording (mode "obs_on"), same CSV columns; the qps delta between
+// the two is the recording overhead, budgeted at ≤2%.
 //
 //   bench_serve_throughput [--scale=f] [--seed=n] [--tp-scale=f]
 //                          [--threads=n] [--rounds=n] [--csv]

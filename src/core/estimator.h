@@ -82,6 +82,7 @@ struct QueryStats {
   std::uint64_t walks = 0;       ///< random walks simulated
   std::uint64_t walk_steps = 0;  ///< total walk steps taken
   std::uint64_t spmv_ops = 0;    ///< arc traversals in SpMV iterations
+  std::uint64_t solves = 0;      ///< Cholesky / CG columns solved
   std::uint32_t ell = 0;         ///< maximum walk length in effect
   std::uint32_t ell_b = 0;       ///< SMM iterations performed (SMM/GEER)
   std::uint64_t eta_star = 0;    ///< Hoeffding cap η* (AMC/GEER)

@@ -176,7 +176,9 @@ bool ExactEstimatorT<WP>::RebindGraph(const GraphT& graph,
 }
 
 template <WeightPolicy WP>
-ExactColumn ExactEstimatorT<WP>::SolveColumn(NodeId node) const {
+ExactColumn ExactEstimatorT<WP>::SolveColumn(NodeId node,
+                                             QueryStats* stats) const {
+  if (stats != nullptr) ++stats->solves;
   Vector b(graph_->NumNodes(), 0.0);
   b[node] = 1.0;
   // M⁻¹ e_node = L† e_node + 𝟙/n (M⁻¹𝟙 = 𝟙); the rank-one part cancels
@@ -186,12 +188,14 @@ ExactColumn ExactEstimatorT<WP>::SolveColumn(NodeId node) const {
 
 template <WeightPolicy WP>
 const ExactColumn* ExactEstimatorT<WP>::ColumnFor(NodeId node,
-                                                  ExactColumn* scratch) {
+                                                  ExactColumn* scratch,
+                                                  QueryStats* stats) {
   if (session_ == nullptr) {
-    *scratch = SolveColumn(node);
+    *scratch = SolveColumn(node, stats);
     return scratch;
   }
-  return session_->GetOrCreate(node, [&] { return SolveColumn(node); });
+  return session_->GetOrCreate(node,
+                               [&] { return SolveColumn(node, stats); });
 }
 
 template <WeightPolicy WP>
@@ -204,8 +208,8 @@ QueryStats ExactEstimatorT<WP>::EstimateWithStats(NodeId s, NodeId t) {
   const NodeId v = std::max(s, t);
   ExactColumn scratch_u;
   ExactColumn scratch_v;
-  const Vector& yu = ColumnFor(u, &scratch_u)->y;
-  const Vector& yv = ColumnFor(v, &scratch_v)->y;
+  const Vector& yu = ColumnFor(u, &scratch_u, &stats)->y;
+  const Vector& yv = ColumnFor(v, &scratch_v, &stats)->y;
   // r(u,v) = (e_u − e_v)ᵀ M⁻¹ (e_u − e_v), combined column-wise in fixed
   // canonical order — bitwise symmetric and cache-independent.
   stats.value = (yu[u] - yu[v]) - (yv[u] - yv[v]);

@@ -120,13 +120,16 @@ class ExactEstimatorT
 
   /// M⁻¹ e_node — from the session cache when enabled (solved on a
   /// miss), else into `scratch`. The returned pointer stays valid across
-  /// one more ColumnFor call (list-backed).
-  const ExactColumn* ColumnFor(NodeId node, ExactColumn* scratch);
-  ExactColumn SolveColumn(NodeId node) const;
+  /// one more ColumnFor call (list-backed). A solve is charged to
+  /// `stats`.
+  const ExactColumn* ColumnFor(NodeId node, ExactColumn* scratch,
+                               QueryStats* stats);
+  /// Charges the solve to `stats` unless it is null (landmark warming).
+  ExactColumn SolveColumn(NodeId node, QueryStats* stats) const;
 
   /// Solves and pins the landmark's column.
   void WarmLandmark(NodeId lm) override {
-    session_->GetOrCreate(lm, [&] { return SolveColumn(lm); });
+    session_->GetOrCreate(lm, [&] { return SolveColumn(lm, nullptr); });
   }
 
   NodeId max_nodes_ = 8192;

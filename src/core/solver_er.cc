@@ -66,7 +66,8 @@ bool SolverEstimatorT<WP>::RebindGraph(const GraphT& graph,
 }
 
 template <WeightPolicy WP>
-CgColumn SolverEstimatorT<WP>::SolveColumn(NodeId node) const {
+CgColumn SolverEstimatorT<WP>::SolveColumn(NodeId node,
+                                           QueryStats* stats) const {
   Vector b(graph_->NumNodes(), 0.0);
   b[node] = 1.0;
   CgColumn col;
@@ -75,17 +76,25 @@ CgColumn SolverEstimatorT<WP>::SolveColumn(NodeId node) const {
   // cancel when two columns are differenced.
   col.y = solver_->Solve(b, &cg);
   col.converged = cg.converged;
+  if (stats != nullptr) {
+    ++stats->solves;
+    // One Laplacian SpMV (every arc once) per CG iteration.
+    stats->spmv_ops +=
+        static_cast<std::uint64_t>(cg.iterations) * graph_->NumArcs();
+  }
   return col;
 }
 
 template <WeightPolicy WP>
 const CgColumn* SolverEstimatorT<WP>::ColumnFor(NodeId node,
-                                                CgColumn* scratch) {
+                                                CgColumn* scratch,
+                                                QueryStats* stats) {
   if (session_ == nullptr) {
-    *scratch = SolveColumn(node);
+    *scratch = SolveColumn(node, stats);
     return scratch;
   }
-  return session_->GetOrCreate(node, [&] { return SolveColumn(node); });
+  return session_->GetOrCreate(node,
+                               [&] { return SolveColumn(node, stats); });
 }
 
 template <WeightPolicy WP>
@@ -98,8 +107,8 @@ QueryStats SolverEstimatorT<WP>::EstimateWithStats(NodeId s, NodeId t) {
   const NodeId v = std::max(s, t);
   CgColumn scratch_u;
   CgColumn scratch_v;
-  const CgColumn* yu = ColumnFor(u, &scratch_u);
-  const CgColumn* yv = ColumnFor(v, &scratch_v);
+  const CgColumn* yu = ColumnFor(u, &scratch_u, &stats);
+  const CgColumn* yv = ColumnFor(v, &scratch_v, &stats);
   stats.value = (yu->y[u] - yu->y[v]) - (yv->y[u] - yv->y[v]);
   stats.truncated = !(yu->converged && yv->converged);
   if (session_ != nullptr) session_->Sweep();

@@ -94,13 +94,16 @@ class SolverEstimatorT
 
   /// L† ê_node — from the session cache when enabled (solved on a
   /// miss), else into `scratch`. The returned pointer stays valid across
-  /// one more ColumnFor call (list-backed).
-  const CgColumn* ColumnFor(NodeId node, CgColumn* scratch);
-  CgColumn SolveColumn(NodeId node) const;
+  /// one more ColumnFor call (list-backed). A solve is charged to
+  /// `stats`.
+  const CgColumn* ColumnFor(NodeId node, CgColumn* scratch,
+                            QueryStats* stats);
+  /// Charges the solve to `stats` unless it is null (landmark warming).
+  CgColumn SolveColumn(NodeId node, QueryStats* stats) const;
 
   /// Solves and pins the landmark's column.
   void WarmLandmark(NodeId lm) override {
-    session_->GetOrCreate(lm, [&] { return SolveColumn(lm); });
+    session_->GetOrCreate(lm, [&] { return SolveColumn(lm, nullptr); });
   }
 
   std::shared_ptr<const LaplacianSolverT<WP>> solver_;

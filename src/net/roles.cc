@@ -3,7 +3,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <numeric>
 #include <optional>
 #include <thread>
@@ -17,28 +16,19 @@
 #include "net/submitter.h"
 #include "obs/stats.h"
 #include "obs/trace.h"
+#include "util/flags.h"
 
 namespace geer::net {
 namespace {
 
-std::optional<std::string> FlagValue(const std::string& arg,
-                                     const char* key) {
-  const std::string prefix = std::string(key) + "=";
-  if (arg.rfind(prefix, 0) == 0) return arg.substr(prefix.size());
-  return std::nullopt;
-}
-
+/// HOST:PORT with PORT in 1–65535.
 std::optional<ShardAddress> ParseHostPort(const std::string& text) {
   const std::size_t colon = text.rfind(':');
-  if (colon == std::string::npos || colon == 0 ||
-      colon + 1 >= text.size()) {
-    return std::nullopt;
-  }
-  ShardAddress addr;
-  addr.host = text.substr(0, colon);
-  addr.port = static_cast<std::uint16_t>(
-      std::strtoul(text.c_str() + colon + 1, nullptr, 10));
-  return addr;
+  if (colon == std::string::npos || colon == 0) return std::nullopt;
+  const auto port =
+      ParseNumber<std::uint16_t>(std::string_view(text).substr(colon + 1));
+  if (!port || *port == 0) return std::nullopt;
+  return ShardAddress{text.substr(0, colon), *port};
 }
 
 bool WritePortFile(const std::string& path, std::uint16_t port) {
@@ -111,47 +101,30 @@ int RunShardRole(const std::vector<std::string>& args) {
   std::string trace_out;
   double timeout_seconds = 0.0;
   ShardOptions options;
+  double linger_ms = 0.0;
   for (const std::string& arg : args) {
-    if (auto v = FlagValue(arg, "--dataset")) {
-      dataset_name = *v;
-    } else if (auto v = FlagValue(arg, "--graph")) {
-      graph_path = *v;
-    } else if (auto v = FlagValue(arg, "--scale")) {
-      scale = std::atof(v->c_str());
-    } else if (auto v = FlagValue(arg, "--method")) {
-      options.method = *v;
-    } else if (auto v = FlagValue(arg, "--epsilon")) {
-      options.er.epsilon = std::atof(v->c_str());
-    } else if (auto v = FlagValue(arg, "--delta")) {
-      options.er.delta = std::atof(v->c_str());
-    } else if (auto v = FlagValue(arg, "--tau")) {
-      options.er.tau = std::atoi(v->c_str());
-    } else if (auto v = FlagValue(arg, "--seed")) {
-      options.er.seed = static_cast<std::uint64_t>(std::atoll(v->c_str()));
-    } else if (auto v = FlagValue(arg, "--threads")) {
-      options.serve.threads = std::atoi(v->c_str());
-    } else if (auto v = FlagValue(arg, "--batch-size")) {
-      options.serve.max_batch_size =
-          static_cast<std::size_t>(std::atoll(v->c_str()));
-    } else if (auto v = FlagValue(arg, "--linger-ms")) {
-      options.serve.max_linger_seconds = std::atof(v->c_str()) / 1e3;
-    } else if (auto v = FlagValue(arg, "--shard-id")) {
-      options.shard_id = std::atoi(v->c_str());
-    } else if (auto v = FlagValue(arg, "--num-shards")) {
-      options.num_shards = std::atoi(v->c_str());
-    } else if (auto v = FlagValue(arg, "--host")) {
-      options.host = *v;
-    } else if (auto v = FlagValue(arg, "--port")) {
-      options.port = static_cast<std::uint16_t>(std::atoi(v->c_str()));
-    } else if (auto v = FlagValue(arg, "--port-file")) {
-      port_file = *v;
-    } else if (auto v = FlagValue(arg, "--trace-out")) {
-      trace_out = *v;
-    } else if (auto v = FlagValue(arg, "--timeout-seconds")) {
-      timeout_seconds = std::atof(v->c_str());
-    } else {
+    FlagArg f(arg);
+    if (f.Num("--linger-ms", &linger_ms)) {
+      options.serve.max_linger_seconds = linger_ms / 1e3;
+    } else if (!(f.Str("--dataset", &dataset_name) ||
+                 f.Str("--graph", &graph_path) || f.Num("--scale", &scale) ||
+                 f.Str("--method", &options.method) ||
+                 f.Num("--epsilon", &options.er.epsilon) ||
+                 f.Num("--delta", &options.er.delta) ||
+                 f.Num("--tau", &options.er.tau) ||
+                 f.Num("--seed", &options.er.seed) ||
+                 f.Num("--threads", &options.serve.threads) ||
+                 f.Num("--batch-size", &options.serve.max_batch_size) ||
+                 f.Num("--shard-id", &options.shard_id) ||
+                 f.Num("--num-shards", &options.num_shards) ||
+                 f.Str("--host", &options.host) ||
+                 f.Num("--port", &options.port) ||
+                 f.Str("--port-file", &port_file) ||
+                 f.Str("--trace-out", &trace_out) ||
+                 f.Num("--timeout-seconds", &timeout_seconds))) {
       return NetUsage();
     }
+    if (f.bad()) return NetUsage();
   }
   std::optional<Dataset> dataset;
   if (!graph_path.empty()) {
@@ -208,45 +181,42 @@ int RunRouterRole(const std::vector<std::string>& args) {
   double timeout_seconds = 0.0;
   RouterOptions options;
   for (const std::string& arg : args) {
-    if (auto v = FlagValue(arg, "--shards")) {
+    FlagArg f(arg);
+    std::string value;
+    if (f.Str("--shards", &value)) {
       std::size_t start = 0;
-      while (start <= v->size()) {
-        const std::size_t comma = v->find(',', start);
-        const std::string item =
-            v->substr(start, comma == std::string::npos ? std::string::npos
-                                                        : comma - start);
+      while (start <= value.size()) {
+        const std::size_t comma = value.find(',', start);
+        const std::string item = value.substr(
+            start, comma == std::string::npos ? std::string::npos
+                                              : comma - start);
         if (!item.empty()) {
           auto addr = ParseHostPort(item);
           if (!addr) {
             std::fprintf(stderr, "error: bad shard address '%s'\n",
                          item.c_str());
-            return 2;
+            return NetUsage();
           }
           shards.push_back(*addr);
         }
         if (comma == std::string::npos) break;
         start = comma + 1;
       }
-    } else if (auto v = FlagValue(arg, "--strategy")) {
-      auto strategy = ParseStrategy(*v);
+    } else if (f.Str("--strategy", &value)) {
+      auto strategy = ParseStrategy(value);
       if (!strategy) {
-        std::fprintf(stderr, "error: unknown strategy '%s'\n", v->c_str());
+        std::fprintf(stderr, "error: unknown strategy '%s'\n", value.c_str());
         return 2;
       }
       options.strategy = *strategy;
-    } else if (auto v = FlagValue(arg, "--connections")) {
-      options.connections_per_shard = std::atoi(v->c_str());
-    } else if (auto v = FlagValue(arg, "--host")) {
-      options.host = *v;
-    } else if (auto v = FlagValue(arg, "--port")) {
-      options.port = static_cast<std::uint16_t>(std::atoi(v->c_str()));
-    } else if (auto v = FlagValue(arg, "--port-file")) {
-      port_file = *v;
-    } else if (auto v = FlagValue(arg, "--timeout-seconds")) {
-      timeout_seconds = std::atof(v->c_str());
     } else if (arg == "--no-propagate-shutdown") {
       options.propagate_shutdown = false;
-    } else {
+    } else if (!(f.Num("--connections", &options.connections_per_shard) ||
+                 f.Str("--host", &options.host) ||
+                 f.Num("--port", &options.port) ||
+                 f.Str("--port-file", &port_file) ||
+                 f.Num("--timeout-seconds", &timeout_seconds)) ||
+               f.bad()) {
       return NetUsage();
     }
   }
@@ -284,32 +254,26 @@ int RunClientRole(const std::vector<std::string>& args) {
   bool csv = false;
   bool shutdown_server = false;
   for (const std::string& arg : args) {
-    if (auto v = FlagValue(arg, "--connect")) {
-      connect = *v;
-    } else if (auto v = FlagValue(arg, "--clients")) {
-      clients = std::atoi(v->c_str());
-    } else if (auto v = FlagValue(arg, "--queries")) {
-      num_queries = static_cast<std::size_t>(std::atoll(v->c_str()));
-    } else if (auto v = FlagValue(arg, "--zipf-exp")) {
-      zipf_exponent = std::atof(v->c_str());
-    } else if (auto v = FlagValue(arg, "--qps")) {
-      qps = std::atof(v->c_str());
-    } else if (auto v = FlagValue(arg, "--deadline-ms")) {
-      deadline_ms = std::atof(v->c_str());
-    } else if (auto v = FlagValue(arg, "--seed")) {
-      seed = static_cast<std::uint64_t>(std::atoll(v->c_str()));
-    } else if (arg == "--csv") {
+    FlagArg f(arg);
+    if (arg == "--csv") {
       csv = true;
     } else if (arg == "--shutdown") {
       shutdown_server = true;
-    } else {
+    } else if (!(f.Str("--connect", &connect) ||
+                 f.Num("--clients", &clients) ||
+                 f.Num("--queries", &num_queries) ||
+                 f.Num("--zipf-exp", &zipf_exponent) ||
+                 f.Num("--qps", &qps) ||
+                 f.Num("--deadline-ms", &deadline_ms) ||
+                 f.Num("--seed", &seed)) ||
+               f.bad()) {
       return NetUsage();
     }
   }
   auto addr = ParseHostPort(connect);
   if (!addr) {
     std::fprintf(stderr, "error: client needs --connect=HOST:PORT\n");
-    return 2;
+    return NetUsage();
   }
   NetSubmitter submitter(addr->host, addr->port, clients);
   std::string error;
@@ -379,20 +343,18 @@ int RunStatsRole(const std::vector<std::string>& args) {
   std::string prefix;
   bool raw = false;
   for (const std::string& arg : args) {
-    if (auto v = FlagValue(arg, "--connect")) {
-      connect = *v;
-    } else if (auto v = FlagValue(arg, "--prefix")) {
-      prefix = *v;
-    } else if (arg == "--raw") {
+    const FlagArg f(arg);
+    if (arg == "--raw") {
       raw = true;
-    } else {
+    } else if (!(f.Str("--connect", &connect) ||
+                 f.Str("--prefix", &prefix))) {
       return NetUsage();
     }
   }
   auto addr = ParseHostPort(connect);
   if (!addr) {
     std::fprintf(stderr, "error: stats needs --connect=HOST:PORT\n");
-    return 2;
+    return NetUsage();
   }
   Client client;
   std::string error;

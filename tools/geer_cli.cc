@@ -59,13 +59,10 @@
 //   --commit-every=K    dynamic: updates per commit/epoch (default 16)
 
 #include <algorithm>
-#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <system_error>
 #include <vector>
 
 #include "core/batch_engine.h"
@@ -82,6 +79,7 @@
 #include "net/roles.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "util/flags.h"
 #include "util/timer.h"
 
 namespace geer {
@@ -496,21 +494,12 @@ int RunT(const CliArgs& args, const typename WP::GraphT& graph,
   return RunSerialQueries(*estimator, queries, args);
 }
 
-// A decimal node id that spans all of `text`.
-std::optional<NodeId> ParseNodeId(std::string_view text) {
-  NodeId id = 0;
-  const char* end = text.data() + text.size();
-  const auto [parsed_end, ec] = std::from_chars(text.data(), end, id);
-  if (ec != std::errc() || parsed_end != end) return std::nullopt;
-  return id;
-}
-
 std::optional<QueryPair> ParsePair(const std::string& text) {
   const std::size_t colon = text.find(':');
   if (colon == std::string::npos) return std::nullopt;
   const std::string_view view(text);
-  const std::optional<NodeId> s = ParseNodeId(view.substr(0, colon));
-  const std::optional<NodeId> t = ParseNodeId(view.substr(colon + 1));
+  const std::optional<NodeId> s = ParseNumber<NodeId>(view.substr(0, colon));
+  const std::optional<NodeId> t = ParseNumber<NodeId>(view.substr(colon + 1));
   if (!s || !t) return std::nullopt;
   return QueryPair{*s, *t};
 }
@@ -640,57 +629,19 @@ int main(int argc, char** argv) {
   }
   for (int i = first_flag; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto value = [&arg](const char* key) -> std::optional<std::string> {
-      const std::string prefix = std::string(key) + "=";
-      if (arg.rfind(prefix, 0) == 0) return arg.substr(prefix.size());
-      return std::nullopt;
-    };
-    if (auto v = value("--graph")) {
-      args.graph_path = *v;
-    } else if (auto v = value("--dataset")) {
-      args.dataset = *v;
-    } else if (auto v = value("--scale")) {
-      args.scale = std::atof(v->c_str());
-    } else if (auto v = value("--method")) {
-      args.method = *v;
-    } else if (auto v = value("--epsilon")) {
-      args.options.epsilon = std::atof(v->c_str());
-    } else if (auto v = value("--delta")) {
-      args.options.delta = std::atof(v->c_str());
-    } else if (auto v = value("--tau")) {
-      args.options.tau = std::atoi(v->c_str());
-    } else if (auto v = value("--seed")) {
-      args.options.seed = static_cast<std::uint64_t>(std::atoll(v->c_str()));
-    } else if (auto v = value("--pair")) {
-      auto pair = ParsePair(*v);
-      if (!pair) return Usage(argv[0]);
-      args.explicit_pairs.push_back(*pair);
-    } else if (auto v = value("--random")) {
-      args.random_pairs = static_cast<std::size_t>(std::atoll(v->c_str()));
-    } else if (auto v = value("--edges")) {
-      args.random_edges = static_cast<std::size_t>(std::atoll(v->c_str()));
-    } else if (auto v = value("--threads")) {
-      args.threads = std::atoi(v->c_str());
+    FlagArg f(arg);
+    std::string pair;
+    if (f.Str("--pair", &pair)) {
+      auto parsed = ParsePair(pair);
+      if (!parsed) return Usage(argv[0]);
+      args.explicit_pairs.push_back(*parsed);
+    } else if (f.Num("--threads", &args.threads)) {
       args.batch = true;
-    } else if (auto v = value("--qps")) {
-      args.qps = std::atof(v->c_str());
-    } else if (auto v = value("--linger-ms")) {
-      args.linger_ms = std::atof(v->c_str());
-    } else if (auto v = value("--batch-size")) {
-      args.serve_batch_size =
-          static_cast<std::size_t>(std::atoll(v->c_str()));
-    } else if (auto v = value("--deadline-ms")) {
-      args.deadline_ms = std::atof(v->c_str());
-    } else if (auto v = value("--updates")) {
-      args.dynamic_updates = static_cast<std::size_t>(std::atoll(v->c_str()));
+    } else if (f.Num("--updates", &args.dynamic_updates) ||
+               f.Num("--commit-every", &args.commit_every)) {
       args.dynamic = true;
-    } else if (auto v = value("--trace-out")) {
-      args.trace_out = *v;
     } else if (arg == "--obs-dump") {
       args.obs_dump = true;
-    } else if (auto v = value("--commit-every")) {
-      args.commit_every = static_cast<std::size_t>(std::atoll(v->c_str()));
-      args.dynamic = true;
     } else if (arg == "--stdin") {
       args.read_stdin = true;
     } else if (arg == "--stats") {
@@ -699,9 +650,25 @@ int main(int argc, char** argv) {
       args.csv = true;
     } else if (arg == "--weighted") {
       args.weighted = true;
-    } else {
+    } else if (!(f.Str("--graph", &args.graph_path) ||
+                 f.Str("--dataset", &args.dataset) ||
+                 f.Num("--scale", &args.scale) ||
+                 f.Str("--method", &args.method) ||
+                 f.Num("--epsilon", &args.options.epsilon) ||
+                 f.Num("--delta", &args.options.delta) ||
+                 f.Num("--tau", &args.options.tau) ||
+                 f.Num("--seed", &args.options.seed) ||
+                 f.Num("--random", &args.random_pairs) ||
+                 f.Num("--edges", &args.random_edges) ||
+                 f.Num("--qps", &args.qps) ||
+                 f.Num("--linger-ms", &args.linger_ms) ||
+                 f.Num("--batch-size", &args.serve_batch_size) ||
+                 f.Num("--deadline-ms", &args.deadline_ms) ||
+                 f.Str("--trace-out", &args.trace_out))) {
       return Usage(argv[0]);
     }
+    // A numeric flag whose value is not a complete number of its type.
+    if (f.bad()) return Usage(argv[0]);
   }
   return Run(args);
 }
