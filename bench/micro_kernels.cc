@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the substrate kernels the
 // estimators are built on: RNG throughput, walk stepping, sparse vs
-// dense SpMV, Laplacian CG solve, Lanczos preprocessing, and Wilson's
-// UST sampling.
+// dense SpMV, Laplacian CG solve, Lanczos preprocessing (cold λ alone in
+// BM_SpectralBoundsCold), and Wilson's UST sampling.
 
 #include <benchmark/benchmark.h>
 
@@ -107,6 +107,19 @@ void BM_SpectralPreprocessing(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SpectralPreprocessing);
+
+void BM_SpectralBoundsCold(benchmark::State& state) {
+  // Cold λ alone on the facebook stand-in's graph, BA(4000, 22): the run
+  // that stops at its residual certificate, with its Krylov dimension.
+  static const Graph graph = gen::BarabasiAlbert(4000, 22, /*seed=*/0xFB);
+  SpectralBounds sb;
+  for (auto _ : state) {
+    sb = ComputeSpectralBounds(graph);
+    benchmark::DoNotOptimize(sb.lambda);
+  }
+  state.counters["lanczos_iterations"] = sb.lanczos_iterations;
+}
+BENCHMARK(BM_SpectralBoundsCold)->Unit(benchmark::kMillisecond);
 
 void BM_WilsonUst(benchmark::State& state) {
   const Graph& g = BenchGraph();

@@ -94,7 +94,9 @@ std::string DescribeDataset(const Dataset& dataset) {
      << " m=" << FormatCount(static_cast<std::int64_t>(
             dataset.graph.NumEdges()))
      << " avg-deg=" << FormatSig(dataset.graph.AverageDegree(), 3)
-     << " lambda=" << FormatSig(dataset.spectral.lambda, 4);
+     << " lambda=" << FormatSig(dataset.spectral.lambda, 4)
+     << " lanczos_it=" << dataset.spectral.lanczos_iterations << " ±"
+     << FormatSig(dataset.spectral.lambda_residual, 2);
   if (dataset.paper_nodes != 0) {
     os << "  (stand-in for SNAP n="
        << FormatCount(static_cast<std::int64_t>(dataset.paper_nodes))

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "rw/rng.h"
 #include "util/check.h"
@@ -94,6 +95,102 @@ void OrthogonalizeAgainst(const std::vector<Vector>& basis, Vector* v) {
   }
 }
 
+// Largest eigenvalue of the symmetric tridiagonal T_k (diagonal `diag`,
+// off-diagonal `off`) as a Ritz value with a certified residual. θ is the
+// upper end of a Sturm-count bisection bracket; x solves rows 1..k−1 of
+// (T_k − θ)·x = 0 from the bottom up (x_{k−1} = 1), the stable direction
+// for an extreme eigenvalue. The Ritz pair (θ, y = V_k·x/‖x‖) then has
+//   ‖Op·y − θ·y‖ = √(‖(T_k − θ)·x‖² + (β_k·x_{k−1})²) / ‖x‖,
+// evaluated explicitly, so the bound holds whatever the rounding in θ and
+// x: Op has an eigenvalue within it of θ. O(k) per bisection step, where
+// a QL sweep of T_k would be O(k²) per Lanczos iteration.
+struct RitzBound {
+  double value = 0.0;
+  double residual = 0.0;
+};
+
+RitzBound LargestRitzBound(const std::vector<double>& diag,
+                           const std::vector<double>& off, double beta_k) {
+  const std::size_t k = diag.size();
+  double lo = std::numeric_limits<double>::infinity();
+  double hi = -lo;
+  for (std::size_t i = 0; i < k; ++i) {
+    const double radius = (i > 0 ? std::abs(off[i - 1]) : 0.0) +
+                          (i + 1 < k ? std::abs(off[i]) : 0.0);
+    lo = std::min(lo, diag[i] - radius);
+    hi = std::max(hi, diag[i] + radius);
+  }
+  const double eps = std::numeric_limits<double>::epsilon();
+  const double norm = std::max(std::abs(lo), std::abs(hi));
+  const double pivot_floor =
+      std::max(eps * norm, std::numeric_limits<double>::min());
+  // Sturm count: the number of eigenvalues below x is the number of
+  // negative pivots of the LDLᵀ factorization of T_k − x·I.
+  const auto all_below = [&](double x) {
+    std::size_t count = 0;
+    double d = 1.0;
+    for (std::size_t i = 0; i < k; ++i) {
+      d = diag[i] - x - (i > 0 ? off[i - 1] * off[i - 1] / d : 0.0);
+      if (std::abs(d) < pivot_floor) d = -pivot_floor;
+      if (d < 0.0) ++count;
+    }
+    return count == k;
+  };
+  while (hi - lo > 4.0 * eps * norm) {
+    const double mid = lo + 0.5 * (hi - lo);
+    if (mid <= lo || mid >= hi) break;
+    (all_below(mid) ? hi : lo) = mid;
+  }
+  const double theta = hi;
+
+  Vector x(k, 0.0);
+  x[k - 1] = 1.0;
+  double rho = 0.0;
+  for (std::size_t i = k - 1; i > 0; --i) {
+    rho = theta - diag[i] - (i + 1 < k ? off[i] * off[i] / rho : 0.0);
+    if (std::abs(rho) < pivot_floor) rho = pivot_floor;
+    x[i - 1] = x[i] * rho / off[i - 1];
+    if (std::abs(x[i - 1]) > 1e100) {
+      for (std::size_t j = i - 1; j < k; ++j) x[j] *= 1e-100;
+    }
+  }
+  double scale = 0.0;
+  for (double e : x) scale = std::max(scale, std::abs(e));
+  double residual2 = 0.0;
+  double norm2 = 0.0;
+  for (std::size_t i = 0; i < k; ++i) {
+    double row = (diag[i] - theta) * x[i];
+    if (i > 0) row += off[i - 1] * x[i - 1];
+    if (i + 1 < k) row += off[i] * x[i + 1];
+    residual2 += (row / scale) * (row / scale);
+    norm2 += (x[i] / scale) * (x[i] / scale);
+  }
+  const double tail = beta_k * x[k - 1] / scale;
+  return {theta, std::sqrt((residual2 + tail * tail) / norm2)};
+}
+
+// Both extreme Ritz values of T_k (diagonal `alpha`, off-diagonal the
+// first k−1 entries of `beta`) with their certified residuals; the
+// smallest is the largest of −T_k (same |off|, so the same routine).
+struct RitzExtremes {
+  RitzBound lo;
+  RitzBound hi;
+};
+
+RitzExtremes CertifyExtremes(const std::vector<double>& alpha,
+                             const std::vector<double>& beta,
+                             double beta_k) {
+  const std::vector<double> off(beta.begin(),
+                                beta.begin() + (alpha.size() - 1));
+  std::vector<double> negated(alpha.size());
+  for (std::size_t i = 0; i < alpha.size(); ++i) negated[i] = -alpha[i];
+  RitzExtremes out;
+  out.hi = LargestRitzBound(alpha, off, beta_k);
+  out.lo = LargestRitzBound(negated, off, beta_k);
+  out.lo.value = -out.lo.value;
+  return out;
+}
+
 }  // namespace
 
 LanczosResult LanczosExtremeEigenvalues(
@@ -149,8 +246,14 @@ LanczosResult LanczosExtremeEigenvalues(
   std::vector<double> beta;
   Vector w(dim, 0.0);
 
+  // A values-only run stops on its residual certificate and reports the
+  // certified ends of the interval. A run that returns Ritz vectors keeps
+  // the fixed budget (or the stagnation exit): the residual bounds an
+  // eigenvalue's error, but a Ritz vector's error only by residual/gap.
+  const bool certify = !options.want_ritz_vectors;
   const int max_iter =
       std::min<int>(options.max_iterations, static_cast<int>(dim));
+  double beta_k = 0.0;  // norm of the last step's residual vector
   double prev_lo = 0.0;
   double prev_hi = 0.0;
   bool have_prev_ritz = false;
@@ -164,16 +267,26 @@ LanczosResult LanczosExtremeEigenvalues(
     if (j > 0) Axpy(-beta.back(), basis[basis.size() - 2], &w);
     OrthogonalizeAgainst(deflate, &w);
     OrthogonalizeAgainst(basis, &w);
-    const double b = Norm2(w);
-    if (b < options.tolerance) {
+    beta_k = Norm2(w);
+    result.iterations = j + 1;
+    if (beta_k < options.tolerance) {
       result.converged = true;  // Invariant subspace found: exact values.
-      result.iterations = j + 1;
       break;
     }
-    beta.push_back(b);
-    Scale(1.0 / b, &w);
+    beta.push_back(beta_k);
+    // Residual certificate: both extreme Ritz values are within
+    // `tolerance` of an eigenvalue. Its O(k) bisection steps are small
+    // next to this step's O(k·dim) reorthogonalization.
+    if (certify) {
+      const RitzExtremes ritz = CertifyExtremes(alpha, beta, beta_k);
+      if (ritz.lo.residual <= options.tolerance &&
+          ritz.hi.residual <= options.tolerance) {
+        result.converged = true;
+        break;
+      }
+    }
+    Scale(1.0 / beta_k, &w);
     basis.push_back(w);
-    result.iterations = j + 1;
     // Stagnation early exit: once the extreme Ritz values stop moving,
     // further Krylov growth only polishes interior values the caller
     // never reads. Ritz extremes are monotone in k (Cauchy interlacing),
@@ -198,33 +311,34 @@ LanczosResult LanczosExtremeEigenvalues(
       have_prev_ritz = true;
     }
   }
-  if (!alpha.empty()) {
-    const int k = static_cast<int>(alpha.size());
-    std::vector<double> off(beta.begin(),
-                            beta.begin() + (alpha.size() - 1));
-    if (options.want_ritz_vectors) {
-      Matrix z(k, k, 0.0);
-      for (int i = 0; i < k; ++i) z(i, i) = 1.0;
-      std::vector<int> perm;
-      std::vector<double> ritz =
-          TridiagonalEigenvalues(alpha, off, &z, &perm);
-      result.min_eigenvalue = ritz.front();
-      result.max_eigenvalue = ritz.back();
-      // Ritz vector = Σ_j basis_j · z(j, idx), in operator coordinates.
-      const auto combine = [&](int col) {
-        Vector out(dim, 0.0);
-        for (int j = 0; j < k; ++j) Axpy(z(j, col), basis[j], &out);
-        return out;
-      };
-      result.min_ritz_vector = combine(perm.front());
-      result.max_ritz_vector = combine(perm.back());
-    } else {
-      std::vector<double> ritz = TridiagonalEigenvalues(alpha, off);
-      result.min_eigenvalue = ritz.front();
-      result.max_eigenvalue = ritz.back();
-    }
-    if (result.iterations >= max_iter) result.converged = true;
+  if (alpha.empty()) return result;
+  if (certify) {
+    const RitzExtremes ritz = CertifyExtremes(alpha, beta, beta_k);
+    result.min_eigenvalue = ritz.lo.value - ritz.lo.residual;
+    result.max_eigenvalue = ritz.hi.value + ritz.hi.residual;
+    result.residual_lo = ritz.lo.residual;
+    result.residual_hi = ritz.hi.residual;
+    return result;
   }
+  const int k = static_cast<int>(alpha.size());
+  std::vector<double> off(beta.begin(), beta.begin() + (k - 1));
+  Matrix z(k, k, 0.0);
+  for (int i = 0; i < k; ++i) z(i, i) = 1.0;
+  std::vector<int> perm;
+  std::vector<double> ritz = TridiagonalEigenvalues(alpha, off, &z, &perm);
+  result.min_eigenvalue = ritz.front();
+  result.max_eigenvalue = ritz.back();
+  // Residual β_k·|s_k| from the last row of T_k's eigenvector matrix.
+  result.residual_lo = beta_k * std::abs(z(k - 1, perm.front()));
+  result.residual_hi = beta_k * std::abs(z(k - 1, perm.back()));
+  // Ritz vector = Σ_j basis_j · z(j, idx), in operator coordinates.
+  const auto combine = [&](int col) {
+    Vector out(dim, 0.0);
+    for (int j = 0; j < k; ++j) Axpy(z(j, col), basis[j], &out);
+    return out;
+  };
+  result.min_ritz_vector = combine(perm.front());
+  result.max_ritz_vector = combine(perm.back());
   return result;
 }
 

@@ -15,7 +15,9 @@ namespace geer {
 /// Options controlling the Lanczos run.
 struct LanczosOptions {
   int max_iterations = 200;   ///< Krylov dimension cap
-  double tolerance = 1e-10;   ///< residual/beta breakdown tolerance
+  /// Residual/beta breakdown tolerance: a values-only run stops once
+  /// both extreme Ritz residuals are ≤ this (see LanczosResult).
+  double tolerance = 1e-10;
   std::uint64_t seed = 42;    ///< deterministic start vector
   /// When non-null and non-empty, the start vector is the (deflated,
   /// normalized) SUM of these vectors instead of the seeded random
@@ -31,22 +33,37 @@ struct LanczosOptions {
   /// stops once BOTH extreme Ritz values moved by less than this
   /// relative tolerance since the previous iteration. Intended for the
   /// warm-started spectral path, where a near-eigenvector start
-  /// converges the extremes in a handful of iterations; cold runs leave
-  /// it 0 so their fixed Krylov budget — and hence every bit of the
-  /// returned eigenvalues — is unchanged.
+  /// converges the extremes in a handful of iterations.
   double stagnation_tolerance = 0.0;
-  /// Also return the Ritz VECTORS of the extreme Ritz values (costs one
-  /// k×k eigenvector accumulation plus two basis combinations). The
-  /// returned eigenVALUES are bit-identical either way.
+  /// Selects what the run returns, and with it the stop rule.
+  ///  - false (values only): the run stops as soon as both extreme Ritz
+  ///    residuals are ≤ `tolerance`, and returns the certified outer
+  ///    ends θ_hi + r_hi and θ_lo − r_lo.
+  ///  - true: the run also returns the Ritz VECTORS of the extreme Ritz
+  ///    values (one k×k eigenvector accumulation plus two basis
+  ///    combinations) with the raw Ritz values, and stops only on an
+  ///    invariant subspace, the stagnation exit or the `max_iterations`
+  ///    cap: a small residual certifies a Ritz value, but a Ritz vector
+  ///    only to residual/gap.
   bool want_ritz_vectors = false;
 };
 
-/// Result: extreme Ritz values of the operator restricted to the subspace
-/// orthogonal to the supplied deflation vectors.
+/// Result: extreme eigenvalue estimates of the operator restricted to the
+/// subspace orthogonal to the supplied deflation vectors. The Ritz pair
+/// (θ, y) of each extreme has residual ‖Op·y − θ·y‖ = r, so the operator
+/// has an eigenvalue in [θ − r, θ + r]. Values-only runs return θ ± r on
+/// the outer side; Ritz-vector runs return θ. The certificate does not
+/// rule out an extreme eigenvalue the Krylov space missed altogether.
 struct LanczosResult {
-  double max_eigenvalue = 0.0;  ///< largest Ritz value
-  double min_eigenvalue = 0.0;  ///< smallest Ritz value
+  double max_eigenvalue = 0.0;  ///< θ_hi + r_hi (values only), else θ_hi
+  double min_eigenvalue = 0.0;  ///< θ_lo − r_lo (values only), else θ_lo
+  double residual_hi = 0.0;     ///< r_hi: certificate width of the max
+  double residual_lo = 0.0;     ///< r_lo: certificate width of the min
   int iterations = 0;           ///< Krylov dimension actually built
+  /// True on an invariant subspace, on a certified residual (both
+  /// r ≤ tolerance) or on the stagnation exit; false when the
+  /// `max_iterations` cap ended the run. A capped values-only run still
+  /// returns valid (wider) θ ± r bounds.
   bool converged = false;
   bool warm_started = false;    ///< start vector came from warm_start
   /// Ritz vectors for the extreme Ritz values, in operator coordinates;
@@ -59,8 +76,9 @@ struct LanczosResult {
 /// Runs Lanczos on the symmetric operator `apply` (y ← Op·x) of dimension
 /// `dim`, deflating the (orthonormal) vectors in `deflate` — pass the
 /// known top eigenvector to expose λ₂. Full reorthogonalization keeps the
-/// basis numerically orthogonal; fine for the ≤ few-hundred iterations the
-/// spectral preprocessing needs.
+/// basis numerically orthogonal — which the residual certificate relies
+/// on — at O(k·dim) per iteration; fine for the ≤ few-hundred iterations
+/// the spectral preprocessing needs.
 LanczosResult LanczosExtremeEigenvalues(
     const std::function<void(const Vector&, Vector*)>& apply,
     std::size_t dim, const std::vector<Vector>& deflate,

@@ -17,6 +17,20 @@ double ClampLambda(double lambda2, double lambda_n, double floor_gap) {
   return std::clamp(raw, 0.0, 1.0 - floor_gap);
 }
 
+SpectralBounds BoundsFromLanczos(const LanczosResult& res,
+                                 double floor_gap) {
+  SpectralBounds out;
+  out.lambda2 = std::min(res.max_eigenvalue, 1.0);
+  out.lambda_n = std::max(res.min_eigenvalue, -1.0);
+  out.lambda = ClampLambda(out.lambda2, out.lambda_n, floor_gap);
+  out.lanczos_iterations = res.iterations;
+  out.lambda_residual = std::abs(out.lambda_n) > std::abs(out.lambda2)
+                            ? res.residual_lo
+                            : res.residual_hi;
+  out.lanczos_converged = res.converged;
+  return out;
+}
+
 }  // namespace
 
 template <WeightPolicy WP>
@@ -29,15 +43,9 @@ SpectralBounds ComputeSpectralBoundsT(const typename WP::GraphT& graph,
   lopt.tolerance = options.tolerance;
   lopt.seed = options.seed;
   auto apply = [&op](const Vector& x, Vector* y) { op.Apply(x, y); };
-  LanczosResult res = LanczosExtremeEigenvalues(
-      apply, op.Dim(), {op.TopEigenvector()}, lopt);
-
-  SpectralBounds out;
-  out.lambda2 = std::min(res.max_eigenvalue, 1.0);
-  out.lambda_n = std::max(res.min_eigenvalue, -1.0);
-  out.lambda = ClampLambda(out.lambda2, out.lambda_n, options.floor_gap);
-  out.lanczos_iterations = res.iterations;
-  return out;
+  return BoundsFromLanczos(LanczosExtremeEigenvalues(
+                               apply, op.Dim(), {op.TopEigenvector()}, lopt),
+                           options.floor_gap);
 }
 
 template <WeightPolicy WP>
@@ -72,13 +80,7 @@ SpectralBounds ComputeSpectralBoundsWarmT(const typename WP::GraphT& graph,
   state->max_ritz = std::move(res.max_ritz_vector);
   state->min_ritz = std::move(res.min_ritz_vector);
   state->valid = !state->max_ritz.empty() && !state->min_ritz.empty();
-
-  SpectralBounds out;
-  out.lambda2 = std::min(res.max_eigenvalue, 1.0);
-  out.lambda_n = std::max(res.min_eigenvalue, -1.0);
-  out.lambda = ClampLambda(out.lambda2, out.lambda_n, options.floor_gap);
-  out.lanczos_iterations = res.iterations;
-  return out;
+  return BoundsFromLanczos(res, options.floor_gap);
 }
 
 template <WeightPolicy WP>

@@ -2,8 +2,10 @@
 // the transition matrix P once per graph; it parameterizes the maximum
 // walk lengths of Eq. (5) and Eq. (6). P is similar to the symmetric
 // N = D_w^{-1/2} A_w D_w^{-1/2}, so Lanczos on N (with the known top
-// eigenvector deflated) yields λ₂ and λ_n exactly as the paper's ARPACK
-// setup does. Weight-generic: the same code serves the unweighted and
+// eigenvector deflated) yields λ₂ and λ_n as the paper's ARPACK setup
+// does. A cold run stops at a certified Ritz residual and reports the
+// outer end of each certificate, so λ errs only high (a longer ℓ), up to
+// rounding. Weight-generic: the same code serves the unweighted and
 // weighted (conductance) stacks through graph/weight_policy.h.
 
 #ifndef GEER_LINALG_SPECTRAL_H_
@@ -22,6 +24,12 @@ struct SpectralBounds {
   double lambda_n = 0.0;  ///< smallest eigenvalue of P
   double lambda = 0.0;    ///< max(|λ₂|, |λ_n|), clamped into [0, 1)
   int lanczos_iterations = 0;
+  /// Ritz residual r of the extreme that sets λ. A cold run reports λ at
+  /// the outer end θ + r of its certificate, so an eigenvalue lies in
+  /// [λ − 2r, λ]; a warm run reports the raw Ritz value θ, with an
+  /// eigenvalue in [θ − r, θ + r].
+  double lambda_residual = 0.0;
+  bool lanczos_converged = false;  ///< LanczosResult::converged
 };
 
 struct SpectralOptions {
@@ -36,8 +44,9 @@ struct SpectralOptions {
   /// Ritz vectors as the start, the extremes stabilize within a few
   /// iterations and the run exits early instead of spending the full
   /// Krylov budget — the O(touched)-ish half of the incremental-epoch
-  /// swap. Cold runs (fresh construction, invalid warm state) never use
-  /// it, keeping their λ bit-identical.
+  /// swap. Cold construction-time runs stop on their residual
+  /// certificate instead; the warm path's cold fallback (invalid warm
+  /// state) records Ritz vectors and so keeps the full budget.
   double warm_stagnation_tolerance = 1e-9;
 };
 

@@ -80,6 +80,39 @@ TEST(LanczosTest, IterationCapRespected) {
   opt.max_iterations = 10;
   LanczosResult res = LanczosExtremeEigenvalues(AsOperator(m), n, {}, opt);
   EXPECT_LE(res.iterations, 10);
+  EXPECT_FALSE(res.converged);  // the cap, not a certificate, ended it
+}
+
+// At every Krylov dimension — certified or capped — a values-only run
+// returns θ ± r such that [θ − r, θ + r] holds an eigenvalue, and stops
+// once both residuals are within tolerance.
+TEST(LanczosTest, ResidualCertificateHoldsAtEveryCap) {
+  const std::size_t n = 40;
+  Matrix m = RandomSymmetric(n, 77);
+  EigenDecomposition dense = JacobiEigenSolve(m);
+  const auto brackets_eigenvalue = [&](double center, double radius) {
+    for (double e : dense.eigenvalues) {
+      if (std::abs(e - center) <= radius + 1e-12) return true;
+    }
+    return false;
+  };
+  for (int cap = 1; cap <= static_cast<int>(n); ++cap) {
+    LanczosOptions opt;
+    opt.max_iterations = cap;
+    LanczosResult res = LanczosExtremeEigenvalues(AsOperator(m), n, {}, opt);
+    EXPECT_TRUE(brackets_eigenvalue(res.max_eigenvalue - res.residual_hi,
+                                    res.residual_hi))
+        << "cap " << cap;
+    EXPECT_TRUE(brackets_eigenvalue(res.min_eigenvalue + res.residual_lo,
+                                    res.residual_lo))
+        << "cap " << cap;
+    if (res.converged) {
+      EXPECT_LE(res.residual_hi, opt.tolerance) << "cap " << cap;
+      EXPECT_LE(res.residual_lo, opt.tolerance) << "cap " << cap;
+      EXPECT_GE(res.max_eigenvalue, dense.eigenvalues.back() - 1e-12);
+      EXPECT_LE(res.min_eigenvalue, dense.eigenvalues.front() + 1e-12);
+    }
+  }
 }
 
 }  // namespace

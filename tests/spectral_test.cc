@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "graph/builder.h"
 #include "graph/generators.h"
 
 namespace geer {
@@ -65,6 +69,58 @@ TEST(SpectralTest, LambdaWithinUnitInterval) {
     EXPECT_LE(sb.lambda2, 1.0);
     EXPECT_GE(sb.lambda_n, -1.0);
   }
+}
+
+// C_n plus one chord: odd cycles through the chord make it non-bipartite
+// and the chord splits the cycle's doubly degenerate eigenvalues.
+Graph CycleWithChord(NodeId n, NodeId chord_end) {
+  GraphBuilder b(n);
+  for (NodeId u = 0; u < n; ++u) b.AddEdge(u, (u + 1) % n);
+  b.AddEdge(0, chord_end);
+  return b.Build();
+}
+
+// The cold run's certificate: λ₂ and |λ_n| (hence λ) sit on the outer
+// side of the dense values, and within twice the residual tolerance of
+// them when the run converged. kOracleSlack absorbs rounding in both
+// computations (Jacobi sweeps, Lanczos recurrence; ~2e-14 on these
+// fixtures), which the residual does not cover.
+TEST(SpectralTest, CertifiedBoundsEncloseDenseOracle) {
+  const SpectralOptions options;
+  const double close = 2.0 * options.tolerance + 1e-12;
+  const double kOracleSlack = 1e-13;
+  const std::vector<std::pair<std::string, Graph>> fixtures = {
+      {"er", gen::ErdosRenyi(200, 1000, 4)},
+      {"er-sparse", gen::ErdosRenyi(250, 350, 8)},
+      {"ba", gen::BarabasiAlbert(250, 3, 2)},
+      {"barbell", gen::Barbell(8, 4)},
+      {"ws", gen::WattsStrogatz(240, 3, 0.1, 6)},
+      {"cycle-chord", CycleWithChord(101, 40)},
+  };
+  for (const auto& [name, g] : fixtures) {
+    const SpectralBounds lanczos = ComputeSpectralBounds(g, options);
+    const SpectralBounds dense = ComputeSpectralBoundsDense(g);
+    EXPECT_GE(lanczos.lambda2, dense.lambda2 - kOracleSlack) << name;
+    EXPECT_GE(std::abs(lanczos.lambda_n),
+              std::abs(dense.lambda_n) - kOracleSlack)
+        << name;
+    EXPECT_GE(lanczos.lambda, dense.lambda - kOracleSlack) << name;
+    if (lanczos.lanczos_converged) {
+      EXPECT_LE(lanczos.lambda2 - dense.lambda2, close) << name;
+      EXPECT_LE(dense.lambda_n - lanczos.lambda_n, close) << name;
+      EXPECT_LE(lanczos.lambda - dense.lambda, close) << name;
+    }
+  }
+}
+
+// The residual certificate ends a cold run well inside its Krylov budget.
+TEST(SpectralTest, ColdRunStopsOnCertificate) {
+  const SpectralOptions options;
+  const SpectralBounds sb =
+      ComputeSpectralBounds(gen::ErdosRenyi(2000, 20000, 3), options);
+  EXPECT_TRUE(sb.lanczos_converged);
+  EXPECT_LT(sb.lanczos_iterations, options.max_iterations);
+  EXPECT_LE(sb.lambda_residual, options.tolerance);
 }
 
 }  // namespace

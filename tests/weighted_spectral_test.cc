@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "graph/generators.h"
 #include "graph/weighted_generators.h"
@@ -25,6 +28,34 @@ TEST(WeightedSpectralTest, LanczosMatchesDenseOracle) {
   SpectralBounds dense = ComputeWeightedSpectralBoundsDense(g);
   EXPECT_NEAR(lanczos.lambda2, dense.lambda2, 1e-7);
   EXPECT_NEAR(lanczos.lambda_n, dense.lambda_n, 1e-7);
+}
+
+// The cold run's certificate under conductance weights: λ₂, |λ_n| and λ
+// on the outer side of the dense values, and within twice the residual
+// tolerance when converged (kOracleSlack: rounding in both computations).
+TEST(WeightedSpectralTest, CertifiedBoundsEncloseDenseOracle) {
+  const SpectralOptions options;
+  const double close = 2.0 * options.tolerance + 1e-12;
+  const double kOracleSlack = 1e-13;
+  const std::vector<std::pair<std::string, WeightedGraph>> fixtures = {
+      {"tri-grid", gen::TriangulatedGridCircuit(6, 7, 0.5, 2.0, 5)},
+      {"er-weighted",
+       gen::WithUniformWeights(gen::ErdosRenyi(250, 1000, 12), 0.1, 10.0, 3)},
+  };
+  for (const auto& [name, g] : fixtures) {
+    const SpectralBounds lanczos = ComputeWeightedSpectralBounds(g, options);
+    const SpectralBounds dense = ComputeWeightedSpectralBoundsDense(g);
+    EXPECT_GE(lanczos.lambda2, dense.lambda2 - kOracleSlack) << name;
+    EXPECT_GE(std::abs(lanczos.lambda_n),
+              std::abs(dense.lambda_n) - kOracleSlack)
+        << name;
+    EXPECT_GE(lanczos.lambda, dense.lambda - kOracleSlack) << name;
+    if (lanczos.lanczos_converged) {
+      EXPECT_LE(lanczos.lambda2 - dense.lambda2, close) << name;
+      EXPECT_LE(dense.lambda_n - lanczos.lambda_n, close) << name;
+      EXPECT_LE(lanczos.lambda - dense.lambda, close) << name;
+    }
+  }
 }
 
 TEST(WeightedSpectralTest, NonBipartiteCircuitHasLambdaBelowOne) {
