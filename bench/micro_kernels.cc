@@ -108,10 +108,23 @@ void BM_SpectralPreprocessing(benchmark::State& state) {
 }
 BENCHMARK(BM_SpectralPreprocessing);
 
-void BM_SpectralBoundsCold(benchmark::State& state) {
-  // Cold λ alone on the facebook stand-in's graph, BA(4000, 22): the run
-  // that stops at its residual certificate, with its Krylov dimension.
+// Cold λ alone, the run that stops at its residual certificate, with its
+// Krylov dimension: on the facebook stand-in's graph, BA(4000, 22), and
+// on the youtube stand-in's (R-MAT, 31k nodes after the largest
+// component, 250 KB per Krylov vector).
+const Graph& FacebookGraph() {
   static const Graph graph = gen::BarabasiAlbert(4000, 22, /*seed=*/0xFB);
+  return graph;
+}
+
+const Graph& YoutubeGraph() {
+  static const Graph graph = MakeDataset("youtube")->graph;
+  return graph;
+}
+
+void BM_SpectralBoundsCold(benchmark::State& state,
+                           const Graph& (*make_graph)()) {
+  const Graph& graph = make_graph();
   SpectralBounds sb;
   for (auto _ : state) {
     sb = ComputeSpectralBounds(graph);
@@ -119,7 +132,10 @@ void BM_SpectralBoundsCold(benchmark::State& state) {
   }
   state.counters["lanczos_iterations"] = sb.lanczos_iterations;
 }
-BENCHMARK(BM_SpectralBoundsCold)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_SpectralBoundsCold, facebook_ba4000, &FacebookGraph)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_SpectralBoundsCold, youtube_rmat, &YoutubeGraph)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_WilsonUst(benchmark::State& state) {
   const Graph& g = BenchGraph();

@@ -47,11 +47,11 @@ QueryStats McEstimatorT<WP>::EstimateWithStats(NodeId s, NodeId t) {
   Rng rng(options_.seed ^ (static_cast<std::uint64_t>(s) << 32) ^ t);
   std::uint64_t hits = 0;
   for (std::uint64_t k = 0; k < eta; ++k) {
-    const WalkAbsorption outcome =
-        walker_.EscapeTrial(s, t, max_steps, rng);
+    const WalkEscape trial = walker_.EscapeTrial(s, t, max_steps, rng);
     ++stats.walks;
-    if (outcome == WalkAbsorption::kHitTarget) ++hits;
-    if (outcome == WalkAbsorption::kStepLimit) stats.truncated = true;
+    stats.walk_steps += trial.steps;
+    if (trial.outcome == WalkAbsorption::kHitTarget) ++hits;
+    if (trial.outcome == WalkAbsorption::kStepLimit) stats.truncated = true;
   }
   if (hits == 0) {
     // No escape observed: report the assumed upper bound (r is at least

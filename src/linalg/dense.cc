@@ -5,13 +5,7 @@
 
 namespace geer {
 
-// Dot and Axpy are Lanczos' full-reorthogonalization kernels: O(k²·n) of
-// a cold λ run with k Krylov vectors (k ≈ 90–200 on the stand-ins),
-// against O(k·m) in SpMV. Left at the linker's 16-byte placement, their
-// speed moved with the size of unrelated code linked before them (the
-// facebook stand-in's λ took 10–20% longer after one such shift); a
-// 64-byte start fixes where their loops sit in the cache lines.
-[[gnu::aligned(64)]] double Dot(const Vector& x, const Vector& y) {
+double Dot(const Vector& x, const Vector& y) {
   GEER_CHECK_EQ(x.size(), y.size());
   double acc = 0.0;
   for (std::size_t i = 0; i < x.size(); ++i) acc += x[i] * y[i];
@@ -20,7 +14,7 @@ namespace geer {
 
 double Norm2(const Vector& x) { return std::sqrt(Dot(x, x)); }
 
-[[gnu::aligned(64)]] void Axpy(double alpha, const Vector& x, Vector* y) {
+void Axpy(double alpha, const Vector& x, Vector* y) {
   GEER_CHECK_EQ(x.size(), y->size());
   for (std::size_t i = 0; i < x.size(); ++i) (*y)[i] += alpha * x[i];
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "rw/rng.h"
 #include "util/check.h"
@@ -99,14 +100,17 @@ void OrthogonalizeAgainst(const std::vector<Vector>& basis, Vector* v) {
 // off-diagonal `off`) as a Ritz value with a certified residual. θ is the
 // upper end of a Sturm-count bisection bracket; x solves rows 1..k−1 of
 // (T_k − θ)·x = 0 from the bottom up (x_{k−1} = 1), the stable direction
-// for an extreme eigenvalue. The Ritz pair (θ, y = V_k·x/‖x‖) then has
-//   ‖Op·y − θ·y‖ = √(‖(T_k − θ)·x‖² + (β_k·x_{k−1})²) / ‖x‖,
-// evaluated explicitly, so the bound holds whatever the rounding in θ and
-// x: Op has an eigenvalue within it of θ. O(k) per bisection step, where
-// a QL sweep of T_k would be O(k²) per Lanczos iteration.
+// for an extreme eigenvalue. The T-residual
+//   r_T = √(‖(T_k − θ)·x‖² + (β_k·x_{k−1})²) / ‖x‖
+// is evaluated explicitly, so it holds whatever the rounding in θ and x.
+// It equals ‖Op·y − θ·y‖/‖y‖ for y = V_k·x only while the basis V_k is
+// orthonormal; without reorthogonalization it is the cheap per-step stop
+// test, and ExplicitResidual certifies the pair. O(k) per bisection
+// step, where a QL sweep of T_k would be O(k²) per Lanczos iteration.
 struct RitzBound {
   double value = 0.0;
   double residual = 0.0;
+  Vector x;  ///< the Ritz vector's coordinates in the Lanczos basis
 };
 
 RitzBound LargestRitzBound(const std::vector<double>& diag,
@@ -166,12 +170,14 @@ RitzBound LargestRitzBound(const std::vector<double>& diag,
     norm2 += (x[i] / scale) * (x[i] / scale);
   }
   const double tail = beta_k * x[k - 1] / scale;
-  return {theta, std::sqrt((residual2 + tail * tail) / norm2)};
+  return {theta, std::sqrt((residual2 + tail * tail) / norm2), std::move(x)};
 }
 
 // Both extreme Ritz values of T_k (diagonal `alpha`, off-diagonal the
 // first k−1 entries of `beta`) with their certified residuals; the
-// smallest is the largest of −T_k (same |off|, so the same routine).
+// smallest is the largest of −T_k. The routine runs on −diag with the
+// same off-diagonal, a matrix similar to −T_k under S = diag(1, −1, 1, …),
+// so its x maps back to −T_k's eigenvector by the sign flips of S.
 struct RitzExtremes {
   RitzBound lo;
   RitzBound hi;
@@ -188,7 +194,33 @@ RitzExtremes CertifyExtremes(const std::vector<double>& alpha,
   out.hi = LargestRitzBound(alpha, off, beta_k);
   out.lo = LargestRitzBound(negated, off, beta_k);
   out.lo.value = -out.lo.value;
+  for (std::size_t i = 1; i < out.lo.x.size(); i += 2) {
+    out.lo.x[i] = -out.lo.x[i];
+  }
   return out;
+}
+
+// ‖Op·y − θ·y‖ for the unit Ritz vector y ∝ V_k·x, deflated, which it
+// stores in `*y`: a bound on the distance from θ to an eigenvalue of the
+// deflated operator for ANY y, so it needs neither an orthonormal basis
+// nor an exact recurrence. One basis combination and one operator
+// application.
+double ExplicitResidual(
+    const std::function<void(const Vector&, Vector*)>& apply,
+    const std::vector<Vector>& basis, const std::vector<Vector>& deflate,
+    const RitzBound& ritz, Vector* y) {
+  y->assign(basis.front().size(), 0.0);
+  for (std::size_t j = 0; j < ritz.x.size(); ++j) {
+    Axpy(ritz.x[j], basis[j], y);
+  }
+  OrthogonalizeAgainst(deflate, y);
+  const double norm = Norm2(*y);
+  if (!(norm > 0.0)) return std::numeric_limits<double>::infinity();
+  Scale(1.0 / norm, y);
+  Vector residual(y->size(), 0.0);
+  apply(*y, &residual);
+  Axpy(-ritz.value, *y, &residual);
+  return Norm2(residual);
 }
 
 }  // namespace
@@ -251,9 +283,22 @@ LanczosResult LanczosExtremeEigenvalues(
   // the fixed budget (or the stagnation exit): the residual bounds an
   // eigenvalue's error, but a Ritz vector's error only by residual/gap.
   const bool certify = !options.want_ritz_vectors;
+  // The certificate of the extremes: each end's residual becomes the
+  // larger of its T-residual and the explicit residual of its Ritz
+  // vector, which the result returns.
+  RitzExtremes ritz;
+  const auto certify_explicitly = [&] {
+    ritz.lo.residual = std::max(
+        ritz.lo.residual, ExplicitResidual(apply, basis, deflate, ritz.lo,
+                                           &result.min_ritz_vector));
+    ritz.hi.residual = std::max(
+        ritz.hi.residual, ExplicitResidual(apply, basis, deflate, ritz.hi,
+                                           &result.max_ritz_vector));
+  };
   const int max_iter =
       std::min<int>(options.max_iterations, static_cast<int>(dim));
   double beta_k = 0.0;  // norm of the last step's residual vector
+  bool certified = false;
   double prev_lo = 0.0;
   double prev_hi = 0.0;
   bool have_prev_ritz = false;
@@ -261,12 +306,15 @@ LanczosResult LanczosExtremeEigenvalues(
     apply(basis.back(), &w);
     const double a = Dot(basis.back(), w);
     alpha.push_back(a);
-    // w ← w − a·v_j − β_{j−1}·v_{j−1}, then fully reorthogonalize against
-    // the deflation space and all previous basis vectors.
+    // Three-term recurrence w ← w − a·v_j − β_{j−1}·v_{j−1}, deflated, with
+    // no sweep against the earlier basis vectors: the basis loses
+    // orthogonality only along Ritz vectors that have already converged
+    // (Paige 1980), and the explicit residual below does not rely on it.
+    // Deflation stays per step; without it θ_hi drifts to the deflated
+    // eigenvalue.
     Axpy(-a, basis.back(), &w);
     if (j > 0) Axpy(-beta.back(), basis[basis.size() - 2], &w);
     OrthogonalizeAgainst(deflate, &w);
-    OrthogonalizeAgainst(basis, &w);
     beta_k = Norm2(w);
     result.iterations = j + 1;
     if (beta_k < options.tolerance) {
@@ -274,15 +322,20 @@ LanczosResult LanczosExtremeEigenvalues(
       break;
     }
     beta.push_back(beta_k);
-    // Residual certificate: both extreme Ritz values are within
-    // `tolerance` of an eigenvalue. Its O(k) bisection steps are small
-    // next to this step's O(k·dim) reorthogonalization.
+    // Residual certificate: once both T-residuals are within `tolerance`
+    // (O(k) bisection steps), confirm them with the explicit residuals
+    // (O(k·dim), paid only here); if either is above, keep iterating.
     if (certify) {
-      const RitzExtremes ritz = CertifyExtremes(alpha, beta, beta_k);
+      ritz = CertifyExtremes(alpha, beta, beta_k);
       if (ritz.lo.residual <= options.tolerance &&
           ritz.hi.residual <= options.tolerance) {
-        result.converged = true;
-        break;
+        certify_explicitly();
+        if (ritz.lo.residual <= options.tolerance &&
+            ritz.hi.residual <= options.tolerance) {
+          result.converged = true;
+          certified = true;
+          break;
+        }
       }
     }
     Scale(1.0 / beta_k, &w);
@@ -295,9 +348,9 @@ LanczosResult LanczosExtremeEigenvalues(
     if (options.stagnation_tolerance > 0.0 && alpha.size() >= 3) {
       std::vector<double> off(beta.begin(),
                               beta.begin() + (alpha.size() - 1));
-      const std::vector<double> ritz = TridiagonalEigenvalues(alpha, off);
-      const double lo = ritz.front();
-      const double hi = ritz.back();
+      const std::vector<double> values = TridiagonalEigenvalues(alpha, off);
+      const double lo = values.front();
+      const double hi = values.back();
       if (have_prev_ritz &&
           std::abs(hi - prev_hi) <=
               options.stagnation_tolerance * std::max(1.0, std::abs(hi)) &&
@@ -313,7 +366,12 @@ LanczosResult LanczosExtremeEigenvalues(
   }
   if (alpha.empty()) return result;
   if (certify) {
-    const RitzExtremes ritz = CertifyExtremes(alpha, beta, beta_k);
+    // A run that ended on the cap or an invariant subspace gets the same
+    // explicit certificate at its last Krylov dimension.
+    if (!certified) {
+      ritz = CertifyExtremes(alpha, beta, beta_k);
+      certify_explicitly();
+    }
     result.min_eigenvalue = ritz.lo.value - ritz.lo.residual;
     result.max_eigenvalue = ritz.hi.value + ritz.hi.residual;
     result.residual_lo = ritz.lo.residual;
@@ -325,16 +383,20 @@ LanczosResult LanczosExtremeEigenvalues(
   Matrix z(k, k, 0.0);
   for (int i = 0; i < k; ++i) z(i, i) = 1.0;
   std::vector<int> perm;
-  std::vector<double> ritz = TridiagonalEigenvalues(alpha, off, &z, &perm);
-  result.min_eigenvalue = ritz.front();
-  result.max_eigenvalue = ritz.back();
+  const std::vector<double> values =
+      TridiagonalEigenvalues(alpha, off, &z, &perm);
+  result.min_eigenvalue = values.front();
+  result.max_eigenvalue = values.back();
   // Residual β_k·|s_k| from the last row of T_k's eigenvector matrix.
   result.residual_lo = beta_k * std::abs(z(k - 1, perm.front()));
   result.residual_hi = beta_k * std::abs(z(k - 1, perm.back()));
-  // Ritz vector = Σ_j basis_j · z(j, idx), in operator coordinates.
+  // Ritz vector = Σ_j basis_j · z(j, idx), in operator coordinates,
+  // normalized: without reorthogonalization V_k·z is not a unit vector
+  // once a converged extreme has ghost copies.
   const auto combine = [&](int col) {
     Vector out(dim, 0.0);
     for (int j = 0; j < k; ++j) Axpy(z(j, col), basis[j], &out);
+    Scale(1.0 / Norm2(out), &out);
     return out;
   };
   result.min_ritz_vector = combine(perm.front());

@@ -1,6 +1,8 @@
-// Lanczos iteration with full reorthogonalization for extreme eigenvalues
-// of a symmetric operator. This replaces the paper's ARPACK dependency for
-// the λ = max(|λ₂|, |λ_n|) preprocessing step (§3.1).
+// Lanczos iteration for extreme eigenvalues of a symmetric operator: the
+// plain three-term recurrence (no reorthogonalization against earlier
+// basis vectors) with an explicit residual certificate. This replaces the
+// paper's ARPACK dependency for the λ = max(|λ₂|, |λ_n|) preprocessing
+// step (§3.1).
 
 #ifndef GEER_LINALG_LANCZOS_H_
 #define GEER_LINALG_LANCZOS_H_
@@ -29,19 +31,23 @@ struct LanczosOptions {
   const std::vector<Vector>* warm_start = nullptr;
   /// Ritz-value stagnation early exit (0 disables). When positive, each
   /// iteration past a small minimum solves the values-only tridiagonal
-  /// problem (O(k²), cheap next to the O(k·dim) reorthogonalization) and
-  /// stops once BOTH extreme Ritz values moved by less than this
-  /// relative tolerance since the previous iteration. Intended for the
+  /// problem (O(k²), small next to a step's SpMV for the few iterations
+  /// a warm run takes) and stops once BOTH extreme Ritz values moved by
+  /// less than this relative tolerance since the previous iteration.
+  /// Ritz values need no orthogonal basis for this. Intended for the
   /// warm-started spectral path, where a near-eigenvector start
   /// converges the extremes in a handful of iterations.
   double stagnation_tolerance = 0.0;
   /// Selects what the run returns, and with it the stop rule.
   ///  - false (values only): the run stops as soon as both extreme Ritz
-  ///    residuals are ≤ `tolerance`, and returns the certified outer
-  ///    ends θ_hi + r_hi and θ_lo − r_lo.
-  ///  - true: the run also returns the Ritz VECTORS of the extreme Ritz
-  ///    values (one k×k eigenvector accumulation plus two basis
-  ///    combinations) with the raw Ritz values, and stops only on an
+  ///    residuals are ≤ `tolerance` — first the O(k) T-residual, then,
+  ///    when that passes, the explicit ‖Op·y − θ·y‖/‖y‖ — and returns
+  ///    the certified outer ends θ_hi + r_hi and θ_lo − r_lo (with the
+  ///    Ritz vectors y the certificate was evaluated on).
+  ///  - true: the run returns the Ritz VECTORS of the extreme Ritz
+  ///    values from T_k's eigenvectors (one k×k eigenvector accumulation
+  ///    plus two basis combinations) with the raw Ritz values, and stops
+  ///    only on an
   ///    invariant subspace, the stagnation exit or the `max_iterations`
   ///    cap: a small residual certifies a Ritz value, but a Ritz vector
   ///    only to residual/gap.
@@ -49,11 +55,16 @@ struct LanczosOptions {
 };
 
 /// Result: extreme eigenvalue estimates of the operator restricted to the
-/// subspace orthogonal to the supplied deflation vectors. The Ritz pair
-/// (θ, y) of each extreme has residual ‖Op·y − θ·y‖ = r, so the operator
-/// has an eigenvalue in [θ − r, θ + r]. Values-only runs return θ ± r on
-/// the outer side; Ritz-vector runs return θ. The certificate does not
-/// rule out an extreme eigenvalue the Krylov space missed altogether.
+/// subspace orthogonal to the supplied deflation vectors. In a values-only
+/// run, r is the larger of the tridiagonal T-residual and the explicit
+/// residual ‖Op·y − θ·y‖/‖y‖ of the Ritz vector y, evaluated with the
+/// operator itself; the latter bounds the distance from θ to an
+/// eigenvalue for any y ≠ 0, so the certificate does not rely on the
+/// basis staying orthogonal (it does not: no reorthogonalization). The
+/// operator has an eigenvalue in [θ − r, θ + r]. Values-only runs return
+/// θ ± r on the outer side; Ritz-vector runs return θ with the
+/// T-residual. The certificate does not rule out an extreme eigenvalue
+/// the Krylov space missed altogether.
 struct LanczosResult {
   double max_eigenvalue = 0.0;  ///< θ_hi + r_hi (values only), else θ_hi
   double min_eigenvalue = 0.0;  ///< θ_lo − r_lo (values only), else θ_lo
@@ -67,18 +78,21 @@ struct LanczosResult {
   bool converged = false;
   bool warm_started = false;    ///< start vector came from warm_start
   /// Ritz vectors for the extreme Ritz values, in operator coordinates;
-  /// empty unless options.want_ritz_vectors and the Krylov space is
-  /// non-trivial.
+  /// empty when the Krylov space is trivial. A values-only run returns
+  /// the unit vectors y its certificate was evaluated on, so
+  /// ‖Op·y − θ·y‖ ≤ r; a Ritz-vector run returns V_k·s for the
+  /// eigenvector s of T_k.
   Vector max_ritz_vector;
   Vector min_ritz_vector;
 };
 
 /// Runs Lanczos on the symmetric operator `apply` (y ← Op·x) of dimension
 /// `dim`, deflating the (orthonormal) vectors in `deflate` — pass the
-/// known top eigenvector to expose λ₂. Full reorthogonalization keeps the
-/// basis numerically orthogonal — which the residual certificate relies
-/// on — at O(k·dim) per iteration; fine for the ≤ few-hundred iterations
-/// the spectral preprocessing needs.
+/// known top eigenvector to expose λ₂. Each iteration costs one operator
+/// application and O(dim) vector work; the k×dim basis is stored for the
+/// Ritz vectors. The basis loses orthogonality only along Ritz vectors
+/// that have converged (Paige 1980), which leaves the extreme Ritz values
+/// accurate; the explicit residual certifies them.
 LanczosResult LanczosExtremeEigenvalues(
     const std::function<void(const Vector&, Vector*)>& apply,
     std::size_t dim, const std::vector<Vector>& deflate,

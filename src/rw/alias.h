@@ -85,8 +85,8 @@ class WeightedWalker {
                 std::vector<NodeId>* out) const;
 
   /// See the free-function EscapeTrial (rw/walker.h).
-  WalkAbsorption EscapeTrial(NodeId source, NodeId target,
-                             std::uint64_t max_steps, Rng& rng) const {
+  WalkEscape EscapeTrial(NodeId source, NodeId target,
+                         std::uint64_t max_steps, Rng& rng) const {
     return geer::EscapeTrial(*this, source, target, max_steps, rng);
   }
 

@@ -26,6 +26,12 @@ enum class WalkAbsorption {
   kStepLimit,  ///< exceeded `max_steps` (treated as a failed trial)
 };
 
+/// Result of an escape trial used by the MC baseline.
+struct WalkEscape {
+  WalkAbsorption outcome = WalkAbsorption::kStepLimit;
+  std::uint64_t steps = 0;  ///< walk steps drawn, the first one included
+};
+
 /// Result of a first-visit trial used by the MC2 baseline.
 struct WalkFirstVisit {
   bool used_direct_edge = false;  ///< first arrival at target came via
@@ -68,16 +74,16 @@ NodeId DrawStep(const WalkerT& walker, NodeId v, Rng& rng) {
 /// probability Pr[hit target first] equals 1/(w(source)·r(source,target))
 /// with w = d in the unit-weight mode.
 template <typename WalkerT>
-WalkAbsorption EscapeTrial(const WalkerT& walker, NodeId source,
-                           NodeId target, std::uint64_t max_steps, Rng& rng) {
+WalkEscape EscapeTrial(const WalkerT& walker, NodeId source, NodeId target,
+                       std::uint64_t max_steps, Rng& rng) {
   GEER_DCHECK(source != target);
   NodeId cur = walker.Step(source, rng);
   for (std::uint64_t step = 1; step <= max_steps; ++step) {
-    if (cur == target) return WalkAbsorption::kHitTarget;
-    if (cur == source) return WalkAbsorption::kReturned;
+    if (cur == target) return {WalkAbsorption::kHitTarget, step};
+    if (cur == source) return {WalkAbsorption::kReturned, step};
     cur = walker.Step(cur, rng);
   }
-  return WalkAbsorption::kStepLimit;
+  return {WalkAbsorption::kStepLimit, max_steps + 1};
 }
 
 /// Walks from `source` until the first visit to `target` (or `max_steps`),
@@ -144,7 +150,7 @@ class Walker {
                 std::vector<NodeId>* out) const;
 
   /// See the free-function EscapeTrial.
-  Absorption EscapeTrial(NodeId source, NodeId target,
+  WalkEscape EscapeTrial(NodeId source, NodeId target,
                          std::uint64_t max_steps, Rng& rng) const {
     return geer::EscapeTrial(*this, source, target, max_steps, rng);
   }

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+
+#include "graph/generators.h"
 #include "linalg/jacobi_eigen.h"
+#include "linalg/spectral.h"
+#include "linalg/transition.h"
 #include "rw/rng.h"
 
 namespace geer {
@@ -24,6 +30,35 @@ Matrix RandomSymmetric(std::size_t n, std::uint64_t seed) {
     }
   }
   return m;
+}
+
+// ‖Op·y − θ·y‖ for a returned Ritz vector y.
+double VectorResidual(const std::function<void(const Vector&, Vector*)>& op,
+                      const Vector& y, double theta) {
+  Vector r(y.size(), 0.0);
+  op(y, &r);
+  Axpy(-theta, y, &r);
+  return Norm2(r);
+}
+
+// A values-only run's certificate is about the unit Ritz vectors it
+// returns: each width r is at least ‖Op·y − θ·y‖ of its vector, where
+// θ = (outer end) ∓ r. `slack` covers the rounding in recovering θ.
+void ExpectCertifiesReturnedVectors(
+    const std::function<void(const Vector&, Vector*)>& op,
+    const LanczosResult& res, double slack, const std::string& label) {
+  ASSERT_FALSE(res.max_ritz_vector.empty()) << label;
+  ASSERT_FALSE(res.min_ritz_vector.empty()) << label;
+  EXPECT_NEAR(Norm2(res.max_ritz_vector), 1.0, 1e-12) << label;
+  EXPECT_NEAR(Norm2(res.min_ritz_vector), 1.0, 1e-12) << label;
+  EXPECT_LE(VectorResidual(op, res.max_ritz_vector,
+                           res.max_eigenvalue - res.residual_hi),
+            res.residual_hi + slack)
+      << label;
+  EXPECT_LE(VectorResidual(op, res.min_ritz_vector,
+                           res.min_eigenvalue + res.residual_lo),
+            res.residual_lo + slack)
+      << label;
 }
 
 TEST(LanczosTest, DiagonalExtremes) {
@@ -106,12 +141,69 @@ TEST(LanczosTest, ResidualCertificateHoldsAtEveryCap) {
     EXPECT_TRUE(brackets_eigenvalue(res.min_eigenvalue + res.residual_lo,
                                     res.residual_lo))
         << "cap " << cap;
+    ExpectCertifiesReturnedVectors(AsOperator(m), res, 1e-14,
+                                   "cap " + std::to_string(cap));
     if (res.converged) {
       EXPECT_LE(res.residual_hi, opt.tolerance) << "cap " << cap;
       EXPECT_LE(res.residual_lo, opt.tolerance) << "cap " << cap;
       EXPECT_GE(res.max_eigenvalue, dense.eigenvalues.back() - 1e-12);
       EXPECT_LE(res.min_eigenvalue, dense.eigenvalues.front() + 1e-12);
     }
+  }
+}
+
+// Run far past convergence (tolerance 0, 300 steps on a 400-node graph),
+// where the plain recurrence has long lost orthogonality and the extreme
+// Ritz values have ghost copies: the run reports the cap, and its bounds
+// still enclose the dense oracle's λ₂ and λ_n, and tightly.
+TEST(LanczosTest, PastConvergenceBoundsEncloseDenseOracle) {
+  // The Jacobi oracle on a 400×400 matrix is good to ~1e-13.
+  const double kOracleSlack = 1e-12;
+  const Graph g = gen::ErdosRenyi(400, 2400, 1);
+  NormalizedAdjacencyOperator op(g);
+  const auto apply = [&op](const Vector& x, Vector* y) { op.Apply(x, y); };
+  LanczosOptions opt;
+  opt.tolerance = 0.0;
+  opt.max_iterations = 300;
+  const LanczosResult res = LanczosExtremeEigenvalues(
+      apply, op.Dim(), {op.TopEigenvector()}, opt);
+  const SpectralBounds dense = ComputeSpectralBoundsDense(g);
+  EXPECT_FALSE(res.converged);
+  EXPECT_EQ(res.iterations, 300);
+  EXPECT_GE(res.max_eigenvalue, dense.lambda2 - kOracleSlack);
+  EXPECT_LE(res.min_eigenvalue, dense.lambda_n + kOracleSlack);
+  EXPECT_LE(res.max_eigenvalue - dense.lambda2, 1e-10);
+  EXPECT_LE(dense.lambda_n - res.min_eigenvalue, 1e-10);
+  ExpectCertifiesReturnedVectors(apply, res, 1e-15, "ER(400, 2400)");
+}
+
+// A spectrum clustered toward 0 (1 down to 1e-12 geometrically) with an
+// isolated −1, run to its cap: both ends converge early and then recur as
+// ghosts, and the Ritz vectors V_k·x shrink below ‖x‖ — by up to ~5× here
+// — so the tridiagonal residual alone understates the true one. The
+// reported width must still cover the returned vector's explicit residual,
+// and the exactly known extremes ±1 stay enclosed.
+TEST(LanczosTest, ClusteredSpectrumCertificateIsExplicit) {
+  const std::size_t n = 400;
+  Vector diag(n);
+  for (std::size_t i = 0; i + 1 < n; ++i) {
+    diag[i] = std::pow(10.0, -12.0 * static_cast<double>(i) / (n - 2.0));
+  }
+  diag[n - 1] = -1.0;
+  const auto apply = [&diag](const Vector& x, Vector* y) {
+    y->resize(x.size());
+    for (std::size_t i = 0; i < x.size(); ++i) (*y)[i] = diag[i] * x[i];
+  };
+  for (int cap : {200, 250, 300}) {
+    LanczosOptions opt;
+    opt.tolerance = 0.0;
+    opt.max_iterations = cap;
+    const LanczosResult res = LanczosExtremeEigenvalues(apply, n, {}, opt);
+    EXPECT_FALSE(res.converged) << "cap " << cap;
+    EXPECT_GE(res.max_eigenvalue, 1.0) << "cap " << cap;
+    EXPECT_LE(res.min_eigenvalue, -1.0) << "cap " << cap;
+    ExpectCertifiesReturnedVectors(apply, res, 4e-16,
+                                   "cap " + std::to_string(cap));
   }
 }
 

@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "core/ell.h"
+#include "eval/datasets.h"
 #include "graph/builder.h"
 #include "graph/generators.h"
 
@@ -121,6 +125,49 @@ TEST(SpectralTest, ColdRunStopsOnCertificate) {
   EXPECT_TRUE(sb.lanczos_converged);
   EXPECT_LT(sb.lanczos_iterations, options.max_iterations);
   EXPECT_LE(sb.lambda_residual, options.tolerance);
+}
+
+// λ reaches the answers only through ℓ. Pin the walk lengths of the three
+// stand-ins (PengEll, and RefinedEll for the pair of two min-degree and
+// of two max-degree nodes, at ε 0.05 and 0.1) so that a change to the λ
+// computation that moves any of them fails here, not only in the ledger.
+TEST(SpectralTest, StandInWalkLengthsPinned) {
+  struct Pinned {
+    const char* dataset;
+    std::uint64_t min_degree;
+    std::uint64_t max_degree;
+    // {PengEll, RefinedEll(min, min), RefinedEll(max, max)} at ε 0.05, 0.1.
+    std::uint32_t ell[2][3];
+  };
+  const Pinned pinned[] = {
+      {"facebook", 22, 494, {{3, 1, 0}, {3, 0, 0}}},
+      {"dblp", 3, 11, {{125, 106, 84}, {113, 94, 72}}},
+      {"youtube", 1, 3263, {{55, 55, 0}, {50, 50, 0}}},
+  };
+  const double epsilons[2] = {0.05, 0.1};
+  for (const Pinned& p : pinned) {
+    const std::optional<Dataset> ds = MakeDataset(p.dataset);
+    ASSERT_TRUE(ds.has_value()) << p.dataset;
+    const Graph& g = ds->graph;
+    std::uint64_t min_degree = g.Degree(0);
+    std::uint64_t max_degree = g.Degree(0);
+    for (NodeId v = 1; v < g.NumNodes(); ++v) {
+      min_degree = std::min<std::uint64_t>(min_degree, g.Degree(v));
+      max_degree = std::max<std::uint64_t>(max_degree, g.Degree(v));
+    }
+    ASSERT_EQ(min_degree, p.min_degree) << p.dataset;
+    ASSERT_EQ(max_degree, p.max_degree) << p.dataset;
+    const double lambda = ds->spectral.lambda;
+    for (int e = 0; e < 2; ++e) {
+      const double eps = epsilons[e];
+      EXPECT_EQ(PengEll(eps, lambda), p.ell[e][0])
+          << p.dataset << " eps " << eps;
+      EXPECT_EQ(RefinedEll(eps, lambda, min_degree, min_degree), p.ell[e][1])
+          << p.dataset << " eps " << eps;
+      EXPECT_EQ(RefinedEll(eps, lambda, max_degree, max_degree), p.ell[e][2])
+          << p.dataset << " eps " << eps;
+    }
+  }
 }
 
 }  // namespace

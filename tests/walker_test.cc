@@ -157,7 +157,7 @@ TEST(WalkerTest, EscapeTrialProbabilityMatchesTheory) {
   const int n = 150000;
   int hits = 0;
   for (int i = 0; i < n; ++i) {
-    if (walker.EscapeTrial(s, t, 1u << 20, rng) ==
+    if (walker.EscapeTrial(s, t, 1u << 20, rng).outcome ==
         Walker::Absorption::kHitTarget) {
       ++hits;
     }
@@ -171,9 +171,14 @@ TEST(WalkerTest, EscapeTrialStepLimit) {
   Rng rng(7);
   int limited = 0;
   for (int i = 0; i < 50; ++i) {
-    if (walker.EscapeTrial(0, 49, 3, rng) ==
-        Walker::Absorption::kStepLimit) {
+    const WalkEscape trial = walker.EscapeTrial(0, 49, 3, rng);
+    if (trial.outcome == Walker::Absorption::kStepLimit) {
       ++limited;
+      EXPECT_EQ(trial.steps, 4u);  // the first step plus max_steps more
+    } else {
+      // From 0 the walk is back at 0 after 2 steps (0→1→0), else capped.
+      EXPECT_TRUE(trial.outcome == Walker::Absorption::kReturned);
+      EXPECT_EQ(trial.steps, 2u);
     }
   }
   EXPECT_GT(limited, 0);  // can't reach node 49 in 3 steps
