@@ -23,27 +23,17 @@
 // targets) over --rounds rounds, so sources RECUR across micro-batches —
 // the access pattern session caches exist for.
 //
-// --obs-overhead switches to the instrumentation-overhead harness: two
-// cells (GEER/dblp, TP/facebook) run the session configuration twice,
-// once with the metrics registry gated off (mode "obs_off") and once
-// recording (mode "obs_on"), same CSV columns; the qps delta between
-// the two is the recording overhead, budgeted at ≤2%.
-//
 //   bench_serve_throughput [--scale=f] [--seed=n] [--tp-scale=f]
 //                          [--threads=n] [--rounds=n] [--csv]
-//                          [--obs-overhead]
 
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <optional>
-#include <span>
 
 #include "bench/bench_common.h"
 #include "core/registry.h"
 #include "eval/arrival_trace.h"
 #include "eval/experiment.h"
-#include "obs/metrics.h"
 #include "util/check.h"
 
 namespace geer {
@@ -76,7 +66,6 @@ int Main(int argc, char** argv) {
   bench::BenchArgs args;
   int threads = 1;
   int rounds = 2;
-  bool obs_overhead = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto value = [&arg](const char* key) -> std::optional<std::string> {
@@ -97,8 +86,6 @@ int Main(int argc, char** argv) {
       rounds = std::atoi(v->c_str());
     } else if (arg == "--csv") {
       args.csv = true;
-    } else if (arg == "--obs-overhead") {
-      obs_overhead = true;
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
       return 2;
@@ -110,34 +97,17 @@ int Main(int argc, char** argv) {
     const char* dataset;
     double epsilon;
   };
-  const Cell scheduler_cells[] = {
+  const Cell cells[] = {
       {"GEER", "dblp", 0.05},
       {"SMM", "dblp", 0.05},
       {"TP", "facebook", 0.2},
       {"TPC", "facebook", 0.2},
   };
-  const Mode scheduler_modes[] = {
+  const Mode modes[] = {
       {"batch1", 1, 0},
       {"coalesced", 32, 0},
       {"session", 32, 64ull << 20},
   };
-  // Overhead harness: the production serving configuration (session),
-  // gated off vs recording. Two method families suffice — one walk-based
-  // cache-heavy (GEER) and one SpMV-based (TP).
-  const Cell obs_cells[] = {
-      {"GEER", "dblp", 0.05},
-      {"TP", "facebook", 0.2},
-  };
-  const Mode obs_modes[] = {
-      {"obs_off", 32, 64ull << 20},
-      {"obs_on", 32, 64ull << 20},
-  };
-  const std::span<const Cell> cells =
-      obs_overhead ? std::span<const Cell>(obs_cells)
-                   : std::span<const Cell>(scheduler_cells);
-  const std::span<const Mode> modes =
-      obs_overhead ? std::span<const Mode>(obs_modes)
-                   : std::span<const Mode>(scheduler_modes);
 
   if (args.csv) {
     std::printf(
@@ -174,9 +144,6 @@ int Main(int argc, char** argv) {
     }
 
     for (const Mode& mode : modes) {
-      if (obs_overhead) {
-        obs::SetEnabled(std::strcmp(mode.name, "obs_on") == 0);
-      }
       auto estimator = CreateEstimator(cell.method, ds->graph, opt);
       ServeOptions serve_options;
       serve_options.max_batch_size = mode.max_batch_size;
@@ -210,7 +177,6 @@ int Main(int argc, char** argv) {
       }
     }
   }
-  obs::SetEnabled(true);  // leave the process-wide gate as found
   return 0;
 }
 

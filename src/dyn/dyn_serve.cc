@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/check.h"
 
@@ -23,8 +22,6 @@ std::future<bool> ApplyEpochUpdate(
     obs::Span rebind_span("rebind");
     rebind_span.Arg("epoch", snapshot->epoch);
     rebind_span.Arg("touched", snapshot->touched.size());
-    static const obs::Registry::MetricId rebind_ns =
-        obs::Registry::Global().Histogram("geer_rebind_ns");
     GraphEpoch info;
     info.epoch = snapshot->epoch;
     info.touched = std::span<const NodeId>(snapshot->touched);
@@ -32,10 +29,7 @@ std::future<bool> ApplyEpochUpdate(
     info.lambda = lambda;
     info.incremental = incremental;
     info.spectral = spectral;
-    const std::uint64_t start = obs::NowNs();
-    const bool ok = estimator.RebindGraph(*snapshot->graph, info);
-    obs::Registry::Global().RecordNs(rebind_ns, obs::NowNs() - start);
-    return ok;
+    return estimator.RebindGraph(*snapshot->graph, info);
   };
   return service.ApplyUpdates(epoch, std::move(rebind),
                               std::move(snapshot));

@@ -151,8 +151,9 @@ DynamicWorkloadResult RunDynamicWorkload(
       }
     }
     result.wall_seconds = wall.ElapsedSeconds();
-    result.incremental_rebinds = service.Metrics().incremental_rebinds;
     service.Shutdown();
+    result.metrics = service.Metrics();
+    result.incremental_rebinds = result.metrics.incremental_rebinds;
     for (auto& [epoch, samples] : latencies) {
       std::sort(samples.begin(), samples.end());
       DynEpochStats& stats = epochs[epoch];

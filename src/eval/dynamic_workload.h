@@ -79,6 +79,8 @@ struct DynamicWorkloadResult {
   /// that reused previous-epoch state (only ever > 0 when the replay ran
   /// with incremental_epochs, or for the always-on exact paths).
   std::uint64_t incremental_rebinds = 0;
+  /// The service's final ServeMetrics, taken after shutdown.
+  ServeMetrics metrics;
 
   /// One entry per epoch the replay served (epoch 0 first), in order.
   std::vector<DynEpochStats> epochs;

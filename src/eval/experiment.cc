@@ -249,8 +249,9 @@ ServedWorkloadResult RunServedWorkload(ErEstimator& estimator,
   service.Shutdown();
   // Service-side extras the transport-neutral driver can't see.
   result.method = estimator.Name();
-  result.avg_batch = service.Metrics().AvgBatch();
-  result.session_cache = service.Metrics().session_cache;
+  result.metrics = service.Metrics();
+  result.avg_batch = result.metrics.AvgBatch();
+  result.session_cache = result.metrics.session_cache;
   return result;
 }
 

@@ -122,6 +122,9 @@ struct ServedWorkloadResult {
   /// Session/landmark cache counters summed over workers at shutdown
   /// (all zero when the estimator has no session cache enabled).
   CacheStats session_cache;
+  /// The service's final ServeMetrics, taken after shutdown (defaulted
+  /// when driven through a bare QuerySubmitter).
+  ServeMetrics metrics;
 
   /// Per-event answers in trace order (NaN when not answered) — the
   /// serve-determinism suite's comparison payload.
@@ -141,8 +144,9 @@ struct ServedWorkloadResult {
 /// open-loop replay whose queueing delay is honest. realtime = false
 /// submits back-to-back: the compressed replay the determinism suite
 /// and max-throughput benches use. `deadline_seconds` applies per query
-/// (≤ 0 = none). method / avg_batch / session_cache stay defaulted
-/// (transport-side details the submitter interface doesn't expose).
+/// (≤ 0 = none). method / avg_batch / session_cache / metrics stay
+/// defaulted (transport-side details the submitter interface doesn't
+/// expose).
 ServedWorkloadResult RunServedWorkload(QuerySubmitter& submitter,
                                        std::span<const TraceEvent> trace,
                                        double deadline_seconds = 0.0,
@@ -150,9 +154,9 @@ ServedWorkloadResult RunServedWorkload(QuerySubmitter& submitter,
 
 /// Convenience overload: wraps `estimator` in a QueryService under
 /// `serve_options`, runs the submitter driver above, and fills in the
-/// service-side extras (method, avg_batch, session_cache). Answer values
-/// are bit-identical to the serial Estimate loop regardless of every
-/// serve option.
+/// service-side extras (method, avg_batch, session_cache, metrics).
+/// Answer values are bit-identical to the serial Estimate loop
+/// regardless of every serve option.
 ServedWorkloadResult RunServedWorkload(ErEstimator& estimator,
                                        std::span<const TraceEvent> trace,
                                        const ServeOptions& serve_options,

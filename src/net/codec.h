@@ -69,7 +69,7 @@ struct StatsRequestMsg {
   std::string prefix;
 };
 
-/// kStatsReply payload: one registry snapshot (shard server) or the
+/// kStatsReply payload: one shard's ServeMetrics snapshot or the
 /// bucket-wise merge across every shard (router). The histogram bucket
 /// scheme is stamped on the wire (obs::kHistogramSchemeId) so a future
 /// re-bucketing surfaces as a decode failure, never a silently wrong

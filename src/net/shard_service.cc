@@ -7,7 +7,6 @@
 #include "core/registry.h"
 #include "dyn/dyn_serve.h"
 #include "linalg/spectral.h"
-#include "obs/metrics.h"
 
 namespace geer::net {
 
@@ -36,6 +35,7 @@ bool ShardServer::Start(std::string* error) {
     if (error != nullptr) *error = "unknown estimator " + options_.method;
     return false;
   }
+  estimator_name_ = estimator_->Name();
   service_ = std::make_unique<QueryService>(*estimator_, options_.serve);
   epoch_.store(initial_->epoch);
   num_nodes_.store(initial_->graph->NumNodes());
@@ -75,7 +75,14 @@ HandlerReply ShardServer::Handle(const Frame& frame) {
         return Error(ErrorMsg::kBadRequest, "undecodable stats payload");
       }
       StatsReplyMsg reply;
-      reply.snapshot = obs::Registry::Global().Snapshot(request.prefix);
+      reply.snapshot =
+          ServeStatsSnapshot(service_->Metrics(), estimator_name_);
+      const auto outside_prefix = [&request](const auto& series) {
+        return !series.first.starts_with(request.prefix);
+      };
+      std::erase_if(reply.snapshot.counters, outside_prefix);
+      std::erase_if(reply.snapshot.gauges, outside_prefix);
+      std::erase_if(reply.snapshot.histograms, outside_prefix);
       reply.num_shards = 1;
       return {FrameType::kStatsReply, EncodeStatsReply(reply), false};
     }

@@ -77,6 +77,9 @@ class ShardServer {
   /// epochs are pinned by the service's keep_alive).
   std::shared_ptr<const DynSnapshot> initial_;
   std::unique_ptr<ErEstimator> estimator_;
+  /// estimator_->Name(), read once: the stats handler labels series with
+  /// it while the scheduler thread owns the estimator.
+  std::string estimator_name_;
   std::unique_ptr<QueryService> service_;
   bool reads_lambda_ = false;
 

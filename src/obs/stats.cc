@@ -55,6 +55,15 @@ std::uint64_t HistogramBucketUpper(std::size_t bucket) {
   return bucket == 0 ? 1 : std::uint64_t{1} << bucket;
 }
 
+HistogramData& HistogramData::operator+=(const HistogramData& other) {
+  for (std::size_t b = 0; b < kHistogramBuckets; ++b) {
+    buckets[b] += b < other.buckets.size() ? other.buckets[b] : 0;
+  }
+  count += other.count;
+  sum_ns += other.sum_ns;
+  return *this;
+}
+
 StatsSnapshot MergeSnapshots(std::span<const StatsSnapshot> snapshots) {
   StatsSnapshot merged;
   for (const StatsSnapshot& s : snapshots) {
@@ -65,12 +74,7 @@ StatsSnapshot MergeSnapshots(std::span<const StatsSnapshot> snapshots) {
       merged.gauges[name] += value;
     }
     for (const auto& [name, h] : s.histograms) {
-      HistogramData& into = merged.histograms[name];
-      for (std::size_t b = 0; b < kHistogramBuckets; ++b) {
-        into.buckets[b] += b < h.buckets.size() ? h.buckets[b] : 0;
-      }
-      into.count += h.count;
-      into.sum_ns += h.sum_ns;
+      merged.histograms[name] += h;
     }
   }
   return merged;

@@ -1,9 +1,9 @@
-// Transport-neutral statistics snapshot: the value type the metrics
-// registry (obs/metrics.h) produces, the kStatsReply wire message
-// carries, the router merges across shards, and the Prometheus-style
-// text dump renders. Lives below src/net/ on purpose — the obs
-// subsystem has no network dependency, and the codec depends on it,
-// not the other way around.
+// Transport-neutral statistics snapshot: the value type a serving
+// shard renders from its ServeMetrics (serve/query_service.h
+// ServeStatsSnapshot), the kStatsReply wire message carries, the router
+// merges across shards, and the Prometheus-style text dump renders.
+// Lives below src/net/ on purpose — the obs subsystem has no network
+// dependency, and the codec depends on it, not the other way around.
 //
 // Histograms use a FIXED log2 bucket scheme (bucket i holds nanosecond
 // values whose bit width is i, i.e. [2^(i-1), 2^i); bucket 0 holds 0).
@@ -44,9 +44,19 @@ struct HistogramData {
   std::uint64_t sum_ns = 0;            ///< exact sum (mean = sum/count)
 
   HistogramData() : buckets(kHistogramBuckets, 0) {}
+
+  /// Counts one value into its bucket.
+  void Record(std::uint64_t ns) {
+    ++buckets[HistogramBucket(ns)];
+    ++count;
+    sum_ns += ns;
+  }
+
+  /// Bucket-wise sum (the merge quantiles survive).
+  HistogramData& operator+=(const HistogramData& other);
 };
 
-/// A full registry snapshot, keyed by metric name. Names carry their
+/// A full metrics snapshot, keyed by metric name. Names carry their
 /// Prometheus labels inline (`geer_serve_answered_total{method="GEER"}`),
 /// so identically-labeled series from different shards merge by key.
 /// std::map keeps iteration deterministic (golden tests, stable dumps).

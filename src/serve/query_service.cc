@@ -47,6 +47,29 @@ const char* DeadlineClassName(DeadlineClass c) {
   return "?";
 }
 
+obs::StatsSnapshot ServeStatsSnapshot(const ServeMetrics& metrics,
+                                      const std::string& method) {
+  const std::string label = "{method=\"" + method + "\"}";
+  obs::StatsSnapshot out;
+  out.counters["geer_serve_submitted_total" + label] = metrics.submitted;
+  out.counters["geer_serve_answered_total" + label] = metrics.answered;
+  out.counters["geer_serve_rejected_total" + label] = metrics.rejected;
+  out.counters["geer_serve_batches_total" + label] = metrics.batches;
+  for (std::size_t c = 0; c < kNumDeadlineClasses; ++c) {
+    out.counters["geer_serve_expired_total{method=\"" + method +
+                 "\",class=\"" +
+                 DeadlineClassName(static_cast<DeadlineClass>(c)) + "\"}"] =
+        metrics.expired_by_class[c];
+  }
+  out.gauges["geer_serve_session_cache_bytes" + label] =
+      static_cast<double>(metrics.session_cache.bytes);
+  out.histograms["geer_serve_latency_ns" + label] = metrics.served_latency;
+  out.histograms["geer_serve_queue_wait_ns" + label] = metrics.queue_wait;
+  out.histograms["geer_serve_epoch_swap_ns" + label] = metrics.epoch_swap;
+  out.histograms["geer_rebind_ns"] = metrics.rebind;
+  return out;
+}
+
 QueryService::QueryService(ErEstimator& estimator,
                            const ServeOptions& options)
     : options_(options), primary_(&estimator) {
@@ -69,26 +92,6 @@ QueryService::QueryService(ErEstimator& estimator,
     for (ErEstimator* worker : workers_) {
       worker->EnableSessionCache(options_.session_cache_bytes);
     }
-  }
-  {
-    // One registration per method label; re-construction over the same
-    // method reuses the process-wide series (registration is idempotent).
-    obs::Registry& reg = obs::Registry::Global();
-    const std::string method = "{method=\"" + primary_->Name() + "\"}";
-    obs_.submitted = reg.Counter("geer_serve_submitted_total" + method);
-    obs_.answered = reg.Counter("geer_serve_answered_total" + method);
-    obs_.rejected = reg.Counter("geer_serve_rejected_total" + method);
-    obs_.batches = reg.Counter("geer_serve_batches_total" + method);
-    for (std::size_t c = 0; c < kNumDeadlineClasses; ++c) {
-      obs_.expired[c] = reg.Counter(
-          "geer_serve_expired_total{method=\"" + primary_->Name() +
-          "\",class=\"" +
-          DeadlineClassName(static_cast<DeadlineClass>(c)) + "\"}");
-    }
-    obs_.served_latency_ns = reg.Histogram("geer_serve_latency_ns" + method);
-    obs_.queue_wait_ns = reg.Histogram("geer_serve_queue_wait_ns" + method);
-    obs_.epoch_swap_ns = reg.Histogram("geer_serve_epoch_swap_ns" + method);
-    obs_.cache_bytes_gauge = "geer_serve_session_cache_bytes" + method;
   }
   if (!options_.landmarks.empty()) {
     obs::Span warm_span("cache_warm");
@@ -126,14 +129,12 @@ std::future<QueryResult> QueryService::Submit(QueryPair query,
     }
     if (queue_.size() >= options_.max_queue) {
       ++metrics_.rejected;
-      obs::Registry::Global().Add(obs_.rejected);
       QueryResult result;
       result.status = ServeStatus::kRejected;
       promise.set_value(result);
       return future;
     }
     ++metrics_.submitted;
-    obs::Registry::Global().Add(obs_.submitted);
     Pending pending;
     pending.query = query;
     pending.promise = std::move(promise);
@@ -164,9 +165,6 @@ void QueryService::Flush() {
       for (const ErEstimator* worker : workers_) {
         metrics_.session_cache += worker->SessionCacheStats();
       }
-      obs::Registry::Global().SetGauge(
-          obs_.cache_bytes_gauge,
-          static_cast<double>(metrics_.session_cache.bytes));
     }
     if (!queue_.empty()) {  // a stale flag would drain the NEXT arrival
       flush_requested_ = true;  // uncoalesced
@@ -217,10 +215,12 @@ void QueryService::ShutdownNow() {
 
 ServeMetrics QueryService::Metrics() const {
   std::lock_guard<std::mutex> lock(mu_);
-  ServeMetrics snapshot = metrics_;
-  snapshot.served_latency =
-      obs::Registry::Global().ReadHistogram(obs_.served_latency_ns);
-  return snapshot;
+  return metrics_;
+}
+
+void QueryService::AddLatenciesLocked(const LatencyTally& tally) {
+  metrics_.served_latency += tally.served_latency;
+  metrics_.queue_wait += tally.queue_wait;
 }
 
 std::vector<std::size_t> QueryService::EdfOrder(
@@ -308,11 +308,14 @@ void QueryService::SchedulerLoop() {
       swaps_.clear();
       lock.unlock();
       const Clock::time_point now = Clock::now();
+      LatencyTally tally;
       for (Pending& p : dropped) {
-        Fulfill(p, ServeStatus::kCancelled, QueryStats{}, now, now, 0, 0);
+        Fulfill(p, ServeStatus::kCancelled, QueryStats{}, now, now, 0, 0,
+                tally);
       }
       for (PendingSwap& swap : abandoned) swap.done.set_value(false);
       lock.lock();
+      AddLatenciesLocked(tally);
       continue;
     }
 
@@ -351,13 +354,18 @@ void QueryService::SchedulerLoop() {
       // rebound, the rest MUST follow (they are clones of the same
       // estimator); a mixed fleet would answer inconsistently.
       bool ok = true;
+      obs::HistogramData rebinds;
+      std::uint64_t swap_ns = 0;
       {
         obs::Span swap_span("epoch_swap");
         swap_span.Arg("epoch", swap.epoch);
         swap_span.Arg("workers", workers_.size());
         const std::uint64_t swap_start = obs::NowNs();
         for (std::size_t w = 0; w < workers_.size(); ++w) {
-          if (!swap.rebind(*workers_[w])) {
+          const std::uint64_t rebind_start = obs::NowNs();
+          const bool rebound = swap.rebind(*workers_[w]);
+          rebinds.Record(obs::NowNs() - rebind_start);
+          if (!rebound) {
             GEER_CHECK(w == 0)
                 << "epoch swap failed on worker " << w
                 << " after earlier workers rebound — heterogeneous workers?";
@@ -365,11 +373,12 @@ void QueryService::SchedulerLoop() {
             break;
           }
         }
-        obs::Registry::Global().RecordNs(obs_.epoch_swap_ns,
-                                         obs::NowNs() - swap_start);
+        swap_ns = obs::NowNs() - swap_start;
       }
       lock.lock();
       workers_busy_ = false;
+      metrics_.epoch_swap.Record(swap_ns);
+      metrics_.rebind += rebinds;
       if (ok) {
         current_epoch_ = swap.epoch;
         epoch_keep_alive_ = std::move(swap.keep_alive);
@@ -458,12 +467,13 @@ void QueryService::DispatchBatch(std::vector<Pending> batch,
   // answered kExpired without costing any estimator work.
   std::vector<std::size_t> live;
   live.reserve(batch.size());
+  LatencyTally tally;
   std::uint64_t dropped = 0;
   std::array<std::uint64_t, kNumDeadlineClasses> expired_by_class{};
   for (std::size_t i = 0; i < batch.size(); ++i) {
     if (batch[i].deadline <= dispatched) {
       Fulfill(batch[i], ServeStatus::kExpired, QueryStats{}, dispatched,
-              dispatched, 0, batch_id);
+              dispatched, 0, batch_id, tally);
       ++dropped;
       ++expired_by_class[static_cast<std::size_t>(batch[i].dclass)];
     } else {
@@ -518,9 +528,11 @@ void QueryService::DispatchBatch(std::vector<Pending> batch,
       const Clock::time_point done = Clock::now();
       for (const std::size_t i : live) {
         Fulfill(batch[i], ServeStatus::kFailed, QueryStats{}, dispatched,
-                done, static_cast<std::uint32_t>(live.size()), batch_id);
+                done, static_cast<std::uint32_t>(live.size()), batch_id,
+                tally);
       }
       std::lock_guard<std::mutex> lock(mu_);
+      AddLatenciesLocked(tally);
       metrics_.failed += live.size();
       metrics_.expired += dropped;  // queue-drop expiries above still count
       for (std::size_t c = 0; c < kNumDeadlineClasses; ++c) {
@@ -538,33 +550,33 @@ void QueryService::DispatchBatch(std::vector<Pending> batch,
       if (!report.processed[k]) {
         if (cancel_.load(std::memory_order_relaxed)) {
           Fulfill(p, ServeStatus::kCancelled, QueryStats{}, dispatched, done,
-                  batch_size, batch_id);
+                  batch_size, batch_id, tally);
           ++cancelled;
         } else {
           Fulfill(p, ServeStatus::kExpired, QueryStats{}, dispatched, done,
-                  batch_size, batch_id);
+                  batch_size, batch_id, tally);
           ++expired;
           ++expired_by_class[static_cast<std::size_t>(p.dclass)];
         }
       } else if (!primary_->SupportsQuery(p.query.s, p.query.t)) {
         Fulfill(p, ServeStatus::kUnsupported, QueryStats{}, dispatched, done,
-                batch_size, batch_id);
+                batch_size, batch_id, tally);
         ++unsupported;
       } else {
         Fulfill(p, ServeStatus::kAnswered, stats[k], dispatched, done,
-                batch_size, batch_id);
+                batch_size, batch_id, tally);
         ++answered;
       }
     }
   }
 
   std::lock_guard<std::mutex> lock(mu_);
+  AddLatenciesLocked(tally);
   if (!live.empty()) {
     ++metrics_.batches;
     metrics_.coalesced += live.size();
     metrics_.max_batch =
         std::max<std::uint64_t>(metrics_.max_batch, live.size());
-    obs::Registry::Global().Add(obs_.batches);
   }
   metrics_.answered += answered;
   metrics_.unsupported += unsupported;
@@ -588,7 +600,7 @@ void QueryService::Fulfill(Pending& p, ServeStatus status,
                            const QueryStats& stats,
                            Clock::time_point dispatched,
                            Clock::time_point done, std::uint32_t batch_size,
-                           std::uint64_t batch_id) const {
+                           std::uint64_t batch_id, LatencyTally& tally) const {
   QueryResult result;
   result.status = status;
   result.stats = stats;
@@ -599,14 +611,8 @@ void QueryService::Fulfill(Pending& p, ServeStatus status,
   // Written only by the scheduler thread, which also runs every Fulfill.
   result.epoch = current_epoch_;
 
-  obs::Registry& reg = obs::Registry::Global();
-  reg.RecordNs(obs_.served_latency_ns, ToNs(done - p.submitted));
-  reg.RecordNs(obs_.queue_wait_ns, ToNs(dispatched - p.submitted));
-  if (status == ServeStatus::kAnswered) {
-    reg.Add(obs_.answered);
-  } else if (status == ServeStatus::kExpired) {
-    reg.Add(obs_.expired[static_cast<std::size_t>(p.dclass)]);
-  }
+  tally.served_latency.Record(ToNs(done - p.submitted));
+  tally.queue_wait.Record(ToNs(dispatched - p.submitted));
   if (obs::Tracer* tracer = obs::Tracer::Current()) {
     // Per-query slices go on synthetic lanes (hashed by submission seq)
     // so concurrent queries render side by side instead of stacking on

@@ -36,11 +36,12 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "core/estimator.h"
-#include "obs/metrics.h"
+#include "obs/stats.h"
 #include "serve/service_api.h"
 
 namespace geer {
@@ -93,8 +94,10 @@ struct ServeOptions {
 // transport-neutral surface shared with the wire codec and the CLI.
 // Their numeric ServeStatus values are frozen there (wire stability).
 
-/// Aggregate counters since construction (monotone; snapshot via
-/// Metrics()).
+/// Aggregate counters and latency histograms since construction
+/// (monotone; snapshot via Metrics()). The service's only metrics store:
+/// every serve event is counted here once, per service, and
+/// ServeStatsSnapshot renders it for the stats scrape and --obs-dump.
 struct ServeMetrics {
   std::uint64_t submitted = 0;
   std::uint64_t answered = 0;
@@ -130,12 +133,14 @@ struct ServeMetrics {
   /// kExpired results broken down by DeadlineClass (indexed by its
   /// numeric value; sums to `expired`).
   std::array<std::uint64_t, kNumDeadlineClasses> expired_by_class{};
-  /// Served latency (submit → answer) of every resolved query, from the
-  /// obs registry's log2-bucketed histogram — quantiles via
-  /// obs::HistogramQuantile. Shares the process-wide series, so in a
-  /// multi-service process it aggregates across services of the same
-  /// estimator method.
+  // Log2-bucketed nanosecond histograms (obs/stats.h; quantiles via
+  // obs::HistogramQuantile).
+  /// Submit → resolution of every query the scheduler resolved
+  /// (answered, unsupported, expired, cancelled or failed).
   obs::HistogramData served_latency;
+  obs::HistogramData queue_wait;  ///< submit → dispatch, same queries
+  obs::HistogramData epoch_swap;  ///< all-worker rebind of one swap
+  obs::HistogramData rebind;      ///< one worker's rebind call
 
   /// Mean coalesced micro-batch size.
   double AvgBatch() const {
@@ -144,6 +149,15 @@ struct ServeMetrics {
                : 0.0;
   }
 };
+
+/// Renders `metrics` as the series a stats scrape exports:
+/// geer_serve_{submitted,answered,rejected,batches}_total{method=…},
+/// geer_serve_expired_total{method=…,class=…} per DeadlineClass, the
+/// geer_serve_{latency,queue_wait,epoch_swap}_ns{method=…} histograms,
+/// the geer_serve_session_cache_bytes{method=…} gauge and geer_rebind_ns.
+/// `method` is the estimator's Name().
+obs::StatsSnapshot ServeStatsSnapshot(const ServeMetrics& metrics,
+                                      const std::string& method);
 
 /// The serving front end over one estimator. The service borrows the
 /// estimator exclusively for its lifetime (it becomes dispatch worker 0
@@ -236,18 +250,12 @@ class QueryService : public QuerySubmitter {
     DeadlineClass dclass = DeadlineClass::kNone;  // for miss accounting
   };
 
-  /// Metric ids registered once at construction (labeled with the
-  /// estimator's method name); recording through them is wait-free.
-  struct ObsIds {
-    obs::Registry::MetricId submitted = 0;
-    obs::Registry::MetricId answered = 0;
-    obs::Registry::MetricId rejected = 0;
-    obs::Registry::MetricId batches = 0;
-    std::array<obs::Registry::MetricId, kNumDeadlineClasses> expired{};
-    obs::Registry::MetricId served_latency_ns = 0;
-    obs::Registry::MetricId queue_wait_ns = 0;
-    obs::Registry::MetricId epoch_swap_ns = 0;
-    std::string cache_bytes_gauge;  ///< gauge name (set by name, not id)
+  /// Latency samples Fulfill takes per query on the scheduler thread,
+  /// outside mu_; folded into metrics_ under the lock the batch tail
+  /// takes anyway, so the per-query path takes no lock.
+  struct LatencyTally {
+    obs::HistogramData served_latency;
+    obs::HistogramData queue_wait;
   };
 
   /// One scheduled ApplyUpdates call, applied between micro-batches once
@@ -267,7 +275,9 @@ class QueryService : public QuerySubmitter {
   std::vector<Pending> PopBatchLocked(std::size_t take, std::size_t limit);
   void Fulfill(Pending& p, ServeStatus status, const QueryStats& stats,
                Clock::time_point dispatched, Clock::time_point done,
-               std::uint32_t batch_size, std::uint64_t batch_id) const;
+               std::uint32_t batch_size, std::uint64_t batch_id,
+               LatencyTally& tally) const;
+  void AddLatenciesLocked(const LatencyTally& tally);  // requires mu_ held
 
   ServeOptions options_;
   ErEstimator* primary_;
@@ -297,7 +307,6 @@ class QueryService : public QuerySubmitter {
   /// estimators only when this is false — they are not thread-safe.
   bool workers_busy_ = false;
   ServeMetrics metrics_;
-  ObsIds obs_;
 
   std::atomic<bool> cancel_{false};  // engine token for ShutdownNow()
 

@@ -7,8 +7,8 @@
 # and merges the snapshots), and finally tears the whole deployment
 # down with a --shutdown client (router propagates kShutdown to every
 # shard). Asserts: the client answers every query and exits 0, the
-# merged stats carry shards=2 + the served-query counters + latency
-# quantiles, and the router and both shards exit on their own after
+# merged stats carry shards=2 + the served-query counters (submitted
+# equal to answered) + latency quantiles, and the router and both shards exit on their own after
 # shutdown propagation.
 #
 # Registered in CMakeLists.txt as test net_cluster_smoke with the
@@ -102,6 +102,12 @@ ANSWERED_SUM="$(awk '/^geer_serve_answered_total/ { s += $NF } END { print s+0 }
     <<< "$STATS_OUT")"
 (( ANSWERED_SUM >= 40 )) \
     || { echo "FAIL: merged answered_total $ANSWERED_SUM < 40" >&2; exit 1; }
+# Every query the shards accepted was answered: an event counted zero
+# times or twice on either side breaks the equality.
+SUBMITTED_SUM="$(awk '/^geer_serve_submitted_total/ { s += $NF } END { print s+0 }' \
+    <<< "$STATS_OUT")"
+(( SUBMITTED_SUM == ANSWERED_SUM )) \
+    || { echo "FAIL: merged submitted_total $SUBMITTED_SUM != answered_total $ANSWERED_SUM" >&2; exit 1; }
 
 # Second (tiny) client run tears the deployment down via --shutdown.
 SHUTDOWN_OUT="$("$CLI_BIN" net client --connect="127.0.0.1:$RP" \

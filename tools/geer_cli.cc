@@ -77,7 +77,7 @@
 #include "graph/weighted_io.h"
 #include "linalg/spectral.h"
 #include "net/roles.h"
-#include "obs/metrics.h"
+#include "obs/stats.h"
 #include "obs/trace.h"
 #include "util/flags.h"
 #include "util/timer.h"
@@ -150,11 +150,11 @@ ServeOptions ServeOptionsFrom(const CliArgs& args) {
   return options;
 }
 
-void MaybeDumpObs(const CliArgs& args) {
+void MaybeDumpObs(const CliArgs& args, const ServeMetrics& metrics,
+                  const std::string& method) {
   if (!args.obs_dump) return;
   std::fputs(
-      obs::RenderPrometheusText(obs::Registry::Global().Snapshot("geer_"))
-          .c_str(),
+      obs::RenderPrometheusText(ServeStatsSnapshot(metrics, method)).c_str(),
       stdout);
 }
 
@@ -242,7 +242,7 @@ int RunDynamicQueries(const typename WP::GraphT& graph,
         : result.expired > 0 ? " — some expired"
                              : "");
   }
-  MaybeDumpObs(args);
+  MaybeDumpObs(args, result.metrics, result.method);
   return result.failed > 0 ? 1 : 0;
 }
 
@@ -289,7 +289,7 @@ int RunServedQueries(ErEstimator& estimator,
         : result.expired > 0 ? " — some expired"
                              : "");
   }
-  MaybeDumpObs(args);
+  MaybeDumpObs(args, result.metrics, result.method);
   return result.failed > 0 ? 1 : 0;
 }
 
