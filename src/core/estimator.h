@@ -147,17 +147,11 @@ struct BatchPlan {
   /// The no-sharing plan: identity order, one group per query.
   static BatchPlan Trivial(std::size_t num_queries);
 
-  /// Groups queries by their source node s, keeping the original order
-  /// within a group and ordering groups by first appearance — the plan
-  /// for estimators whose source-side work is reusable across a group.
-  static BatchPlan GroupBySource(std::span<const QueryPair> queries);
-
   /// Groups queries by EITHER endpoint: two queries land in the same
   /// group iff they are connected through shared endpoints (connected
-  /// components of the query-endpoint graph). Strictly coarser than
-  /// GroupBySource — a shareable pair (any common endpoint) is never
-  /// split across groups — so node-keyed caches (walk populations,
-  /// iterate streams) are reused for s- AND t-sides. Original order is
+  /// components of the query-endpoint graph). A shareable pair (any
+  /// common endpoint) is never split across groups, so node-keyed caches
+  /// (walk populations, iterate streams) are reused for s- AND t-sides. Original order is
   /// kept within a group; groups are ordered by first appearance.
   static BatchPlan GroupByEndpoint(std::span<const QueryPair> queries);
 };
@@ -230,11 +224,6 @@ class ErEstimator {
   virtual BatchPlan PlanBatch(std::span<const QueryPair> queries) const {
     return BatchPlan::Trivial(queries.size());
   }
-
-  /// True iff EstimateBatch amortizes work across the queries of a plan
-  /// group (capability reporting for the harness; the registry mirrors
-  /// it as EstimatorSharesBatchWork).
-  virtual bool SharesBatchWork() const { return false; }
 
   /// An independent estimator answering queries with identical values,
   /// for one worker thread of a parallel batch: clones share immutable

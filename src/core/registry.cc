@@ -84,8 +84,6 @@ bool EstimatorReadsLambda(const std::string& name) {
 }
 
 bool EstimatorSharesBatchWork(const std::string& name) {
-  // Keep in sync with the SharesBatchWork overrides (registry_test
-  // cross-checks this against constructed instances).
   const std::string canonical = CanonicalEstimatorName(name);
   return canonical == "GEER" || canonical == "SMM" ||
          canonical == "SMM-PengEll" || canonical == "TP" ||

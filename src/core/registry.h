@@ -90,12 +90,11 @@ std::string CanonicalEstimatorName(const std::string& name);
 bool EstimatorReadsLambda(const std::string& name);
 
 /// True iff the algorithm's EstimateBatch amortizes work across a
-/// same-source query group (TP/TPC reuse the source's walk populations,
-/// SMM/GEER the source-side SpMV push vectors) — mirrors
-/// ErEstimator::SharesBatchWork so the harness can report capability
-/// without constructing. EXACT/CG/RP instead share construction-time
-/// state (factorization / solver / sketch) across batch workers, which
-/// this predicate does not count.
+/// shared-endpoint query group (TP/TPC reuse the key's walk populations,
+/// SMM/GEER its SpMV iterates). The one source of this capability:
+/// callers holding an instance pass its Name(). EXACT/CG/RP instead
+/// share construction-time state (factorization / solver / sketch)
+/// across batch workers, which this predicate does not count.
 bool EstimatorSharesBatchWork(const std::string& name);
 
 }  // namespace geer

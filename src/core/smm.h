@@ -242,7 +242,6 @@ class SmmStreamEstimatorT
   BatchPlan PlanBatch(std::span<const QueryPair> queries) const override {
     return BatchPlan::GroupByEndpoint(queries);
   }
-  bool SharesBatchWork() const override { return true; }
 
   /// Dynamic-graph hook: repoints at the new snapshot, rebuilds the
   /// transition operator, re-derives λ, and invalidates the session

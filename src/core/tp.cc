@@ -27,14 +27,6 @@ TpPopulation TpPopulation::Recorder(std::uint32_t ell, std::uint64_t eta,
   return rec;
 }
 
-std::uint32_t TpPopulation::Count(std::uint32_t i, NodeId v) const {
-  GEER_DCHECK(i >= 1 && i <= ell);
-  for (const auto& [endpoint, count] : hist[i - 1]) {
-    if (endpoint == v) return count;
-  }
-  return 0;
-}
-
 std::size_t TpPopulation::ApproxBytes() const {
   std::size_t bytes = sizeof(TpPopulation) + visits.bytes();
   for (const auto& row : hist) {
@@ -97,81 +89,65 @@ std::uint64_t TpEstimatorT<WP>::WalksPerLength(std::uint32_t ell) const {
 }
 
 template <WeightPolicy WP>
-void TpEstimatorT<WP>::EnsureHistScratch() {
+void TpEstimatorT<WP>::RecordLength(NodeId node, std::uint32_t i,
+                                    std::uint64_t eta, Rng& rng,
+                                    TpPopulation* record) {
   if (hist_count_.size() != graph_->NumNodes()) {
     hist_count_.assign(graph_->NumNodes(), 0);
-    hist_touched_.clear();
+  } else {
+    for (const NodeId v : hist_touched_) hist_count_[v] = 0;
   }
-}
-
-template <WeightPolicy WP>
-void TpEstimatorT<WP>::ResetHistScratch() {
-  for (const NodeId v : hist_touched_) hist_count_[v] = 0;
   hist_touched_.clear();
-}
-
-template <WeightPolicy WP>
-void TpEstimatorT<WP>::SimulateLength(NodeId node, std::uint32_t i,
-                                      std::uint64_t eta, Rng& rng,
-                                      TpPopulation* record) {
-  ResetHistScratch();
   for (std::uint64_t k = 0; k < eta; ++k) {
-    NodeId end;
-    if (record != nullptr) {
-      // Unrolled WalkEndpoint (same Step sequence, so the RNG stream —
-      // and every count — is bit-identical) that also records each node
-      // stepped FROM into the population's visit filter. The final
-      // endpoint is not recorded: its row never influenced a step.
-      NodeId cur = node;
-      for (std::uint32_t step = 0; step < i; ++step) {
-        record->visits.Add(cur);
-        cur = walker_.Step(cur, rng);
-      }
-      end = cur;
-    } else {
-      end = walker_.WalkEndpoint(node, i, rng);
+    // Unrolled WalkEndpoint (same Step sequence, so the RNG stream —
+    // and every count — is bit-identical) that also records each node
+    // stepped FROM into the population's visit filter. The final
+    // endpoint is not recorded: its row never influenced a step.
+    NodeId cur = node;
+    for (std::uint32_t step = 0; step < i; ++step) {
+      record->visits.Add(cur);
+      cur = walker_.Step(cur, rng);
     }
-    if (hist_count_[end] == 0) hist_touched_.push_back(end);
-    ++hist_count_[end];
+    if (hist_count_[cur] == 0) hist_touched_.push_back(cur);
+    ++hist_count_[cur];
   }
-  if (record != nullptr) {
-    auto& row = record->hist.emplace_back();
-    row.reserve(hist_touched_.size());
-    // First-visit order: deterministic in the walk stream, no sort.
-    for (const NodeId v : hist_touched_) row.emplace_back(v, hist_count_[v]);
-  }
+  auto& row = record->hist.emplace_back();
+  row.reserve(hist_touched_.size());
+  // First-visit order: deterministic in the walk stream, no sort.
+  for (const NodeId v : hist_touched_) row.emplace_back(v, hist_count_[v]);
 }
 
 template <WeightPolicy WP>
-void TpEstimatorT<WP>::SplatRow(
-    const std::vector<std::pair<NodeId, std::uint32_t>>& row) {
-  ResetHistScratch();
-  for (const auto& [endpoint, count] : row) {
-    hist_count_[endpoint] = count;
-    hist_touched_.push_back(endpoint);
+template <typename CountFn>
+void TpEstimatorT<WP>::CountEnds(NodeId node, std::uint32_t i,
+                                 std::uint64_t eta, Rng& rng,
+                                 const TpPopulation* retained,
+                                 TpPopulation* record, QueryStats* cost,
+                                 CountFn&& count) {
+  const TpPopulation* pop = retained;
+  if (pop == nullptr) {
+    cost->walks += eta;
+    cost->walk_steps += eta * i;
+    if (record == nullptr) {
+      for (std::uint64_t k = 0; k < eta; ++k) {
+        count(walker_.WalkEndpoint(node, i, rng), 1u);
+      }
+      return;
+    }
+    RecordLength(node, i, eta, rng, record);
+    pop = record;
   }
+  for (const auto& [endpoint, c] : pop->hist[i - 1]) count(endpoint, c);
 }
 
+// `key` may be either endpoint of each query; per-length terms
+// accumulate in canonical (min, max) order so the value does not depend
+// on which. With a session on, every population is looked up first: a
+// hit is read back, a miss is recorded and inserted after the group.
 template <WeightPolicy WP>
 void TpEstimatorT<WP>::EstimateKeyGroup(NodeId key,
                                         std::span<const QueryPair> queries,
                                         std::span<QueryStats> stats) {
-  if (session_ != nullptr) {
-    EstimateKeyGroupSession(key, queries, stats);
-  } else {
-    EstimateKeyGroupDirect(key, queries, stats);
-  }
-}
-
-// The original (session-less) hot loop: endpoint hits are counted with
-// per-node chains during the walk pass — no histogram maintenance on the
-// per-walk path. `key` may be either endpoint of each query; per-length
-// terms accumulate in canonical (min, max) order so the value does not
-// depend on which.
-template <WeightPolicy WP>
-void TpEstimatorT<WP>::EstimateKeyGroupDirect(
-    NodeId key, std::span<const QueryPair> queries,
-    std::span<QueryStats> stats) {
   const NodeId n = graph_->NumNodes();
   GEER_CHECK(key < n);
   const std::uint32_t ell =
@@ -183,6 +159,7 @@ void TpEstimatorT<WP>::EstimateKeyGroupDirect(
   const double inv_eta = 1.0 / static_cast<double>(eta);
   const double inv_wk = 1.0 / WP::NodeWeight(*graph_, key);
   const std::size_t m = queries.size();
+  const bool use_session = session_ != nullptr;
 
   // Per-query live state; the i = 0 term of Eq. (4) seeds the estimate.
   struct QueryState {
@@ -192,6 +169,9 @@ void TpEstimatorT<WP>::EstimateKeyGroupDirect(
     double inv_wo = 0.0;
     double estimate = 0.0;
     Rng rng_o{0};
+    const TpPopulation* o_pop = nullptr;  // session hit, other side
+    TpPopulation o_rec;                   // session recorder (miss)
+    bool record_o = false;
   };
   std::vector<QueryState> state(m);
   if (target_head_.size() != n) target_head_.assign(n, 0);
@@ -213,19 +193,41 @@ void TpEstimatorT<WP>::EstimateKeyGroupDirect(
     // i = 0 seed 1/w(u) + 1/w(v): FP addition is commutative bitwise, so
     // no canonical branch is needed here.
     st.estimate = inv_wk + st.inv_wo;
-    // The other side keeps the same per-node stream law as the shared
-    // side, so any query elsewhere in the batch touching this node reuses
-    // (or recomputes) the identical walks.
+    // One node population law for both roles: a population serves as the
+    // shared key side of one group and the other side of another,
+    // bit-identical to the serial simulation either way.
     st.rng_o = Rng(MixSeed(MixSeed(options_.seed, kTpStreamTag), st.other));
     stats[j].ell = ell;
     stats[j].truncated = truncated;
-    // Chain query j under its other endpoint for the shared counting pass.
+    if (use_session) {
+      st.o_pop = session_->Find(st.other);
+      if (st.o_pop != nullptr) {
+        GEER_DCHECK(st.o_pop->ell == ell && st.o_pop->eta == eta);
+      } else {
+        st.record_o = true;
+        st.o_rec = TpPopulation::Recorder(ell, eta, n);
+      }
+    }
+    // Chain query j under its other endpoint for the key-side count.
     target_next_[j] = target_head_[st.other];
     target_head_[st.other] = static_cast<std::uint32_t>(j) + 1;
     target_touched_.push_back(st.other);
     if (first_live == m) first_live = j;
   }
   if (first_live == m) return;  // every query was s == t
+
+  const TpPopulation* key_pop = nullptr;
+  TpPopulation key_rec;
+  bool record_key = false;
+  if (use_session) {
+    key_pop = session_->Find(key);
+    if (key_pop != nullptr) {
+      GEER_DCHECK(key_pop->ell == ell && key_pop->eta == eta);
+    } else {
+      record_key = true;
+      key_rec = TpPopulation::Recorder(ell, eta, n);
+    }
+  }
 
   Rng rng_k(MixSeed(MixSeed(options_.seed, kTpStreamTag), key));
   QueryStats shared;  // key-side cost, charged to the first live query
@@ -236,16 +238,14 @@ void TpEstimatorT<WP>::EstimateKeyGroupDirect(
     // and, through the chains, at every live query's other endpoint.
     std::uint64_t count_kk = 0;
     std::fill(count_ko.begin(), count_ko.end(), 0);
-    for (std::uint64_t k = 0; k < eta; ++k) {
-      const NodeId end = walker_.WalkEndpoint(key, i, rng_k);
-      if (end == key) ++count_kk;
-      for (std::uint32_t idx = target_head_[end]; idx != 0;
-           idx = target_next_[idx - 1]) {
-        ++count_ko[idx - 1];
-      }
-    }
-    shared.walks += eta;
-    shared.walk_steps += eta * i;
+    CountEnds(key, i, eta, rng_k, key_pop, record_key ? &key_rec : nullptr,
+              &shared, [&](NodeId end, std::uint32_t c) {
+                if (end == key) count_kk += c;
+                for (std::uint32_t idx = target_head_[end]; idx != 0;
+                     idx = target_next_[idx - 1]) {
+                  count_ko[idx - 1] += c;
+                }
+              });
 
     // Other sides per query.
     for (std::size_t j = 0; j < m; ++j) {
@@ -253,13 +253,12 @@ void TpEstimatorT<WP>::EstimateKeyGroupDirect(
       if (!st.live) continue;
       std::uint64_t count_oo = 0;
       std::uint64_t count_ok = 0;
-      for (std::uint64_t k = 0; k < eta; ++k) {
-        const NodeId end = walker_.WalkEndpoint(st.other, i, st.rng_o);
-        if (end == st.other) ++count_oo;
-        if (end == key) ++count_ok;
-      }
-      stats[j].walks += eta;
-      stats[j].walk_steps += eta * i;
+      CountEnds(st.other, i, eta, st.rng_o, st.o_pop,
+                st.record_o ? &st.o_rec : nullptr, &stats[j],
+                [&](NodeId end, std::uint32_t c) {
+                  if (end == st.other) count_oo += c;
+                  if (end == key) count_ok += c;
+                });
       // Eq. (4) term for length i with the empirical probabilities, in
       // canonical (u, v) = (min, max) accumulation order — the branch is
       // what makes Estimate(s, t) ≡ Estimate(t, s) bitwise.
@@ -285,148 +284,7 @@ void TpEstimatorT<WP>::EstimateKeyGroupDirect(
   stats[first_live].walks += shared.walks;
   stats[first_live].walk_steps += shared.walk_steps;
   for (const NodeId o : target_touched_) target_head_[o] = 0;
-}
-
-// The session path: counts come from the dense histogram scratch, fed
-// either by a fresh simulation (recorded into the session) or by
-// splatting a retained population's row. Bit-identical to the direct
-// path — the counts are the same integers either way.
-template <WeightPolicy WP>
-void TpEstimatorT<WP>::EstimateKeyGroupSession(
-    NodeId key, std::span<const QueryPair> queries,
-    std::span<QueryStats> stats) {
-  const NodeId n = graph_->NumNodes();
-  GEER_CHECK(key < n);
-  const std::uint32_t ell =
-      PengEll(options_.epsilon, lambda_, options_.max_ell);
-  const bool truncated =
-      EllWasTruncated(options_.epsilon, lambda_, 1, 1, options_.max_ell,
-                      /*use_peng=*/true);
-  const std::uint64_t eta = WalksPerLength(ell);
-  const double inv_eta = 1.0 / static_cast<double>(eta);
-  const double inv_wk = 1.0 / WP::NodeWeight(*graph_, key);
-  const std::size_t m = queries.size();
-  EnsureHistScratch();
-
-  // Per-query live state; the i = 0 term of Eq. (4) seeds the estimate.
-  struct QueryState {
-    bool live = false;
-    bool key_is_min = false;
-    NodeId other = 0;
-    double inv_wo = 0.0;
-    double estimate = 0.0;
-    Rng rng_o{0};
-    const TpPopulation* o_pop = nullptr;  // session hit, other side
-    TpPopulation o_rec;                   // session recorder (miss)
-    bool record_o = false;
-  };
-  std::vector<QueryState> state(m);
-  std::size_t first_live = m;
-  for (std::size_t j = 0; j < m; ++j) {
-    const QueryPair& q = queries[j];
-    GEER_CHECK(q.s < n);
-    GEER_CHECK(q.t < n);
-    GEER_CHECK(q.s == key || q.t == key);
-    stats[j] = QueryStats{};
-    if (q.s == q.t) continue;  // r(v, v) = 0, zero stats like serial
-    QueryState& st = state[j];
-    st.live = true;
-    st.other = q.s == key ? q.t : q.s;
-    st.key_is_min = key < st.other;
-    st.inv_wo = 1.0 / WP::NodeWeight(*graph_, st.other);
-    // i = 0 seed 1/w(u) + 1/w(v): FP addition is commutative bitwise, so
-    // no canonical branch is needed here.
-    st.estimate = inv_wk + st.inv_wo;
-    // One node population law for both roles: a cached population serves
-    // as the shared key side of one group and the other side of another,
-    // bit-identical to the serial simulation either way.
-    st.rng_o = Rng(MixSeed(MixSeed(options_.seed, kTpStreamTag), st.other));
-    stats[j].ell = ell;
-    stats[j].truncated = truncated;
-    st.o_pop = session_->Find(st.other);
-    if (st.o_pop != nullptr) {
-      GEER_DCHECK(st.o_pop->ell == ell && st.o_pop->eta == eta);
-    } else {
-      st.record_o = true;
-      st.o_rec = TpPopulation::Recorder(ell, eta, n);
-    }
-    if (first_live == m) first_live = j;
-  }
-  if (first_live == m) return;  // every query was s == t
-
-  const TpPopulation* key_pop = session_->Find(key);
-  if (key_pop != nullptr) {
-    GEER_DCHECK(key_pop->ell == ell && key_pop->eta == eta);
-  }
-  TpPopulation key_rec;
-  const bool record_key = key_pop == nullptr;
-  if (record_key) key_rec = TpPopulation::Recorder(ell, eta, n);
-
-  Rng rng_k(MixSeed(MixSeed(options_.seed, kTpStreamTag), key));
-  QueryStats shared;  // key-side cost, charged to the first live query
-  std::vector<std::uint64_t> count_ko(m, 0);
-
-  for (std::uint32_t i = 1; i <= ell; ++i) {
-    // Key side once for the whole group: the endpoint histogram of the η
-    // length-i walks (simulated + recorded, or splatted from the
-    // retained population) answers p̂_i(·, key) for the key itself and
-    // every live other endpoint. The dense scratch is reused by the
-    // other sides below, so every key-side count is extracted before
-    // they run.
-    if (key_pop == nullptr) {
-      SimulateLength(key, i, eta, rng_k, record_key ? &key_rec : nullptr);
-      shared.walks += eta;
-      shared.walk_steps += eta * i;
-    } else {
-      SplatRow(key_pop->hist[i - 1]);
-    }
-    const std::uint64_t count_kk = hist_count_[key];
-    for (std::size_t j = 0; j < m; ++j) {
-      if (state[j].live) count_ko[j] = hist_count_[state[j].other];
-    }
-
-    // Other sides per query: a retained population answers its two
-    // lookups by row scan; a miss simulates (and records).
-    for (std::size_t j = 0; j < m; ++j) {
-      QueryState& st = state[j];
-      if (!st.live) continue;
-      std::uint64_t count_oo = 0;
-      std::uint64_t count_ok = 0;
-      if (st.o_pop != nullptr) {
-        count_oo = st.o_pop->Count(i, st.other);
-        count_ok = st.o_pop->Count(i, key);
-      } else {
-        SimulateLength(st.other, i, eta, st.rng_o,
-                       st.record_o ? &st.o_rec : nullptr);
-        stats[j].walks += eta;
-        stats[j].walk_steps += eta * i;
-        count_oo = hist_count_[st.other];
-        count_ok = hist_count_[key];
-      }
-      // Eq. (4) term for length i with the empirical probabilities, in
-      // canonical (u, v) = (min, max) accumulation order — the branch is
-      // what makes Estimate(s, t) ≡ Estimate(t, s) bitwise.
-      if (st.key_is_min) {
-        st.estimate += (static_cast<double>(count_kk) * inv_wk +
-                        static_cast<double>(count_oo) * st.inv_wo -
-                        static_cast<double>(count_ko[j]) * st.inv_wo -
-                        static_cast<double>(count_ok) * inv_wk) *
-                       inv_eta;
-      } else {
-        st.estimate += (static_cast<double>(count_oo) * st.inv_wo +
-                        static_cast<double>(count_kk) * inv_wk -
-                        static_cast<double>(count_ok) * inv_wk -
-                        static_cast<double>(count_ko[j]) * st.inv_wo) *
-                       inv_eta;
-      }
-    }
-  }
-
-  for (std::size_t j = 0; j < m; ++j) {
-    if (state[j].live) stats[j].value = state[j].estimate;
-  }
-  stats[first_live].walks += shared.walks;
-  stats[first_live].walk_steps += shared.walk_steps;
+  if (!use_session) return;
 
   // Retain the populations built this group; landmark populations are
   // pinned on insert (the lazy re-warm after an epoch flush).
@@ -444,12 +302,11 @@ void TpEstimatorT<WP>::WarmLandmark(NodeId lm) {
   const std::uint32_t ell =
       PengEll(options_.epsilon, lambda_, options_.max_ell);
   const std::uint64_t eta = WalksPerLength(ell);
-  EnsureHistScratch();
   session_->GetOrCreate(lm, [&] {
     TpPopulation rec = TpPopulation::Recorder(ell, eta, graph_->NumNodes());
     Rng rng(MixSeed(MixSeed(options_.seed, kTpStreamTag), lm));
     for (std::uint32_t i = 1; i <= ell; ++i) {
-      SimulateLength(lm, i, eta, rng, &rec);
+      RecordLength(lm, i, eta, rng, &rec);
     }
     return rec;
   });

@@ -20,6 +20,14 @@
 // shared by the whole group. EstimateBatch does exactly that; serial
 // Estimate is the one-query instance of the same code path, so batched
 // values are bit-identical to serial ones.
+//
+// Sessions: the same group code runs with or without a session cache.
+// The session only decides where a side's per-length counts come from:
+// a retained population's endpoint row (no walks), a fresh simulation
+// recorded into a new population (a miss), or, with no session, fresh
+// walks counted as they end — through per-node query chains on the key
+// side and two counters on the other side. The dense histogram and the
+// visit filter are paid only by a population being recorded.
 
 #ifndef GEER_CORE_TP_H_
 #define GEER_CORE_TP_H_
@@ -53,8 +61,7 @@ struct TpPopulation {
   std::uint32_t ell = 0;  ///< lengths materialized: 1..ell
   std::uint64_t eta = 0;  ///< walks per length
   /// hist[i-1]: (endpoint, count) pairs of the η length-i walks, in
-  /// first-visit order (deterministic; NOT sorted — consumers splat
-  /// into a dense scratch or scan for the two keys they need).
+  /// first-visit order (deterministic; NOT sorted — readers scan it).
   std::vector<std::vector<std::pair<NodeId, std::uint32_t>>> hist;
   /// Every node the walks stepped FROM (start node included; final
   /// endpoints excluded — their rows never influenced a step). On an
@@ -66,10 +73,6 @@ struct TpPopulation {
   /// An empty population to record the (ℓ, η) schedule's walks into.
   static TpPopulation Recorder(std::uint32_t ell, std::uint64_t eta,
                                NodeId num_nodes);
-
-  /// Count of length-i walks from the node ending at `v` (linear scan —
-  /// for the other side's two lookups per length).
-  std::uint32_t Count(std::uint32_t i, NodeId v) const;
 
   std::size_t ApproxBytes() const;
   bool DependsOn(std::span<const NodeId> touched) const {
@@ -101,7 +104,6 @@ class TpEstimatorT
   BatchPlan PlanBatch(std::span<const QueryPair> queries) const override {
     return BatchPlan::GroupByEndpoint(queries);
   }
-  bool SharesBatchWork() const override { return true; }
   std::unique_ptr<ErEstimator> CloneForBatch() const override {
     ErOptions opt = options_;
     opt.lambda = lambda_;  // clones never re-run Lanczos
@@ -139,42 +141,40 @@ class TpEstimatorT
   /// per length. Per-length terms accumulate in canonical (min, max)
   /// endpoint order, so the value is independent of which endpoint is
   /// the key. Shared-side cost is charged to the first live query of the
-  /// run. Dispatches to the direct path (no session: chain-counted, the
-  /// original hot loop) or the session path (histogram-backed hits and
-  /// recording).
+  /// run. One path with or without a session: the session only decides
+  /// where each side's counts come from (see CountEnds).
   void EstimateKeyGroup(NodeId key, std::span<const QueryPair> queries,
                         std::span<QueryStats> stats);
-  void EstimateKeyGroupDirect(NodeId key, std::span<const QueryPair> queries,
-                              std::span<QueryStats> stats);
-  void EstimateKeyGroupSession(NodeId key,
-                               std::span<const QueryPair> queries,
-                               std::span<QueryStats> stats);
   /// Pins a full walk population for the landmark: ℓ = PengEll,
   /// η = WalksPerLength(ℓ), so it answers any query's count lookups.
   void WarmLandmark(NodeId lm) override;
 
-  /// Session path: resets the dense histogram scratch, then either
-  /// simulates the η length-i walks of `node` (appending the compacted
-  /// row to `record` when non-null) or splats a retained row into it.
-  void SimulateLength(NodeId node, std::uint32_t i, std::uint64_t eta,
-                      Rng& rng, TpPopulation* record);
-  void SplatRow(const std::vector<std::pair<NodeId, std::uint32_t>>& row);
-  void ResetHistScratch();
-  /// Sizes the dense histogram scratch to the bound graph.
-  void EnsureHistScratch();
+  /// Feeds `count(endpoint, multiplicity)` the endpoints of `node`'s η
+  /// length-i walks: a retained population's row is read back for free;
+  /// otherwise the walks are simulated from `rng` (charged to `cost`)
+  /// and either recorded into `record` and read back from its new row,
+  /// or, with no recorder, counted one walk at a time.
+  template <typename CountFn>
+  void CountEnds(NodeId node, std::uint32_t i, std::uint64_t eta, Rng& rng,
+                 const TpPopulation* retained, TpPopulation* record,
+                 QueryStats* cost, CountFn&& count);
+  /// Simulates the η length-i walks of `node` through the dense
+  /// histogram scratch (sized to the bound graph on first use) and
+  /// appends the compacted row (and the visited rows) to `record`.
+  void RecordLength(NodeId node, std::uint32_t i, std::uint64_t eta,
+                    Rng& rng, TpPopulation* record);
 
   ErOptions options_;
   double lambda_;
   WalkerFor<WP> walker_;
-  // Direct-path scratch for multi-target endpoint counting: per-node
-  // chain heads (1-based query index) + per-query next links, reset via
-  // the touched list after every group.
+  // Key-side counting scratch: per-node chain heads (1-based query
+  // index) + per-query next links, reset via the touched list after
+  // every group.
   std::vector<std::uint32_t> target_head_;
   std::vector<std::uint32_t> target_next_;
   std::vector<NodeId> target_touched_;
-  // Session-path scratch: dense endpoint histogram with a touched list;
-  // counts one population's length-i endpoints (simulated or splatted
-  // from a retained row) and doubles as the session recorder.
+  // Recorder scratch: dense endpoint histogram with a touched list,
+  // compacted into one population row per length.
   std::vector<std::uint32_t> hist_count_;
   std::vector<NodeId> hist_touched_;
   // RebindGraph calls that reused previous-epoch state (warm λ and/or

@@ -16,8 +16,17 @@ constexpr std::uint64_t kTpcStreamTag = 0x545043u;  // "TPC"
 
 }  // namespace
 
-std::size_t TpcSessionPopulation::ApproxBytes() const {
-  std::size_t bytes = sizeof(TpcSessionPopulation);
+std::span<const NodeId> TpcPopulation::Ends(std::uint32_t length,
+                                            std::uint64_t n) const {
+  const std::uint32_t r = record ? length : 0;
+  GEER_DCHECK(r < ends_at.size() && ends_at[r].size() >= n);
+  const std::vector<NodeId>& row = ends_at[r];
+  GEER_DCHECK(record || cur_len[0] == length);
+  return {row.data(), n};
+}
+
+std::size_t TpcPopulation::ApproxBytes() const {
+  std::size_t bytes = sizeof(TpcPopulation);
   for (const auto& row : ends_at) {
     bytes += row.size() * sizeof(NodeId) + sizeof(row);
   }
@@ -86,73 +95,53 @@ std::uint64_t TpcEstimatorT<WP>::WalksForLength(std::uint32_t i,
 }
 
 template <WeightPolicy WP>
-typename TpcEstimatorT<WP>::Population TpcEstimatorT<WP>::MakePopulation(
-    NodeId source, std::uint64_t side) const {
-  Population pop;
-  pop.source = source;
-  pop.stream_base = StreamBase(source, side);
-  return pop;
-}
-
-template <WeightPolicy WP>
-void TpcEstimatorT<WP>::AdvancePopulation(Population* pop,
-                                          std::uint32_t length,
-                                          std::uint64_t n_walks,
-                                          QueryStats* stats) {
-  if (pop->ends.size() < n_walks) {
-    const std::size_t old_size = pop->ends.size();
-    pop->ends.resize(n_walks, pop->source);
-    pop->lengths.resize(n_walks, 0);
-    pop->rngs.reserve(n_walks);
-    for (std::size_t k = old_size; k < n_walks; ++k) {
-      pop->rngs.emplace_back(MixSeed(pop->stream_base, k));
-    }
-    stats->walks += n_walks - old_size;
-  }
-  for (std::uint64_t k = 0; k < n_walks; ++k) {
-    const std::uint32_t have = pop->lengths[k];
-    if (have >= length) continue;
-    const std::uint32_t delta = length - have;
-    // Stepping in increments is path-identical to one full walk: the
-    // walk's own stream is consumed one step at a time either way.
-    pop->ends[k] = walker_.WalkEndpoint(pop->ends[k], delta, pop->rngs[k]);
-    pop->lengths[k] = length;
-    stats->walk_steps += delta;
-  }
-}
-
-template <WeightPolicy WP>
-void TpcEstimatorT<WP>::AdvanceSessionPopulation(TpcSessionPopulation* pop,
-                                                 std::uint32_t length,
-                                                 std::uint64_t n_walks,
-                                                 QueryStats* stats) {
-  if (!pop->visits.Initialized()) {
+void TpcEstimatorT<WP>::Advance(TpcPopulation* pop, std::uint32_t length,
+                                std::uint64_t n_walks, QueryStats* stats) {
+  const bool record = pop->record;
+  if (record && !pop->visits.Initialized()) {
     pop->visits = VisitFilter(graph_->NumNodes());
     pop->visits.Add(pop->node);
   }
-  if (pop->ends_at.size() <= length) pop->ends_at.resize(length + 1);
+  const std::size_t rows = record ? length + 1 : 1;
+  if (pop->ends_at.size() < rows) pop->ends_at.resize(rows);
   if (pop->rngs.size() < n_walks) {
+    // New walks start at the node; reserve first so each array holds
+    // exactly n_walks (resize alone may over-allocate).
     const std::size_t old_size = pop->rngs.size();
+    GEER_DCHECK(pop->ends_at[0].size() == old_size);
     pop->rngs.reserve(n_walks);
-    pop->cur_len.reserve(n_walks);
-    pop->ends_at[0].reserve(n_walks);
     for (std::size_t k = old_size; k < n_walks; ++k) {
       pop->rngs.emplace_back(MixSeed(pop->stream_base, k));
-      pop->cur_len.push_back(0);
-      GEER_DCHECK(pop->ends_at[0].size() == k);
-      pop->ends_at[0].push_back(pop->node);
     }
+    pop->cur_len.reserve(n_walks);
+    pop->cur_len.resize(n_walks, 0);
+    pop->ends_at[0].reserve(n_walks);
+    pop->ends_at[0].resize(n_walks, pop->node);
     stats->walks += n_walks - old_size;
   }
   if (n_walks == 0) return;
-  // Fast path: the lockstep group pattern leaves walks [0, n_walks) at
-  // one common recorded length (cur_len is non-increasing in k, so the
-  // endpoints suffice to check). Extend length-by-length over the
-  // contiguous snapshot rows — sequential reads/writes instead of a
-  // per-walk pointer chase, and each walk still consumes ITS OWN stream
-  // one step at a time (bit-identical endpoints).
+  if (!record) {
+    // In place: stepping in increments is path-identical to one full
+    // walk, since the walk's own stream is consumed one step at a time
+    // either way.
+    NodeId* ends = pop->ends_at[0].data();
+    for (std::uint64_t k = 0; k < n_walks; ++k) {
+      const std::uint32_t have = pop->cur_len[k];
+      if (have >= length) continue;
+      ends[k] = walker_.WalkEndpoint(ends[k], length - have, pop->rngs[k]);
+      pop->cur_len[k] = length;
+      stats->walk_steps += length - have;
+    }
+    return;
+  }
+  // Recording fast path: the lockstep group pattern leaves walks
+  // [0, n_walks) at one common recorded length (cur_len is non-increasing
+  // in k, so the endpoints suffice to check). Extend length-by-length
+  // over the contiguous snapshot rows — sequential reads/writes instead
+  // of a per-walk pointer chase, and each walk still consumes ITS OWN
+  // stream one step at a time (bit-identical endpoints).
   if (pop->cur_len[0] == pop->cur_len[n_walks - 1]) {
-    std::uint32_t have = pop->cur_len[0];
+    const std::uint32_t have = pop->cur_len[0];
     if (have >= length) return;
     stats->walk_steps += (length - have) * n_walks;
     for (std::uint32_t len = have + 1; len <= length; ++len) {
@@ -173,8 +162,8 @@ void TpcEstimatorT<WP>::AdvanceSessionPopulation(TpcSessionPopulation* pop,
     std::uint32_t have = pop->cur_len[k];
     if (have >= length) continue;
     // Extend one step at a time, snapshotting the endpoint at every
-    // length — stream-identical to one WalkEndpoint call, and what lets
-    // a LATER batch collide any shorter length without re-simulating.
+    // length — what lets a LATER batch collide any shorter length
+    // without re-simulating.
     NodeId cur = pop->ends_at[have][k];
     stats->walk_steps += length - have;
     while (have < length) {
@@ -186,29 +175,6 @@ void TpcEstimatorT<WP>::AdvanceSessionPopulation(TpcSessionPopulation* pop,
     }
     pop->cur_len[k] = length;
   }
-}
-
-template <WeightPolicy WP>
-void TpcEstimatorT<WP>::Advance(const PopHandle& pop, std::uint32_t length,
-                                std::uint64_t n_walks, QueryStats* stats) {
-  if (pop.session != nullptr) {
-    AdvanceSessionPopulation(pop.session, length, n_walks, stats);
-  } else {
-    AdvancePopulation(pop.local, length, n_walks, stats);
-  }
-}
-
-template <WeightPolicy WP>
-std::span<const NodeId> TpcEstimatorT<WP>::Ends(const PopHandle& pop,
-                                                std::uint32_t length,
-                                                std::uint64_t n) const {
-  if (pop.session != nullptr) {
-    GEER_DCHECK(length < pop.session->ends_at.size());
-    GEER_DCHECK(pop.session->ends_at[length].size() >= n);
-    return {pop.session->ends_at[length].data(), n};
-  }
-  GEER_DCHECK(pop.local->ends.size() >= n);
-  return {pop.local->ends.data(), n};
 }
 
 template <WeightPolicy WP>
@@ -243,14 +209,20 @@ std::uint64_t TpcEstimatorT<WP>::StreamBase(NodeId node,
 }
 
 template <WeightPolicy WP>
-TpcSessionPopulation* TpcEstimatorT<WP>::SessionPopulationFor(
-    NodeId node, std::uint32_t side) {
-  return session_->GetOrCreate({node, side}, [&] {
-    TpcSessionPopulation fresh;
+TpcPopulation* TpcEstimatorT<WP>::PopulationFor(
+    NodeId node, std::uint32_t side, std::vector<TpcPopulation>* local) {
+  auto make = [&](bool record) {
+    TpcPopulation fresh;
     fresh.node = node;
+    fresh.record = record;
     fresh.stream_base = StreamBase(node, side);
     return fresh;
-  });
+  };
+  if (session_ != nullptr) {
+    return session_->GetOrCreate({node, side}, [&] { return make(true); });
+  }
+  GEER_DCHECK(local->size() < local->capacity());  // pointers stay valid
+  return &local->emplace_back(make(false));
 }
 
 template <WeightPolicy WP>
@@ -271,29 +243,19 @@ void TpcEstimatorT<WP>::EstimateKeyGroup(NodeId key,
   // Shared key-side populations (A at ⌈i/2⌉, B at ⌊i/2⌋) and the
   // per-query other-side populations; A and B never mix, so every
   // per-length collision pairs two independent populations. With a
-  // session enabled the populations live in the session cache (endpoint
-  // snapshots per length, reusable next batch); otherwise they are
-  // group-local with endpoints in place.
-  Population a_k_local;
-  Population b_k_local;
-  PopHandle a_k;
-  PopHandle b_k;
-  if (use_session) {
-    a_k.session = SessionPopulationFor(key, 0);
-    b_k.session = SessionPopulationFor(key, 1);
-  } else {
-    a_k_local = MakePopulation(key, 0);
-    b_k_local = MakePopulation(key, 1);
-    a_k.local = &a_k_local;
-    b_k.local = &b_k_local;
-  }
+  // session on they live in the session cache and record every length
+  // (reusable next batch); otherwise the group owns them in `local`.
+  std::vector<TpcPopulation> local;
+  if (!use_session) local.reserve(2 * (m + 1));
+  TpcPopulation* a_k = PopulationFor(key, 0, &local);
+  TpcPopulation* b_k = PopulationFor(key, 1, &local);
   struct QueryState {
     bool live = false;
     bool key_is_min = false;
     NodeId other = 0;
     double estimate = 0.0;
-    Population a_o_local, b_o_local;
-    PopHandle a_o, b_o;
+    TpcPopulation* a_o = nullptr;
+    TpcPopulation* b_o = nullptr;
   };
   std::vector<QueryState> state(m);
   std::size_t first_live = m;
@@ -310,15 +272,8 @@ void TpcEstimatorT<WP>::EstimateKeyGroup(NodeId key,
     st.key_is_min = key < st.other;
     // i = 0 seed 1/w(u) + 1/w(v): FP addition is commutative bitwise.
     st.estimate = inv_wk + 1.0 / WP::NodeWeight(*graph_, st.other);
-    if (use_session) {
-      st.a_o.session = SessionPopulationFor(st.other, 0);
-      st.b_o.session = SessionPopulationFor(st.other, 1);
-    } else {
-      st.a_o_local = MakePopulation(st.other, 0);
-      st.b_o_local = MakePopulation(st.other, 1);
-      st.a_o.local = &st.a_o_local;
-      st.b_o.local = &st.b_o_local;
-    }
+    st.a_o = PopulationFor(st.other, 0, &local);
+    st.b_o = PopulationFor(st.other, 1, &local);
     stats[j].ell = ell;
     stats[j].truncated = truncated;
     if (first_live == m) first_live = j;
@@ -355,21 +310,21 @@ void TpcEstimatorT<WP>::EstimateKeyGroup(NodeId key,
       // p_i(u,u)/w(u), p_i(v,v)/w(v), p_i(u,v)/w(v) (= p_i(v,u)/w(u)).
       if (memo_n != n_walks) {
         memo_n = n_walks;
-        memo_p_kk = Collide(Ends(a_k, len_a, n_walks),
-                            Ends(b_k, len_b, n_walks));
+        memo_p_kk =
+            Collide(a_k->Ends(len_a, n_walks), b_k->Ends(len_b, n_walks));
       }
       const double p_kk = memo_p_kk;
-      const double p_oo = Collide(Ends(st.a_o, len_a, n_walks),
-                                  Ends(st.b_o, len_b, n_walks));
+      const double p_oo = Collide(st.a_o->Ends(len_a, n_walks),
+                                  st.b_o->Ends(len_b, n_walks));
       // Canonical cross collision: A of the smaller endpoint against B
       // of the larger, making the value independent of which endpoint
       // keys the group (and hence of query orientation).
       const double p_uv =
           st.key_is_min
-              ? Collide(Ends(a_k, len_a, n_walks),
-                        Ends(st.b_o, len_b, n_walks))
-              : Collide(Ends(st.a_o, len_a, n_walks),
-                        Ends(b_k, len_b, n_walks));
+              ? Collide(a_k->Ends(len_a, n_walks),
+                        st.b_o->Ends(len_b, n_walks))
+              : Collide(st.a_o->Ends(len_a, n_walks),
+                        b_k->Ends(len_b, n_walks));
       st.estimate += p_kk + p_oo - 2.0 * p_uv;
     }
   }
@@ -386,8 +341,8 @@ template <WeightPolicy WP>
 void TpcEstimatorT<WP>::WarmLandmark(NodeId lm) {
   const std::uint32_t ell =
       PengEll(options_.epsilon, lambda_, options_.max_ell);
-  TpcSessionPopulation* a = SessionPopulationFor(lm, 0);
-  TpcSessionPopulation* b = SessionPopulationFor(lm, 1);
+  TpcPopulation* a = PopulationFor(lm, 0, nullptr);
+  TpcPopulation* b = PopulationFor(lm, 1, nullptr);
   // Advance to the full per-length schedule at the landmark's own β (a
   // lower bound on any query's β with this endpoint may not hold, so
   // queries extend the populations in place when they need more walks —
@@ -395,8 +350,8 @@ void TpcEstimatorT<WP>::WarmLandmark(NodeId lm) {
   QueryStats scratch;
   for (std::uint32_t i = 1; i <= ell; ++i) {
     const std::uint64_t n_walks = WalksForLength(i, ell, lm, lm);
-    AdvanceSessionPopulation(a, (i + 1) / 2, n_walks, &scratch);
-    AdvanceSessionPopulation(b, i / 2, n_walks, &scratch);
+    Advance(a, (i + 1) / 2, n_walks, &scratch);
+    Advance(b, i / 2, n_walks, &scratch);
   }
 }
 

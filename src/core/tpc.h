@@ -14,21 +14,27 @@
 // and options.tpc_scale rescales the constant. With heuristic β the
 // ε-guarantee is forfeited — exactly the caveat the paper states.
 //
-// Perf + batching: every cached walk is content-addressed — walk k of
-// the (source, side) population steps through its own RNG stream seeded
+// Perf + batching: every walk is content-addressed — walk k of the
+// (source, side) population steps through its own RNG stream seeded
 // from (seed, source, side, k) — so a population's first n endpoints at
 // length L are a pure function of (seed, source, side, n, L), never of
-// which query (or thread) asked first. Walks are still EXTENDED in place
-// as the half-length grows (the PR-2 perf win: a query costs O(Σ_i η_i)
-// steps, not O(Σ_i η_i·i)), and a query group sharing an endpoint on
-// EITHER side additionally shares that key's A/B populations: the group
-// advances in lockstep over i, each query colliding its own other-side
-// populations against the shared prefix it would have simulated
-// serially. The cross collision always pairs A of the smaller endpoint
-// with B of the larger, so Estimate(s, t) ≡ Estimate(t, s) bitwise. The
-// A and B sides stay mutually independent, which is all the collision
-// statistic's unbiasedness needs. Weight-generic over
-// graph/weight_policy.h.
+// which query (or thread) asked first. Walks are EXTENDED as the
+// half-length grows (a query costs O(Σ_i η_i) steps, not O(Σ_i η_i·i)),
+// and a query group sharing an endpoint on EITHER side additionally
+// shares that key's A/B populations: the group advances in lockstep
+// over i, each query colliding its own other-side populations against
+// the shared prefix it would have simulated serially. The cross
+// collision always pairs A of the smaller endpoint with B of the
+// larger, so Estimate(s, t) ≡ Estimate(t, s) bitwise. The A and B sides
+// stay mutually independent, which is all the collision statistic's
+// unbiasedness needs. Weight-generic over graph/weight_policy.h.
+//
+// Sessions: the same group code and the same population type run with
+// or without a session cache. With a session on, populations live in
+// the cache and record each walk's endpoint at every length, so a later
+// batch collides any prefix without re-simulating; with none, the group
+// owns its populations and overwrites each walk's endpoint in place,
+// keeping O(η) state.
 
 #ifndef GEER_CORE_TPC_H_
 #define GEER_CORE_TPC_H_
@@ -52,28 +58,36 @@
 
 namespace geer {
 
-/// TPC's session payload: a per-(node, side) walk population that
-/// RECORDS each walk's endpoint at every half-length as it extends, so
-/// later batches can collide any (length, walk-count) prefix without
-/// re-simulating — the cross-batch generalization of the in-place
-/// extension the one-shot path uses. Content-addressed streams (walk k
-/// of a population owns Rng(MixSeed(stream_base, k))) make every
-/// recorded endpoint a pure function of (seed, node, side, k, length),
-/// so retained populations never change answer values.
-struct TpcSessionPopulation {
+/// TPC's walk population for one (node, side). Walk k steps through
+/// its own stream Rng(MixSeed(stream_base, k)), so every endpoint is a
+/// pure function of (seed, node, side, k, length), never of which query
+/// (or thread) asked first. The storage mode is fixed at creation:
+///  - recording (session populations): ends_at[len][k] is walk k's
+///    endpoint at length len (len 0 = node). Row len holds exactly the
+///    walks whose recorded length is ≥ len, always a prefix of the walk
+///    index space, so a later batch collides any (length, walk-count)
+///    prefix without re-simulating, and retained populations never
+///    change answer values.
+///  - in place (group-local populations when no session is on): the one
+///    row ends_at[0] holds each walk's endpoint at its current length,
+///    overwritten as the walk extends — O(η) state.
+struct TpcPopulation {
   NodeId node = 0;
+  bool record = false;  ///< storage mode, fixed at creation
   std::uint64_t stream_base = 0;
-  /// ends_at[len][k]: endpoint of walk k at length len (len 0 = node).
-  /// Row len holds exactly the walks whose recorded length is ≥ len,
-  /// which is always a prefix of the walk index space.
   std::vector<std::vector<NodeId>> ends_at;
   std::vector<Rng> rngs;               ///< live stream per walk
-  std::vector<std::uint32_t> cur_len;  ///< recorded length per walk
-  /// Every node the walks stepped FROM (the source included; live
-  /// endpoints excluded — their rows feed future extensions, which read
-  /// the new graph either way). On an epoch swap the population stays
-  /// valid iff this set is disjoint from epoch.touched.
+  std::vector<std::uint32_t> cur_len;  ///< current length per walk
+  /// Recording only: every node the walks stepped FROM (the source
+  /// included; live endpoints excluded — their rows feed future
+  /// extensions, which read the new graph either way). On an epoch swap
+  /// the population stays valid iff this set is disjoint from
+  /// epoch.touched.
   VisitFilter visits;
+
+  /// The first n endpoints at `length`; the caller advanced walks
+  /// [0, n) to it.
+  std::span<const NodeId> Ends(std::uint32_t length, std::uint64_t n) const;
 
   std::size_t ApproxBytes() const;
   bool DependsOn(std::span<const NodeId> touched) const {
@@ -97,8 +111,7 @@ struct TpcPopulationKeyHash {
 template <WeightPolicy WP>
 class TpcEstimatorT
     : public SessionCachedEstimator<typename WP::GraphT, TpcPopulationKey,
-                                    TpcSessionPopulation,
-                                    TpcPopulationKeyHash> {
+                                    TpcPopulation, TpcPopulationKeyHash> {
  public:
   using GraphT = typename WP::GraphT;
 
@@ -119,7 +132,6 @@ class TpcEstimatorT
   BatchPlan PlanBatch(std::span<const QueryPair> queries) const override {
     return BatchPlan::GroupByEndpoint(queries);
   }
-  bool SharesBatchWork() const override { return true; }
   std::unique_ptr<ErEstimator> CloneForBatch() const override {
     ErOptions opt = options_;
     opt.lambda = lambda_;  // clones never re-run Lanczos
@@ -153,52 +165,16 @@ class TpcEstimatorT
 
  private:
   using Base = SessionCachedEstimator<GraphT, TpcPopulationKey,
-                                      TpcSessionPopulation,
-                                      TpcPopulationKeyHash>;
+                                      TpcPopulation, TpcPopulationKeyHash>;
   using Base::graph_;
   using Base::session_;
 
-  /// A lazily grown walk population from one (source, side): walk k owns
-  /// stream Rng(MixSeed(stream_base, k)), its current endpoint and
-  /// length. Prefixes are content-addressed (see the header comment).
-  struct Population {
-    NodeId source = 0;
-    std::uint64_t stream_base = 0;
-    std::vector<NodeId> ends;
-    std::vector<std::uint32_t> lengths;
-    std::vector<Rng> rngs;
-  };
-
-  /// A population in either storage mode: a group-local one-shot
-  /// Population (endpoints in place, O(η) memory) or a session
-  /// population (per-length endpoint snapshots, reusable across
-  /// batches). Both expose Advance + the endpoint prefix at a length.
-  struct PopHandle {
-    Population* local = nullptr;
-    TpcSessionPopulation* session = nullptr;
-  };
-
-  /// side: 0 = A (length ⌈i/2⌉), 1 = B (length ⌊i/2⌋).
-  Population MakePopulation(NodeId source, std::uint64_t side) const;
-
   /// Brings walks [0, n_walks) of `pop` to at least `length` (spawning
-  /// missing walks, extending short ones from their own streams),
-  /// charging the work to `stats`. Walks beyond n_walks are left as-is.
-  void AdvancePopulation(Population* pop, std::uint32_t length,
-                         std::uint64_t n_walks, QueryStats* stats);
-
-  /// Session analogue of AdvancePopulation: extends walks one step at a
-  /// time (stream-identical), recording the endpoint at every length.
-  /// Already-recorded (length, walk) cells cost nothing.
-  void AdvanceSessionPopulation(TpcSessionPopulation* pop, std::uint32_t length,
-                                std::uint64_t n_walks, QueryStats* stats);
-
-  void Advance(const PopHandle& pop, std::uint32_t length,
+  /// missing walks, extending short ones from their own streams, and
+  /// snapshotting every length when `pop` records), charging the work to
+  /// `stats`. Walks beyond n_walks and recorded cells cost nothing.
+  void Advance(TpcPopulation* pop, std::uint32_t length,
                std::uint64_t n_walks, QueryStats* stats);
-
-  /// First n endpoints of `pop` at `length` (the caller advanced it).
-  std::span<const NodeId> Ends(const PopHandle& pop, std::uint32_t length,
-                               std::uint64_t n) const;
 
   /// Collision statistic Σ_v cntA(v)·cntB(v)/w(v) / n² between two
   /// independent endpoint prefixes (spans of equal length n).
@@ -215,8 +191,12 @@ class TpcEstimatorT
                         std::span<QueryStats> stats);
 
   std::uint64_t StreamBase(NodeId node, std::uint64_t side) const;
-  /// The session population for (node, side), created empty on a miss.
-  TpcSessionPopulation* SessionPopulationFor(NodeId node, std::uint32_t side);
+  /// The population for (node, side) (side: 0 = A at length ⌈i/2⌉,
+  /// 1 = B at ⌊i/2⌋): the session's, created empty and recording on a
+  /// miss, or with no session a new in-place one appended to `local`,
+  /// whose capacity must already hold it.
+  TpcPopulation* PopulationFor(NodeId node, std::uint32_t side,
+                               std::vector<TpcPopulation>* local);
 
   /// Pins the landmark's A/B populations, advanced to the full
   /// per-length schedule at its own β.

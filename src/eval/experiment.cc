@@ -38,7 +38,7 @@ void MeasureQueries(ErEstimator* estimator,
   const double wall_millis = timer.ElapsedMillis();
 
   result->threads = report.workers;
-  result->shares_batch_work = estimator->SharesBatchWork();
+  result->shares_batch_work = EstimatorSharesBatchWork(estimator->Name());
   result->completed = report.completed;
   double sum_err = 0.0;
   double sum_walks = 0.0;

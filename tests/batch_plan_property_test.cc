@@ -1,7 +1,6 @@
 // Property suite for the batch-plan surface (core/estimator.h): on
 // RANDOMIZED query batches — both weight modes, duplicate endpoints,
-// s == t queries — every plan (Trivial / GroupBySource /
-// GroupByEndpoint) must cover each query exactly once, the
+// s == t queries — every plan (Trivial / GroupByEndpoint) must cover each query exactly once, the
 // group-by-either-endpoint plan must never split a shareable pair
 // (queries connected through common endpoints land in one group, in
 // original order, groups ordered by first appearance), and the sharing
@@ -128,8 +127,6 @@ TEST(BatchPlanPropertyTest, EveryPlanCoversEachQueryExactlyOnce) {
     const std::vector<QueryPair> queries = RandomQueries(30, 40, seed);
     ExpectCoversEachQueryExactlyOnce(BatchPlan::Trivial(queries.size()),
                                      queries.size(), "Trivial");
-    ExpectCoversEachQueryExactlyOnce(BatchPlan::GroupBySource(queries),
-                                     queries.size(), "GroupBySource");
     ExpectCoversEachQueryExactlyOnce(BatchPlan::GroupByEndpoint(queries),
                                      queries.size(), "GroupByEndpoint");
   }
@@ -169,39 +166,23 @@ TEST(BatchPlanPropertyTest, GroupByEndpointNeverSplitsShareablePairs) {
 TEST(BatchPlanPropertyTest, GroupsKeepOriginalOrderAndFirstAppearance) {
   for (const std::uint64_t seed : {21u, 22u, 23u}) {
     const std::vector<QueryPair> queries = RandomQueries(24, 40, seed);
-    for (const bool by_endpoint : {false, true}) {
-      const BatchPlan plan = by_endpoint
-                                 ? BatchPlan::GroupByEndpoint(queries)
-                                 : BatchPlan::GroupBySource(queries);
-      std::uint32_t prev_group_first = 0;
-      for (std::size_t g = 0; g < plan.NumGroups(); ++g) {
-        // Within a group: original submission order.
-        for (std::uint32_t p = plan.group_offsets[g] + 1;
-             p < plan.group_offsets[g + 1]; ++p) {
-          EXPECT_LT(plan.order[p - 1], plan.order[p])
-              << "seed " << seed << " group " << g;
-        }
-        // Across groups: ordered by first appearance.
-        const std::uint32_t group_first = plan.order[plan.group_offsets[g]];
-        if (g > 0) {
-          EXPECT_LT(prev_group_first, group_first)
-              << "seed " << seed << " group " << g;
-        }
-        prev_group_first = group_first;
+    const BatchPlan plan = BatchPlan::GroupByEndpoint(queries);
+    std::uint32_t prev_group_first = 0;
+    for (std::size_t g = 0; g < plan.NumGroups(); ++g) {
+      // Within a group: original submission order.
+      for (std::uint32_t p = plan.group_offsets[g] + 1;
+           p < plan.group_offsets[g + 1]; ++p) {
+        EXPECT_LT(plan.order[p - 1], plan.order[p])
+            << "seed " << seed << " group " << g;
       }
+      // Across groups: ordered by first appearance.
+      const std::uint32_t group_first = plan.order[plan.group_offsets[g]];
+      if (g > 0) {
+        EXPECT_LT(prev_group_first, group_first)
+            << "seed " << seed << " group " << g;
+      }
+      prev_group_first = group_first;
     }
-  }
-}
-
-// GroupByEndpoint is strictly coarser than GroupBySource: merging some
-// same-source groups through shared targets can only reduce the group
-// count, never increase it.
-TEST(BatchPlanPropertyTest, EndpointPlanIsCoarserThanSourcePlan) {
-  for (const std::uint64_t seed : {31u, 32u, 33u, 34u}) {
-    const std::vector<QueryPair> queries = RandomQueries(30, 40, seed);
-    EXPECT_LE(BatchPlan::GroupByEndpoint(queries).NumGroups(),
-              BatchPlan::GroupBySource(queries).NumGroups())
-        << "seed " << seed;
   }
 }
 

@@ -407,7 +407,8 @@ int RunBatchQueries(ErEstimator& estimator,
         "# batch: %zu queries in %.1f ms (%.2f ms/query amortized, "
         "threads=%d, shared_precompute=%s)%s\n",
         answered, batch_ms, batch_ms / std::max<std::size_t>(answered, 1),
-        report.workers, estimator.SharesBatchWork() ? "yes" : "no",
+        report.workers,
+        EstimatorSharesBatchWork(estimator.Name()) ? "yes" : "no",
         skipped > 0 ? " — some skipped" : "");
   }
   return 0;
