@@ -1,11 +1,16 @@
 // Micro-benchmarks (google-benchmark) for the substrate kernels the
 // estimators are built on: RNG throughput, walk stepping, sparse vs
 // dense SpMV, Laplacian CG solve, Lanczos preprocessing (cold λ alone in
-// BM_SpectralBoundsCold), and Wilson's UST sampling.
+// BM_SpectralBoundsCold), Wilson's UST sampling, and graph construction
+// (BM_GraphBuild, BM_MakeYoutubeGraph).
 
 #include <benchmark/benchmark.h>
 
+#include <utility>
+#include <vector>
+
 #include "eval/datasets.h"
+#include "graph/builder.h"
 #include "graph/generators.h"
 #include "linalg/laplacian_solver.h"
 #include "linalg/spectral.h"
@@ -145,6 +150,35 @@ void BM_WilsonUst(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_WilsonUst);
+
+// GraphBuilder::Build alone on the youtube stand-in's edge list, in a
+// fixed shuffled order (a generator emits edges unordered).
+void BM_GraphBuild(benchmark::State& state) {
+  std::vector<Edge> edges = YoutubeGraph().Edges();
+  Rng rng(5);
+  for (std::size_t i = edges.size(); i > 1; --i) {
+    std::swap(edges[i - 1], edges[rng.NextBounded(i)]);
+  }
+  GraphBuilder builder(YoutubeGraph().NumNodes());
+  builder.AddEdges(edges);
+  for (auto _ : state) {
+    const Graph g = builder.Build();
+    benchmark::DoNotOptimize(g.NeighborArray().data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(edges.size()));
+}
+BENCHMARK(BM_GraphBuild)->Unit(benchmark::kMillisecond);
+
+// The youtube stand-in's generator: R-MAT edge sampling, dedup, Build and
+// the largest component (MakeDataset's graph layer before λ).
+void BM_MakeYoutubeGraph(benchmark::State& state) {
+  for (auto _ : state) {
+    const Graph g = gen::RMat(16, 3, /*seed=*/0x17);
+    benchmark::DoNotOptimize(g.NeighborArray().data());
+  }
+}
+BENCHMARK(BM_MakeYoutubeGraph)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace geer

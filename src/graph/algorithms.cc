@@ -80,19 +80,24 @@ Graph LargestConnectedComponent(const Graph& graph) {
   std::uint32_t best = static_cast<std::uint32_t>(
       std::max_element(size.begin(), size.end()) - size.begin());
 
+  // The relabelling is monotone and a component is closed under
+  // adjacency, so each kept row maps to a sorted, duplicate-free row of
+  // the result: copy the rows straight into CSR.
   std::vector<NodeId> remap(n, 0);
-  NodeId next_id = 0;
+  std::vector<std::uint64_t> offsets = {0};
+  offsets.reserve(size[best] + 1);
   for (NodeId v = 0; v < n; ++v) {
-    if (label[v] == best) remap[v] = next_id++;
+    if (label[v] != best) continue;
+    remap[v] = static_cast<NodeId>(offsets.size() - 1);
+    offsets.push_back(offsets.back() + graph.Degree(v));
   }
-  GraphBuilder builder(next_id);
+  std::vector<NodeId> neighbors;
+  neighbors.reserve(offsets.back());
   for (NodeId u = 0; u < n; ++u) {
     if (label[u] != best) continue;
-    for (NodeId v : graph.Neighbors(u)) {
-      if (u < v) builder.AddEdge(remap[u], remap[v]);
-    }
+    for (NodeId v : graph.Neighbors(u)) neighbors.push_back(remap[v]);
   }
-  return builder.Build();
+  return Graph(std::move(offsets), std::move(neighbors));
 }
 
 Graph EnsureNonBipartite(const Graph& graph) {

@@ -1,5 +1,13 @@
 // GraphBuilder normalizes raw undirected edge lists into CSR Graphs:
 // deduplicates parallel edges, drops self-loops, sorts adjacency lists.
+//
+// Build() runs in O(n + m) time and memory (a counting sort, no
+// comparison sort), for n nodes and m recorded edges. Its output is a
+// function of the recorded edge set and the node count alone: row v of
+// the CSR arrays lists v's distinct neighbors in increasing order, so the
+// same edges give byte-identical Offsets()/NeighborArray() in any order
+// and with any duplication. Every λ, walk and answer downstream depends
+// on that order; tests/graph_fingerprint_test.cc pins it.
 
 #ifndef GEER_GRAPH_BUILDER_H_
 #define GEER_GRAPH_BUILDER_H_
@@ -26,7 +34,8 @@ class GraphBuilder {
   explicit GraphBuilder(NodeId num_nodes = 0) : num_nodes_(num_nodes) {}
 
   /// Records the undirected edge {u, v}. Self-loops are silently dropped;
-  /// duplicates collapse at Build() time.
+  /// duplicates collapse at Build() time. Node id 0xFFFFFFFF is reserved
+  /// (graph algorithms use it as "no node"); passing it aborts.
   void AddEdge(NodeId u, NodeId v);
 
   /// Records every edge in `edges`.
@@ -38,8 +47,8 @@ class GraphBuilder {
   /// Number of (possibly duplicated) edges recorded so far.
   std::size_t NumRecordedEdges() const { return edges_.size(); }
 
-  /// Materializes the CSR graph. The builder may be reused afterwards;
-  /// recorded edges are retained.
+  /// Materializes the CSR graph in O(n + m). The builder may be reused
+  /// afterwards; recorded edges are retained.
   Graph Build() const;
 
  private:

@@ -1,8 +1,9 @@
 #include "graph/generators.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <unordered_set>
+#include <vector>
 
 #include "graph/algorithms.h"
 #include "graph/builder.h"
@@ -13,11 +14,63 @@ namespace geer {
 namespace gen {
 namespace {
 
-// Packs an edge into a 64-bit key for dedup sets.
+// Packs an edge into a 64-bit key for dedup sets. Never 0: u ≠ v.
 inline std::uint64_t EdgeKey(NodeId u, NodeId v) {
   if (u > v) std::swap(u, v);
   return (static_cast<std::uint64_t>(u) << 32) | v;
 }
+
+// The set of edge keys a generator has emitted: one flat open-addressing
+// table (power-of-two size, linear probing, load ≤ 1/2), with 0 marking
+// an empty slot. Only membership is observable, so swapping it for any
+// other set keeps every generated graph.
+class EdgeKeySet {
+ public:
+  explicit EdgeKeySet(std::uint64_t expected) {
+    Rehash(std::bit_ceil(std::max<std::uint64_t>(16, 2 * expected)));
+  }
+
+  std::uint64_t size() const { return size_; }
+
+  bool Contains(std::uint64_t key) const { return slots_[Find(key)] == key; }
+
+  /// Adds `key`; true iff it was not present.
+  bool Insert(std::uint64_t key) {
+    GEER_DCHECK(key != 0);
+    std::uint64_t slot = Find(key);
+    if (slots_[slot] == key) return false;
+    if (2 * (size_ + 1) > slots_.size()) {
+      Rehash(2 * slots_.size());
+      slot = Find(key);
+    }
+    slots_[slot] = key;
+    ++size_;
+    return true;
+  }
+
+ private:
+  // The slot holding `key`, or the empty slot where it would go.
+  std::uint64_t Find(std::uint64_t key) const {
+    std::uint64_t slot = (key * 0x9E3779B97F4A7C15ULL) >> shift_;
+    while (slots_[slot] != 0 && slots_[slot] != key) {
+      slot = (slot + 1) & (slots_.size() - 1);
+    }
+    return slot;
+  }
+
+  void Rehash(std::uint64_t capacity) {
+    std::vector<std::uint64_t> old = std::move(slots_);
+    slots_.assign(capacity, 0);
+    shift_ = 64 - std::countr_zero(capacity);
+    for (std::uint64_t key : old) {
+      if (key != 0) slots_[Find(key)] = key;
+    }
+  }
+
+  std::vector<std::uint64_t> slots_;
+  std::uint64_t size_ = 0;
+  int shift_ = 64;
+};
 
 }  // namespace
 
@@ -150,21 +203,20 @@ Graph ErdosRenyi(NodeId n, std::uint64_t m, std::uint64_t seed,
   GEER_CHECK_LE(m, max_edges) << "more edges than a simple graph allows";
   Rng rng(seed);
   GraphBuilder builder(n);
-  std::unordered_set<std::uint64_t> seen;
-  seen.reserve(m * 2);
+  EdgeKeySet seen(m);
   if (connect) {
     // Hamiltonian-cycle backbone guarantees connectivity; its n edges
     // count toward the m-edge budget.
     for (NodeId i = 0; i < n; ++i) {
       NodeId j = (i + 1) % n;
-      if (seen.insert(EdgeKey(i, j)).second) builder.AddEdge(i, j);
+      if (seen.Insert(EdgeKey(i, j))) builder.AddEdge(i, j);
     }
   }
   while (seen.size() < m && seen.size() < max_edges) {
     NodeId u = static_cast<NodeId>(rng.NextBounded(n));
     NodeId v = static_cast<NodeId>(rng.NextBounded(n));
     if (u == v) continue;
-    if (seen.insert(EdgeKey(u, v)).second) builder.AddEdge(u, v);
+    if (seen.Insert(EdgeKey(u, v))) builder.AddEdge(u, v);
   }
   return builder.Build();
 }
@@ -214,7 +266,7 @@ Graph WattsStrogatz(NodeId n, NodeId k, double beta, std::uint64_t seed) {
   GEER_CHECK_LT(2 * k, n);
   GEER_CHECK(beta >= 0.0 && beta <= 1.0);
   Rng rng(seed);
-  std::unordered_set<std::uint64_t> seen;
+  EdgeKeySet seen(static_cast<std::uint64_t>(n) * k);
   std::vector<Edge> edges;
   for (NodeId i = 0; i < n; ++i) {
     for (NodeId j = 1; j <= k; ++j) {
@@ -225,12 +277,12 @@ Graph WattsStrogatz(NodeId n, NodeId k, double beta, std::uint64_t seed) {
         for (int attempt = 0; attempt < 32; ++attempt) {
           NodeId w = static_cast<NodeId>(rng.NextBounded(n));
           if (w == u) continue;
-          if (seen.count(EdgeKey(u, w))) continue;
+          if (seen.Contains(EdgeKey(u, w))) continue;
           v = w;
           break;
         }
       }
-      if (seen.insert(EdgeKey(u, v)).second) edges.emplace_back(u, v);
+      if (seen.Insert(EdgeKey(u, v))) edges.emplace_back(u, v);
     }
   }
   Graph g = BuildGraph(n, edges);
@@ -250,8 +302,7 @@ Graph RMat(std::uint32_t scale, std::uint64_t edge_factor, std::uint64_t seed,
   const std::uint64_t target_edges = edge_factor * n;
   Rng rng(seed);
   GraphBuilder builder(n);
-  std::unordered_set<std::uint64_t> seen;
-  seen.reserve(target_edges * 2);
+  EdgeKeySet seen(target_edges);
   std::uint64_t attempts = 0;
   const std::uint64_t max_attempts = target_edges * 8;
   while (seen.size() < target_edges && attempts < max_attempts) {
@@ -267,21 +318,19 @@ Graph RMat(std::uint32_t scale, std::uint64_t edge_factor, std::uint64_t seed,
       const double bb = b * noise;
       const double cc = c * noise;
       const double total = aa + bb + cc + d * noise;
-      u <<= 1;
-      v <<= 1;
-      if (p < aa / total) {
-        // top-left: no bits set
-      } else if (p < (aa + bb) / total) {
-        v |= 1;
-      } else if (p < (aa + bb + cc) / total) {
-        u |= 1;
-      } else {
-        u |= 1;
-        v |= 1;
-      }
+      // The quadrant is the first of top-left, top-right, bottom-left,
+      // bottom-right whose threshold exceeds p. All three comparisons
+      // are evaluated and combined into the two bits without branching
+      // on p: u's bit is set past the first two thresholds, v's bit in
+      // the second quadrant or past all three.
+      const NodeId below1 = p < aa / total;
+      const NodeId below2 = p < (aa + bb) / total;
+      const NodeId below3 = p < (aa + bb + cc) / total;
+      u = (u << 1) | ((below1 | below2) ^ 1);
+      v = (v << 1) | ((below1 ^ 1) & (below2 | (below3 ^ 1)));
     }
     if (u == v) continue;
-    if (seen.insert(EdgeKey(u, v)).second) builder.AddEdge(u, v);
+    if (seen.Insert(EdgeKey(u, v))) builder.AddEdge(u, v);
   }
   Graph g = builder.Build();
   return LargestConnectedComponent(g);

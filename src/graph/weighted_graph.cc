@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 namespace geer {
 
@@ -64,7 +65,9 @@ WeightedGraphBuilder& WeightedGraphBuilder::AddEdge(NodeId u, NodeId v,
                                                     double w) {
   GEER_CHECK(std::isfinite(w) && w > 0.0)
       << "edge weight must be positive and finite, got " << w;
-  num_nodes_ = std::max(num_nodes_, static_cast<NodeId>(std::max(u, v) + 1));
+  GEER_CHECK(std::max(u, v) < std::numeric_limits<NodeId>::max())
+      << "node id " << std::numeric_limits<NodeId>::max() << " is reserved";
+  num_nodes_ = std::max(num_nodes_, std::max(u, v) + 1);
   if (u == v) return *this;  // self-loops contribute nothing to ER
   if (u > v) std::swap(u, v);
   edges_.emplace_back(u, v, w);

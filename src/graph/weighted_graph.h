@@ -139,7 +139,8 @@ class WeightedGraphBuilder {
 
   /// Adds the undirected edge {u, v} with weight (conductance) `w > 0`.
   /// Self-loops (u == v) are silently dropped, matching GraphBuilder.
-  /// Node ids extend the node count as needed.
+  /// Node ids extend the node count as needed; id 0xFFFFFFFF is reserved
+  /// and aborts, as in GraphBuilder.
   WeightedGraphBuilder& AddEdge(NodeId u, NodeId v, double w);
 
   /// Number of nodes declared so far.

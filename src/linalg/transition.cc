@@ -121,7 +121,7 @@ void NormalizedAdjacencyOperatorT<WP>::Apply(const Vector& x,
                                              Vector* y) const {
   const NodeId n = graph_->NumNodes();
   GEER_CHECK_EQ(x.size(), static_cast<std::size_t>(n));
-  y->assign(n, 0.0);
+  y->resize(n);  // Every entry is written below.
   const std::uint64_t* offsets = graph_->Offsets().data();
   const NodeId* adj = graph_->NeighborArray().data();
   const auto arcs = WP::Arcs(*graph_);

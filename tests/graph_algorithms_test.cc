@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "graph/builder.h"
 #include "graph/generators.h"
 
@@ -72,6 +75,50 @@ TEST(ComponentsTest, LargestComponentExtraction) {
   EXPECT_EQ(lcc.NumNodes(), 3u);
   EXPECT_EQ(lcc.NumEdges(), 3u);
   EXPECT_TRUE(IsConnected(lcc));
+}
+
+TEST(ComponentsTest, LargestComponentTieKeepsLowestLabel) {
+  // Two 3-node components, {1, 3, 5} and {4, 6, 7}. Labels follow the
+  // smallest node id, so {1, 3, 5} wins the tie whichever of the two is
+  // the triangle.
+  Graph triangle_first = LargestConnectedComponent(
+      BuildGraph(8, {{4, 6}, {6, 7}, {1, 3}, {3, 5}, {5, 1}}));
+  EXPECT_EQ(triangle_first.Offsets(),
+            (std::vector<std::uint64_t>{0, 2, 4, 6}));
+  EXPECT_EQ(triangle_first.NeighborArray(),
+            (std::vector<NodeId>{1, 2, 0, 2, 0, 1}));
+  Graph path_first = LargestConnectedComponent(
+      BuildGraph(8, {{1, 3}, {3, 5}, {4, 6}, {6, 7}, {7, 4}}));
+  EXPECT_EQ(path_first.Offsets(), (std::vector<std::uint64_t>{0, 1, 3, 4}));
+  EXPECT_EQ(path_first.NeighborArray(), (std::vector<NodeId>{1, 0, 2, 1}));
+}
+
+TEST(ComponentsTest, LargestComponentMatchesRelabelledSubgraph) {
+  // Sparse random graphs split into many components. The extraction must
+  // equal rebuilding the kept component's edges under the monotone
+  // relabelling.
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    const Graph g = gen::ErdosRenyi(300, 200 + 10 * seed, seed, false);
+    const std::vector<std::uint32_t> label = ConnectedComponents(g);
+    std::vector<std::uint64_t> size(g.NumNodes(), 0);
+    for (std::uint32_t c : label) ++size[c];
+    const std::uint32_t best = static_cast<std::uint32_t>(
+        std::max_element(size.begin(), size.end()) - size.begin());
+    std::vector<NodeId> remap(g.NumNodes(), 0);
+    NodeId kept = 0;
+    for (NodeId v = 0; v < g.NumNodes(); ++v) {
+      if (label[v] == best) remap[v] = kept++;
+    }
+    GraphBuilder reference(kept);
+    for (const auto& [u, v] : g.Edges()) {
+      if (label[u] == best) reference.AddEdge(remap[u], remap[v]);
+    }
+    const Graph expected = reference.Build();
+    const Graph lcc = LargestConnectedComponent(g);
+    EXPECT_EQ(lcc.Offsets(), expected.Offsets()) << "seed " << seed;
+    EXPECT_EQ(lcc.NeighborArray(), expected.NeighborArray())
+        << "seed " << seed;
+  }
 }
 
 TEST(ComponentsTest, LargestComponentOfConnectedIsIdentity) {

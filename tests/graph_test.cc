@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <utility>
+#include <vector>
+
 #include "graph/builder.h"
+#include "rw/rng.h"
 
 namespace geer {
 namespace {
@@ -139,6 +145,87 @@ TEST(GraphBuilderTest, AddEdgesBulk) {
   b.AddEdges({{0, 1}, {1, 2}, {2, 3}});
   EXPECT_EQ(b.NumRecordedEdges(), 3u);
   EXPECT_EQ(b.Build().NumEdges(), 3u);
+}
+
+TEST(GraphBuilderTest, EmptyBuilder) {
+  Graph empty = GraphBuilder().Build();
+  EXPECT_EQ(empty.NumNodes(), 0u);
+  EXPECT_EQ(empty.Offsets(), std::vector<std::uint64_t>{0});
+  EXPECT_TRUE(empty.NeighborArray().empty());
+
+  Graph isolated = GraphBuilder(4).Build();
+  EXPECT_EQ(isolated.NumNodes(), 4u);
+  EXPECT_EQ(isolated.Offsets(), std::vector<std::uint64_t>(5, 0));
+  EXPECT_TRUE(isolated.NeighborArray().empty());
+}
+
+// The CSR arrays a std::set reference builds from the same edge list:
+// n = max(hint, largest endpoint + 1), self-loops and duplicates dropped,
+// rows sorted.
+std::pair<std::vector<std::uint64_t>, std::vector<NodeId>> ReferenceCsr(
+    NodeId hint, const std::vector<Edge>& edges) {
+  NodeId n = hint;
+  for (const auto& [u, v] : edges) n = std::max(n, std::max(u, v) + 1);
+  std::vector<std::set<NodeId>> rows(n);
+  for (const auto& [u, v] : edges) {
+    if (u == v) continue;
+    rows[u].insert(v);
+    rows[v].insert(u);
+  }
+  std::vector<std::uint64_t> offsets = {0};
+  std::vector<NodeId> neighbors;
+  for (const auto& row : rows) {
+    neighbors.insert(neighbors.end(), row.begin(), row.end());
+    offsets.push_back(neighbors.size());
+  }
+  return {offsets, neighbors};
+}
+
+TEST(GraphBuilderTest, MatchesSetReferenceOnRandomEdgeLists) {
+  Rng rng(2024);
+  for (int trial = 0; trial < 200; ++trial) {
+    // Endpoints in [0, span); the hint is sometimes above every endpoint.
+    const NodeId span = 1 + static_cast<NodeId>(rng.NextBounded(60));
+    const NodeId hint = static_cast<NodeId>(rng.NextBounded(80));
+    const std::uint64_t count = rng.NextBounded(400);
+    GraphBuilder builder(hint);
+    std::vector<Edge> edges;
+    for (std::uint64_t i = 0; i < count; ++i) {
+      Edge e{static_cast<NodeId>(rng.NextBounded(span)),
+             static_cast<NodeId>(rng.NextBounded(span))};
+      // Re-record some edges, in either orientation.
+      if (!edges.empty() && rng.NextBounded(4) == 0) {
+        e = edges[rng.NextBounded(edges.size())];
+        if (rng.NextBounded(2) == 0) std::swap(e.first, e.second);
+      }
+      edges.push_back(e);
+      builder.AddEdge(e.first, e.second);
+      // Build midway: the builder keeps its edges and stays usable.
+      if (i == count / 2) {
+        const auto [offsets, neighbors] = ReferenceCsr(hint, edges);
+        const Graph g = builder.Build();
+        ASSERT_EQ(g.Offsets(), offsets) << "trial " << trial;
+        ASSERT_EQ(g.NeighborArray(), neighbors) << "trial " << trial;
+      }
+    }
+    const auto [offsets, neighbors] = ReferenceCsr(hint, edges);
+    const Graph g = builder.Build();
+    ASSERT_EQ(g.NumNodes(), offsets.size() - 1) << "trial " << trial;
+    ASSERT_EQ(g.Offsets(), offsets) << "trial " << trial;
+    ASSERT_EQ(g.NeighborArray(), neighbors) << "trial " << trial;
+    ASSERT_EQ(BuildGraph(hint, edges).NeighborArray(), neighbors);
+  }
+}
+
+TEST(GraphBuilderDeathTest, RejectsReservedNodeId) {
+  const NodeId reserved = 0xFFFFFFFFu;
+  GraphBuilder b;
+  EXPECT_DEATH(b.AddEdge(0, reserved), "reserved");
+  EXPECT_DEATH(b.AddEdge(reserved, 3), "reserved");
+  EXPECT_DEATH(b.AddEdge(reserved, reserved), "reserved");
+  // The largest usable id still builds.
+  b.AddEdge(0, reserved - 1);
+  EXPECT_EQ(b.NumNodes(), reserved);
 }
 
 TEST(GraphTest, CsrArraysConsistent) {

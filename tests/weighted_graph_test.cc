@@ -113,6 +113,15 @@ TEST(WeightedGraphDeathTest, RejectsNonPositiveWeight) {
   EXPECT_DEATH(b.AddEdge(0, 1, -1.0), "positive");
 }
 
+TEST(WeightedGraphDeathTest, RejectsReservedNodeId) {
+  const NodeId reserved = 0xFFFFFFFFu;
+  WeightedGraphBuilder b;
+  EXPECT_DEATH(b.AddEdge(0, reserved, 1.0), "reserved");
+  EXPECT_DEATH(b.AddEdge(reserved, reserved, 1.0), "reserved");
+  b.AddEdge(0, reserved - 1, 1.0);
+  EXPECT_EQ(b.NumNodes(), reserved);
+}
+
 TEST(WeightedGeneratorsTest, SeriesChainTopology) {
   WeightedGraph g = gen::SeriesChain({1.0, 2.0, 4.0});
   EXPECT_EQ(g.NumNodes(), 4u);
