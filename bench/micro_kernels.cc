@@ -1,8 +1,9 @@
 // Micro-benchmarks (google-benchmark) for the substrate kernels the
 // estimators are built on: RNG throughput, walk stepping, sparse vs
 // dense SpMV, Laplacian CG solve, Lanczos preprocessing (cold λ alone in
-// BM_SpectralBoundsCold), Wilson's UST sampling, and graph construction
-// (BM_GraphBuild, BM_MakeYoutubeGraph).
+// BM_SpectralBoundsCold, its operator step alone in BM_NormalizedApply),
+// Wilson's UST sampling, and graph construction (BM_GraphBuild,
+// BM_MakeYoutubeGraph).
 
 #include <benchmark/benchmark.h>
 
@@ -12,6 +13,7 @@
 #include "eval/datasets.h"
 #include "graph/builder.h"
 #include "graph/generators.h"
+#include "graph/weighted_generators.h"
 #include "linalg/laplacian_solver.h"
 #include "linalg/spectral.h"
 #include "linalg/transition.h"
@@ -141,6 +143,47 @@ BENCHMARK_CAPTURE(BM_SpectralBoundsCold, facebook_ba4000, &FacebookGraph)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_SpectralBoundsCold, youtube_rmat, &YoutubeGraph)
     ->Unit(benchmark::kMillisecond);
+
+// One application of N = D_w^{-1/2} A_w D_w^{-1/2}, the step Lanczos
+// repeats (twice per iteration when it regenerates the basis), on the
+// stand-ins' graphs and on the youtube graph with weights spread 100×.
+const WeightedGraph& WeightedYoutubeGraph() {
+  static const WeightedGraph graph =
+      gen::WithUniformWeights(YoutubeGraph(), 0.1, 10.0, /*seed=*/3);
+  return graph;
+}
+
+template <WeightPolicy WP>
+void NormalizedApplyLoop(benchmark::State& state,
+                         const typename WP::GraphT& graph) {
+  const NormalizedAdjacencyOperatorT<WP> op(graph);
+  Vector x(op.Dim());
+  Rng rng(6);
+  for (double& e : x) e = rng.NextDouble() - 0.5;
+  Vector y;
+  for (auto _ : state) {
+    op.Apply(x, &y);
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(graph.NumArcs()));
+}
+
+void BM_NormalizedApply(benchmark::State& state, const Graph& (*make_graph)()) {
+  NormalizedApplyLoop<UnitWeight>(state, make_graph());
+}
+BENCHMARK_CAPTURE(BM_NormalizedApply, youtube_rmat, &YoutubeGraph)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_NormalizedApply, facebook_ba4000, &FacebookGraph)
+    ->Unit(benchmark::kMicrosecond);
+
+void BM_NormalizedApply(benchmark::State& state,
+                        const WeightedGraph& (*make_graph)()) {
+  NormalizedApplyLoop<EdgeWeight>(state, make_graph());
+}
+BENCHMARK_CAPTURE(BM_NormalizedApply, youtube_weighted, &WeightedYoutubeGraph)
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_WilsonUst(benchmark::State& state) {
   const Graph& g = BenchGraph();

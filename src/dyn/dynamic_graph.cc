@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <utility>
 
 #include "graph/builder.h"
@@ -48,6 +49,9 @@ double DynamicGraphT<WP>::PendingWeight(NodeId u, NodeId v) const {
 template <WeightPolicy WP>
 void DynamicGraphT<WP>::InsertEdge(NodeId u, NodeId v, double weight) {
   GEER_CHECK(u != v) << "self-loops are not representable";
+  // max(u, v) + 1 below must not wrap the node count to 0.
+  GEER_CHECK(std::max(u, v) < std::numeric_limits<NodeId>::max())
+      << "node id " << std::numeric_limits<NodeId>::max() << " is reserved";
   GEER_CHECK(std::isfinite(weight) && weight > 0.0)
       << "edge weight must be positive and finite, got " << weight;
   if constexpr (!WP::kWeighted) {

@@ -87,9 +87,9 @@ class DynamicGraphT {
   // --- Pending-state mutators (single writer) -----------------------------
 
   /// Stages insertion of edge {u, v}. The edge must be absent from the
-  /// pending view; self-loops are rejected. Node ids beyond the current
-  /// count grow the graph (new nodes start isolated). On unit-weight
-  /// graphs `weight` must be 1.0.
+  /// pending view; self-loops and the reserved id 0xFFFFFFFF are
+  /// rejected. Node ids beyond the current count grow the graph (new
+  /// nodes start isolated). On unit-weight graphs `weight` must be 1.0.
   void InsertEdge(NodeId u, NodeId v, double weight = 1.0);
 
   /// Stages deletion of edge {u, v}, which must be present in the

@@ -2,7 +2,8 @@
 // plain three-term recurrence (no reorthogonalization against earlier
 // basis vectors) with an explicit residual certificate. This replaces the
 // paper's ARPACK dependency for the λ = max(|λ₂|, |λ_n|) preprocessing
-// step (§3.1).
+// step (§3.1). It runs in O(dim) memory: the k×dim Krylov basis is never
+// stored (see LanczosExtremeEigenvalues).
 
 #ifndef GEER_LINALG_LANCZOS_H_
 #define GEER_LINALG_LANCZOS_H_
@@ -46,7 +47,8 @@ struct LanczosOptions {
   ///    Ritz vectors y the certificate was evaluated on).
   ///  - true: the run returns the Ritz VECTORS of the extreme Ritz
   ///    values from T_k's eigenvectors (one k×k eigenvector accumulation
-  ///    plus two basis combinations) with the raw Ritz values, and stops
+  ///    plus one regeneration pass for both basis combinations) with the
+  ///    raw Ritz values, and stops
   ///    only on an
   ///    invariant subspace, the stagnation exit or the `max_iterations`
   ///    cap: a small residual certifies a Ritz value, but a Ritz vector
@@ -88,11 +90,22 @@ struct LanczosResult {
 
 /// Runs Lanczos on the symmetric operator `apply` (y ← Op·x) of dimension
 /// `dim`, deflating the (orthonormal) vectors in `deflate` — pass the
-/// known top eigenvector to expose λ₂. Each iteration costs one operator
-/// application and O(dim) vector work; the k×dim basis is stored for the
-/// Ritz vectors. The basis loses orthogonality only along Ritz vectors
-/// that have converged (Paige 1980), which leaves the extreme Ritz values
-/// accurate; the explicit residual certifies them.
+/// known top eigenvector to expose λ₂. The basis loses orthogonality only
+/// along Ritz vectors that have converged (Paige 1980), which leaves the
+/// extreme Ritz values accurate; the explicit residual certifies them.
+///
+/// Two passes, O(dim) memory. The first pass keeps only v_0, v_{j−1} and
+/// v_j and records the recurrence coefficients α and β: one operator
+/// application and O(dim) vector work per iteration. A Ritz vector
+/// y = V_k·x is needed at each explicit certificate check of a
+/// values-only run, at its cap or invariant-subspace exit, and once at
+/// the end of a Ritz-vector run; the second pass then regenerates
+/// v_0 … v_{k−1} from v_0, α and β by the first pass's own operation
+/// sequence (bit-identical vectors) and sums y as it goes. So the k×dim
+/// basis is never stored, and each Ritz vector costs k − 1 extra operator
+/// applications instead: a run that checks its certificate once applies
+/// the operator about 2k times. The operator `apply` must be
+/// deterministic, and must overwrite all of `*y`.
 LanczosResult LanczosExtremeEigenvalues(
     const std::function<void(const Vector&, Vector*)>& apply,
     std::size_t dim, const std::vector<Vector>& deflate,

@@ -7,6 +7,13 @@
 // outer end of each certificate, so λ errs only high (a longer ℓ), up to
 // rounding. Weight-generic: the same code serves the unweighted and
 // weighted (conductance) stacks through graph/weight_policy.h.
+//
+// Memory is O(n), whatever the Krylov dimension k: Lanczos keeps three
+// basis vectors and regenerates the others in a second pass of the
+// recurrence whenever it needs a Ritz vector (linalg/lanczos.h). The
+// extra k operator applications go to that regeneration; N's rows are
+// summed four at a time in degree order (linalg/transition.h), with the
+// bits of the row-by-row sum.
 
 #ifndef GEER_LINALG_SPECTRAL_H_
 #define GEER_LINALG_SPECTRAL_H_

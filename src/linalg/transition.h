@@ -108,6 +108,18 @@ class TransitionOperatorT {
 /// Applies the symmetrically normalized adjacency
 /// N = D_w^{-1/2} A_w D_w^{-1/2} (similar to P, hence same spectrum) —
 /// the operator the λ preprocessing runs Lanczos on.
+///
+/// (N·x)(u) = w(u)^{-1/2} · Σ_{v∈N(u)} (w(u,v)·x(v))·w(v)^{-1/2}, summed
+/// in CSR order. Apply visits the rows in degree order (a counting-sort
+/// permutation built once, holding each row's CSR start, degree and
+/// w(u)^{-1/2} so a row costs no scattered loads) and sums four rows of
+/// similar degree in lockstep, so four independent addition chains
+/// overlap; each row still adds its own arcs in CSR order, so every y(u)
+/// has the bits of the row-by-row loop. Under UnitWeight the arc factor
+/// is an exact 1, so Apply scales x ⊙ w^{−1/2} once per call into a
+/// scratch vector instead of once per arc — the same products, one
+/// gather per arc instead of two. The scratch makes Apply unsafe to call
+/// concurrently on one instance.
 template <WeightPolicy WP>
 class NormalizedAdjacencyOperatorT {
  public:
@@ -129,6 +141,15 @@ class NormalizedAdjacencyOperatorT {
   const GraphT* graph_;
   Vector inv_sqrt_weight_;
   Vector top_eigenvector_;
+  /// One row of N, in Apply's visiting order.
+  struct DegreeRow {
+    std::uint64_t begin;     ///< offset of the row's first arc
+    double inv_sqrt_weight;  ///< w(row)^{-1/2}
+    NodeId degree;
+    NodeId row;
+  };
+  std::vector<DegreeRow> rows_by_degree_;  ///< stable, ascending degree
+  mutable Vector scaled_x_;  ///< x ⊙ w^{−1/2} (UnitWeight only)
 };
 
 /// The two stacks, by their historical names.

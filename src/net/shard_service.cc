@@ -1,6 +1,7 @@
 #include "net/shard_service.h"
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <utility>
 
@@ -123,9 +124,10 @@ HandlerReply ShardServer::HandleApplyUpdates(const Frame& frame) {
   std::lock_guard<std::mutex> lock(update_mu_);
   // Pre-validate the whole batch against the pending view: the
   // DynamicGraph mutators abort on contract violations (insert of a
-  // present edge, delete of an absent one), and a remote peer must get
-  // ok=false, never a dead server. Simulate presence across the batch so
-  // insert-then-delete sequences validate correctly.
+  // present edge, delete of an absent one, the reserved node id), and a
+  // remote peer must get ok=false, never a dead server. Simulate
+  // presence across the batch so insert-then-delete sequences validate
+  // correctly.
   {
     std::map<Edge, bool> staged;  // canonical edge -> present after ops
     auto present = [&](NodeId u, NodeId v) {
@@ -137,7 +139,8 @@ HandlerReply ShardServer::HandleApplyUpdates(const Frame& frame) {
       const Edge e{std::min(op.u, op.v), std::max(op.u, op.v)};
       switch (op.kind) {
         case EdgeUpdateKind::kInsert:
-          if (op.u == op.v || present(op.u, op.v) || op.weight != 1.0) {
+          if (op.u == op.v || present(op.u, op.v) || op.weight != 1.0 ||
+              std::max(op.u, op.v) == std::numeric_limits<NodeId>::max()) {
             return {FrameType::kApplyUpdatesAck,
                     EncodeApplyUpdatesAck({false, epoch_.load()}), false};
           }

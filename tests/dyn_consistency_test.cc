@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -236,6 +237,10 @@ TEST(DynConsistencyTest, InvalidUpdatesAreRejected) {
   EXPECT_DEATH(dyn.InsertEdge(0, 1), "already present");
   EXPECT_DEATH(dyn.DeleteEdge(0, 3), "not present");
   EXPECT_DEATH(dyn.InsertEdge(2, 2), "self-loop");
+  // The node count is max(u, v) + 1 in 32 bits: this id would wrap it.
+  const NodeId reserved = std::numeric_limits<NodeId>::max();
+  EXPECT_DEATH(dyn.InsertEdge(0, reserved), "reserved");
+  EXPECT_DEATH(dyn.InsertEdge(reserved, 1), "reserved");
 }
 
 // The acceptance matrix: every registered estimator, both weight modes,

@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <numeric>
 #include <optional>
 #include <string>
@@ -263,6 +264,43 @@ TEST(NetDeterminismTest, InvalidUpdateStreamAcksFalseAndKeepsServing) {
   EXPECT_EQ(ack.epoch, 0u);
 
   // The cluster still serves epoch 0, bit-identical to the truth.
+  const auto got = SubmitAll(submitter, queries);
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    ASSERT_EQ(got[i].status, ServeStatus::kAnswered) << "query " << i;
+    EXPECT_EQ(got[i].stats.value, want[i].stats.value) << "query " << i;
+    EXPECT_EQ(got[i].epoch, 0u);
+  }
+  submitter.Close();
+}
+
+// Node id 0xFFFFFFFF is reserved: inserting it would wrap the shard's
+// node count (max(u, v) + 1 in 32 bits) and crash its next commit. The
+// shard acks ok=false, stays at epoch 0 and keeps answering.
+TEST(NetDeterminismTest, ReservedNodeIdInsertAcksFalseAndKeepsServing) {
+  const Graph graph = geer::testing::DenseTestGraph(24);
+  const NodeId n = graph.NumNodes();
+  const auto queries = TestQueries(n, 12);
+
+  InProcessTruth truth(graph);
+  const auto want = SubmitAll(truth.service(), queries);
+
+  Cluster cluster(graph);
+  NetSubmitter submitter("127.0.0.1", cluster.router_port(), 2);
+  std::string error;
+  ASSERT_TRUE(submitter.Connect(&error)) << error;
+
+  const NodeId reserved = std::numeric_limits<NodeId>::max();
+  for (const EdgeUpdate& op :
+       {EdgeUpdate{EdgeUpdateKind::kInsert, 0, reserved, 1.0},
+        EdgeUpdate{EdgeUpdateKind::kInsert, reserved, 1, 1.0}}) {
+    ApplyUpdatesMsg msg;
+    msg.updates = {op};
+    ApplyUpdatesAckMsg ack;
+    ASSERT_TRUE(submitter.ApplyUpdates(msg, &ack, &error)) << error;
+    EXPECT_FALSE(ack.ok);
+    EXPECT_EQ(ack.epoch, 0u);
+  }
+
   const auto got = SubmitAll(submitter, queries);
   for (std::size_t i = 0; i < queries.size(); ++i) {
     ASSERT_EQ(got[i].status, ServeStatus::kAnswered) << "query " << i;

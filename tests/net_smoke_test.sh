@@ -14,7 +14,8 @@
 # Registered in CMakeLists.txt as test net_cluster_smoke with the
 # binaries passed in:  $1=geer_shard_server  $2=geer_router  $3=geer_cli
 # Every server carries --timeout-seconds as a watchdog so a wedged
-# process can never outlive the ctest timeout.
+# process can never outlive the ctest timeout. Any failure, a timed-out
+# port file included, prints every server's log before exiting.
 
 set -euo pipefail
 
@@ -27,8 +28,22 @@ done
 
 TMP="$(mktemp -d)"
 PIDS=()
+dump_logs() {
+  local log
+  for log in "$TMP"/*.log; do
+    [[ -f "$log" ]] || continue
+    echo "-- $log"
+    sed 's/^/    /' "$log"
+  done
+}
+# Every non-zero exit, whichever check or wait failed, prints every
+# server log before the temporary directory goes away.
 cleanup() {
-  local pid
+  local status=$? pid
+  if (( status != 0 )); then
+    echo "net_smoke_test: exit status $status; server logs:" >&2
+    dump_logs >&2
+  fi
   for pid in "${PIDS[@]:-}"; do
     kill "$pid" 2>/dev/null || true
   done
@@ -72,7 +87,6 @@ RP="$(wait_for_port_file "$TMP/r.port")"
 CLIENT_OUT="$("$CLI_BIN" net client --connect="127.0.0.1:$RP" \
     --clients=3 --queries=40 --zipf-exp=0.8 --seed=5 2>&1)" || {
   echo "client failed:"; echo "$CLIENT_OUT" | sed 's/^/    /'
-  for log in "$TMP"/*.log; do echo "-- $log"; sed 's/^/    /' "$log"; done
   exit 1
 }
 echo "$CLIENT_OUT"
@@ -87,7 +101,6 @@ grep -q "40/40 answered" <<< "$CLIENT_OUT" \
 # the workload just generated, and render latency quantiles.
 STATS_OUT="$("$CLI_BIN" net stats --connect="127.0.0.1:$RP" 2>&1)" || {
   echo "stats scrape failed:"; echo "$STATS_OUT" | sed 's/^/    /'
-  for log in "$TMP"/*.log; do echo "-- $log"; sed 's/^/    /' "$log"; done
   exit 1
 }
 echo "$STATS_OUT" | head -n 20
@@ -113,7 +126,6 @@ SUBMITTED_SUM="$(awk '/^geer_serve_submitted_total/ { s += $NF } END { print s+0
 SHUTDOWN_OUT="$("$CLI_BIN" net client --connect="127.0.0.1:$RP" \
     --clients=1 --queries=2 --zipf-exp=0.8 --seed=6 --shutdown 2>&1)" || {
   echo "shutdown client failed:"; echo "$SHUTDOWN_OUT" | sed 's/^/    /'
-  for log in "$TMP"/*.log; do echo "-- $log"; sed 's/^/    /' "$log"; done
   exit 1
 }
 
@@ -123,8 +135,7 @@ for pid in "${PIDS[@]}"; do
   while kill -0 "$pid" 2>/dev/null; do
     if (( SECONDS >= deadline )); then
       echo "FAIL: pid $pid still alive 30s after --shutdown" >&2
-      for log in "$TMP"/*.log; do echo "-- $log"; sed 's/^/    /' "$log"; done
-      exit 1
+          exit 1
     fi
     sleep 0.1
   done

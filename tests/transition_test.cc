@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "graph/generators.h"
+#include "graph/weighted_generators.h"
 #include "rw/rng.h"
 #include "test_util.h"
 
@@ -248,6 +254,75 @@ TEST(NormalizedAdjacencyTest, OperatorIsSymmetric) {
   op.Apply(x, &nx);
   op.Apply(z, &nz);
   EXPECT_NEAR(Dot(z, nx), Dot(x, nz), 1e-9);
+}
+
+// Apply visits rows in degree order, four at a time; every y(u) must
+// still carry the bits of the plain row-by-row loop below, which sums
+// (w(u,v)·x(v))·w(v)^{-1/2} in CSR order and scales by w(u)^{-1/2}.
+template <WeightPolicy WP>
+void ExpectApplyMatchesRowLoop(const typename WP::GraphT& g,
+                               const std::string& label) {
+  const NodeId n = g.NumNodes();
+  Vector inv(n);
+  for (NodeId v = 0; v < n; ++v) {
+    inv[v] = 1.0 / std::sqrt(WP::NodeWeight(g, v));
+  }
+  const NormalizedAdjacencyOperatorT<WP> op(g);
+  Rng rng(n);
+  for (int trial = 0; trial < 3; ++trial) {
+    Vector x(n);
+    for (double& e : x) e = rng.NextGaussian();
+    if (trial == 1) x[n / 2] = 0.0;      // a zero and a negative zero
+    if (trial == 1) x[n / 3] = -0.0;
+    if (trial == 2) x[0] = 1e300;        // huge next to tiny entries
+    Vector y;
+    op.Apply(x, &y);
+    ASSERT_EQ(y.size(), static_cast<std::size_t>(n)) << label;
+    const auto& offsets = g.Offsets();
+    const auto& adj = g.NeighborArray();
+    for (NodeId u = 0; u < n; ++u) {
+      double acc = 0.0;
+      for (std::uint64_t k = offsets[u]; k < offsets[u + 1]; ++k) {
+        const NodeId v = adj[k];
+        acc += WP::ArcWeight(g, k) * x[v] * inv[v];
+      }
+      const double want = acc * inv[u];
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(y[u]),
+                std::bit_cast<std::uint64_t>(want))
+          << label << " trial " << trial << " row " << u << " degree "
+          << g.Degree(u);
+    }
+  }
+}
+
+// Skewed degrees (hubs next to leaves, so rows of one lockstep group end
+// at different lengths) and node counts that are not multiples of 4.
+std::vector<std::pair<std::string, Graph>> SkewedGraphs() {
+  std::vector<std::pair<std::string, Graph>> out = {
+      {"BA(1001, 3)", gen::BarabasiAlbert(1001, 3, 21)},
+      {"Lollipop(30, 47)", gen::Lollipop(30, 47)},
+      {"Star(403)", gen::Star(403)},
+      {"ER(7, 12)", gen::ErdosRenyi(7, 12, 4)},
+      {"RMat(11, 6)", gen::RMat(11, 6, 0x33)},
+  };
+  for (std::size_t i = 0; i + 1 < out.size(); ++i) {
+    EXPECT_NE(out[i].second.NumNodes() % 4, 0u) << out[i].first;
+  }
+  return out;
+}
+
+TEST(NormalizedAdjacencyTest, ApplyMatchesRowLoopBitwise) {
+  for (const auto& [label, g] : SkewedGraphs()) {
+    ExpectApplyMatchesRowLoop<UnitWeight>(g, label);
+  }
+}
+
+TEST(NormalizedAdjacencyTest, WeightedApplyMatchesRowLoopBitwise) {
+  std::uint64_t seed = 5;
+  for (const auto& [label, g] : SkewedGraphs()) {
+    ExpectApplyMatchesRowLoop<EdgeWeight>(
+        gen::WithUniformWeights(g, 0.01, 100.0, ++seed), "weighted " + label);
+  }
 }
 
 }  // namespace
