@@ -26,6 +26,7 @@
 
 #include "core/ell.h"
 #include "core/options.h"
+#include "core/rp.h"
 #include "eval/datasets.h"
 #include "eval/experiment.h"
 
@@ -212,9 +213,7 @@ inline double ProjectedOpsPerQuery(const std::string& method,
     return 2.0 * (eta_star / std::pow(2.0, opt.tau - 1)) * ell_ref;
   }
   if (method == "RP") {
-    const double k =
-        std::ceil(24.0 * std::log(static_cast<double>(ds.graph.NumNodes())) /
-                  (opt.epsilon * opt.epsilon));
+    const double k = RpEstimator::DeriveDimensions(ds.graph, opt);
     return k * m2 * 30.0;  // k CG solves (~30 iterations) amortized
   }
   if (method == "EXACT") {

@@ -1,108 +1,40 @@
 #include "core/rp.h"
 
-#include <cmath>
-
-#include "rw/rng.h"
 #include "util/check.h"
 
 namespace geer {
 
 template <WeightPolicy WP>
-int RpEstimatorT<WP>::DeriveDimensions(const GraphT& graph,
-                                       const ErOptions& options) {
-  if (options.rp_dimensions > 0) return options.rp_dimensions;
-  const double n = static_cast<double>(graph.NumNodes());
-  const double k =
-      std::ceil(24.0 * std::log(n) / (options.epsilon * options.epsilon));
-  return static_cast<int>(k);
-}
-
-template <WeightPolicy WP>
-std::uint64_t RpEstimatorT<WP>::SketchBytes(const GraphT& graph,
-                                            const ErOptions& options) {
-  return static_cast<std::uint64_t>(DeriveDimensions(graph, options)) *
-         graph.NumNodes() * sizeof(double);
+void RpEstimatorT<WP>::CheckFeasible(const GraphT& graph) const {
+  GEER_CHECK(Feasible(graph, options_))
+      << "RP sketch of " << SketchBytes(graph, options_)
+      << " bytes exceeds the rp_max_bytes budget (paper: out of memory)";
 }
 
 template <WeightPolicy WP>
 RpEstimatorT<WP>::RpEstimatorT(const GraphT& graph, ErOptions options)
-    : graph_(&graph), options_(options) {
+    : options_(options) {
   ValidateOptions(options);
-  k_ = DeriveDimensions(graph, options);
-  GEER_CHECK(Feasible(graph, options))
-      << "RP sketch of " << SketchBytes(graph, options)
-      << " bytes exceeds the rp_max_bytes budget (paper: out of memory)";
-  sketch_ = BuildSketch(graph, options, k_);
-  shared_sketch_ = std::make_shared<EpochShared<Matrix>>(sketch_);
+  CheckFeasible(graph);
+  sketch_ = std::make_shared<const ErEmbedding>(graph, SketchOptions(options));
+  shared_sketch_ = std::make_shared<EpochShared<ErEmbedding>>(sketch_);
 }
 
 template <WeightPolicy WP>
 bool RpEstimatorT<WP>::RebindGraph(const GraphT& graph,
                                    const GraphEpoch& epoch) {
-  const int k = DeriveDimensions(graph, options_);
-  GEER_CHECK(Feasible(graph, options_))
-      << "RP sketch of " << SketchBytes(graph, options_)
-      << " bytes exceeds the rp_max_bytes budget (paper: out of memory)";
-  sketch_ = shared_sketch_->GetOrBuild(epoch.epoch, [this, &graph, k]() {
-    return BuildSketch(graph, options_, k);
+  CheckFeasible(graph);
+  sketch_ = shared_sketch_->GetOrBuild(epoch.epoch, [this, &graph]() {
+    return std::make_shared<const ErEmbedding>(graph,
+                                               SketchOptions(options_));
   });
-  k_ = k;
-  graph_ = &graph;
   return true;
 }
 
 template <WeightPolicy WP>
-std::shared_ptr<const Matrix> RpEstimatorT<WP>::BuildSketch(
-    const GraphT& graph, const ErOptions& options, int k_dims) {
-  const NodeId n = graph.NumNodes();
-  Matrix sketch(static_cast<std::size_t>(k_dims), n, 0.0);
-
-  typename LaplacianSolverT<WP>::Options sopt;
-  // The JL distortion already costs ε; solve well below it.
-  sopt.tolerance = 1e-8;
-  LaplacianSolverT<WP> solver(graph, sopt);
-  Rng rng(options.seed ^ 0x9d2c5680cafef00dULL);
-  const double scale = 1.0 / std::sqrt(static_cast<double>(k_dims));
-
-  // Row j of Q W^{1/2} B has entry +q_e·√w_e at e's lower endpoint and
-  // −q_e·√w_e at the upper one, q_e = ±1/√k (√w_e ≡ 1 unweighted). Solve
-  // L z = row for each of the k rows.
-  const auto& offsets = graph.Offsets();
-  const auto& adj = graph.NeighborArray();
-  Vector row(n, 0.0);
-  for (int j = 0; j < k_dims; ++j) {
-    std::fill(row.begin(), row.end(), 0.0);
-    for (NodeId u = 0; u < n; ++u) {
-      for (std::uint64_t k = offsets[u]; k < offsets[u + 1]; ++k) {
-        const NodeId v = adj[k];
-        if (u >= v) continue;
-        const double magnitude =
-            scale * std::sqrt(WP::ArcWeight(graph, k));
-        const double q = rng.NextBernoulli(0.5) ? magnitude : -magnitude;
-        row[u] += q;
-        row[v] -= q;
-      }
-    }
-    Vector z = solver.Solve(row);
-    double* out = sketch.Row(static_cast<std::size_t>(j));
-    for (NodeId v = 0; v < n; ++v) out[v] = z[v];
-  }
-  return std::make_shared<const Matrix>(std::move(sketch));
-}
-
-template <WeightPolicy WP>
 QueryStats RpEstimatorT<WP>::EstimateWithStats(NodeId s, NodeId t) {
-  GEER_CHECK(s < graph_->NumNodes());
-  GEER_CHECK(t < graph_->NumNodes());
   QueryStats stats;
-  if (s == t) return stats;
-  double acc = 0.0;
-  for (int j = 0; j < k_; ++j) {
-    const double* row = sketch_->Row(static_cast<std::size_t>(j));
-    const double diff = row[s] - row[t];
-    acc += diff * diff;
-  }
-  stats.value = acc;
+  stats.value = sketch_->PairwiseEr(s, t);
   return stats;
 }
 

@@ -1,20 +1,19 @@
-// Effective-resistance embeddings (extension module).
+// Effective-resistance embeddings: the library's one Spielman–Srivastava
+// sketch [62].
 //
-// The Spielman–Srivastava projection [62] the RP baseline uses for single
-// pairs is far more useful as a reusable *embedding*: after one
-// preprocessing pass (k Laplacian solves, k = O(log n / ε²)), every node
-// owns a k-dimensional coordinate vector z_v with
+// One preprocessing pass (k Laplacian solves, k = ⌈24 ln n / ε²⌉) gives
+// every node a k-dimensional coordinate vector z_v with
 //     r(s, t) ≈ ‖z_s − z_t‖²   (1 ± ε relative error w.h.p.)
-// which turns single-source ER (one O(nk) scan), top-k most-similar-node
-// queries, and bulk edge-ER sweeps (for sparsification) into dense vector
-// arithmetic. This module packages that as a first-class API over both
-// unweighted and weighted (conductance) graphs.
+// The RP baseline (core/rp.h) answers its pairwise queries from this
+// table; the same table turns single-source ER (one O(nk) scan), top-k
+// most-similar-node queries, and bulk edge-ER sweeps (for
+// sparsification) into dense vector arithmetic, over both unweighted
+// and weighted (conductance) graphs.
 
 #ifndef GEER_EMBED_ER_EMBEDDING_H_
 #define GEER_EMBED_ER_EMBEDDING_H_
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -37,9 +36,6 @@ struct ErEmbeddingOptions {
   /// Seed for the ±1/√k projection.
   std::uint64_t seed = 1;
 
-  /// Relative residual tolerance of the per-row Laplacian solves.
-  double solve_tolerance = 1e-8;
-
   /// Memory cap for the n×k table; construction aborts beyond it.
   std::uint64_t max_bytes = 4ull << 30;
 };
@@ -56,7 +52,7 @@ struct ErNeighbor {
 /// stored contiguously, so single-source scans stream linearly.
 class ErEmbedding {
  public:
-  /// Embeds an unweighted graph.
+  /// Embeds an unweighted graph. Aborts unless Feasible().
   explicit ErEmbedding(const Graph& graph, ErEmbeddingOptions options = {});
 
   /// Embeds a weighted (conductance) graph: the projected matrix is
@@ -88,36 +84,30 @@ class ErEmbedding {
   /// sorted ascending by ER with node id as tie-break. O(nk + n log c).
   std::vector<ErNeighbor> TopKNearest(NodeId s, std::size_t count) const;
 
-  /// Approximate ER of every edge of the embedded graph, in the order of
-  /// Graph::Edges(). Feeds the spectral sparsifier. O(mk).
-  std::vector<double> AllEdgeEr() const;
+  /// Approximate ER of every edge of `graph` — the graph this embedding
+  /// was built from — in the order of Graph::Edges(). Feeds the spectral
+  /// sparsifier. O(mk).
+  std::vector<double> AllEdgeEr(const Graph& graph) const;
+  std::vector<double> AllEdgeEr(const WeightedGraph& graph) const;
 
-  /// Bytes for an n×k table (pre-construction feasibility check).
-  static std::uint64_t TableBytes(NodeId num_nodes, int dimensions) {
-    return static_cast<std::uint64_t>(num_nodes) * dimensions *
-           sizeof(double);
-  }
-
-  /// The k implied by `options` for an n-node graph.
+  /// The k implied by `options` for an n-node graph, saturated at
+  /// INT_MAX; Feasible() rejects any derived k above INT_MAX.
   static int DeriveDimensions(NodeId num_nodes,
                               const ErEmbeddingOptions& options);
 
- private:
-  // Shared core: fills table_ given the edge list (with weights) and a
-  // Laplacian solve callback.
-  struct EdgeRef {
-    NodeId u;
-    NodeId v;
-    double weight;
-  };
-  void Build(const std::vector<EdgeRef>& edges,
-             const std::function<Vector(const Vector&)>& solve,
-             const ErEmbeddingOptions& options);
+  /// Bytes of the n×k table `options` implies, saturated at UINT64_MAX.
+  static std::uint64_t TableBytes(NodeId num_nodes,
+                                  const ErEmbeddingOptions& options);
 
+  /// True iff k fits an int and the table fits options.max_bytes
+  /// (pre-construction check). Decided in floating point before k is
+  /// converted, so a tiny ε reads as infeasible, never as a wrapped k.
+  static bool Feasible(NodeId num_nodes, const ErEmbeddingOptions& options);
+
+ private:
   NodeId num_nodes_ = 0;
   int k_ = 0;
-  std::vector<EdgeRef> edges_;  // retained for AllEdgeEr()
-  std::vector<double> table_;   // row-major n×k
+  std::vector<double> table_;  // row-major n×k
 };
 
 }  // namespace geer

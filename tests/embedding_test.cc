@@ -78,9 +78,11 @@ TEST(ErEmbeddingTest, TopKNearestSortedAndConsistent) {
 }
 
 TEST(ErEmbeddingTest, TopKNearestPrefersDirectNeighborsOnStarlike) {
-  // On a star-with-ring, the hub's nearest nodes by ER are its spokes.
+  // On K12 every other node is at ER 2/12 from node 3. ε = 0.3
+  // (k = 663) keeps the JL error inside the 0.05 tolerance on every seed
+  // tried; k = 64 misses it on about half of them.
   Graph g = gen::Complete(12);
-  ErEmbedding embedding(g, {.dimensions = 64, .seed = 15});
+  ErEmbedding embedding(g, {.epsilon = 0.3, .seed = 15});
   const auto top = embedding.TopKNearest(3, 11);
   EXPECT_EQ(top.size(), 11u);  // everyone else, all at ER 2/12
   for (const auto& nb : top) EXPECT_NEAR(nb.er, 2.0 / 12.0, 0.05);
@@ -95,7 +97,7 @@ TEST(ErEmbeddingTest, CountLargerThanGraphClamps) {
 TEST(ErEmbeddingTest, AllEdgeErMatchesPairwiseInEdgeOrder) {
   Graph g = gen::ErdosRenyi(40, 100, 17);
   ErEmbedding embedding(g, {.dimensions = 40, .seed = 19});
-  const auto edge_er = embedding.AllEdgeEr();
+  const auto edge_er = embedding.AllEdgeEr(g);
   const auto edges = g.Edges();
   ASSERT_EQ(edge_er.size(), edges.size());
   for (std::size_t e = 0; e < edges.size(); ++e) {

@@ -97,7 +97,7 @@ TEST(SparsifierTest, EmbeddingProvidedErWorksEndToEnd) {
   // The intended pipeline: embed once, sparsify from the bulk edge ERs.
   Graph g = gen::ErdosRenyi(100, 2000, 21);
   ErEmbedding embedding(g, {.dimensions = 96, .seed = 23});
-  const auto er = embedding.AllEdgeEr();
+  const auto er = embedding.AllEdgeEr(g);
   SparsifierOptions opt;
   opt.epsilon = 0.5;
   opt.seed = 25;
@@ -110,7 +110,7 @@ TEST(SparsifierTest, WeightedOriginalRoundTrips) {
   WeightedGraph g = gen::WithUniformWeights(gen::ErdosRenyi(90, 1800, 29),
                                             0.5, 2.0, 31);
   ErEmbedding embedding(g, {.dimensions = 96, .seed = 33});
-  const auto er = embedding.AllEdgeEr();
+  const auto er = embedding.AllEdgeEr(g);
   SparsifierOptions opt;
   opt.epsilon = 0.5;
   opt.seed = 35;

@@ -3,8 +3,9 @@
 # This is the CI entry point; it exits non-zero as soon as any stage fails.
 #
 # Usage: tools/run_tier1.sh [--asan | --tsan] [--strict] [build-dir]
-#   --asan      build and test with AddressSanitizer + UBSan
-#               (default build dir then becomes "build-asan")
+#   --asan      build and test with AddressSanitizer + UBSan, including
+#               float-cast-overflow, which gcc's -fsanitize=undefined
+#               leaves out (default build dir then becomes "build-asan")
 #   --tsan      build and test with ThreadSanitizer — the configuration
 #               the batch/serve determinism suites run under in CI
 #               (default build dir then becomes "build-tsan")
@@ -47,7 +48,7 @@ fi
 CMAKE_ARGS=()
 if [[ "$ASAN" == 1 ]]; then
   BUILD_DIR="${BUILD_DIR:-build-asan}"
-  SAN_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -fno-omit-frame-pointer"
+  SAN_FLAGS="-fsanitize=address,undefined,float-cast-overflow -fno-sanitize-recover=all -fno-omit-frame-pointer"
   CMAKE_ARGS+=("-DCMAKE_CXX_FLAGS=${SAN_FLAGS}"
                "-DCMAKE_EXE_LINKER_FLAGS=${SAN_FLAGS}")
 elif [[ "$TSAN" == 1 ]]; then
