@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the substrate kernels the
 // estimators are built on: RNG throughput, walk stepping, sparse vs
 // dense SpMV, Laplacian CG solve, Lanczos preprocessing (cold λ alone in
-// BM_SpectralBoundsCold, its operator step alone in BM_NormalizedApply),
+// BM_SpectralBoundsCold, and at 1–4 team threads in BM_LanczosTeam; its
+// operator step alone in BM_NormalizedApply, at 1–4 team threads),
 // Wilson's UST sampling, and graph construction (BM_GraphBuild,
 // BM_MakeYoutubeGraph).
 
@@ -20,6 +21,7 @@
 #include "rw/rng.h"
 #include "rw/walker.h"
 #include "rw/wilson.h"
+#include "util/thread_pool.h"
 
 namespace geer {
 namespace {
@@ -144,9 +146,53 @@ BENCHMARK_CAPTURE(BM_SpectralBoundsCold, facebook_ba4000, &FacebookGraph)
 BENCHMARK_CAPTURE(BM_SpectralBoundsCold, youtube_rmat, &YoutubeGraph)
     ->Unit(benchmark::kMillisecond);
 
+// The team-size sweep behind the spectral run's size rule: the cold run
+// of ComputeSpectralBounds with SpectralOptions::threads =
+// state.range(0) instead of the size the rule picks. The facebook
+// stand-in's BA(n, 22) at n = 700, 1500, 2200 and 3000 brackets the
+// rule's low end (30,294, 65,494, 96,294 and 131,494 arcs). λ has the
+// same bits at every size.
+template <NodeId kNodes>
+const Graph& ScaledFacebookGraph() {
+  static const Graph graph = gen::BarabasiAlbert(kNodes, 22, /*seed=*/0xFB);
+  return graph;
+}
+
+void BM_LanczosTeam(benchmark::State& state, const Graph& (*make_graph)()) {
+  const Graph& graph = make_graph();
+  SpectralOptions options;
+  options.threads = static_cast<int>(state.range(0));
+  SpectralBounds sb;
+  for (auto _ : state) {
+    sb = ComputeSpectralBounds(graph, options);
+    benchmark::DoNotOptimize(sb.lambda);
+  }
+  state.counters["arcs"] = static_cast<double>(graph.NumArcs());
+  state.counters["lanczos_iterations"] = sb.lanczos_iterations;
+}
+BENCHMARK_CAPTURE(BM_LanczosTeam, facebook_ba700, &ScaledFacebookGraph<700>)
+    ->DenseRange(1, 4)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_LanczosTeam, facebook_ba1500, &ScaledFacebookGraph<1500>)
+    ->DenseRange(1, 4)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_LanczosTeam, facebook_ba2200, &ScaledFacebookGraph<2200>)
+    ->DenseRange(1, 4)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_LanczosTeam, facebook_ba3000, &ScaledFacebookGraph<3000>)
+    ->DenseRange(1, 4)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_LanczosTeam, facebook_ba4000, &FacebookGraph)
+    ->DenseRange(1, 4)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_LanczosTeam, youtube_rmat, &YoutubeGraph)
+    ->DenseRange(1, 4)
+    ->Unit(benchmark::kMillisecond);
+
 // One application of N = D_w^{-1/2} A_w D_w^{-1/2}, the step Lanczos
 // repeats (twice per iteration when it regenerates the basis), on the
-// stand-ins' graphs and on the youtube graph with weights spread 100×.
+// stand-ins' graphs and on the youtube graph with weights spread 100×,
+// on a ThreadTeam of state.range(0) threads (1 runs the serial Apply).
 const WeightedGraph& WeightedYoutubeGraph() {
   static const WeightedGraph graph =
       gen::WithUniformWeights(YoutubeGraph(), 0.1, 10.0, /*seed=*/3);
@@ -157,12 +203,13 @@ template <WeightPolicy WP>
 void NormalizedApplyLoop(benchmark::State& state,
                          const typename WP::GraphT& graph) {
   const NormalizedAdjacencyOperatorT<WP> op(graph);
+  ThreadTeam team(static_cast<int>(state.range(0)));
   Vector x(op.Dim());
   Rng rng(6);
   for (double& e : x) e = rng.NextDouble() - 0.5;
   Vector y;
   for (auto _ : state) {
-    op.Apply(x, &y);
+    op.Apply(x, &y, &team);
     benchmark::DoNotOptimize(y.data());
     benchmark::ClobberMemory();
   }
@@ -174,8 +221,10 @@ void BM_NormalizedApply(benchmark::State& state, const Graph& (*make_graph)()) {
   NormalizedApplyLoop<UnitWeight>(state, make_graph());
 }
 BENCHMARK_CAPTURE(BM_NormalizedApply, youtube_rmat, &YoutubeGraph)
+    ->DenseRange(1, 4)
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK_CAPTURE(BM_NormalizedApply, facebook_ba4000, &FacebookGraph)
+    ->DenseRange(1, 4)
     ->Unit(benchmark::kMicrosecond);
 
 void BM_NormalizedApply(benchmark::State& state,
@@ -183,6 +232,7 @@ void BM_NormalizedApply(benchmark::State& state,
   NormalizedApplyLoop<EdgeWeight>(state, make_graph());
 }
 BENCHMARK_CAPTURE(BM_NormalizedApply, youtube_weighted, &WeightedYoutubeGraph)
+    ->DenseRange(1, 4)
     ->Unit(benchmark::kMicrosecond);
 
 void BM_WilsonUst(benchmark::State& state) {

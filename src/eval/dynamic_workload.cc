@@ -19,11 +19,15 @@
 namespace geer {
 namespace {
 
+// `serving`: the service is up, so the Lanczos run stays on this thread
+// instead of taking the workers' cores (linalg/spectral.h).
 template <WeightPolicy WP>
 std::optional<double> EpochLambda(const typename WP::GraphT& graph,
-                                  bool reads_lambda) {
+                                  bool reads_lambda, bool serving) {
   if (!reads_lambda) return std::nullopt;
-  return ComputeSpectralBoundsT<WP>(graph).lambda;
+  SpectralOptions options;
+  if (serving) options.threads = 1;
+  return ComputeSpectralBoundsT<WP>(graph, options).lambda;
 }
 
 }  // namespace
@@ -48,7 +52,8 @@ DynamicWorkloadResult RunDynamicWorkload(
   GEER_CHECK(initial != nullptr);
   ErOptions build_options = options;
   if (reads_lambda && !build_options.lambda.has_value()) {
-    build_options.lambda = EpochLambda<WP>(*initial->graph, true);
+    build_options.lambda =
+        EpochLambda<WP>(*initial->graph, true, /*serving=*/false);
   }
   std::unique_ptr<ErEstimator> estimator =
       CreateEstimatorT<WP>(method, *initial->graph, build_options);
@@ -106,7 +111,8 @@ DynamicWorkloadResult RunDynamicWorkload(
           service, snapshot,
           incremental_epochs
               ? std::nullopt
-              : EpochLambda<WP>(*snapshot->graph, reads_lambda),
+              : EpochLambda<WP>(*snapshot->graph, reads_lambda,
+                                /*serving=*/true),
           incremental_epochs, spectral);
       const bool ok = swapped.get();
       GEER_CHECK(ok) << "epoch swap failed for " << method;

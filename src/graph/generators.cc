@@ -203,20 +203,23 @@ Graph ErdosRenyi(NodeId n, std::uint64_t m, std::uint64_t seed,
   GEER_CHECK_LE(m, max_edges) << "more edges than a simple graph allows";
   Rng rng(seed);
   GraphBuilder builder(n);
-  EdgeKeySet seen(m);
-  if (connect) {
-    // Hamiltonian-cycle backbone guarantees connectivity; its n edges
-    // count toward the m-edge budget.
-    for (NodeId i = 0; i < n; ++i) {
-      NodeId j = (i + 1) % n;
-      if (seen.Insert(EdgeKey(i, j))) builder.AddEdge(i, j);
+  {
+    // Scoped so the dedupe table is freed before Build allocates.
+    EdgeKeySet seen(m);
+    if (connect) {
+      // Hamiltonian-cycle backbone guarantees connectivity; its n edges
+      // count toward the m-edge budget.
+      for (NodeId i = 0; i < n; ++i) {
+        NodeId j = (i + 1) % n;
+        if (seen.Insert(EdgeKey(i, j))) builder.AddEdge(i, j);
+      }
     }
-  }
-  while (seen.size() < m && seen.size() < max_edges) {
-    NodeId u = static_cast<NodeId>(rng.NextBounded(n));
-    NodeId v = static_cast<NodeId>(rng.NextBounded(n));
-    if (u == v) continue;
-    if (seen.Insert(EdgeKey(u, v))) builder.AddEdge(u, v);
+    while (seen.size() < m && seen.size() < max_edges) {
+      NodeId u = static_cast<NodeId>(rng.NextBounded(n));
+      NodeId v = static_cast<NodeId>(rng.NextBounded(n));
+      if (u == v) continue;
+      if (seen.Insert(EdgeKey(u, v))) builder.AddEdge(u, v);
+    }
   }
   return builder.Build();
 }
@@ -266,26 +269,29 @@ Graph WattsStrogatz(NodeId n, NodeId k, double beta, std::uint64_t seed) {
   GEER_CHECK_LT(2 * k, n);
   GEER_CHECK(beta >= 0.0 && beta <= 1.0);
   Rng rng(seed);
-  EdgeKeySet seen(static_cast<std::uint64_t>(n) * k);
-  std::vector<Edge> edges;
-  for (NodeId i = 0; i < n; ++i) {
-    for (NodeId j = 1; j <= k; ++j) {
-      NodeId u = i;
-      NodeId v = (i + j) % n;
-      if (rng.NextBernoulli(beta)) {
-        // Rewire the far endpoint uniformly (retry on collision/self).
-        for (int attempt = 0; attempt < 32; ++attempt) {
-          NodeId w = static_cast<NodeId>(rng.NextBounded(n));
-          if (w == u) continue;
-          if (seen.Contains(EdgeKey(u, w))) continue;
-          v = w;
-          break;
+  GraphBuilder builder(n);
+  {
+    // Scoped so the dedupe table is freed before Build allocates.
+    EdgeKeySet seen(static_cast<std::uint64_t>(n) * k);
+    for (NodeId i = 0; i < n; ++i) {
+      for (NodeId j = 1; j <= k; ++j) {
+        NodeId u = i;
+        NodeId v = (i + j) % n;
+        if (rng.NextBernoulli(beta)) {
+          // Rewire the far endpoint uniformly (retry on collision/self).
+          for (int attempt = 0; attempt < 32; ++attempt) {
+            NodeId w = static_cast<NodeId>(rng.NextBounded(n));
+            if (w == u) continue;
+            if (seen.Contains(EdgeKey(u, w))) continue;
+            v = w;
+            break;
+          }
         }
+        if (seen.Insert(EdgeKey(u, v))) builder.AddEdge(u, v);
       }
-      if (seen.Insert(EdgeKey(u, v))) edges.emplace_back(u, v);
     }
   }
-  Graph g = BuildGraph(n, edges);
+  Graph g = builder.Build();
   // Rewiring can (rarely) disconnect the graph; keep the giant component
   // semantics identical to the SNAP preprocessing used by the paper.
   if (!IsConnected(g)) g = LargestConnectedComponent(g);
@@ -301,38 +307,45 @@ Graph RMat(std::uint32_t scale, std::uint64_t edge_factor, std::uint64_t seed,
   const NodeId n = static_cast<NodeId>(1u) << scale;
   const std::uint64_t target_edges = edge_factor * n;
   Rng rng(seed);
-  GraphBuilder builder(n);
-  EdgeKeySet seen(target_edges);
-  std::uint64_t attempts = 0;
-  const std::uint64_t max_attempts = target_edges * 8;
-  while (seen.size() < target_edges && attempts < max_attempts) {
-    ++attempts;
-    NodeId u = 0;
-    NodeId v = 0;
-    for (std::uint32_t bit = 0; bit < scale; ++bit) {
-      const double p = rng.NextDouble();
-      // Slightly perturb quadrant probabilities per level, the standard
-      // trick to avoid exact-degree artifacts.
-      const double noise = 0.95 + 0.1 * rng.NextDouble();
-      const double aa = a * noise;
-      const double bb = b * noise;
-      const double cc = c * noise;
-      const double total = aa + bb + cc + d * noise;
-      // The quadrant is the first of top-left, top-right, bottom-left,
-      // bottom-right whose threshold exceeds p. All three comparisons
-      // are evaluated and combined into the two bits without branching
-      // on p: u's bit is set past the first two thresholds, v's bit in
-      // the second quadrant or past all three.
-      const NodeId below1 = p < aa / total;
-      const NodeId below2 = p < (aa + bb) / total;
-      const NodeId below3 = p < (aa + bb + cc) / total;
-      u = (u << 1) | ((below1 | below2) ^ 1);
-      v = (v << 1) | ((below1 ^ 1) & (below2 | (below3 ^ 1)));
+  Graph g;
+  {
+    // Scoped so the dedupe table is freed before Build allocates, and
+    // the recorded edges before LargestConnectedComponent does.
+    GraphBuilder builder(n);
+    {
+      EdgeKeySet seen(target_edges);
+      std::uint64_t attempts = 0;
+      const std::uint64_t max_attempts = target_edges * 8;
+      while (seen.size() < target_edges && attempts < max_attempts) {
+        ++attempts;
+        NodeId u = 0;
+        NodeId v = 0;
+        for (std::uint32_t bit = 0; bit < scale; ++bit) {
+          const double p = rng.NextDouble();
+          // Slightly perturb quadrant probabilities per level, the
+          // standard trick to avoid exact-degree artifacts.
+          const double noise = 0.95 + 0.1 * rng.NextDouble();
+          const double aa = a * noise;
+          const double bb = b * noise;
+          const double cc = c * noise;
+          const double total = aa + bb + cc + d * noise;
+          // The quadrant is the first of top-left, top-right, bottom-left,
+          // bottom-right whose threshold exceeds p. All three comparisons
+          // are evaluated and combined into the two bits without
+          // branching on p: u's bit is set past the first two thresholds,
+          // v's bit in the second quadrant or past all three.
+          const NodeId below1 = p < aa / total;
+          const NodeId below2 = p < (aa + bb) / total;
+          const NodeId below3 = p < (aa + bb + cc) / total;
+          u = (u << 1) | ((below1 | below2) ^ 1);
+          v = (v << 1) | ((below1 ^ 1) & (below2 | (below3 ^ 1)));
+        }
+        if (u == v) continue;
+        if (seen.Insert(EdgeKey(u, v))) builder.AddEdge(u, v);
+      }
     }
-    if (u == v) continue;
-    if (seen.Insert(EdgeKey(u, v))) builder.AddEdge(u, v);
+    g = builder.Build();
   }
-  Graph g = builder.Build();
   return LargestConnectedComponent(g);
 }
 

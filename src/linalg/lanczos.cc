@@ -165,23 +165,28 @@ double SturmPivot(const std::vector<double>& diag,
 
 // Whether all eigenvalues of each of two matrices sharing `off` lie below
 // its bisection's midpoint, in one loop: the two pivot recurrences are
-// independent division chains, so they overlap.
+// independent division chains, so they overlap. All are below iff every
+// pivot is negative, so each chain stops at its first pivot ≥ 0.
 std::pair<bool, bool> BothAllBelow(const std::vector<double>& diag_a,
                                    const TopBisection& a,
                                    const std::vector<double>& diag_b,
                                    const TopBisection& b,
                                    const std::vector<double>& off) {
-  std::size_t count_a = 0;
-  std::size_t count_b = 0;
+  bool below_a = true;
+  bool below_b = true;
   double d_a = 1.0;
   double d_b = 1.0;
-  for (std::size_t i = 0; i < diag_a.size(); ++i) {
-    d_a = SturmPivot(diag_a, off, i, a.mid, d_a, a.pivot_floor);
-    d_b = SturmPivot(diag_b, off, i, b.mid, d_b, b.pivot_floor);
-    if (d_a < 0.0) ++count_a;
-    if (d_b < 0.0) ++count_b;
+  for (std::size_t i = 0; i < diag_a.size() && (below_a || below_b); ++i) {
+    if (below_a) {
+      d_a = SturmPivot(diag_a, off, i, a.mid, d_a, a.pivot_floor);
+      below_a = d_a < 0.0;
+    }
+    if (below_b) {
+      d_b = SturmPivot(diag_b, off, i, b.mid, d_b, b.pivot_floor);
+      below_b = d_b < 0.0;
+    }
   }
-  return {count_a == diag_a.size(), count_b == diag_b.size()};
+  return {below_a, below_b};
 }
 
 // The Ritz pair at θ = the converged bracket's top, with its T-residual.

@@ -8,9 +8,23 @@
 #include "linalg/transition.h"
 #include "rw/rng.h"
 #include "util/check.h"
+#include "util/thread_pool.h"
 
 namespace geer {
 namespace {
+
+// Arcs per thread of a Lanczos run's team: below two of these a graph's
+// product is too short to pay for waking a helper (BM_LanczosTeam;
+// EXPERIMENTS.md, "Parallel λ").
+constexpr std::uint64_t kArcsPerTeamThread = 32768;
+
+// options.threads, or one thread per kArcsPerTeamThread arcs, at most one
+// per usable CPU.
+template <typename GraphT>
+int TeamSize(const GraphT& graph, const SpectralOptions& options) {
+  if (options.threads > 0) return options.threads;
+  return ResolveWorkerCount(0, graph.NumArcs() / kArcsPerTeamThread);
+}
 
 double ClampLambda(double lambda2, double lambda_n, double floor_gap) {
   const double raw = std::max(std::abs(lambda2), std::abs(lambda_n));
@@ -42,7 +56,11 @@ SpectralBounds ComputeSpectralBoundsT(const typename WP::GraphT& graph,
   lopt.max_iterations = options.max_iterations;
   lopt.tolerance = options.tolerance;
   lopt.seed = options.seed;
-  auto apply = [&op](const Vector& x, Vector* y) { op.Apply(x, y); };
+  // Each product runs row-parallel on the team, with the serial bits.
+  ThreadTeam team(TeamSize(graph, options));
+  auto apply = [&op, &team](const Vector& x, Vector* y) {
+    op.Apply(x, y, &team);
+  };
   return BoundsFromLanczos(LanczosExtremeEigenvalues(
                                apply, op.Dim(), {op.TopEigenvector()}, lopt),
                            options.floor_gap);
@@ -72,7 +90,10 @@ SpectralBounds ComputeSpectralBoundsWarmT(const typename WP::GraphT& graph,
     lopt.warm_start = &warm;
     lopt.stagnation_tolerance = options.warm_stagnation_tolerance;
   }
-  auto apply = [&op](const Vector& x, Vector* y) { op.Apply(x, y); };
+  ThreadTeam team(TeamSize(graph, options));
+  auto apply = [&op, &team](const Vector& x, Vector* y) {
+    op.Apply(x, y, &team);
+  };
   LanczosResult res = LanczosExtremeEigenvalues(
       apply, op.Dim(), {op.TopEigenvector()}, lopt);
 

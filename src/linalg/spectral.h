@@ -14,6 +14,18 @@
 // extra k operator applications go to that regeneration; N's rows are
 // summed four at a time in degree order (linalg/transition.h), with the
 // bits of the row-by-row sum.
+//
+// Each run, cold or warm, splits its operator applications across a
+// ThreadTeam (util/thread_pool.h) of one thread per 32,768 arcs, at most
+// one per usable CPU, so a graph under 65,536 arcs runs on the caller
+// alone; SpectralOptions::threads overrides the size. Each row is still
+// summed by one thread in CSR order, so λ has the same bits at any team
+// size. The team is for runs that find the cores idle: at start-up, and
+// in an epoch swap, which QueryService runs between batches. A caller
+// that computes λ while a QueryService may be answering queries (the
+// dynamic replay's writer thread, a shard's ApplyUpdates) passes
+// threads = 1: there a team took the cores from the service's workers
+// and raised the query p99 up to 1.9× (EXPERIMENTS.md, "Parallel λ").
 
 #ifndef GEER_LINALG_SPECTRAL_H_
 #define GEER_LINALG_SPECTRAL_H_
@@ -55,6 +67,10 @@ struct SpectralOptions {
   /// certificate instead; the warm path's cold fallback (invalid warm
   /// state) records Ritz vectors and so keeps the full budget.
   double warm_stagnation_tolerance = 1e-9;
+  /// Threads that share each operator application (the caller included);
+  /// λ has the same bits at any count. 0 = one per 32,768 arcs, at most
+  /// one per usable CPU. Pass 1 while a QueryService is answering.
+  int threads = 0;
 };
 
 /// Computes λ₂, λ_n and λ for a connected graph under weight policy WP.

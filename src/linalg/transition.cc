@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "util/check.h"
+#include "util/thread_pool.h"
 
 namespace geer {
 
@@ -133,22 +134,51 @@ NormalizedAdjacencyOperatorT<WP>::NormalizedAdjacencyOperatorT(
 }
 
 template <WeightPolicy WP>
-void NormalizedAdjacencyOperatorT<WP>::Apply(const Vector& x,
-                                             Vector* y) const {
+void NormalizedAdjacencyOperatorT<WP>::Apply(const Vector& x, Vector* y,
+                                             ThreadTeam* team) const {
   const NodeId n = graph_->NumNodes();
   GEER_CHECK_EQ(x.size(), static_cast<std::size_t>(n));
   y->resize(n);  // Every entry is written below.
+  double* out = y->data();
+  if (team == nullptr || team->size() == 1) {
+    if constexpr (!WP::kWeighted) ScaleRange(x, 0, n);
+    ApplyRows(x, out, 0, n);
+    return;
+  }
+  const std::size_t chunks =
+      static_cast<std::size_t>(team->size()) * kChunksPerThread;
+  SplitRows(chunks);
+  if constexpr (!WP::kWeighted) {
+    team->ParallelFor(chunks, [&](std::size_t c) {
+      ScaleRange(x, static_cast<NodeId>(std::uint64_t{n} * c / chunks),
+                 static_cast<NodeId>(std::uint64_t{n} * (c + 1) / chunks));
+    });
+  }
+  team->ParallelFor(chunks, [&](std::size_t c) {
+    ApplyRows(x, out, chunk_starts_[c], chunk_starts_[c + 1]);
+  });
+}
+
+template <WeightPolicy WP>
+void NormalizedAdjacencyOperatorT<WP>::ScaleRange(const Vector& x,
+                                                  NodeId begin,
+                                                  NodeId end) const {
+  const double* xs = x.data();
+  const double* inv = inv_sqrt_weight_.data();
+  double* zs = scaled_x_.data();
+  for (NodeId v = begin; v < end; ++v) zs[v] = xs[v] * inv[v];
+}
+
+template <WeightPolicy WP>
+void NormalizedAdjacencyOperatorT<WP>::ApplyRows(const Vector& x,
+                                                 double* out, NodeId begin,
+                                                 NodeId end) const {
   const NodeId* adj = graph_->NeighborArray().data();
   const double* inv = inv_sqrt_weight_.data();
   const double* xs = x.data();
-  double* out = y->data();
   // The arc term (w(u,v)·x(v))·w(v)^{-1/2}; under UnitWeight 1·x(v) is
   // x(v) exactly, so the term is the pre-scaled z(v) = x(v)·w(v)^{-1/2}.
   const double* z = scaled_x_.data();
-  if constexpr (!WP::kWeighted) {
-    double* zs = scaled_x_.data();
-    for (NodeId v = 0; v < n; ++v) zs[v] = xs[v] * inv[v];
-  }
   const auto arcs = WP::Arcs(*graph_);
   const auto term = [&](std::uint64_t k) {
     const NodeId v = adj[k];
@@ -168,8 +198,8 @@ void NormalizedAdjacencyOperatorT<WP>::Apply(const Vector& x,
                  r.inv_sqrt_weight;
   };
   const DegreeRow* rows = rows_by_degree_.data();
-  NodeId i = 0;
-  for (; i + 4 <= n; i += 4) {
+  NodeId i = begin;
+  for (; i + 4 <= end; i += 4) {
     const DegreeRow& r0 = rows[i];
     const DegreeRow& r1 = rows[i + 1];
     const DegreeRow& r2 = rows[i + 2];
@@ -191,7 +221,25 @@ void NormalizedAdjacencyOperatorT<WP>::Apply(const Vector& x,
     finish(r2, common, a2);
     finish(r3, common, a3);
   }
-  for (; i < n; ++i) finish(rows[i], 0, 0.0);
+  for (; i < end; ++i) finish(rows[i], 0, 0.0);
+}
+
+template <WeightPolicy WP>
+void NormalizedAdjacencyOperatorT<WP>::SplitRows(std::size_t chunks) const {
+  if (chunk_starts_.size() == chunks + 1) return;
+  const NodeId n = static_cast<NodeId>(rows_by_degree_.size());
+  const std::uint64_t total = graph_->NumArcs();
+  chunk_starts_.assign(chunks + 1, n);
+  chunk_starts_[0] = 0;
+  // Cut after the first 4-row group that takes the running arc count to
+  // c/chunks of the total.
+  std::uint64_t done = 0;
+  std::size_t c = 1;
+  for (NodeId i = 0; i < n && c < chunks;) {
+    const NodeId group_end = std::min<NodeId>(i + 4, n);
+    for (; i < group_end; ++i) done += rows_by_degree_[i].degree;
+    while (c < chunks && done * chunks >= total * c) chunk_starts_[c++] = i;
+  }
 }
 
 template class TransitionOperatorT<UnitWeight>;

@@ -37,6 +37,8 @@
 
 namespace geer {
 
+class ThreadTeam;
+
 /// Applies P = D_w^{-1} A_w. Stateless w.r.t. queries; owns scratch
 /// buffers so repeated applications do not allocate.
 template <WeightPolicy WP>
@@ -118,8 +120,16 @@ class TransitionOperatorT {
 /// has the bits of the row-by-row loop. Under UnitWeight the arc factor
 /// is an exact 1, so Apply scales x ⊙ w^{−1/2} once per call into a
 /// scratch vector instead of once per arc — the same products, one
-/// gather per arc instead of two. The scratch makes Apply unsafe to call
-/// concurrently on one instance.
+/// gather per arc instead of two.
+///
+/// Given a ThreadTeam, Apply splits both passes into chunks the team
+/// runs in parallel: the pre-scale over equal runs of node ids, then the
+/// rows over runs of whole 4-row groups in degree order with about equal
+/// arc counts. A row is summed by one thread exactly as above, so y has
+/// the same bits for any team size and whichever thread runs a chunk
+/// (linalg/spectral.h says which λ runs pass a team). The scratch vector
+/// and the cached chunk split make Apply unsafe to call concurrently on
+/// one instance, with or without a team.
 template <WeightPolicy WP>
 class NormalizedAdjacencyOperatorT {
  public:
@@ -129,8 +139,8 @@ class NormalizedAdjacencyOperatorT {
   // Stores a pointer to `graph`; a temporary would dangle.
   explicit NormalizedAdjacencyOperatorT(GraphT&&) = delete;
 
-  /// y ← N·x (dense).
-  void Apply(const Vector& x, Vector* y) const;
+  /// y ← N·x (dense), on `team` when it is given.
+  void Apply(const Vector& x, Vector* y, ThreadTeam* team = nullptr) const;
 
   std::size_t Dim() const { return inv_sqrt_weight_.size(); }
 
@@ -138,6 +148,19 @@ class NormalizedAdjacencyOperatorT {
   const Vector& TopEigenvector() const { return top_eigenvector_; }
 
  private:
+  // Chunks per team thread: enough that a thread which is descheduled
+  // mid-call holds up only a small share of the rows.
+  static constexpr std::size_t kChunksPerThread = 4;
+
+  // z(v) = x(v)·w(v)^{-1/2} for v in [begin, end) (UnitWeight only).
+  void ScaleRange(const Vector& x, NodeId begin, NodeId end) const;
+  // y(row) for the rows rows_by_degree_[begin, end), four at a time.
+  void ApplyRows(const Vector& x, double* out, NodeId begin,
+                 NodeId end) const;
+  // Sets chunk_starts_ to `chunks` runs of whole 4-row groups of
+  // rows_by_degree_ with about equal arc counts (some may be empty).
+  void SplitRows(std::size_t chunks) const;
+
   const GraphT* graph_;
   Vector inv_sqrt_weight_;
   Vector top_eigenvector_;
@@ -150,6 +173,9 @@ class NormalizedAdjacencyOperatorT {
   };
   std::vector<DegreeRow> rows_by_degree_;  ///< stable, ascending degree
   mutable Vector scaled_x_;  ///< x ⊙ w^{−1/2} (UnitWeight only)
+  /// Chunk c of a team Apply covers rows_by_degree_[chunk_starts_[c],
+  /// chunk_starts_[c + 1]); kept for the last chunk count used.
+  mutable std::vector<NodeId> chunk_starts_;
 };
 
 /// The two stacks, by their historical names.

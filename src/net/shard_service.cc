@@ -173,7 +173,12 @@ HandlerReply ShardServer::HandleApplyUpdates(const Frame& frame) {
     if (spectral_ == nullptr && reads_lambda_) spectral_ = MakeSharedSpectral();
     lambda = std::nullopt;
   } else if (!lambda.has_value() && reads_lambda_) {
-    lambda = ComputeSpectralBoundsT<UnitWeight>(*snapshot->graph).lambda;
+    // Queries may be in flight: run Lanczos on this thread alone rather
+    // than on a team that takes the service's cores (linalg/spectral.h).
+    SpectralOptions spectral;
+    spectral.threads = 1;
+    lambda =
+        ComputeSpectralBoundsT<UnitWeight>(*snapshot->graph, spectral).lambda;
   }
   std::future<bool> swapped = ApplyEpochUpdate<UnitWeight>(
       *service_, snapshot, lambda, msg.incremental,

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstring>
 #include <optional>
 #include <string>
 #include <utility>
@@ -13,6 +15,10 @@
 #include "eval/datasets.h"
 #include "graph/builder.h"
 #include "graph/generators.h"
+#include "graph/weighted_generators.h"
+#include "linalg/lanczos.h"
+#include "linalg/transition.h"
+#include "util/thread_pool.h"
 
 namespace geer {
 namespace {
@@ -168,6 +174,145 @@ TEST(SpectralTest, StandInWalkLengthsPinned) {
           << p.dataset << " eps " << eps;
     }
   }
+}
+
+// Lanczos on a team-parallel operator keeps every bit of the serial run
+// at 1–4 threads (λ₂, λ_n, both certificate widths and the Krylov
+// dimension), and ComputeSpectralBounds, which sizes its own team,
+// reports the same numbers.
+template <WeightPolicy WP>
+void ExpectTeamLanczosBitIdentical(const typename WP::GraphT& g,
+                                   const std::string& label) {
+  const SpectralOptions options;
+  LanczosOptions lopt;
+  lopt.max_iterations = options.max_iterations;
+  lopt.tolerance = options.tolerance;
+  lopt.seed = options.seed;
+  const NormalizedAdjacencyOperatorT<WP> op(g);
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  const LanczosResult want = LanczosExtremeEigenvalues(
+      [&op](const Vector& x, Vector* y) { op.Apply(x, y); }, op.Dim(),
+      {op.TopEigenvector()}, lopt);
+  for (int size = 1; size <= 4; ++size) {
+    ThreadTeam team(size);
+    const LanczosResult got = LanczosExtremeEigenvalues(
+        [&op, &team](const Vector& x, Vector* y) { op.Apply(x, y, &team); },
+        op.Dim(), {op.TopEigenvector()}, lopt);
+    EXPECT_EQ(bits(got.max_eigenvalue), bits(want.max_eigenvalue))
+        << label << " team " << size;
+    EXPECT_EQ(bits(got.min_eigenvalue), bits(want.min_eigenvalue))
+        << label << " team " << size;
+    EXPECT_EQ(bits(got.residual_hi), bits(want.residual_hi))
+        << label << " team " << size;
+    EXPECT_EQ(bits(got.residual_lo), bits(want.residual_lo))
+        << label << " team " << size;
+    EXPECT_EQ(got.iterations, want.iterations) << label << " team " << size;
+  }
+  const SpectralBounds sb = ComputeSpectralBoundsT<WP>(g, options);
+  EXPECT_EQ(bits(sb.lambda2), bits(std::min(want.max_eigenvalue, 1.0)))
+      << label;
+  EXPECT_EQ(bits(sb.lambda_n), bits(std::max(want.min_eigenvalue, -1.0)))
+      << label;
+  EXPECT_EQ(bits(sb.lambda_residual),
+            bits(std::abs(sb.lambda_n) > std::abs(sb.lambda2)
+                     ? want.residual_lo
+                     : want.residual_hi))
+      << label;
+  EXPECT_EQ(sb.lanczos_iterations, want.iterations) << label;
+}
+
+TEST(SpectralTest, TeamLanczosMatchesSerialOnStandIns) {
+  const std::optional<Dataset> facebook = MakeDataset("facebook");
+  const std::optional<Dataset> youtube = MakeDataset("youtube");
+  ASSERT_TRUE(facebook.has_value() && youtube.has_value());
+  ExpectTeamLanczosBitIdentical<UnitWeight>(facebook->graph, "facebook");
+  ExpectTeamLanczosBitIdentical<UnitWeight>(youtube->graph, "youtube");
+  ExpectTeamLanczosBitIdentical<EdgeWeight>(
+      gen::WithUniformWeights(youtube->graph, 0.1, 10.0, 3),
+      "weighted youtube");
+}
+
+// The warm path runs on a team too. A two-epoch warm chain (the seeded
+// cold fallback, then a warm start on the graph with one more edge) has
+// the same bits on 2 and 4 threads as on the caller alone: λ, its width,
+// the Krylov dimension and both Ritz vectors.
+struct WarmChain {
+  std::vector<SpectralBounds> bounds;
+  std::vector<SpectralWarmState> states;
+};
+
+template <WeightPolicy WP>
+WarmChain RunWarmChain(const typename WP::GraphT& g0,
+                       const typename WP::GraphT& g1, int threads) {
+  SpectralOptions options;
+  options.threads = threads;
+  WarmChain chain;
+  SpectralWarmState state;
+  chain.bounds.push_back(
+      ComputeSpectralBoundsWarmT<WP>(g0, 1, &state, options));
+  chain.states.push_back(state);
+  chain.bounds.push_back(
+      ComputeSpectralBoundsWarmT<WP>(g1, 2, &state, options));
+  chain.states.push_back(state);
+  return chain;
+}
+
+bool SameBits(const Vector& a, const Vector& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+template <WeightPolicy WP>
+void ExpectTeamWarmChainBitIdentical(const typename WP::GraphT& g0,
+                                     const typename WP::GraphT& g1,
+                                     const std::string& label) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  const WarmChain serial = RunWarmChain<WP>(g0, g1, 1);
+  for (const int threads : {2, 4}) {
+    const WarmChain team = RunWarmChain<WP>(g0, g1, threads);
+    for (std::size_t e = 0; e < 2; ++e) {
+      const std::string where = label + " team " + std::to_string(threads) +
+                                " epoch " + std::to_string(e + 1);
+      EXPECT_EQ(bits(team.bounds[e].lambda), bits(serial.bounds[e].lambda))
+          << where;
+      EXPECT_EQ(bits(team.bounds[e].lambda_residual),
+                bits(serial.bounds[e].lambda_residual))
+          << where;
+      EXPECT_EQ(team.bounds[e].lanczos_iterations,
+                serial.bounds[e].lanczos_iterations)
+          << where;
+      EXPECT_TRUE(
+          SameBits(team.states[e].max_ritz, serial.states[e].max_ritz))
+          << where;
+      EXPECT_TRUE(
+          SameBits(team.states[e].min_ritz, serial.states[e].min_ritz))
+          << where;
+    }
+  }
+}
+
+Graph WithExtraEdge(const Graph& graph) {
+  GraphBuilder b(graph.NumNodes());
+  for (NodeId u = 0; u < graph.NumNodes(); ++u) {
+    for (NodeId v : graph.Neighbors(u)) {
+      if (u < v) b.AddEdge(u, v);
+    }
+  }
+  NodeId far = graph.NumNodes() - 1;
+  while (graph.HasEdge(0, far)) --far;
+  b.AddEdge(0, far);
+  return b.Build();
+}
+
+TEST(SpectralTest, TeamWarmChainMatchesSerial) {
+  const std::optional<Dataset> facebook = MakeDataset("facebook");
+  ASSERT_TRUE(facebook.has_value());
+  const Graph g1 = WithExtraEdge(facebook->graph);
+  ExpectTeamWarmChainBitIdentical<UnitWeight>(facebook->graph, g1,
+                                              "facebook");
+  ExpectTeamWarmChainBitIdentical<EdgeWeight>(
+      gen::WithUniformWeights(facebook->graph, 0.1, 10.0, 3),
+      gen::WithUniformWeights(g1, 0.1, 10.0, 3), "weighted facebook");
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 // task surfaces on the calling thread instead of terminating the process.
 
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <atomic>
 #include <cstddef>
@@ -26,6 +27,25 @@ TEST(ResolveWorkerCountTest, ClampsToTaskCountAndFloorsAtOne) {
   EXPECT_GE(ResolveWorkerCount(0, 1000000), 1);  // 0 = hardware concurrency
   EXPECT_LE(ResolveWorkerCount(0, 2), 2);
 }
+
+#if defined(__linux__)
+// 0 resolves to the CPUs the caller may run on, not to the machine's.
+TEST(ResolveWorkerCountTest, DefaultFollowsTheAffinityMask) {
+  cpu_set_t original;
+  CPU_ZERO(&original);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(original), &original), 0);
+  EXPECT_EQ(ResolveWorkerCount(0, 1000000), CPU_COUNT(&original));
+  int first = 0;
+  while (!CPU_ISSET(first, &original)) ++first;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(first, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  const int pinned = ResolveWorkerCount(0, 1000000);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(original), &original), 0);
+  EXPECT_EQ(pinned, 1);
+}
+#endif
 
 TEST(WorkStealingPoolTest, RunsEveryTaskExactlyOnceAtAnyWorkerCount) {
   constexpr std::size_t kTasks = 100;

@@ -13,6 +13,7 @@
 #include "graph/weighted_generators.h"
 #include "rw/rng.h"
 #include "test_util.h"
+#include "util/thread_pool.h"
 
 namespace geer {
 namespace {
@@ -321,6 +322,69 @@ TEST(NormalizedAdjacencyTest, WeightedApplyMatchesRowLoopBitwise) {
   std::uint64_t seed = 5;
   for (const auto& [label, g] : SkewedGraphs()) {
     ExpectApplyMatchesRowLoop<EdgeWeight>(
+        gen::WithUniformWeights(g, 0.01, 100.0, ++seed), "weighted " + label);
+  }
+}
+
+// Apply on a team must give the serial Apply's bits at every team size.
+// The graphs include n < threads (Complete(3)), n mod 4 ≠ 0, and a star
+// whose hub row takes half the arcs, so half of its chunks are empty.
+// Two inputs alternate, so a pass that reused the previous call's
+// pre-scaled vector would show.
+template <WeightPolicy WP>
+void ExpectTeamApplyMatchesSerial(const typename WP::GraphT& g,
+                                  const std::string& label) {
+  const NodeId n = g.NumNodes();
+  const NormalizedAdjacencyOperatorT<WP> op(g);
+  Rng rng(n + 17);
+  Vector xs[2] = {Vector(n), Vector(n)};
+  Vector want[2];
+  for (int i = 0; i < 2; ++i) {
+    for (double& e : xs[i]) e = rng.NextGaussian();
+    op.Apply(xs[i], &want[i]);
+  }
+  const auto expect_equal = [&](const Vector& y, const Vector& w,
+                                const std::string& where) {
+    ASSERT_EQ(y.size(), static_cast<std::size_t>(n)) << where;
+    for (NodeId u = 0; u < n; ++u) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(y[u]),
+                std::bit_cast<std::uint64_t>(w[u]))
+          << where << " row " << u;
+    }
+  };
+  for (int size = 1; size <= 4; ++size) {
+    ThreadTeam team(size);
+    for (int call = 0; call < 6; ++call) {
+      Vector y(n + 5, 7.0);  // stale, oversized output
+      op.Apply(xs[call % 2], &y, &team);
+      expect_equal(y, want[call % 2],
+                   label + " team " + std::to_string(size) + " call " +
+                       std::to_string(call));
+    }
+  }
+  // The serial Apply after team calls (another chunk split cached).
+  Vector again;
+  op.Apply(xs[0], &again);
+  expect_equal(again, want[0], label + " serial after team");
+}
+
+std::vector<std::pair<std::string, Graph>> TeamGraphs() {
+  std::vector<std::pair<std::string, Graph>> out = SkewedGraphs();
+  out.emplace_back("Complete(3)", gen::Complete(3));
+  out.emplace_back("Cycle(5)", gen::Cycle(5));
+  return out;
+}
+
+TEST(NormalizedAdjacencyTest, TeamApplyMatchesSerialBitwise) {
+  for (const auto& [label, g] : TeamGraphs()) {
+    ExpectTeamApplyMatchesSerial<UnitWeight>(g, label);
+  }
+}
+
+TEST(NormalizedAdjacencyTest, WeightedTeamApplyMatchesSerialBitwise) {
+  std::uint64_t seed = 40;
+  for (const auto& [label, g] : TeamGraphs()) {
+    ExpectTeamApplyMatchesSerial<EdgeWeight>(
         gen::WithUniformWeights(g, 0.01, 100.0, ++seed), "weighted " + label);
   }
 }
