@@ -166,8 +166,23 @@ AmcRunResult RunAmcT(const typename WP::GraphT& graph,
                                    WalkerFor<WP>::kWordsPerStep * kAmcLanes);
   double z[kAmcLanes] = {};
 
+  const std::uint64_t pair_words =
+      2 * std::uint64_t{params.ell_f} * WalkerFor<WP>::kWordsPerStep;
   double z_mean = 0.0;
   for (int batch = 1; batch <= params.tau; ++batch) {
+    result.batches = batch;
+    // Line 13 cannot fire on a batch whose zero-variance bound already
+    // exceeds ε/2: sqrt(·) ≥ 0 and rounded + is monotone, so the bound on
+    // the real variance is at least as large. Such a batch (never the
+    // last) walks nothing; it only moves the Rng past its nominal words,
+    // so later batches draw what they would have drawn.
+    if (batch < params.tau &&
+        EmpiricalBernsteinBound(eta, 0.0, psi, per_batch_delta) >
+            params.epsilon / 2.0) {
+      for (std::uint64_t k = 0; k < eta; ++k) rng.Discard(pair_words);
+      eta *= 2;
+      continue;
+    }
     // Lines 4–12: fresh batch; previous samples are discarded. Walk S_k
     // from s and T_k from t, both of length ℓf, and accumulate
     //   Z_k = Σ_{u∈S_k} (s(u)/w(s) − t(u)/w(t))
@@ -182,7 +197,6 @@ AmcRunResult RunAmcT(const typename WP::GraphT& graph,
     }
     result.walks += 2 * eta;
     result.steps += 2 * eta * params.ell_f;
-    result.batches = batch;
     z_mean = acc.Mean();
     // Line 13: Bernstein stopping rule. The shift Z' = Z + ψ/2 ∈ [0, ψ]
     // leaves the empirical variance unchanged, so f applies directly.

@@ -45,6 +45,14 @@
 // The words are drawn on a local Rng copy whose state stays in registers,
 // then written back. Scratch is 2·W·ℓf·kAmcLanes words per call, plus the
 // n-double walk table per estimator (one per batch worker).
+//
+// Skipped batches. Before walking batch b < τ, RunAmcT evaluates the
+// stopping bound at zero variance, f(η_b, 0, ψ, δ/τ). If that already
+// exceeds ε/2, line 13 cannot fire on the batch whatever its samples (see
+// RunAmcT), so the batch walks nothing and counts no walks; it advances
+// the Rng by its nominal 2·W·ℓf·η_b words, keeping every later batch on
+// the words it would have drawn. The answer then differs from walking the
+// batch only if one of those words would have been a Lemire rejection.
 
 #ifndef GEER_CORE_AMC_H_
 #define GEER_CORE_AMC_H_
@@ -80,7 +88,7 @@ struct AmcRunResult {
   std::uint64_t eta_star = 0;  ///< Hoeffding sample cap η* (Eq. 8)
   std::uint64_t walks = 0;   ///< walks simulated (2 per sample pair)
   std::uint64_t steps = 0;   ///< total walk steps
-  int batches = 0;           ///< batches executed
+  int batches = 0;           ///< batches reached, skipped ones included
   bool early_stop = false;   ///< Bernstein rule fired before batch τ
 };
 

@@ -86,7 +86,8 @@ struct QueryStats {
   std::uint32_t ell = 0;         ///< maximum walk length in effect
   std::uint32_t ell_b = 0;       ///< SMM iterations performed (SMM/GEER)
   std::uint64_t eta_star = 0;    ///< Hoeffding cap η* (AMC/GEER)
-  int batches = 0;               ///< adaptive batches executed (AMC/GEER)
+  int batches = 0;               ///< adaptive batches reached, skipped
+                                 ///< ones included (AMC/GEER)
   bool early_stop = false;       ///< Bernstein rule fired before η* (AMC)
   bool truncated = false;        ///< hit a safety cap; estimate best-effort
 };

@@ -106,11 +106,12 @@ HandlerReply ShardServer::HandleQuery(const Frame& frame) {
     return Error(ErrorMsg::kOutOfRange,
                  "query endpoint out of range (n=" + std::to_string(n) + ")");
   }
-  // Blocking get() is correct here: each connection is a serial
-  // request/reply stream, and server-side batching happens across
-  // connections inside the QueryService scheduler.
+  // Blocking is correct here: each connection is a serial request/reply
+  // stream, and server-side batching happens across connections inside
+  // the QueryService. At zero linger the connection thread dispatches
+  // the micro-batch itself instead of waking the scheduler.
   const QueryResult result =
-      service_->Submit(request.pair(), request.deadline_seconds).get();
+      service_->Answer(request.pair(), request.deadline_seconds);
   return {FrameType::kQueryReply,
           EncodeServiceResponse(ServiceResponse::FromQueryResult(result)),
           false};

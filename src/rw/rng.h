@@ -74,6 +74,12 @@ class Rng {
     return result;
   }
 
+  /// Advances the stream by `words` raw words, as that many Next() calls
+  /// would.
+  void Discard(std::uint64_t words) {
+    for (; words > 0; --words) Next();
+  }
+
   /// Uniform integer in [0, bound). `bound` must be positive. Uses
   /// Lemire's nearly-divisionless method with rejection (unbiased): one
   /// word per draw, plus one more per (rare) rejection.

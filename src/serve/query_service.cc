@@ -55,6 +55,8 @@ obs::StatsSnapshot ServeStatsSnapshot(const ServeMetrics& metrics,
   out.counters["geer_serve_answered_total" + label] = metrics.answered;
   out.counters["geer_serve_rejected_total" + label] = metrics.rejected;
   out.counters["geer_serve_batches_total" + label] = metrics.batches;
+  out.counters["geer_serve_flush_caller_total" + label] =
+      metrics.flush_caller;
   for (std::size_t c = 0; c < kNumDeadlineClasses; ++c) {
     out.counters["geer_serve_expired_total{method=\"" + method +
                  "\",class=\"" +
@@ -114,41 +116,86 @@ QueryService::QueryService(ErEstimator& estimator,
 
 QueryService::~QueryService() { Shutdown(); }
 
+bool QueryService::EnqueueLocked(QueryPair query, double deadline_seconds,
+                                 std::promise<QueryResult>& promise) {
+  if (shutdown_) {
+    QueryResult result;
+    result.status = ServeStatus::kShutdown;
+    promise.set_value(result);
+    return false;
+  }
+  if (queue_.size() >= options_.max_queue) {
+    ++metrics_.rejected;
+    QueryResult result;
+    result.status = ServeStatus::kRejected;
+    promise.set_value(result);
+    return false;
+  }
+  ++metrics_.submitted;
+  const Clock::time_point now = Clock::now();
+  Pending pending;
+  pending.query = query;
+  pending.promise = std::move(promise);
+  pending.submitted = now;
+  pending.deadline = deadline_seconds > 0.0
+                         ? now + SecondsToDuration(deadline_seconds)
+                         : Clock::time_point::max();
+  pending.dclass = ClassifyDeadline(deadline_seconds);
+  pending.seq = next_seq_++;
+  earliest_deadline_ = std::min(earliest_deadline_, pending.deadline);
+  queue_.push_back(std::move(pending));
+  return true;
+}
+
 std::future<QueryResult> QueryService::Submit(QueryPair query,
                                               double deadline_seconds) {
   std::promise<QueryResult> promise;
   std::future<QueryResult> future = promise.get_future();
-  const Clock::time_point now = Clock::now();
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (shutdown_) {
-      QueryResult result;
-      result.status = ServeStatus::kShutdown;
-      promise.set_value(result);
-      return future;
-    }
-    if (queue_.size() >= options_.max_queue) {
-      ++metrics_.rejected;
-      QueryResult result;
-      result.status = ServeStatus::kRejected;
-      promise.set_value(result);
-      return future;
-    }
-    ++metrics_.submitted;
-    Pending pending;
-    pending.query = query;
-    pending.promise = std::move(promise);
-    pending.submitted = now;
-    pending.deadline = deadline_seconds > 0.0
-                           ? now + SecondsToDuration(deadline_seconds)
-                           : Clock::time_point::max();
-    pending.dclass = ClassifyDeadline(deadline_seconds);
-    pending.seq = next_seq_++;
-    earliest_deadline_ = std::min(earliest_deadline_, pending.deadline);
-    queue_.push_back(std::move(pending));
+    if (!EnqueueLocked(query, deadline_seconds, promise)) return future;
   }
   cv_.notify_one();
   return future;
+}
+
+QueryResult QueryService::Answer(QueryPair query, double deadline_seconds) {
+  if (options_.max_linger_seconds > 0.0) {
+    return Submit(query, deadline_seconds).get();
+  }
+  std::promise<QueryResult> promise;
+  std::future<QueryResult> future = promise.get_future();
+  std::unique_lock<std::mutex> lock(mu_);
+  const bool swap_pending = !swaps_.empty();
+  // Refused at once after shutdown or past max_queue.
+  if (!EnqueueLocked(query, deadline_seconds, promise)) return future.get();
+  if (swap_pending) {
+    lock.unlock();
+    cv_.notify_one();
+    return future.get();
+  }
+  // The queue is not handed to the scheduler: either this caller takes
+  // it, or whoever holds the workers wakes the sleeping callers when it
+  // lets them go, and one of those takes it.
+  while (future.wait_for(Clock::duration::zero()) !=
+         std::future_status::ready) {
+    if (!workers_busy_ && swaps_.empty() && !shutdown_ && !queue_.empty()) {
+      const std::size_t take =
+          std::min(queue_.size(), options_.max_batch_size);
+      std::vector<Pending> batch = PopBatchLocked(take, queue_.size());
+      ++metrics_.flush_caller;
+      DispatchOnWorkers(lock, std::move(batch));
+      // The scheduler parks while a caller holds the workers (it may
+      // have a swap, a Submit()ted query or the shutdown drain waiting).
+      if (scheduler_parked_) cv_.notify_one();
+      continue;
+    }
+    ++sleeping_callers_;
+    callers_cv_.wait(lock);
+    --sleeping_callers_;
+  }
+  lock.unlock();
+  return future.get();
 }
 
 void QueryService::Flush() {
@@ -316,6 +363,20 @@ void QueryService::SchedulerLoop() {
       for (PendingSwap& swap : abandoned) swap.done.set_value(false);
       lock.lock();
       AddLatenciesLocked(tally);
+      if (sleeping_callers_ > 0) callers_cv_.notify_all();
+      continue;
+    }
+
+    // A blocked Answer() caller is dispatching on its own thread: wait
+    // until it lets the workers go (it wakes us), unless ShutdownNow()
+    // leaves something to cancel meanwhile.
+    if (workers_busy_) {
+      scheduler_parked_ = true;
+      cv_.wait(lock, [this] {
+        return !workers_busy_ || (cancel_.load(std::memory_order_relaxed) &&
+                                  (!queue_.empty() || !swaps_.empty()));
+      });
+      scheduler_parked_ = false;
       continue;
     }
 
@@ -336,12 +397,7 @@ void QueryService::SchedulerLoop() {
             std::min(dispatchable, options_.max_batch_size);
         std::vector<Pending> batch = PopBatchLocked(take, dispatchable);
         ++metrics_.flush_swap;
-        const std::uint64_t batch_id = next_batch_id_++;
-        workers_busy_ = true;
-        lock.unlock();
-        DispatchBatch(std::move(batch), batch_id);
-        lock.lock();
-        workers_busy_ = false;
+        DispatchOnWorkers(lock, std::move(batch));
         continue;
       }
       PendingSwap swap = std::move(swaps_.front());
@@ -376,7 +432,7 @@ void QueryService::SchedulerLoop() {
         swap_ns = obs::NowNs() - swap_start;
       }
       lock.lock();
-      workers_busy_ = false;
+      ReleaseWorkersLocked();
       metrics_.epoch_swap.Record(swap_ns);
       metrics_.rebind += rebinds;
       if (ok) {
@@ -441,12 +497,7 @@ void QueryService::SchedulerLoop() {
       case Trigger::kDeadline: ++metrics_.flush_deadline; break;
       case Trigger::kDrain: ++metrics_.flush_drain; break;
     }
-    const std::uint64_t batch_id = next_batch_id_++;
-    workers_busy_ = true;
-    lock.unlock();
-    DispatchBatch(std::move(batch), batch_id);
-    lock.lock();
-    workers_busy_ = false;
+    DispatchOnWorkers(lock, std::move(batch));
   }
   // Shutdown with swaps still pending (submitted after the final drain):
   // resolve their futures so no writer blocks forever.
@@ -454,6 +505,23 @@ void QueryService::SchedulerLoop() {
   swaps_.clear();
   lock.unlock();
   for (PendingSwap& swap : leftover) swap.done.set_value(false);
+}
+
+void QueryService::ReleaseWorkersLocked() {
+  workers_busy_ = false;
+  // Their answers may have been in the batch, or the queue is theirs to
+  // take now.
+  if (sleeping_callers_ > 0) callers_cv_.notify_all();
+}
+
+void QueryService::DispatchOnWorkers(std::unique_lock<std::mutex>& lock,
+                                     std::vector<Pending> batch) {
+  const std::uint64_t batch_id = next_batch_id_++;
+  workers_busy_ = true;
+  lock.unlock();
+  DispatchBatch(std::move(batch), batch_id);
+  lock.lock();
+  ReleaseWorkersLocked();
 }
 
 void QueryService::DispatchBatch(std::vector<Pending> batch,
@@ -608,7 +676,8 @@ void QueryService::Fulfill(Pending& p, ServeStatus status,
   result.total_ms = MillisD(done - p.submitted).count();
   result.batch_size = batch_size;
   result.batch_id = batch_id;
-  // Written only by the scheduler thread, which also runs every Fulfill.
+  // Written only while no thread holds the workers; every Fulfill runs
+  // on the thread that holds them or on the scheduler, its only writer.
   result.epoch = current_epoch_;
 
   tally.served_latency.Record(ToNs(done - p.submitted));

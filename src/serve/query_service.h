@@ -9,7 +9,12 @@
 // per-query deadline is about to expire — then the whole micro-batch is
 // planned by the estimator's BatchPlan (same-source queries land in the
 // same group, sharing walk populations / SpMV iterates) and dispatched
-// over the work-stealing pool. The service's worker estimators persist
+// over the work-stealing pool. The scheduler thread dispatches whatever
+// Submit() queued. A blocking Answer() caller at zero linger does not
+// hand its query over: whenever no micro-batch or epoch swap holds the
+// workers, it pops the queue's first micro-batch and dispatches it on its
+// own thread (caller-runs, as in flat combining), so a lone query costs
+// no cross-thread wake-up at all. The service's worker estimators persist
 // across micro-batches with their session caches enabled
 // (ErEstimator::EnableSessionCache), so EXACT/CG/RP preprocessing and
 // SMM/GEER per-source iterate caches amortize across the whole session,
@@ -67,13 +72,15 @@ struct ServeOptions {
   /// (the batch-size-1 baseline the serve bench compares against).
   std::size_t max_batch_size = 64;
   /// Flush once the oldest queued query has waited this long — the
-  /// latency price of coalescing. ≤ 0 flushes as soon as the scheduler
-  /// is free (load-adaptive batching: whatever queued during the
-  /// previous dispatch rides together).
+  /// latency price of coalescing. ≤ 0 flushes as soon as the workers
+  /// are free (load-adaptive batching: whatever queued during the
+  /// previous dispatch rides together), and lets Answer() callers
+  /// dispatch on their own threads.
   double max_linger_seconds = 0.002;
   /// Scheduler worker threads for each dispatched micro-batch (engine
-  /// workers; 0 = hardware concurrency). Worker 0 is the scheduler
-  /// thread itself. Values are bit-identical at any count.
+  /// workers; 0 = hardware concurrency). Worker 0 is the dispatching
+  /// thread itself (the scheduler or an Answer() caller). Values are
+  /// bit-identical at any count.
   int threads = 1;
   /// Backpressure: submissions beyond this many queued queries are
   /// rejected immediately (status kRejected) instead of queued.
@@ -115,6 +122,9 @@ struct ServeMetrics {
   std::uint64_t flush_deadline = 0;  ///< earliest deadline was imminent
   std::uint64_t flush_drain = 0;     ///< explicit Flush()/Shutdown drain
   std::uint64_t flush_swap = 0;      ///< pre-swap barrier drain
+  /// Dispatched on a blocked Answer() caller's thread instead of the
+  /// scheduler's (at zero linger, whenever the workers were free).
+  std::uint64_t flush_caller = 0;
   std::uint64_t epoch_swaps = 0;     ///< ApplyUpdates swaps applied
   /// RebindGraph calls across all workers that reused previous-epoch
   /// state instead of rebuilding cold (warm-started λ, incrementally
@@ -151,7 +161,8 @@ struct ServeMetrics {
 };
 
 /// Renders `metrics` as the series a stats scrape exports:
-/// geer_serve_{submitted,answered,rejected,batches}_total{method=…},
+/// geer_serve_{submitted,answered,rejected,batches,flush_caller}_total
+/// {method=…},
 /// geer_serve_expired_total{method=…,class=…} per DeadlineClass, the
 /// geer_serve_{latency,queue_wait,epoch_swap}_ns{method=…} histograms,
 /// the geer_serve_session_cache_bytes{method=…} gauge and geer_rebind_ns.
@@ -184,6 +195,21 @@ class QueryService : public QuerySubmitter {
   /// Thread-safe: any number of client threads may submit concurrently.
   std::future<QueryResult> Submit(QueryPair query,
                                   double deadline_seconds = 0.0) override;
+
+  /// Submit(query, deadline_seconds).get(), answered on the calling
+  /// thread when it can be. At max_linger_seconds == 0 the query is
+  /// enqueued exactly as Submit() enqueues it (same seq, deadline, EDF
+  /// order, max_queue); then, whenever no micro-batch or epoch swap holds
+  /// the workers, none is pending and shutdown has not begun, the caller
+  /// pops the queue's first micro-batch — which may carry other callers'
+  /// queries — and dispatches it itself (ServeMetrics::flush_caller).
+  /// Otherwise it sleeps until its answer is ready or the workers are
+  /// free again. Dispatch, deadlines, metrics and swap barriers all run
+  /// the scheduler's code, so answers are those of Submit(). With linger
+  /// > 0, or when a swap is pending or shutdown has begun at entry, this
+  /// is plain Submit(...).get(). Thread-safe; ShutdownNow() resolves a
+  /// sleeping caller's query kCancelled unless it is already in flight.
+  QueryResult Answer(QueryPair query, double deadline_seconds = 0.0);
 
   /// Asks the scheduler to dispatch whatever is queued without waiting
   /// for a flush trigger. Non-blocking.
@@ -269,6 +295,17 @@ class QueryService : public QuerySubmitter {
   };
 
   void SchedulerLoop();
+  /// Queues `query` as Submit does (requires mu_ held). False if it was
+  /// resolved at once instead (kShutdown or kRejected, into `promise`).
+  bool EnqueueLocked(QueryPair query, double deadline_seconds,
+                     std::promise<QueryResult>& promise);
+  /// Holds the workers for `batch` on the calling thread: releases `lock`
+  /// (mu_) around DispatchBatch and takes it back before returning.
+  void DispatchOnWorkers(std::unique_lock<std::mutex>& lock,
+                         std::vector<Pending> batch);
+  /// Clears workers_busy_ and wakes sleeping Answer() callers (requires
+  /// mu_ held).
+  void ReleaseWorkersLocked();
   void DispatchBatch(std::vector<Pending> batch, std::uint64_t batch_id);
   /// Pops `take` of the first `limit` queued queries in EDF order
   /// (requires mu_ held) and refreshes earliest_deadline_.
@@ -285,13 +322,20 @@ class QueryService : public QuerySubmitter {
   std::vector<ErEstimator*> workers_;  // [primary_, clones…]
 
   mutable std::mutex mu_;
-  std::condition_variable cv_;
+  std::condition_variable cv_;  // wakes the scheduler
+  /// Wakes Answer() callers sleeping until their answer is ready or the
+  /// workers are free; whoever releases the workers notifies it.
+  std::condition_variable callers_cv_;
+  std::size_t sleeping_callers_ = 0;  // Answer() callers in callers_cv_
   std::deque<Pending> queue_;
   std::deque<PendingSwap> swaps_;
   std::uint64_t next_seq_ = 0;        // submission counter
   std::uint64_t next_batch_id_ = 1;   // dispatched micro-batch counter
-  /// Epoch currently served. Written only by the scheduler thread while
-  /// applying a swap; read by the scheduler during dispatch.
+  /// Epoch currently served. Written only by the scheduler thread, under
+  /// mu_, as it lets the workers go after applying a swap; read (in
+  /// Fulfill) by whichever thread holds the workers, and by the scheduler
+  /// when ShutdownNow() cancels the queue. No thread holds the workers
+  /// while it is written, so the reads need no lock.
   std::uint64_t current_epoch_ = 0;
   std::shared_ptr<const void> epoch_keep_alive_;
   /// Earliest deadline over queue_ (time_point::max() = none), maintained
@@ -302,10 +346,16 @@ class QueryService : public QuerySubmitter {
       std::chrono::steady_clock::time_point::max();
   bool flush_requested_ = false;
   bool shutdown_ = false;
-  /// True while the scheduler runs worker estimators outside mu_
-  /// (dispatch or epoch rebind). Flush() reads cache stats from the
-  /// estimators only when this is false — they are not thread-safe.
+  /// True while one thread runs the worker estimators outside mu_: the
+  /// scheduler (dispatch or epoch rebind) or an Answer() caller
+  /// (dispatch). Set and cleared under mu_ by that thread alone, so at
+  /// most one batch or swap runs at a time. Flush() reads cache stats
+  /// from the estimators only when this is false — they are not
+  /// thread-safe.
   bool workers_busy_ = false;
+  /// The scheduler waits in cv_ for a caller to release the workers; the
+  /// caller then wakes it.
+  bool scheduler_parked_ = false;
   ServeMetrics metrics_;
 
   std::atomic<bool> cancel_{false};  // engine token for ShutdownNow()

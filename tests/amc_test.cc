@@ -18,9 +18,17 @@
 namespace geer {
 namespace {
 
+// Whether RunAmcT skips a batch of `eta` pairs before batch τ: its
+// stopping bound at zero variance already exceeds ε/2.
+bool SkipsBatch(std::uint64_t eta, double psi, const AmcParams& params) {
+  return EmpiricalBernsteinBound(eta, 0.0, psi, params.delta / params.tau) >
+         params.epsilon / 2.0;
+}
+
 // Algorithm 1 one walk pair at a time, exactly as RunAmcT ran before its
-// walks moved into lockstep lanes: the reference the lanes must match bit
-// for bit.
+// walks moved into lockstep lanes, with its batch skip: the reference the
+// lanes must match bit for bit. A skipped batch draws and drops the
+// 2·W·ℓf raw words of each of its pairs.
 template <WeightPolicy WP>
 AmcRunResult SerialRunAmc(const typename WP::GraphT& graph,
                           const WalkerFor<WP>& walker, NodeId s, NodeId t,
@@ -47,6 +55,14 @@ AmcRunResult SerialRunAmc(const typename WP::GraphT& graph,
   MeanVarAccumulator acc;
   double z_mean = 0.0;
   for (int batch = 1; batch <= params.tau; ++batch) {
+    result.batches = batch;
+    if (batch < params.tau && SkipsBatch(eta, psi, params)) {
+      const std::uint64_t pair_words =
+          2 * std::uint64_t{params.ell_f} * WalkerFor<WP>::kWordsPerStep;
+      for (std::uint64_t w = 0; w < eta * pair_words; ++w) rng.Next();
+      eta *= 2;
+      continue;
+    }
     acc.Reset();
     for (std::uint64_t k = 0; k < eta; ++k) {
       double z = 0.0;
@@ -64,7 +80,6 @@ AmcRunResult SerialRunAmc(const typename WP::GraphT& graph,
     }
     result.walks += 2 * eta;
     result.steps += 2 * eta * params.ell_f;
-    result.batches = batch;
     z_mean = acc.Mean();
     const double bound = EmpiricalBernsteinBound(
         eta, acc.Variance(), psi, params.delta / params.tau);
@@ -223,6 +238,45 @@ TEST(AmcLaneKernelTest, MultiBatchWithoutEarlyStop) {
   }
 }
 
+TEST(AmcLaneKernelTest, EveryBatchBeforeTauSkipped) {
+  // ε large against ψ: even batch τ − 1 cannot stop, so only batch τ walks.
+  const LaneFixture f;
+  AmcParams params;
+  params.epsilon = 1.5;
+  params.delta = 0.05;
+  params.tau = 3;
+  params.ell_f = 7;
+  const LaneCase c = f.ExpectBoth(params, Rng(15));
+  for (int mode = 0; mode < 2; ++mode) {
+    const std::uint64_t last_eta = c.eta[mode] << (params.tau - 1);
+    EXPECT_TRUE(SkipsBatch(last_eta / 2, c.result[mode].psi, params))
+        << "mode " << mode;
+    EXPECT_EQ(c.result[mode].batches, params.tau) << "mode " << mode;
+    EXPECT_EQ(c.result[mode].walks, 2 * last_eta) << "mode " << mode;
+    EXPECT_EQ(c.result[mode].steps, 2 * last_eta * params.ell_f)
+        << "mode " << mode;
+  }
+}
+
+TEST(AmcLaneKernelTest, NoBatchSkipped) {
+  // ε small against ψ: the first batch can already stop, so every batch
+  // reached is walked.
+  const LaneFixture f;
+  AmcParams params;
+  params.epsilon = 0.1;
+  params.delta = 0.05;
+  params.tau = 3;
+  params.ell_f = 6;
+  const LaneCase c = f.ExpectBoth(params, Rng(16));
+  for (int mode = 0; mode < 2; ++mode) {
+    EXPECT_FALSE(SkipsBatch(c.eta[mode], c.result[mode].psi, params))
+        << "mode " << mode;
+    const std::uint64_t pairs =
+        c.eta[mode] * ((std::uint64_t{1} << c.result[mode].batches) - 1);
+    EXPECT_EQ(c.result[mode].walks, 2 * pairs) << "mode " << mode;
+  }
+}
+
 TEST(AmcLaneKernelTest, RejectedWordRewindsAndReplaysSerially) {
   // xoshiro256++ outputs rotl(s0 + s3, 23) + s0, so a state with
   // s0 = s3 = 0 draws the word 0 first: pair 0's first s-step. For a
@@ -239,11 +293,18 @@ TEST(AmcLaneKernelTest, RejectedWordRewindsAndReplaysSerially) {
                                    0xfedcba9876543210ULL, 0);
   EXPECT_EQ(Rng(start).Next(), 0u);
   AmcParams params;
-  params.epsilon = 0.8;
+  params.epsilon = 0.1;
   params.delta = 0.05;
   params.tau = 3;
   params.ell_f = 6;
-  f.ExpectBoth(params, start);
+  const LaneCase c = f.ExpectBoth(params, start);
+  // The rejected word is batch 1's first: that batch must be walked, not
+  // skipped past.
+  for (int mode = 0; mode < 2; ++mode) {
+    EXPECT_FALSE(SkipsBatch(c.eta[mode], c.result[mode].psi, params))
+        << "mode " << mode;
+    EXPECT_GE(c.result[mode].walks, 2 * c.eta[mode]) << "mode " << mode;
+  }
 }
 
 TEST(AmcLaneKernelTest, ZeroTableEntriesFromEqualScaledMass) {

@@ -69,6 +69,30 @@ TEST_F(ServeMetricsTest, LatencyHistogramIsPerService) {
   EXPECT_EQ(metrics.queue_wait.count, second.size());
 }
 
+TEST_F(ServeMetricsTest, FlushCallerCountsBatchesRunByAnswer) {
+  // On an idle zero-linger service nothing holds the workers, so each
+  // Answer() dispatches its own one-query batch on the calling thread.
+  auto estimator = CreateEstimator("GEER", graph_, options_);
+  const std::string method = estimator->Name();
+  ServeOptions serve_options;
+  serve_options.threads = 1;
+  serve_options.max_linger_seconds = 0.0;
+  QueryService service(*estimator, serve_options);
+  for (const QueryPair q : {QueryPair{1, 2}, QueryPair{3, 4}}) {
+    EXPECT_EQ(service.Answer(q).status, ServeStatus::kAnswered);
+  }
+  ServeAll(service, {{5, 6}});  // Submit(): the scheduler dispatches it
+  service.Shutdown();
+  const ServeMetrics metrics = service.Metrics();
+  EXPECT_EQ(metrics.flush_caller, 2u);
+  EXPECT_EQ(metrics.batches, 3u);
+  EXPECT_EQ(metrics.answered, 3u);
+  const obs::StatsSnapshot snapshot = ServeStatsSnapshot(metrics, method);
+  EXPECT_EQ(snapshot.counters.at("geer_serve_flush_caller_total{method=\"" +
+                                 method + "\"}"),
+            2u);
+}
+
 TEST_F(ServeMetricsTest, SnapshotCarriesEverySeriesName) {
   auto estimator = CreateEstimator("GEER", graph_, options_);
   const std::string method = estimator->Name();
@@ -126,7 +150,9 @@ TEST_F(ServeMetricsTest, SnapshotCarriesEverySeriesName) {
     EXPECT_EQ(snapshot.counters.at(name), std::string(cls) == "none" ? 0u : 1u)
         << name;
   }
-  EXPECT_EQ(snapshot.counters.size(), 8u);
+  EXPECT_EQ(snapshot.counters.at("geer_serve_flush_caller_total" + label),
+            0u);  // every query went through Submit()
+  EXPECT_EQ(snapshot.counters.size(), 9u);
 
   ASSERT_EQ(snapshot.gauges.size(), 1u);
   EXPECT_EQ(snapshot.gauges.at("geer_serve_session_cache_bytes" + label),
