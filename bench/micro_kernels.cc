@@ -4,9 +4,10 @@
 // BM_SpectralBoundsCold, and at 1–4 team threads in BM_LanczosTeam; its
 // operator step alone in BM_NormalizedApply, at 1–4 team threads),
 // Wilson's UST sampling, and graph construction (BM_GraphBuild,
-// BM_MakeYoutubeGraph).
+// BM_MakeYoutubeGraph, and R-MAT at 1–4 team threads in BM_RMatTeam).
 
 #include <benchmark/benchmark.h>
+#include <sched.h>
 
 #include <utility>
 #include <vector>
@@ -272,6 +273,50 @@ void BM_MakeYoutubeGraph(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MakeYoutubeGraph)->Unit(benchmark::kMillisecond);
+
+// The team-size sweep behind R-MAT's size rule: RMat(scale, edge_factor)
+// with this thread's affinity mask narrowed to its first state.range(0)
+// CPUs, the mask RMat sizes its team from (restored afterwards). The
+// graphs' first rounds hold 16,384 to 196,608 attempts; where the rule
+// (one thread per 8,192) allows fewer threads than CPUs, it wins. The
+// CSR bytes are the same at every size.
+void BM_RMatTeam(benchmark::State& state, std::uint32_t scale,
+                 std::uint64_t edge_factor) {
+  cpu_set_t original;
+  sched_getaffinity(0, sizeof(original), &original);
+  cpu_set_t narrowed;
+  CPU_ZERO(&narrowed);
+  for (int cpu = 0, kept = 0; cpu < CPU_SETSIZE && kept < state.range(0);
+       ++cpu) {
+    if (CPU_ISSET(cpu, &original)) {
+      CPU_SET(cpu, &narrowed);
+      ++kept;
+    }
+  }
+  sched_setaffinity(0, sizeof(narrowed), &narrowed);
+  for (auto _ : state) {
+    const Graph g = gen::RMat(scale, edge_factor, /*seed=*/0x17);
+    benchmark::DoNotOptimize(g.NeighborArray().data());
+  }
+  sched_setaffinity(0, sizeof(original), &original);
+  state.counters["attempts"] =
+      static_cast<double>(edge_factor << scale);
+}
+BENCHMARK_CAPTURE(BM_RMatTeam, rmat12x4, 12, 4)
+    ->DenseRange(1, 4)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_RMatTeam, rmat13x4, 13, 4)
+    ->DenseRange(1, 4)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_RMatTeam, rmat14x4, 14, 4)
+    ->DenseRange(1, 4)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_RMatTeam, rmat15x4, 15, 4)
+    ->DenseRange(1, 4)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_RMatTeam, youtube_rmat16x3, 16, 3)
+    ->DenseRange(1, 4)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace geer

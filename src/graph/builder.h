@@ -41,6 +41,10 @@ class GraphBuilder {
   /// Records every edge in `edges`.
   void AddEdges(const std::vector<Edge>& edges);
 
+  /// Allocates room for `edges` recorded edges in all, so AddEdge does
+  /// not reallocate until then.
+  void Reserve(std::size_t edges) { edges_.reserve(edges); }
+
   /// Current node count (max endpoint seen + 1, or the constructor hint).
   NodeId NumNodes() const { return num_nodes_; }
 

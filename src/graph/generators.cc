@@ -9,67 +9,219 @@
 #include "graph/builder.h"
 #include "rw/rng.h"
 #include "util/check.h"
+#include "util/thread_pool.h"
 
 namespace geer {
 namespace gen {
 namespace {
 
 // Packs an edge into a 64-bit key for dedup sets. Never 0: u ≠ v.
+// Branch-free: for a random pair, whether u > v is a coin flip that a
+// branch would mispredict half the time (R-MAT sampling ran ~15% slower).
 inline std::uint64_t EdgeKey(NodeId u, NodeId v) {
-  if (u > v) std::swap(u, v);
-  return (static_cast<std::uint64_t>(u) << 32) | v;
+  const NodeId flip = (u ^ v) & (0u - static_cast<NodeId>(u > v));
+  return (static_cast<std::uint64_t>(u ^ flip) << 32) | (v ^ flip);
 }
 
-// The set of edge keys a generator has emitted: one flat open-addressing
-// table (power-of-two size, linear probing, load ≤ 1/2), with 0 marking
-// an empty slot. Only membership is observable, so swapping it for any
-// other set keeps every generated graph.
+inline NodeId EdgeKeyU(std::uint64_t key) {
+  return static_cast<NodeId>(key >> 32);
+}
+inline NodeId EdgeKeyV(std::uint64_t key) {
+  return static_cast<NodeId>(key);
+}
+
+// The set of edge keys a generator has emitted, split into 2^bits parts
+// by the top `bits` bits of a multiplicative hash of the key. Each part
+// is a flat open-addressing table (power-of-two size, linear probing,
+// load ≤ 1/2, 0 marking an empty slot) whose slots come from the hash
+// bits below those; all parts share one array. Only membership is
+// observable, so swapping it for any other set keeps every generated
+// graph.
+//
+// Insert grows the set as it needs to. A parallel fill instead reserves
+// room on the driving thread (Reserve), after which one thread per part
+// may InsertReserved into it: the parts share no slot and no counter.
 class EdgeKeySet {
  public:
-  explicit EdgeKeySet(std::uint64_t expected) {
-    Rehash(std::bit_ceil(std::max<std::uint64_t>(16, 2 * expected)));
+  explicit EdgeKeySet(std::uint64_t expected, int partition_bits = 0)
+      : partition_bits_(partition_bits),
+        sizes_(std::size_t{1} << partition_bits) {
+    Rehash(std::bit_ceil(
+        std::max<std::uint64_t>(16, 2 * (expected >> partition_bits))));
   }
 
-  std::uint64_t size() const { return size_; }
+  std::size_t num_parts() const { return sizes_.size(); }
+
+  std::size_t PartOf(std::uint64_t key) const {
+    return partition_bits_ == 0 ? 0 : Hash(key) >> (64 - partition_bits_);
+  }
+
+  std::uint64_t size() const {
+    std::uint64_t total = 0;
+    for (const PartSize& part : sizes_) total += part.keys;
+    return total;
+  }
 
   bool Contains(std::uint64_t key) const { return slots_[Find(key)] == key; }
 
   /// Adds `key`; true iff it was not present.
   bool Insert(std::uint64_t key) {
-    GEER_DCHECK(key != 0);
-    std::uint64_t slot = Find(key);
-    if (slots_[slot] == key) return false;
-    if (2 * (size_ + 1) > slots_.size()) {
-      Rehash(2 * slots_.size());
-      slot = Find(key);
+    const std::size_t part = PartOf(key);
+    if (2 * (sizes_[part].keys + 1) > part_capacity_) {
+      Rehash(2 * part_capacity_);
     }
+    return InsertReserved(key);
+  }
+
+  /// Makes room for `more[p]` further keys in each part p.
+  void Reserve(const std::vector<std::uint64_t>& more) {
+    std::uint64_t capacity = part_capacity_;
+    for (std::size_t p = 0; p < sizes_.size(); ++p) {
+      while (2 * (sizes_[p].keys + more[p]) > capacity) capacity *= 2;
+    }
+    if (capacity != part_capacity_) Rehash(capacity);
+  }
+
+  /// Insert into room made by Reserve: never grows the set.
+  bool InsertReserved(std::uint64_t key) {
+    GEER_DCHECK(key != 0);
+    const std::uint64_t slot = Find(key);
+    if (slots_[slot] == key) return false;
+    PartSize& part = sizes_[PartOf(key)];
+    GEER_DCHECK(2 * (part.keys + 1) <= part_capacity_);
     slots_[slot] = key;
-    ++size_;
+    ++part.keys;
     return true;
   }
 
  private:
-  // The slot holding `key`, or the empty slot where it would go.
-  std::uint64_t Find(std::uint64_t key) const {
-    std::uint64_t slot = (key * 0x9E3779B97F4A7C15ULL) >> shift_;
-    while (slots_[slot] != 0 && slots_[slot] != key) {
-      slot = (slot + 1) & (slots_.size() - 1);
-    }
-    return slot;
+  // A part's key count, on a cache line of its own: one thread per part
+  // counts during a parallel fill.
+  struct alignas(64) PartSize {
+    std::uint64_t keys = 0;
+  };
+
+  static std::uint64_t Hash(std::uint64_t key) {
+    return key * 0x9E3779B97F4A7C15ULL;
   }
 
-  void Rehash(std::uint64_t capacity) {
+  // The slot holding `key`, or the empty slot of its part where it
+  // would go.
+  std::uint64_t Find(std::uint64_t key) const {
+    const std::uint64_t base = PartOf(key) * part_capacity_;
+    std::uint64_t slot = (Hash(key) << partition_bits_) >> shift_;
+    while (slots_[base + slot] != 0 && slots_[base + slot] != key) {
+      slot = (slot + 1) & (part_capacity_ - 1);
+    }
+    return base + slot;
+  }
+
+  void Rehash(std::uint64_t part_capacity) {
     std::vector<std::uint64_t> old = std::move(slots_);
-    slots_.assign(capacity, 0);
-    shift_ = 64 - std::countr_zero(capacity);
+    part_capacity_ = part_capacity;
+    slots_.assign(part_capacity * sizes_.size(), 0);
+    shift_ = 64 - std::countr_zero(part_capacity);
     for (std::uint64_t key : old) {
       if (key != 0) slots_[Find(key)] = key;
     }
   }
 
+  int partition_bits_;
+  std::vector<PartSize> sizes_;
   std::vector<std::uint64_t> slots_;
-  std::uint64_t size_ = 0;
+  std::uint64_t part_capacity_ = 0;
   int shift_ = 64;
+};
+
+// R-MAT's team size: one thread per kAttemptsPerTeamThread attempts of
+// the first round (target_edges of them), at most one per usable CPU.
+// From two of these up, a helper paid for itself at every size measured
+// (BM_RMatTeam; EXPERIMENTS.md, "Parallel R-MAT").
+constexpr std::uint64_t kAttemptsPerTeamThread = 8192;
+
+// Raw words one team thread samples per chunk: ~50 µs of sampling at
+// scale 16, 1,024 attempts. Against 4× larger chunks this cut RMat(16, 3)
+// by 10–30% on a shared VM, where one slow vCPU holds up a wave until
+// the others have claimed its share (EXPERIMENTS.md, "Parallel R-MAT").
+constexpr std::uint64_t kWordsPerChunk = std::uint64_t{1} << 15;
+
+// Chunks per team thread in one wave of a round. A wave's keys are held
+// until its dedupe pass, so the buffers stay O(threads × chunk).
+constexpr std::uint64_t kChunksPerThreadPerWave = 8;
+
+struct RMatQuadrants {
+  std::uint32_t scale;
+  double a, b, c, d;
+};
+
+// One R-MAT attempt: the edge key of the sampled pair, or 0 for a
+// self-loop. Draws two NextDouble per level and nothing else, so every
+// attempt takes exactly 2·scale words of the stream.
+inline std::uint64_t SampleRMatAttempt(Rng& rng, const RMatQuadrants& q) {
+  NodeId u = 0;
+  NodeId v = 0;
+  for (std::uint32_t bit = 0; bit < q.scale; ++bit) {
+    const double p = rng.NextDouble();
+    // Slightly perturb quadrant probabilities per level, the standard
+    // trick to avoid exact-degree artifacts.
+    const double noise = 0.95 + 0.1 * rng.NextDouble();
+    const double aa = q.a * noise;
+    const double bb = q.b * noise;
+    const double cc = q.c * noise;
+    const double total = aa + bb + cc + q.d * noise;
+    // The quadrant is the first of top-left, top-right, bottom-left,
+    // bottom-right whose threshold exceeds p. All three comparisons are
+    // evaluated and combined into the two bits without branching on p:
+    // u's bit is set past the first two thresholds, v's bit in the
+    // second quadrant or past all three.
+    const NodeId below1 = p < aa / total;
+    const NodeId below2 = p < (aa + bb) / total;
+    const NodeId below3 = p < (aa + bb + cc) / total;
+    u = (u << 1) | ((below1 | below2) ^ 1);
+    v = (v << 1) | ((below1 ^ 1) & (below2 | (below3 ^ 1)));
+  }
+  return u == v ? 0 : EdgeKey(u, v);
+}
+
+// The keys one part of R-MAT's dedupe set found new in a wave, on cache
+// lines of their own: one thread per part appends to them.
+struct alignas(64) FreshKeys {
+  std::vector<std::uint64_t> keys;
+};
+
+// One chunk's sampled keys, grouped by part: keys[begin[p], begin[p + 1])
+// are part p's, in sampling order. Sized once, on the caller.
+struct RMatChunkKeys {
+  std::vector<std::uint64_t> sampled;
+  std::vector<std::uint64_t> keys;
+  std::vector<std::uint32_t> begin;
+  std::vector<std::uint32_t> cursor;
+
+  void Resize(std::uint64_t attempts, std::size_t num_parts) {
+    sampled.resize(attempts);
+    keys.resize(attempts);
+    begin.resize(num_parts + 1);
+    cursor.resize(num_parts);
+  }
+
+  // Samples `attempts` attempts from `rng` (at most sampled.size()) and
+  // groups their keys, self-loops dropped, by a counting sort on part.
+  void Fill(Rng& rng, const RMatQuadrants& q, std::uint64_t attempts,
+            const EdgeKeySet& seen) {
+    std::uint64_t* out = sampled.data();
+    std::size_t m = 0;
+    for (std::uint64_t k = 0; k < attempts; ++k) {
+      out[m] = SampleRMatAttempt(rng, q);
+      m += out[m] != 0;
+    }
+    std::fill(begin.begin(), begin.end(), 0);
+    for (std::size_t j = 0; j < m; ++j) ++begin[seen.PartOf(out[j]) + 1];
+    for (std::size_t p = 1; p < begin.size(); ++p) begin[p] += begin[p - 1];
+    std::copy(begin.begin(), begin.end() - 1, cursor.begin());
+    for (std::size_t j = 0; j < m; ++j) {
+      keys[cursor[seen.PartOf(out[j])]++] = out[j];
+    }
+  }
 };
 
 }  // namespace
@@ -306,43 +458,136 @@ Graph RMat(std::uint32_t scale, std::uint64_t edge_factor, std::uint64_t seed,
   GEER_CHECK(d > 0.0) << "RMAT quadrant probabilities must sum below 1";
   const NodeId n = static_cast<NodeId>(1u) << scale;
   const std::uint64_t target_edges = edge_factor * n;
+  const std::uint64_t max_attempts = target_edges * 8;
+  const RMatQuadrants quadrants{scale, a, b, c, d};
+  const std::uint64_t words_per_attempt = 2 * std::uint64_t{scale};
+  const std::uint64_t chunk =
+      std::max<std::uint64_t>(1, kWordsPerChunk / words_per_attempt);
+  const int threads =
+      ResolveWorkerCount(0, target_edges / kAttemptsPerTeamThread);
+  // More parts than threads, so the dedupe pass balances.
+  const int partition_bits =
+      threads == 1 ? 0 : std::countr_zero(std::bit_ceil(4u * threads));
   Rng rng(seed);
   Graph g;
   {
-    // Scoped so the dedupe table is freed before Build allocates, and
-    // the recorded edges before LargestConnectedComponent does.
+    // Scoped so the dedupe set is freed before Build allocates, and the
+    // recorded edges before LargestConnectedComponent does.
     GraphBuilder builder(n);
     {
-      EdgeKeySet seen(target_edges);
-      std::uint64_t attempts = 0;
-      const std::uint64_t max_attempts = target_edges * 8;
-      while (seen.size() < target_edges && attempts < max_attempts) {
-        ++attempts;
-        NodeId u = 0;
-        NodeId v = 0;
-        for (std::uint32_t bit = 0; bit < scale; ++bit) {
-          const double p = rng.NextDouble();
-          // Slightly perturb quadrant probabilities per level, the
-          // standard trick to avoid exact-degree artifacts.
-          const double noise = 0.95 + 0.1 * rng.NextDouble();
-          const double aa = a * noise;
-          const double bb = b * noise;
-          const double cc = c * noise;
-          const double total = aa + bb + cc + d * noise;
-          // The quadrant is the first of top-left, top-right, bottom-left,
-          // bottom-right whose threshold exceeds p. All three comparisons
-          // are evaluated and combined into the two bits without
-          // branching on p: u's bit is set past the first two thresholds,
-          // v's bit in the second quadrant or past all three.
-          const NodeId below1 = p < aa / total;
-          const NodeId below2 = p < (aa + bb) / total;
-          const NodeId below3 = p < (aa + bb + cc) / total;
-          u = (u << 1) | ((below1 | below2) ^ 1);
-          v = (v << 1) | ((below1 ^ 1) & (below2 | (below3 ^ 1)));
+      ThreadTeam team(threads);
+      // At most target_edges edges are recorded, so the team's recording
+      // task never reallocates.
+      builder.Reserve(target_edges);
+      EdgeKeySet seen(target_edges, partition_bits);
+      const std::size_t num_parts = seen.num_parts();
+      // The keys each part found new in the last wave, not yet recorded.
+      std::vector<FreshKeys> fresh(num_parts);
+      bool fresh_pending = false;
+      auto record_fresh = [&] {
+        for (FreshKeys& part : fresh) {
+          for (std::uint64_t key : part.keys) {
+            builder.AddEdge(EdgeKeyU(key), EdgeKeyV(key));
+          }
+          part.keys.clear();
         }
-        if (u == v) continue;
-        if (seen.Insert(EdgeKey(u, v))) builder.AddEdge(u, v);
+        fresh_pending = false;
+      };
+      // The serial loop's steps, on the caller: attempt by attempt, each
+      // new edge recorded at once.
+      auto run_serial = [&](std::uint64_t count) {
+        if (fresh_pending) record_fresh();
+        for (std::uint64_t k = 0; k < count; ++k) {
+          const std::uint64_t key = SampleRMatAttempt(rng, quadrants);
+          if (key != 0 && seen.Insert(key)) {
+            builder.AddEdge(EdgeKeyU(key), EdgeKeyV(key));
+          }
+        }
+      };
+      // A wave of chunks on the team. Chunk i samples attempts
+      // [i·chunk, (i + 1)·chunk) of the wave from its own copy of the
+      // stream, jumped there from the previous chunk's start, and groups
+      // its keys by part; meanwhile one thread records the previous
+      // wave's new edges. Then each part's keys go into the set, one
+      // thread per part, and its new keys wait for the next wave. Every
+      // buffer is allocated on the caller: memory a helper allocates
+      // comes from its own malloc arena and stays resident after the
+      // team is gone (batch_uniform's peak RSS rose 2–3 MiB).
+      const Rng::JumpPolynomial chunk_jump =
+          threads == 1 ? Rng::JumpPolynomial{}
+                       : Rng::JumpPolynomialFor(chunk * words_per_attempt);
+      const std::uint64_t wave_chunks =
+          static_cast<std::uint64_t>(threads) * kChunksPerThreadPerWave;
+      std::vector<Rng> starts(threads == 1 ? 0 : wave_chunks);
+      std::vector<RMatChunkKeys> chunk_keys(threads == 1 ? 0 : wave_chunks);
+      for (RMatChunkKeys& keys : chunk_keys) keys.Resize(chunk, num_parts);
+      std::vector<std::uint64_t> incoming(num_parts);
+      auto run_wave = [&](std::uint64_t count) {
+        const std::uint64_t chunks = (count + chunk - 1) / chunk;
+        starts[0] = rng;
+        for (std::uint64_t i = 1; i < chunks; ++i) {
+          starts[i] = starts[i - 1];
+          starts[i].Jump(chunk_jump);
+        }
+        // Task 0 records the previous wave's edges, if any: claimed
+        // first, it overlaps the sampling.
+        const std::uint64_t first_chunk = fresh_pending ? 1 : 0;
+        team.ParallelFor(first_chunk + chunks, [&](std::size_t task) {
+          if (task < first_chunk) {
+            record_fresh();
+            return;
+          }
+          const std::uint64_t i = task - first_chunk;
+          Rng stream = starts[i];
+          chunk_keys[i].Fill(stream, quadrants,
+                             std::min(count - i * chunk, chunk), seen);
+          if (i + 1 == chunks) rng = stream;  // the stream after the wave
+        });
+        for (std::size_t p = 0; p < num_parts; ++p) {
+          incoming[p] = 0;
+          for (std::uint64_t i = 0; i < chunks; ++i) {
+            incoming[p] += chunk_keys[i].begin[p + 1] - chunk_keys[i].begin[p];
+          }
+          fresh[p].keys.reserve(incoming[p]);
+        }
+        seen.Reserve(incoming);
+        team.ParallelFor(num_parts, [&](std::size_t p) {
+          for (std::uint64_t i = 0; i < chunks; ++i) {
+            const RMatChunkKeys& keys = chunk_keys[i];
+            for (std::uint32_t j = keys.begin[p]; j < keys.begin[p + 1]; ++j) {
+              if (seen.InsertReserved(keys.keys[j])) {
+                fresh[p].keys.push_back(keys.keys[j]);
+              }
+            }
+          }
+        });
+        fresh_pending = true;
+      };
+      // The serial loop runs attempts until it has target_edges distinct
+      // edges or max_attempts attempts. Each attempt adds at most one
+      // edge, so from `distinct` edges after `attempts` attempts it is
+      // certain to run the next `round` attempts: their keys may go into
+      // the set in any order, and only the count of new ones decides the
+      // next round. Build ignores the order of the recorded edges.
+      std::uint64_t distinct = 0;
+      std::uint64_t attempts = 0;
+      while (distinct < target_edges && attempts < max_attempts) {
+        const std::uint64_t round =
+            std::min(target_edges - distinct, max_attempts - attempts);
+        for (std::uint64_t done = 0; done < round;) {
+          const std::uint64_t count =
+              std::min(round - done, wave_chunks * chunk);
+          if (threads == 1 || count <= chunk) {
+            run_serial(count);
+          } else {
+            run_wave(count);
+          }
+          done += count;
+        }
+        attempts += round;
+        distinct = seen.size();
       }
+      if (fresh_pending) record_fresh();
     }
     g = builder.Build();
   }

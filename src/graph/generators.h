@@ -80,6 +80,17 @@ Graph WattsStrogatz(NodeId n, NodeId k, double beta, std::uint64_t seed);
 /// R-MAT power-law generator (Chakrabarti et al.) over 2^scale nodes with
 /// `edge_factor`·2^scale edges and quadrant probabilities (a,b,c).
 /// The standard SNAP-scale social-graph substitute.
+///
+/// The graph is that of a serial loop: attempts drawn in stream order,
+/// each kept if it is neither a self-loop nor a repeat, until
+/// `edge_factor`·2^scale distinct edges or 8× that many attempts. Every
+/// attempt draws exactly 2·scale words (two NextDouble per level, no
+/// rejection), so attempt k starts at word 2·scale·k, and a thread can
+/// start anywhere in the stream with Rng::Jump. Attempts run on a
+/// ThreadTeam of one thread per 8,192 attempts of the first round, at
+/// most one per CPU of the affinity mask; smaller graphs start no
+/// thread. The CSR bytes are the serial loop's at every team size
+/// (generators_test, graph_fingerprint_test).
 Graph RMat(std::uint32_t scale, std::uint64_t edge_factor, std::uint64_t seed,
            double a = 0.57, double b = 0.19, double c = 0.19);
 

@@ -1,8 +1,17 @@
 #include "graph/generators.h"
 
 #include <gtest/gtest.h>
+#include <sched.h>
+
+#include <cstdint>
+#include <string>
+#include <unordered_set>
+#include <utility>
 
 #include "graph/algorithms.h"
+#include "graph/builder.h"
+#include "rw/rng.h"
+#include "util/thread_pool.h"
 
 namespace geer {
 namespace {
@@ -151,6 +160,113 @@ TEST(RandomGenTest, RMatDeterministicInSeed) {
   Graph a = gen::RMat(8, 4, 5);
   Graph b = gen::RMat(8, 4, 5);
   EXPECT_EQ(a.Edges(), b.Edges());
+}
+
+// R-MAT's serial sampling loop, kept as the reference RMat must match
+// byte for byte: attempts in stream order, each deduplicated as it comes.
+Graph SerialRMat(std::uint32_t scale, std::uint64_t edge_factor,
+                 std::uint64_t seed, double a = 0.57, double b = 0.19,
+                 double c = 0.19) {
+  const double d = 1.0 - a - b - c;
+  const NodeId n = static_cast<NodeId>(1u) << scale;
+  const std::uint64_t target_edges = edge_factor * n;
+  Rng rng(seed);
+  GraphBuilder builder(n);
+  std::unordered_set<std::uint64_t> seen;
+  std::uint64_t attempts = 0;
+  const std::uint64_t max_attempts = target_edges * 8;
+  while (seen.size() < target_edges && attempts < max_attempts) {
+    ++attempts;
+    NodeId u = 0;
+    NodeId v = 0;
+    for (std::uint32_t bit = 0; bit < scale; ++bit) {
+      const double p = rng.NextDouble();
+      const double noise = 0.95 + 0.1 * rng.NextDouble();
+      const double aa = a * noise;
+      const double bb = b * noise;
+      const double cc = c * noise;
+      const double total = aa + bb + cc + d * noise;
+      const NodeId below1 = p < aa / total;
+      const NodeId below2 = p < (aa + bb) / total;
+      const NodeId below3 = p < (aa + bb + cc) / total;
+      u = (u << 1) | ((below1 | below2) ^ 1);
+      v = (v << 1) | ((below1 ^ 1) & (below2 | (below3 ^ 1)));
+    }
+    if (u == v) continue;
+    const std::uint64_t key = (static_cast<std::uint64_t>(std::min(u, v))
+                               << 32) | std::max(u, v);
+    if (seen.insert(key).second) builder.AddEdge(u, v);
+  }
+  return LargestConnectedComponent(builder.Build());
+}
+
+// Runs `fn` with this thread's affinity mask narrowed to its first
+// `cpus` CPUs, then restores the mask. RMat sizes its team from the mask,
+// and the team's threads inherit it.
+template <typename Fn>
+void WithCpus(int cpus, Fn fn) {
+  cpu_set_t original;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(original), &original), 0);
+  cpu_set_t narrowed;
+  CPU_ZERO(&narrowed);
+  int kept = 0;
+  for (int cpu = 0; cpu < CPU_SETSIZE && kept < cpus; ++cpu) {
+    if (CPU_ISSET(cpu, &original)) {
+      CPU_SET(cpu, &narrowed);
+      ++kept;
+    }
+  }
+  ASSERT_EQ(sched_setaffinity(0, sizeof(narrowed), &narrowed), 0);
+  ASSERT_EQ(ResolveWorkerCount(0, 1000), cpus);
+  fn();
+  ASSERT_EQ(sched_setaffinity(0, sizeof(original), &original), 0);
+}
+
+void ExpectSameCsr(const Graph& actual, const Graph& expected,
+                   const std::string& label) {
+  EXPECT_EQ(actual.NumNodes(), expected.NumNodes()) << label;
+  EXPECT_TRUE(actual.Offsets() == expected.Offsets()) << label;
+  EXPECT_TRUE(actual.NeighborArray() == expected.NeighborArray()) << label;
+}
+
+struct RMatCase {
+  std::uint32_t scale;
+  std::uint64_t edge_factor;
+  std::uint64_t seed;
+};
+
+// RMat against the serial loop, on one thread and on the full team.
+// (14, 8) and (15, 3) take several rounds and several chunks per team
+// thread; in (4, 8) and (9, 300) the max_attempts cap binds (128 of 120
+// possible edges; 153,600 of 130,816), the latter over dozens of rounds
+// on the team.
+TEST(RandomGenTest, RMatMatchesSerialLoopBytewise) {
+  const RMatCase cases[] = {
+      {4, 8, 3}, {8, 4, 5}, {10, 9, 0x15}, {11, 5, 0x2A},
+      {14, 8, 0x51}, {15, 3, 0x17}, {9, 300, 0x0C},
+  };
+  const int all_cpus = ResolveWorkerCount(0, 1000);
+  for (const RMatCase& c : cases) {
+    const Graph expected = SerialRMat(c.scale, c.edge_factor, c.seed);
+    for (int cpus : {1, all_cpus}) {
+      const std::string label = "RMat(" + std::to_string(c.scale) + ", " +
+                                std::to_string(c.edge_factor) + ", " +
+                                std::to_string(c.seed) + ") on " +
+                                std::to_string(cpus) + " cpus";
+      WithCpus(cpus, [&] {
+        ExpectSameCsr(gen::RMat(c.scale, c.edge_factor, c.seed), expected,
+                      label);
+      });
+    }
+  }
+}
+
+TEST(RandomGenTest, RMatMatchesSerialLoopWithOtherQuadrants) {
+  const Graph expected = SerialRMat(13, 16, 9, 0.45, 0.15, 0.15);
+  WithCpus(ResolveWorkerCount(0, 1000), [&] {
+    ExpectSameCsr(gen::RMat(13, 16, 9, 0.45, 0.15, 0.15), expected,
+                  "RMat(13, 16, 9) with (a, b, c) = (0.45, 0.15, 0.15)");
+  });
 }
 
 TEST(RandomGenTest, SbmBlockStructure) {

@@ -103,6 +103,12 @@ TEST(GraphFingerprintTest, SmallRandomFamilies) {
   EXPECT_FINGERPRINT(EnsureNonBipartite(gen::Grid(6, 7)), "0x3113098c75b78071");
 }
 
+// Large enough for RMat's thread team (131,072 attempts in the first
+// round): many chunks per thread over several waves and rounds.
+TEST(GraphFingerprintTest, MultiChunkRMat) {
+  EXPECT_FINGERPRINT(gen::RMat(14, 8, 0x51), "0x5e96ffa06255808c");
+}
+
 TEST(GraphFingerprintTest, EdgeListFiles) {
   EXPECT_FINGERPRINT(LoadData("triangle.txt"), "0xdb0f80ba9987c710");
   EXPECT_FINGERPRINT(LoadData("weighted_smoke.txt"), "0xe37ee362317ad008");

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstdint>
 #include <set>
 #include <vector>
 
@@ -141,6 +143,105 @@ TEST(RngTest, FromStateSetsTheRawState) {
 
 TEST(RngDeathTest, FromStateRejectsAllZero) {
   EXPECT_DEATH(Rng::FromState(0, 0, 0, 0), "non-zero");
+}
+
+// Berlekamp–Massey over GF(2): the shortest linear recurrence that
+// generates `bits`, as its connection polynomial C(x) = 1 + c_1 x + … +
+// c_L x^L (coefficients c_0..c_L).
+std::vector<int> BerlekampMassey(const std::vector<int>& bits) {
+  const std::size_t n = bits.size();
+  std::vector<int> c(n + 1, 0);
+  std::vector<int> b(n + 1, 0);
+  c[0] = b[0] = 1;
+  std::size_t length = 0;
+  std::size_t shift = 1;
+  for (std::size_t i = 0; i < n; ++i) {
+    int discrepancy = bits[i];
+    for (std::size_t j = 1; j <= length; ++j) discrepancy ^= c[j] & bits[i - j];
+    if (discrepancy == 0) {
+      ++shift;
+      continue;
+    }
+    const std::vector<int> previous = c;
+    for (std::size_t j = 0; j + shift <= n; ++j) c[j + shift] ^= b[j];
+    if (2 * length <= i) {
+      length = i + 1 - length;
+      b = previous;
+      shift = 1;
+    } else {
+      ++shift;
+    }
+  }
+  c.resize(length + 1);
+  return c;
+}
+
+TEST(RngJumpTest, CharacteristicPolynomialMatchesBerlekampMassey) {
+  // Every bit of the xoshiro256 state follows the transition's
+  // characteristic polynomial P, which is primitive (the period is
+  // 2^256 − 1), so 512 steps of one state bit pin it: degree 256, and
+  // P(x) = x^256 C(1/x). x^256 mod P is P's low 256 coefficients, which
+  // is what JumpPolynomialFor(256) must return.
+  for (int word : {0, 3}) {
+    for (int bit : {0, 41}) {
+      Rng rng(0x5eed + word + bit);
+      std::vector<int> bits;
+      for (int step = 0; step < 512; ++step) {
+        bits.push_back(static_cast<int>((rng.State()[word] >> bit) & 1));
+        rng.Next();
+      }
+      const std::vector<int> c = BerlekampMassey(bits);
+      ASSERT_EQ(c.size(), 257u) << "word " << word << " bit " << bit;
+      Rng::JumpPolynomial low = {0, 0, 0, 0};
+      for (int j = 0; j < 256; ++j) {
+        if (c[256 - j] != 0) low[j / 64] |= std::uint64_t{1} << (j % 64);
+      }
+      EXPECT_EQ(low, Rng::JumpPolynomialFor(256))
+          << "word " << word << " bit " << bit;
+    }
+  }
+}
+
+TEST(RngJumpTest, JumpEqualsStepping) {
+  for (std::uint64_t seed : {std::uint64_t{1}, std::uint64_t{0xabcdef987}}) {
+    for (std::uint64_t words :
+         {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{2},
+          std::uint64_t{255}, std::uint64_t{256}, std::uint64_t{257},
+          (std::uint64_t{1} << 20) + 7}) {
+      Rng stepped(seed);
+      stepped.Discard(words);
+      Rng jumped(seed);
+      jumped.Jump(Rng::JumpPolynomialFor(words));
+      EXPECT_EQ(jumped.State(), stepped.State())
+          << "seed " << seed << " words " << words;
+      EXPECT_EQ(jumped.Next(), stepped.Next());
+    }
+  }
+}
+
+TEST(RngJumpTest, JumpsCompose) {
+  // Jump(a) then Jump(b) is Jump(a + b), for distances no loop could
+  // step through.
+  Rng distances(77);
+  for (int trial = 0; trial < 8; ++trial) {
+    const std::uint64_t a = distances.Next() >> 24;  // 40 bits
+    const std::uint64_t b = distances.Next() >> 24;
+    Rng two_jumps(trial + 1);
+    two_jumps.Jump(Rng::JumpPolynomialFor(a));
+    two_jumps.Jump(Rng::JumpPolynomialFor(b));
+    Rng one_jump(trial + 1);
+    one_jump.Jump(Rng::JumpPolynomialFor(a + b));
+    EXPECT_EQ(two_jumps.State(), one_jump.State())
+        << "a " << a << " b " << b;
+  }
+}
+
+TEST(RngJumpTest, StateRoundTripsThroughFromState) {
+  Rng rng(11);
+  rng.Discard(5);
+  const std::array<std::uint64_t, 4> s = rng.State();
+  Rng copy = Rng::FromState(s[0], s[1], s[2], s[3]);
+  for (int i = 0; i < 8; ++i) EXPECT_EQ(copy.Next(), rng.Next());
 }
 
 TEST(RngTest, GaussianMomentsMatch) {
