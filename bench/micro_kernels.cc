@@ -274,12 +274,14 @@ void BM_MakeYoutubeGraph(benchmark::State& state) {
 }
 BENCHMARK(BM_MakeYoutubeGraph)->Unit(benchmark::kMillisecond);
 
-// The team-size sweep behind R-MAT's size rule: RMat(scale, edge_factor)
-// with this thread's affinity mask narrowed to its first state.range(0)
-// CPUs, the mask RMat sizes its team from (restored afterwards). The
-// graphs' first rounds hold 16,384 to 196,608 attempts; where the rule
-// (one thread per 8,192) allows fewer threads than CPUs, it wins. The
-// CSR bytes are the same at every size.
+// R-MAT at 1–4 CPUs: RMat(scale, edge_factor) with this thread's
+// affinity mask narrowed to its first state.range(0) CPUs, the mask RMat
+// sizes its team from (restored afterwards). The size rule (one thread
+// per 8,192 first-round attempts) lets both graphs use all four CPUs, so
+// every row runs the team size it names; the CSR bytes are the same at
+// every size. The sweep that set the rule's constant also covers graphs
+// the rule caps, so it ran with the rule relaxed to one thread per
+// attempt (EXPERIMENTS.md, "Parallel R-MAT").
 void BM_RMatTeam(benchmark::State& state, std::uint32_t scale,
                  std::uint64_t edge_factor) {
   cpu_set_t original;
@@ -302,16 +304,7 @@ void BM_RMatTeam(benchmark::State& state, std::uint32_t scale,
   state.counters["attempts"] =
       static_cast<double>(edge_factor << scale);
 }
-BENCHMARK_CAPTURE(BM_RMatTeam, rmat12x4, 12, 4)
-    ->DenseRange(1, 4)
-    ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_RMatTeam, rmat13x4, 13, 4)
-    ->DenseRange(1, 4)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_RMatTeam, rmat14x4, 14, 4)
-    ->DenseRange(1, 4)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_RMatTeam, rmat15x4, 15, 4)
     ->DenseRange(1, 4)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_RMatTeam, youtube_rmat16x3, 16, 3)

@@ -465,63 +465,40 @@ Graph RMat(std::uint32_t scale, std::uint64_t edge_factor, std::uint64_t seed,
       std::max<std::uint64_t>(1, kWordsPerChunk / words_per_attempt);
   const int threads =
       ResolveWorkerCount(0, target_edges / kAttemptsPerTeamThread);
-  // More parts than threads, so the dedupe pass balances.
-  const int partition_bits =
-      threads == 1 ? 0 : std::countr_zero(std::bit_ceil(4u * threads));
+  // The dedupe set's parts: one for a lone thread, whose set would only
+  // grow sooner if split (a part fills past half while the whole does
+  // not), and 4–8 per thread in a team, so the dedupe pass balances.
+  const int partition_bits = std::bit_width(4u * (threads - 1));
   Rng rng(seed);
   Graph g;
   {
     // Scoped so the dedupe set is freed before Build allocates, and the
     // recorded edges before LargestConnectedComponent does.
     GraphBuilder builder(n);
+    // At most target_edges edges are recorded. Growing the record as
+    // they come cost RMat(16, 3) 1.5–2 ms of ~7 at 4 CPUs.
+    builder.Reserve(target_edges);
     {
       ThreadTeam team(threads);
-      // At most target_edges edges are recorded, so the team's recording
-      // task never reallocates.
-      builder.Reserve(target_edges);
       EdgeKeySet seen(target_edges, partition_bits);
       const std::size_t num_parts = seen.num_parts();
-      // The keys each part found new in the last wave, not yet recorded.
-      std::vector<FreshKeys> fresh(num_parts);
-      bool fresh_pending = false;
-      auto record_fresh = [&] {
-        for (FreshKeys& part : fresh) {
-          for (std::uint64_t key : part.keys) {
-            builder.AddEdge(EdgeKeyU(key), EdgeKeyV(key));
-          }
-          part.keys.clear();
-        }
-        fresh_pending = false;
-      };
-      // The serial loop's steps, on the caller: attempt by attempt, each
-      // new edge recorded at once.
-      auto run_serial = [&](std::uint64_t count) {
-        if (fresh_pending) record_fresh();
-        for (std::uint64_t k = 0; k < count; ++k) {
-          const std::uint64_t key = SampleRMatAttempt(rng, quadrants);
-          if (key != 0 && seen.Insert(key)) {
-            builder.AddEdge(EdgeKeyU(key), EdgeKeyV(key));
-          }
-        }
-      };
-      // A wave of chunks on the team. Chunk i samples attempts
-      // [i·chunk, (i + 1)·chunk) of the wave from its own copy of the
-      // stream, jumped there from the previous chunk's start, and groups
-      // its keys by part; meanwhile one thread records the previous
-      // wave's new edges. Then each part's keys go into the set, one
-      // thread per part, and its new keys wait for the next wave. Every
-      // buffer is allocated on the caller: memory a helper allocates
-      // comes from its own malloc arena and stays resident after the
-      // team is gone (batch_uniform's peak RSS rose 2–3 MiB).
+      // A wave samples up to wave_chunks chunks of attempts. Chunk i
+      // samples attempts [i·chunk, (i + 1)·chunk) of the wave from its
+      // own copy of the stream, jumped there from the previous chunk's
+      // start, and groups its keys by part. Then each part's keys go into
+      // the set, one thread per part, and the caller records the new
+      // ones. Every buffer is allocated on the caller: memory a helper
+      // allocates comes from its own malloc arena and stays resident
+      // after the team is gone (batch_uniform's peak RSS rose 2–3 MiB).
       const Rng::JumpPolynomial chunk_jump =
-          threads == 1 ? Rng::JumpPolynomial{}
-                       : Rng::JumpPolynomialFor(chunk * words_per_attempt);
+          Rng::JumpPolynomialFor(chunk * words_per_attempt);
       const std::uint64_t wave_chunks =
           static_cast<std::uint64_t>(threads) * kChunksPerThreadPerWave;
-      std::vector<Rng> starts(threads == 1 ? 0 : wave_chunks);
-      std::vector<RMatChunkKeys> chunk_keys(threads == 1 ? 0 : wave_chunks);
+      std::vector<Rng> starts(wave_chunks);
+      std::vector<RMatChunkKeys> chunk_keys(wave_chunks);
       for (RMatChunkKeys& keys : chunk_keys) keys.Resize(chunk, num_parts);
       std::vector<std::uint64_t> incoming(num_parts);
+      std::vector<FreshKeys> fresh(num_parts);
       auto run_wave = [&](std::uint64_t count) {
         const std::uint64_t chunks = (count + chunk - 1) / chunk;
         starts[0] = rng;
@@ -529,15 +506,7 @@ Graph RMat(std::uint32_t scale, std::uint64_t edge_factor, std::uint64_t seed,
           starts[i] = starts[i - 1];
           starts[i].Jump(chunk_jump);
         }
-        // Task 0 records the previous wave's edges, if any: claimed
-        // first, it overlaps the sampling.
-        const std::uint64_t first_chunk = fresh_pending ? 1 : 0;
-        team.ParallelFor(first_chunk + chunks, [&](std::size_t task) {
-          if (task < first_chunk) {
-            record_fresh();
-            return;
-          }
-          const std::uint64_t i = task - first_chunk;
+        team.ParallelFor(chunks, [&](std::size_t i) {
           Rng stream = starts[i];
           chunk_keys[i].Fill(stream, quadrants,
                              std::min(count - i * chunk, chunk), seen);
@@ -548,6 +517,7 @@ Graph RMat(std::uint32_t scale, std::uint64_t edge_factor, std::uint64_t seed,
           for (std::uint64_t i = 0; i < chunks; ++i) {
             incoming[p] += chunk_keys[i].begin[p + 1] - chunk_keys[i].begin[p];
           }
+          fresh[p].keys.clear();
           fresh[p].keys.reserve(incoming[p]);
         }
         seen.Reserve(incoming);
@@ -561,7 +531,11 @@ Graph RMat(std::uint32_t scale, std::uint64_t edge_factor, std::uint64_t seed,
             }
           }
         });
-        fresh_pending = true;
+        for (const FreshKeys& part : fresh) {
+          for (std::uint64_t key : part.keys) {
+            builder.AddEdge(EdgeKeyU(key), EdgeKeyV(key));
+          }
+        }
       };
       // The serial loop runs attempts until it has target_edges distinct
       // edges or max_attempts attempts. Each attempt adds at most one
@@ -577,17 +551,12 @@ Graph RMat(std::uint32_t scale, std::uint64_t edge_factor, std::uint64_t seed,
         for (std::uint64_t done = 0; done < round;) {
           const std::uint64_t count =
               std::min(round - done, wave_chunks * chunk);
-          if (threads == 1 || count <= chunk) {
-            run_serial(count);
-          } else {
-            run_wave(count);
-          }
+          run_wave(count);
           done += count;
         }
         attempts += round;
         distinct = seen.size();
       }
-      if (fresh_pending) record_fresh();
     }
     g = builder.Build();
   }

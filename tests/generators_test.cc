@@ -233,40 +233,39 @@ struct RMatCase {
   std::uint32_t scale;
   std::uint64_t edge_factor;
   std::uint64_t seed;
+  double a = 0.57;
+  double b = 0.19;
+  double c = 0.19;
 };
 
 // RMat against the serial loop, on one thread and on the full team.
 // (14, 8) and (15, 3) take several rounds and several chunks per team
 // thread; in (4, 8) and (9, 300) the max_attempts cap binds (128 of 120
 // possible edges; 153,600 of 130,816), the latter over dozens of rounds
-// on the team.
+// on the team. (13, 16) uses other quadrant probabilities.
 TEST(RandomGenTest, RMatMatchesSerialLoopBytewise) {
   const RMatCase cases[] = {
-      {4, 8, 3}, {8, 4, 5}, {10, 9, 0x15}, {11, 5, 0x2A},
-      {14, 8, 0x51}, {15, 3, 0x17}, {9, 300, 0x0C},
+      {4, 8, 3},      {8, 4, 5},       {10, 9, 0x15},
+      {11, 5, 0x2A},  {14, 8, 0x51},   {15, 3, 0x17},
+      {9, 300, 0x0C}, {13, 16, 9, 0.45, 0.15, 0.15},
   };
   const int all_cpus = ResolveWorkerCount(0, 1000);
   for (const RMatCase& c : cases) {
-    const Graph expected = SerialRMat(c.scale, c.edge_factor, c.seed);
+    const Graph expected =
+        SerialRMat(c.scale, c.edge_factor, c.seed, c.a, c.b, c.c);
     for (int cpus : {1, all_cpus}) {
-      const std::string label = "RMat(" + std::to_string(c.scale) + ", " +
-                                std::to_string(c.edge_factor) + ", " +
-                                std::to_string(c.seed) + ") on " +
-                                std::to_string(cpus) + " cpus";
+      const std::string label =
+          "RMat(" + std::to_string(c.scale) + ", " +
+          std::to_string(c.edge_factor) + ", " + std::to_string(c.seed) +
+          ", " + std::to_string(c.a) + ", " + std::to_string(c.b) + ", " +
+          std::to_string(c.c) + ") on " + std::to_string(cpus) + " cpus";
       WithCpus(cpus, [&] {
-        ExpectSameCsr(gen::RMat(c.scale, c.edge_factor, c.seed), expected,
-                      label);
+        ExpectSameCsr(
+            gen::RMat(c.scale, c.edge_factor, c.seed, c.a, c.b, c.c),
+            expected, label);
       });
     }
   }
-}
-
-TEST(RandomGenTest, RMatMatchesSerialLoopWithOtherQuadrants) {
-  const Graph expected = SerialRMat(13, 16, 9, 0.45, 0.15, 0.15);
-  WithCpus(ResolveWorkerCount(0, 1000), [&] {
-    ExpectSameCsr(gen::RMat(13, 16, 9, 0.45, 0.15, 0.15), expected,
-                  "RMat(13, 16, 9) with (a, b, c) = (0.45, 0.15, 0.15)");
-  });
 }
 
 TEST(RandomGenTest, SbmBlockStructure) {
