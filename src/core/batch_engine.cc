@@ -105,29 +105,30 @@ BatchReport RunQueryBatch(ErEstimator& estimator,
   };
   std::vector<WorkerScratch> scratch(static_cast<std::size_t>(workers));
 
-  WorkStealingPool::Run(
-      workers, num_groups, [&](int worker, std::size_t g) {
-        if (context.Cancelled()) return;
-        ErEstimator* est = worker_estimators[worker];
-        const std::uint32_t begin = plan.group_offsets[g];
-        const std::uint32_t end = plan.group_offsets[g + 1];
-        obs::Span estimate_span("estimate");
-        estimate_span.Arg("group", g);
-        estimate_span.Arg("queries", end - begin);
-        WorkerScratch& ws = scratch[worker];
-        ws.queries.clear();
-        for (std::uint32_t k = begin; k < end; ++k) {
-          ws.queries.push_back(queries[plan.order[k]]);
-        }
-        ws.stats.assign(ws.queries.size(), QueryStats{});
-        const std::size_t done =
-            est->EstimateBatch(ws.queries, ws.stats, context);
-        for (std::size_t k = 0; k < done; ++k) {
-          const std::uint32_t q = plan.order[begin + k];
-          stats[q] = ws.stats[k];
-          report.processed[q] = 1;  // workers own disjoint plan slots
-        }
-      });
+  // The caller is worker 0 and helper i is worker i, so each worker
+  // estimator and scratch slot is entered by one thread at a time.
+  ThreadTeam team(workers);
+  team.ParallelFor(num_groups, [&](int worker, std::size_t g) {
+    if (context.Cancelled()) return;
+    ErEstimator* est = worker_estimators[worker];
+    const std::uint32_t begin = plan.group_offsets[g];
+    const std::uint32_t end = plan.group_offsets[g + 1];
+    obs::Span estimate_span("estimate");
+    estimate_span.Arg("group", g);
+    estimate_span.Arg("queries", end - begin);
+    WorkerScratch& ws = scratch[worker];
+    ws.queries.clear();
+    for (std::uint32_t k = begin; k < end; ++k) {
+      ws.queries.push_back(queries[plan.order[k]]);
+    }
+    ws.stats.assign(ws.queries.size(), QueryStats{});
+    const std::size_t done = est->EstimateBatch(ws.queries, ws.stats, context);
+    for (std::size_t k = 0; k < done; ++k) {
+      const std::uint32_t q = plan.order[begin + k];
+      stats[q] = ws.stats[k];
+      report.processed[q] = 1;  // workers own disjoint plan slots
+    }
+  });
 
   for (const std::uint8_t p : report.processed) report.answered += p;
   report.completed = report.answered == n;

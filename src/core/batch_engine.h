@@ -1,6 +1,7 @@
 // The batch query engine: answers a query set through an estimator's
-// BatchPlan + EstimateBatch surface, optionally on a work-stealing thread
-// pool, with a cooperatively enforced deadline.
+// BatchPlan + EstimateBatch surface, optionally on a thread team
+// (util/thread_pool.h) built per call, with a cooperatively enforced
+// deadline.
 //
 // Determinism contract: per-query values are bit-identical to the serial
 // loop `for q: estimator.Estimate(q.s, q.t)` at ANY worker count,
@@ -24,7 +25,9 @@ namespace geer {
 
 /// Execution knobs for one batch run.
 struct BatchOptions {
-  /// Worker threads; 0 = hardware concurrency, 1 = run on the caller.
+  /// Worker threads; ≤ 0 = the CPUs this process may run on (its
+  /// affinity mask, as ResolveWorkerCount reads it), 1 = run on the
+  /// caller.
   int threads = 1;
   /// Cooperative wall-clock budget; ≤ 0 = none. At least one query is
   /// always answered; the cut granularity is one plan group.
@@ -65,6 +68,16 @@ struct BatchReport {
 /// estimators are the workers instead (`estimator` still provides the
 /// plan). `stats.size() >= queries.size()`. Re-entrant: concurrent calls
 /// are safe as long as no estimator instance is shared between them.
+///
+/// The caller is worker 0 and starts workers − 1 helper threads for the
+/// call; worker w always answers on worker estimator w, so no estimator
+/// is entered by two threads at once. Workers claim plan groups in plan
+/// order. Exceptions: if a group throws, the worker that caught it stops
+/// claiming groups, the other workers still answer the remaining ones,
+/// and the first exception is rethrown here once every worker has left
+/// the call (at one worker a throw skips the remaining groups). Either
+/// way no BatchReport is returned; QueryService resolves such a batch
+/// as kFailed.
 BatchReport RunQueryBatch(ErEstimator& estimator,
                           std::span<const QueryPair> queries,
                           std::span<QueryStats> stats,

@@ -3,7 +3,7 @@
 // the paper reports (average query time, average absolute error) plus
 // cost instrumentation. Queries route through the batch engine
 // (core/batch_engine.h): the estimator's BatchPlan groups shared work,
-// RunConfig::threads fans the groups out over a work-stealing pool, and
+// RunConfig::threads fans the groups out over a thread team, and
 // the deadline is enforced cooperatively across workers. Per-query
 // values are bit-identical to the serial loop at any thread count.
 
@@ -57,7 +57,7 @@ struct MethodResult {
 struct RunConfig {
   double deadline_seconds = 60.0;  ///< per-(method, ε) budget; ≤0 = none
   bool collect_errors = true;      ///< compare against ground truth
-  int threads = 1;                 ///< engine workers; 0 = hw concurrency
+  int threads = 1;                 ///< engine workers; 0 = affinity mask
 };
 
 /// Runs `method` over `queries` on either weight stack — THE experiment

@@ -19,13 +19,12 @@ std::vector<double> GroundTruthCg(const Graph& graph,
   opt.tolerance = 1e-12;
   opt.max_iterations = 50000;
   // Solve() is const and allocates per call, so one solver serves every
-  // worker of the pool race-free.
+  // worker of the team race-free.
   const LaplacianSolver solver(graph, opt);
-  WorkStealingPool::Run(
-      ResolveWorkerCount(num_threads, queries.size()), queries.size(),
-      [&](int /*worker*/, std::size_t i) {
-        truth[i] = solver.EffectiveResistance(queries[i].s, queries[i].t);
-      });
+  ThreadTeam team(ResolveWorkerCount(num_threads, queries.size()));
+  team.ParallelFor(queries.size(), [&](int /*worker*/, std::size_t i) {
+    truth[i] = solver.EffectiveResistance(queries[i].s, queries[i].t);
+  });
   return truth;
 }
 
@@ -44,15 +43,12 @@ std::vector<double> GroundTruthSmm(const Graph& graph,
   for (int w = 0; w < workers; ++w) {
     ops.push_back(std::make_unique<TransitionOperator>(graph));
   }
-  WorkStealingPool::Run(workers, queries.size(),
-                        [&](int worker, std::size_t i) {
-                          SmmIterator iter(graph, ops[worker].get(),
-                                           queries[i].s, queries[i].t);
-                          for (std::uint32_t k = 0; k < iterations; ++k) {
-                            iter.Advance();
-                          }
-                          truth[i] = iter.rb();
-                        });
+  ThreadTeam team(workers);
+  team.ParallelFor(queries.size(), [&](int worker, std::size_t i) {
+    SmmIterator iter(graph, ops[worker].get(), queries[i].s, queries[i].t);
+    for (std::uint32_t k = 0; k < iterations; ++k) iter.Advance();
+    truth[i] = iter.rb();
+  });
   return truth;
 }
 

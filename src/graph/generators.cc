@@ -506,7 +506,7 @@ Graph RMat(std::uint32_t scale, std::uint64_t edge_factor, std::uint64_t seed,
           starts[i] = starts[i - 1];
           starts[i].Jump(chunk_jump);
         }
-        team.ParallelFor(chunks, [&](std::size_t i) {
+        team.ParallelFor(chunks, [&](int, std::size_t i) {
           Rng stream = starts[i];
           chunk_keys[i].Fill(stream, quadrants,
                              std::min(count - i * chunk, chunk), seen);
@@ -521,7 +521,7 @@ Graph RMat(std::uint32_t scale, std::uint64_t edge_factor, std::uint64_t seed,
           fresh[p].keys.reserve(incoming[p]);
         }
         seen.Reserve(incoming);
-        team.ParallelFor(num_parts, [&](std::size_t p) {
+        team.ParallelFor(num_parts, [&](int, std::size_t p) {
           for (std::uint64_t i = 0; i < chunks; ++i) {
             const RMatChunkKeys& keys = chunk_keys[i];
             for (std::uint32_t j = keys.begin[p]; j < keys.begin[p + 1]; ++j) {

@@ -149,12 +149,12 @@ void NormalizedAdjacencyOperatorT<WP>::Apply(const Vector& x, Vector* y,
       static_cast<std::size_t>(team->size()) * kChunksPerThread;
   SplitRows(chunks);
   if constexpr (!WP::kWeighted) {
-    team->ParallelFor(chunks, [&](std::size_t c) {
+    team->ParallelFor(chunks, [&](int, std::size_t c) {
       ScaleRange(x, static_cast<NodeId>(std::uint64_t{n} * c / chunks),
                  static_cast<NodeId>(std::uint64_t{n} * (c + 1) / chunks));
     });
   }
-  team->ParallelFor(chunks, [&](std::size_t c) {
+  team->ParallelFor(chunks, [&](int, std::size_t c) {
     ApplyRows(x, out, chunk_starts_[c], chunk_starts_[c + 1]);
   });
 }

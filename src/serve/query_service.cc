@@ -1,12 +1,14 @@
 #include "serve/query_service.h"
 
 #include <algorithm>
+#include <limits>
 #include <span>
 #include <utility>
 
 #include "core/batch_engine.h"
 #include "obs/trace.h"
 #include "util/check.h"
+#include "util/thread_pool.h"
 
 namespace geer {
 namespace {
@@ -76,11 +78,8 @@ QueryService::QueryService(ErEstimator& estimator,
                            const ServeOptions& options)
     : options_(options), primary_(&estimator) {
   if (options_.max_batch_size == 0) options_.max_batch_size = 1;
-  int requested = options_.threads;
-  if (requested <= 0) {
-    requested = static_cast<int>(std::thread::hardware_concurrency());
-  }
-  if (requested < 1) requested = 1;
+  const int requested = ResolveWorkerCount(
+      options_.threads, std::numeric_limits<std::size_t>::max());
   workers_.push_back(primary_);
   // Non-clonable estimators degrade to a single worker, exactly like the
   // one-shot engine path.
@@ -579,11 +578,11 @@ void QueryService::DispatchBatch(std::vector<Pending> batch,
           std::chrono::duration<double>(latest_deadline - dispatched)
               .count();
     }
-    // A dispatch that throws (the pool rethrows the first task exception
-    // here — realistically an allocation failure) must not escape the
-    // scheduler thread: that would std::terminate the process with every
-    // client's future left unresolved. Resolve the batch as kFailed and
-    // keep serving instead.
+    // A dispatch that throws (the engine's team rethrows the first group
+    // exception here, once every worker has left the call — realistically
+    // an allocation failure) must not escape the scheduler thread: that
+    // would std::terminate the process with every client's future left
+    // unresolved. Resolve the batch as kFailed and keep serving instead.
     std::vector<QueryStats> stats(queries.size());
     BatchReport report;
     bool dispatch_failed = false;

@@ -9,7 +9,7 @@
 // per-query deadline is about to expire — then the whole micro-batch is
 // planned by the estimator's BatchPlan (same-source queries land in the
 // same group, sharing walk populations / SpMV iterates) and dispatched
-// over the work-stealing pool. The scheduler thread dispatches whatever
+// over the engine's thread team. The scheduler thread dispatches whatever
 // Submit() queued. A blocking Answer() caller at zero linger does not
 // hand its query over: whenever no micro-batch or epoch swap holds the
 // workers, it pops the queue's first micro-batch and dispatches it on its
@@ -78,7 +78,8 @@ struct ServeOptions {
   /// dispatch on their own threads.
   double max_linger_seconds = 0.002;
   /// Scheduler worker threads for each dispatched micro-batch (engine
-  /// workers; 0 = hardware concurrency). Worker 0 is the dispatching
+  /// workers; ≤ 0 = the CPUs this process may run on, its affinity
+  /// mask, as ResolveWorkerCount reads it). Worker 0 is the dispatching
   /// thread itself (the scheduler or an Answer() caller). Values are
   /// bit-identical at any count.
   int threads = 1;

@@ -4,41 +4,13 @@
 
 #include <atomic>
 #include <chrono>
-#include <deque>
 #include <exception>
 #include <mutex>
 #include <thread>
 #include <utility>
-#include <vector>
-
-#include "util/check.h"
 
 namespace geer {
 namespace {
-
-// Mutex-guarded deque: contention is per-task-pop, and tasks in this
-// library (query groups) are orders of magnitude heavier than a lock, so
-// the simple TSan-friendly implementation wins over a lock-free one.
-struct TaskDeque {
-  std::mutex mu;
-  std::deque<std::size_t> tasks;
-
-  bool PopFront(std::size_t* out) {
-    std::lock_guard<std::mutex> lock(mu);
-    if (tasks.empty()) return false;
-    *out = tasks.front();
-    tasks.pop_front();
-    return true;
-  }
-
-  bool StealBack(std::size_t* out) {
-    std::lock_guard<std::mutex> lock(mu);
-    if (tasks.empty()) return false;
-    *out = tasks.back();
-    tasks.pop_back();
-    return true;
-  }
-};
 
 // ThreadTeam::state_: bits 0–31 count the helpers inside the current
 // call, bit 32 marks it closed, bit 33 asks the helpers to exit, and the
@@ -109,75 +81,6 @@ int ResolveWorkerCount(int requested, std::size_t num_tasks) {
   return workers < 1 ? 1 : workers;
 }
 
-void WorkStealingPool::Run(
-    int workers, std::size_t num_tasks,
-    const std::function<void(int, std::size_t)>& fn) {
-  if (num_tasks == 0) return;
-  workers = ResolveWorkerCount(workers, num_tasks);
-  if (workers == 1) {
-    // Inline on the caller: an exception propagates directly (remaining
-    // tasks skipped), matching the multi-worker rethrow semantics.
-    for (std::size_t i = 0; i < num_tasks; ++i) fn(0, i);
-    return;
-  }
-
-  std::vector<TaskDeque> deques(static_cast<std::size_t>(workers));
-  // Round-robin deal preserves rough order within each worker while
-  // spreading adjacent (often similarly sized) tasks across workers.
-  for (std::size_t i = 0; i < num_tasks; ++i) {
-    deques[i % workers].tasks.push_back(i);
-  }
-
-  // First task exception, rethrown on the caller after all workers
-  // joined — an exception escaping a std::thread would terminate the
-  // process. `failed` doubles as a cooperative stop: once set, workers
-  // drop their remaining tasks instead of running them.
-  std::mutex error_mu;
-  std::exception_ptr first_error;
-  std::atomic<bool> failed(false);
-
-  auto run_task = [&fn, &error_mu, &first_error, &failed](int id,
-                                                          std::size_t task) {
-    try {
-      fn(id, task);
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(error_mu);
-      if (first_error == nullptr) first_error = std::current_exception();
-      failed.store(true, std::memory_order_release);
-    }
-  };
-
-  auto worker_loop = [&deques, &run_task, &failed, workers](int id) {
-    std::size_t task = 0;
-    for (;;) {
-      if (failed.load(std::memory_order_acquire)) return;
-      if (deques[id].PopFront(&task)) {
-        run_task(id, task);
-        continue;
-      }
-      bool stole = false;
-      for (int off = 1; off < workers; ++off) {
-        const int victim = (id + off) % workers;
-        if (deques[victim].StealBack(&task)) {
-          stole = true;
-          break;
-        }
-      }
-      if (!stole) return;  // all deques empty: done (no task re-entry)
-      run_task(id, task);
-    }
-  };
-
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(workers) - 1);
-  for (int id = 1; id < workers; ++id) {
-    threads.emplace_back(worker_loop, id);
-  }
-  worker_loop(0);  // the caller is worker 0
-  for (auto& th : threads) th.join();
-  if (first_error != nullptr) std::rethrow_exception(first_error);
-}
-
 // A call opens by publishing a new generation with the closed bit clear.
 // A helper enters it with a CAS that bumps the active count, which fails
 // once the caller has set the closed bit, so no helper enters a call
@@ -189,8 +92,8 @@ ThreadTeam::ThreadTeam(int size) {
   const int helpers = size > 1 ? size - 1 : 0;
   helpers_.reserve(static_cast<std::size_t>(helpers));
   try {
-    for (int i = 0; i < helpers; ++i) {
-      helpers_.emplace_back([this] { HelperLoop(); });
+    for (int i = 1; i <= helpers; ++i) {
+      helpers_.emplace_back([this, i] { HelperLoop(i); });
     }
   } catch (...) {
     StopHelpers();  // join the helpers that did start
@@ -207,10 +110,10 @@ void ThreadTeam::StopHelpers() {
   for (std::thread& helper : helpers_) helper.join();
 }
 
-void ThreadTeam::ParallelFor(std::size_t num_chunks,
-                             const std::function<void(std::size_t)>& fn) {
+void ThreadTeam::ParallelFor(
+    std::size_t num_chunks, const std::function<void(int, std::size_t)>& fn) {
   if (helpers_.empty() || num_chunks <= 1) {
-    for (std::size_t i = 0; i < num_chunks; ++i) fn(i);
+    for (std::size_t i = 0; i < num_chunks; ++i) fn(0, i);
     return;
   }
   fn_ = &fn;
@@ -218,7 +121,7 @@ void ThreadTeam::ParallelFor(std::size_t num_chunks,
   next_chunk_.store(0);
   state_.store((state_.load() & kGenerationMask) + kGenerationUnit);
   state_.notify_all();
-  RunChunks();
+  RunChunks(0);
   state_.fetch_or(kClosed);
   AwaitState(state_, [](std::uint64_t s) { return (s & kActiveMask) == 0; });
   std::exception_ptr error;
@@ -229,11 +132,11 @@ void ThreadTeam::ParallelFor(std::size_t num_chunks,
   if (error != nullptr) std::rethrow_exception(error);
 }
 
-void ThreadTeam::RunChunks() {
+void ThreadTeam::RunChunks(int worker) {
   try {
     for (std::size_t i = next_chunk_.fetch_add(1); i < num_chunks_;
          i = next_chunk_.fetch_add(1)) {
-      (*fn_)(i);
+      (*fn_)(worker, i);
     }
   } catch (...) {
     // This thread stops claiming; the others run the remaining chunks.
@@ -242,7 +145,7 @@ void ThreadTeam::RunChunks() {
   }
 }
 
-void ThreadTeam::HelperLoop() {
+void ThreadTeam::HelperLoop(int worker) {
   std::uint64_t seen = 0;  // the generation this helper last looked at
   for (;;) {
     std::uint64_t s = AwaitState(state_, [seen](std::uint64_t v) {
@@ -252,7 +155,7 @@ void ThreadTeam::HelperLoop() {
     seen = s & kGenerationMask;
     while (!(s & kClosed) && (s & kGenerationMask) == seen) {
       if (state_.compare_exchange_weak(s, s + 1)) {
-        RunChunks();
+        RunChunks(worker);
         const std::uint64_t prev = state_.fetch_sub(1);
         if ((prev & kActiveMask) == 1 && (prev & kClosed)) {
           state_.notify_all();

@@ -5,13 +5,22 @@
 // interleaving batch and serial calls on the same instance. The
 // shared-precomputation overrides (TP/TPC walk populations, SMM/GEER
 // push vectors) must additionally do strictly less work on a
-// grouped-by-source set than the serial loop.
+// grouped-by-source set than the serial loop. Each worker estimator is
+// entered by one thread at a time, and by one thread per call.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <limits>
+#include <memory>
+#include <mutex>
+#include <set>
+#include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/batch_engine.h"
@@ -200,6 +209,117 @@ TEST(BatchDeterminismTest, SharedPrecomputationDoesStrictlyLessWork) {
     }
     EXPECT_LT(batch_work, serial_work) << name;
     EXPECT_GT(batch_work, 0u) << name;
+  }
+}
+
+// What the EntryProbe instances of one test saw: per instance, the
+// threads that entered it since the last Reset and whether two threads
+// were inside it at once.
+struct EntryLog {
+  std::mutex mu;
+  std::vector<std::set<std::thread::id>> entrants;
+  std::vector<std::uint8_t> overlapped;
+
+  int Register() {
+    std::lock_guard<std::mutex> lock(mu);
+    entrants.emplace_back();
+    overlapped.push_back(0);
+    return static_cast<int>(entrants.size()) - 1;
+  }
+  void Reset() {
+    std::lock_guard<std::mutex> lock(mu);
+    for (auto& e : entrants) e.clear();
+    std::fill(overlapped.begin(), overlapped.end(), 0);
+  }
+};
+
+// A clonable estimator that answers s + t after dwelling ~50 µs inside,
+// so that a second thread entering the same instance overlaps it, and
+// records every entry in the shared log.
+class EntryProbe : public ErEstimator {
+ public:
+  explicit EntryProbe(std::shared_ptr<EntryLog> log)
+      : log_(std::move(log)), id_(log_->Register()) {}
+
+  std::string Name() const override { return "ENTRY-PROBE"; }
+
+  QueryStats EstimateWithStats(NodeId s, NodeId t) override {
+    const bool overlapped = inside_.exchange(true);
+    {
+      std::lock_guard<std::mutex> lock(log_->mu);
+      log_->entrants[id_].insert(std::this_thread::get_id());
+      if (overlapped) log_->overlapped[id_] = 1;
+    }
+    const auto until =
+        std::chrono::steady_clock::now() + std::chrono::microseconds(50);
+    while (std::chrono::steady_clock::now() < until) {
+    }
+    inside_.store(false);
+    QueryStats stats;
+    stats.value = static_cast<double>(s) + static_cast<double>(t);
+    return stats;
+  }
+
+  std::unique_ptr<ErEstimator> CloneForBatch() const override {
+    return std::make_unique<EntryProbe>(log_);
+  }
+
+ private:
+  std::shared_ptr<EntryLog> log_;
+  int id_;
+  std::atomic<bool> inside_{false};
+};
+
+// The engine hands worker w's groups to worker estimator w only: with
+// ad-hoc clones and with caller-owned session workers, at any worker
+// count, no estimator instance is entered by two threads at once or by
+// more than one thread within one RunQueryBatch call.
+TEST(BatchDeterminismTest, EachWorkerEstimatorIsEnteredByOneThreadPerCall) {
+  std::vector<QueryPair> queries;
+  for (NodeId i = 0; i < 64; ++i) queries.push_back({i, i + 1});
+  for (const bool session : {false, true}) {
+    for (const int threads : {1, 2, 4, 8}) {
+      const std::string where = std::string(session ? "session" : "clones") +
+                                " threads=" + std::to_string(threads);
+      auto log = std::make_shared<EntryLog>();
+      EntryProbe primary(log);
+      std::vector<std::unique_ptr<EntryProbe>> owned;
+      std::vector<ErEstimator*> session_workers;
+      if (session) {
+        session_workers.push_back(&primary);
+        for (int w = 1; w < threads; ++w) {
+          owned.push_back(std::make_unique<EntryProbe>(log));
+          session_workers.push_back(owned.back().get());
+        }
+      }
+      BatchOptions options;
+      options.threads = threads;
+      options.session_workers = session_workers;
+      for (int call = 0; call < 3; ++call) {
+        log->Reset();
+        std::vector<QueryStats> stats(queries.size());
+        const BatchReport report =
+            RunQueryBatch(primary, queries, stats, options);
+        ASSERT_TRUE(report.completed) << where;
+        EXPECT_EQ(report.workers, threads) << where;
+        for (std::size_t i = 0; i < queries.size(); ++i) {
+          ASSERT_EQ(stats[i].value, 2.0 * static_cast<double>(i) + 1.0)
+              << where << " query " << i;
+        }
+        std::lock_guard<std::mutex> lock(log->mu);
+        ASSERT_EQ(log->entrants.size(),
+                  session ? static_cast<std::size_t>(threads)
+                          : 1 + static_cast<std::size_t>(call + 1) *
+                                    static_cast<std::size_t>(threads - 1))
+            << where;
+        for (std::size_t e = 0; e < log->entrants.size(); ++e) {
+          EXPECT_FALSE(log->overlapped[e])
+              << where << " call " << call << " estimator " << e;
+          EXPECT_LE(log->entrants[e].size(), 1u)
+              << where << " call " << call << " estimator " << e;
+        }
+      }
+    }
   }
 }
 

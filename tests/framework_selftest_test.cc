@@ -118,6 +118,26 @@ TEST(FrameworkSelfTest, DeathTestRejectsWrongMessage) {
   EXPECT_NE(why.find("did not match"), std::string::npos);
 }
 
+// Death-test patterns are plain substrings: "a+b" matches the literal
+// text "a+b" and not "aab", which the regular expression would.
+TEST(FrameworkSelfTest, DeathTestPatternIsALiteralSubstring) {
+  std::string why;
+  EXPECT_TRUE(RunDeathTest(
+      [] {
+        std::fprintf(stderr, "sum a+b overflowed\n");
+        std::abort();
+      },
+      "a+b", &why))
+      << why;
+  EXPECT_FALSE(RunDeathTest(
+      [] {
+        std::fprintf(stderr, "aab\n");
+        std::abort();
+      },
+      "a+b", &why));
+  EXPECT_NE(why.find("did not match"), std::string::npos);
+}
+
 // A failing assertion inside a forked child makes the child's runner exit
 // non-zero — which is exactly what a death test can observe. This closes
 // the loop: the framework's failure path is itself verified to be fatal

@@ -12,6 +12,7 @@
 // ThreadSanitizer in CI.
 
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <cmath>
 #include <future>
@@ -436,6 +437,36 @@ TEST_F(ServeDeterminismTest, TinyDeadlineExpiresQueriesWithoutHanging) {
   EXPECT_EQ(resolved, trace_.size());
   EXPECT_GT(served.expired, 0u);
 }
+
+#if defined(__linux__)
+// threads ≤ 0 builds one worker per CPU of the affinity mask (as
+// ResolveWorkerCount reads it), not per CPU of the machine: pinned to
+// one CPU, the service runs one worker and clones nothing.
+TEST_F(ServeDeterminismTest, DefaultThreadsFollowTheAffinityMask) {
+  cpu_set_t original;
+  CPU_ZERO(&original);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(original), &original), 0);
+  int first = 0;
+  while (!CPU_ISSET(first, &original)) ++first;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(first, &one);
+  auto estimator = CreateEstimator("GEER", graph_, options_);
+  ServeOptions serve_options;
+  serve_options.threads = 0;
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  int pinned_workers = 0;
+  {
+    QueryService service(*estimator, serve_options);
+    pinned_workers = service.workers();
+  }
+  ASSERT_EQ(sched_setaffinity(0, sizeof(original), &original), 0);
+  EXPECT_EQ(pinned_workers, 1);
+  auto unpinned = CreateEstimator("GEER", graph_, options_);
+  QueryService service(*unpinned, serve_options);
+  EXPECT_EQ(service.workers(), CPU_COUNT(&original));
+}
+#endif
 
 TEST_F(ServeDeterminismTest, ZeroCapacityQueueRejectsEverySubmission) {
   auto estimator = CreateEstimator("GEER", graph_, options_);

@@ -46,7 +46,7 @@
 //                       with every subcommand, dynamic included
 //                       (insert/delete/re-weight)
 //   --threads=N         batch-engine worker threads (implies batch in
-//                       query mode; 0 = hardware concurrency), or the
+//                       query mode; 0 = the affinity mask's CPUs), or the
 //                       serve/dynamic dispatch workers. Values are
 //                       bit-identical at any thread count.
 //   --qps=F             serve arrival rate (Poisson); 0 = one burst
