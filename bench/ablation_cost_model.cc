@@ -4,9 +4,14 @@
 // h(ℓ−ℓ_b)·(ℓ−ℓ_b) — this bench implements both switch rules over the
 // public SmmIterator/RunAmc API and reports time and chosen ℓ_b, showing
 // how the cost model shifts the switch point and what that does to
-// latency. (DESIGN.md calls this design choice out as the ablation axis.)
+// latency. Like GEER, each query is first reduced to its 2-core pair
+// through PendantForest::Reduce (graph/algorithms.h) and run in
+// canonical (min, max) order, so the "samples" column replays GEER. (The
+// stand-in graphs are described in EXPERIMENTS.md "Datasets".)
 
+#include <algorithm>
 #include <cstdio>
+#include <memory>
 
 #include "bench/bench_common.h"
 #include "core/amc.h"
@@ -14,6 +19,7 @@
 #include "core/smm.h"
 #include "eval/queries.h"
 #include "eval/table.h"
+#include "graph/algorithms.h"
 #include "util/format.h"
 #include "util/timer.h"
 
@@ -37,16 +43,30 @@ AblationResult RunVariant(const Dataset& ds,
                           const ErOptions& opt, CostModel model,
                           double deadline_s) {
   TransitionOperator op(ds.graph);
+  const std::shared_ptr<const PendantForest> forest =
+      PendantForest::Build(ds.graph);
   AblationResult out;
   std::size_t answered = 0;
   Deadline deadline(deadline_s);
   for (const QueryPair& q : queries) {
     Timer timer;
-    const std::uint64_t ds_deg = ds.graph.Degree(q.s);
-    const std::uint64_t dt_deg = ds.graph.Degree(q.t);
+    const PendantForest::Reduction r =
+        forest != nullptr ? forest->Reduce(q.s, q.t)
+                          : PendantForest::Reduction{q.s, q.t, 0.0};
+    if (r.a == r.b) {  // one tree: the offset is the answer, no walks
+      benchmark_sink(r.offset);
+      out.avg_ms += timer.ElapsedMillis();
+      ++answered;
+      if (deadline.Expired()) break;
+      continue;
+    }
+    const NodeId s = std::min(r.a, r.b);
+    const NodeId t = std::max(r.a, r.b);
+    const std::uint64_t ds_deg = ds.graph.Degree(s);
+    const std::uint64_t dt_deg = ds.graph.Degree(t);
     const std::uint32_t ell = RefinedEll(opt.epsilon, *opt.lambda, ds_deg,
                                          dt_deg, opt.max_ell);
-    SmmIterator smm(ds.graph, &op, q.s, q.t);
+    SmmIterator smm(ds.graph, &op, s, t);
     while (smm.iterations() < ell) {
       const std::uint32_t remaining = ell - smm.iterations();
       const auto [m1s, m2s] = smm.s_top_two();
@@ -64,10 +84,10 @@ AblationResult RunVariant(const Dataset& ds,
     params.delta = opt.delta;
     params.tau = opt.tau;
     params.ell_f = ell - smm.iterations();
-    Rng rng(opt.seed ^ (static_cast<std::uint64_t>(q.s) << 32) ^ q.t);
+    Rng rng(opt.seed ^ (static_cast<std::uint64_t>(s) << 32) ^ t);
     AmcRunResult run =
-        RunAmc(ds.graph, q.s, q.t, smm.svec(), smm.tvec(), params, rng);
-    benchmark_sink(run.r_f + smm.rb());
+        RunAmc(ds.graph, s, t, smm.svec(), smm.tvec(), params, rng);
+    benchmark_sink(run.r_f + smm.rb() + r.offset);
     out.avg_ms += timer.ElapsedMillis();
     out.avg_lb += smm.iterations();
     out.avg_walks += static_cast<double>(run.walks);

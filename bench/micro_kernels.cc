@@ -307,6 +307,11 @@ void BM_RMatTeam(benchmark::State& state, std::uint32_t scale,
 BENCHMARK_CAPTURE(BM_RMatTeam, rmat13x4, 13, 4)
     ->DenseRange(1, 4)
     ->Unit(benchmark::kMillisecond);
+// A first-round share per dedupe part that is a power of two
+// (2^17 / 16 parts at 4 CPUs): the case the set's headroom is for.
+BENCHMARK_CAPTURE(BM_RMatTeam, rmat15x4, 15, 4)
+    ->DenseRange(1, 4)
+    ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_RMatTeam, youtube_rmat16x3, 16, 3)
     ->DenseRange(1, 4)
     ->Unit(benchmark::kMillisecond);

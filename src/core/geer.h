@@ -17,6 +17,21 @@
 // lockstep lanes (core/amc.h), which overlap the walks' cache misses
 // without changing a bit of the answer.
 //
+// Pendant trees: before any of that, every query is reduced to the
+// graph's 2-core (graph/algorithms.h PendantForest). A node outside the
+// 2-core lies in a tree hanging off one core node, its root, and every
+// tree edge is a bridge, so the series law (Doyle & Snell 1984) splits
+//   r(s, t) = R(s → a) + r(a, b) + R(b ← t)
+// exactly, with a, b the roots and R the tree paths' resistances (hops,
+// or Σ 1/w). GEER answers r(a, b) and adds the offset; a pair inside
+// one tree gets its tree path and no walks. The offset carries no
+// error, so |r' − r| = |r'(a, b) − r(a, b)| ≤ ε with probability 1 − δ:
+// Theorem 3.4's guarantee, unchanged. The forest is peeled once per
+// graph epoch, shared by every clone (core/epoch_shared.h), and null on
+// a graph without degree-1 nodes, where nothing changes. It pays
+// because Eq. 6's ℓ and Eq. 9's ψ are worst at a low-degree endpoint,
+// and degree-1 endpoints are exactly the ones it removes.
+//
 // No O(n) scan per greedy step: ApplyAuto reports each iterate's top-two
 // (linalg/transition.h) and the iterate streams keep it beside the
 // support cost, so Eq. 17's ψ and AMC's ψ read it directly. The one
@@ -28,6 +43,7 @@
 
 #include <string>
 
+#include "core/epoch_shared.h"
 #include "core/estimator.h"
 #include "core/options.h"
 #include "core/smm.h"
@@ -44,17 +60,23 @@ std::uint64_t GeerRemainingSampleBudget(double epsilon, double delta,
                                         int tau, double psi);
 
 /// GEER shares SMM's node-keyed iterate streams, batch loop, landmark
-/// warm-up and rebind (SmmStreamEstimatorT). The AMC tail runs per query
-/// on its canonical (seed, min, max) stream and carries no cross-query
-/// state, so batched and session-served values are bit-identical to
-/// serial ones.
+/// warm-up and rebind (SmmStreamEstimatorT), and is the one estimator
+/// that sets its pendant forest. The AMC tail runs per query on the
+/// canonical (seed, min, max) stream of the reduced pair and carries no
+/// cross-query state, so batched and session-served values are
+/// bit-identical to serial ones.
 template <WeightPolicy WP>
 class GeerEstimatorT : public SmmStreamEstimatorT<WP> {
  public:
   using GraphT = typename WP::GraphT;
 
+  /// Peels the graph's pendant trees once (graph/algorithms.h).
   explicit GeerEstimatorT(const GraphT& graph, ErOptions options = {})
-      : SmmStreamEstimatorT<WP>(graph, options), walker_(graph) {}
+      : SmmStreamEstimatorT<WP>(graph, options), walker_(graph) {
+    forest_ = PendantForest::Build(graph);
+    shared_forest_ =
+        std::make_shared<EpochShared<PendantForest>>(forest_);
+  }
   // Stores a pointer to `graph`; a temporary would dangle.
   explicit GeerEstimatorT(GraphT&&, ErOptions = {}) = delete;
 
@@ -63,25 +85,43 @@ class GeerEstimatorT : public SmmStreamEstimatorT<WP> {
   }
   std::unique_ptr<ErEstimator> CloneForBatch() const override {
     ErOptions opt = options_;
-    opt.lambda = lambda_;  // clones never re-run Lanczos
-    return std::make_unique<GeerEstimatorT<WP>>(*graph_, opt);
+    opt.lambda = lambda_;  // clones never re-run Lanczos or the peel
+    return std::unique_ptr<ErEstimator>(
+        new GeerEstimatorT<WP>(*graph_, opt, *this));
   }
 
   /// Also rebuilds the walk sampler for the new snapshot (the walk table
-  /// is resized on its next fill).
+  /// is resized on its next fill) and adopts the new epoch's forest,
+  /// peeled once across every clone sharing the holder.
   using ErEstimator::RebindGraph;
   bool RebindGraph(const GraphT& graph, const GraphEpoch& epoch) override {
     walker_ = WalkerFor<WP>(graph);
+    forest_ = shared_forest_->GetOrBuild(
+        epoch.epoch, [&graph] { return PendantForest::Build(graph); });
     return SmmStreamEstimatorT<WP>::RebindGraph(graph, epoch);
   }
 
+  /// The forest in use; null when the graph has no degree-1 node.
+  const PendantForest* forest() const { return forest_.get(); }
+
  private:
   using Base = SmmStreamEstimatorT<WP>;
+  using Base::forest_;
   using Base::graph_;
   using Base::lambda_;
   using Base::op_;
   using Base::options_;
   using Stream = SmmSourceCacheT<WP>;
+
+  // Clone constructor: adopts `original`'s forest and its epoch-keyed
+  // holder instead of peeling.
+  GeerEstimatorT(const GraphT& graph, ErOptions options,
+                 const GeerEstimatorT& original)
+      : SmmStreamEstimatorT<WP>(graph, options),
+        walker_(graph),
+        shared_forest_(original.shared_forest_) {
+    forest_ = original.forest_;
+  }
 
   QueryStats EstimateWithCache(NodeId s, NodeId t, Stream* s_cache,
                                Stream* t_cache) override;
@@ -91,6 +131,7 @@ class GeerEstimatorT : public SmmStreamEstimatorT<WP> {
 
   WalkerFor<WP> walker_;
   Vector walk_table_;  // AMC's walk table, refilled per query
+  std::shared_ptr<EpochShared<PendantForest>> shared_forest_;
 };
 
 /// The two stacks, by their historical names.

@@ -173,10 +173,13 @@ QueryStats SmmStreamEstimatorT<WP>::EstimateWithStats(NodeId s, NodeId t) {
   GEER_CHECK(t < graph_->NumNodes());
   // Canonical endpoint order with a fixed accumulation order makes
   // Estimate(s, t) ≡ Estimate(t, s) bitwise — the symmetry the
-  // node-keyed batch caches rely on.
-  const NodeId u = std::min(s, t);
-  const NodeId v = std::max(s, t);
-  return EstimateWithCache(u, v, nullptr, nullptr);
+  // node-keyed batch caches rely on. The order is taken on the core pair.
+  const PendantForest::Reduction r = ReducePair(s, t);
+  const NodeId u = std::min(r.a, r.b);
+  const NodeId v = std::max(r.a, r.b);
+  QueryStats stats = EstimateWithCache(u, v, nullptr, nullptr);
+  stats.value += r.offset;
+  return stats;
 }
 
 template <WeightPolicy WP>
@@ -210,12 +213,18 @@ std::size_t SmmStreamEstimatorT<WP>::EstimateBatch(
   // a node that recurs in this batch or is a landmark; a batch-singleton
   // endpoint reads a stream another batch left resident (Find) but
   // iterates privately in place otherwise — both paths run the identical
-  // ApplyAuto sequence, so the answer never moves.
+  // ApplyAuto sequence, so the answer never moves. Uses are counted on
+  // the reduced pairs: a tree endpoint reads its root's stream.
+  std::vector<PendantForest::Reduction> reduced(queries.size());
   std::unordered_map<NodeId, std::uint32_t> uses;
-  for (const QueryPair& q : queries) {
-    if (q.s == q.t) continue;
-    ++uses[q.s];
-    ++uses[q.t];
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    const QueryPair& q = queries[i];
+    GEER_CHECK(q.s < graph.NumNodes());
+    GEER_CHECK(q.t < graph.NumNodes());
+    reduced[i] = ReducePair(q.s, q.t);
+    if (reduced[i].a == reduced[i].b) continue;
+    ++uses[reduced[i].a];
+    ++uses[reduced[i].b];
   }
   const auto stream_for = [&](NodeId node) -> Stream* {
     if (pool->IsLandmark(node) || uses[node] > 1) {
@@ -227,19 +236,19 @@ std::size_t SmmStreamEstimatorT<WP>::EstimateBatch(
   };
   for (std::size_t i = 0; i < queries.size(); ++i) {
     if (context.Cancelled()) return i;
-    const QueryPair& q = queries[i];
-    GEER_CHECK(q.s < graph.NumNodes());
-    GEER_CHECK(q.t < graph.NumNodes());
-    if (q.s == q.t) {
+    const PendantForest::Reduction& r = reduced[i];
+    if (r.a == r.b) {  // s = t, or both hang off one tree: no walks
       stats[i] = QueryStats{};
+      stats[i].value = r.offset;
       context.ReportAnswered();
       continue;
     }
-    const NodeId u = std::min(q.s, q.t);
-    const NodeId v = std::max(q.s, q.t);
+    const NodeId u = std::min(r.a, r.b);
+    const NodeId v = std::max(r.a, r.b);
     Stream* u_cache = stream_for(u);
     Stream* v_cache = stream_for(v);
     stats[i] = EstimateWithCache(u, v, u_cache, v_cache);
+    stats[i].value += r.offset;
     pool->Sweep();
     context.ReportAnswered();
   }

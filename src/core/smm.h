@@ -35,6 +35,7 @@
 #include "core/estimator.h"
 #include "core/node_state_cache.h"
 #include "core/options.h"
+#include "graph/algorithms.h"
 #include "graph/weight_policy.h"
 #include "linalg/spectral.h"
 #include "linalg/transition.h"
@@ -227,7 +228,10 @@ class SmmIteratorT {
 /// sides reuse streams across the whole batch. Queries run in canonical
 /// (min, max) order with a fixed accumulation order, making
 /// Estimate(s, t) ≡ Estimate(t, s) bitwise and batched values
-/// bit-identical to serial ones.
+/// bit-identical to serial ones. With a pendant forest set, both entry
+/// points first reduce the pair to the 2-core, then canonicalise the
+/// reduced pair, count stream uses, read streams and seed the query on
+/// it, and add the tree offset last.
 template <WeightPolicy WP>
 class SmmStreamEstimatorT
     : public SessionCachedEstimator<typename WP::GraphT, NodeId,
@@ -275,9 +279,20 @@ class SmmStreamEstimatorT
   /// Builds and pins the landmark's stream to WarmDepth().
   void WarmLandmark(NodeId lm) override;
 
+  /// (s, t) reduced to its 2-core pair by forest_; the identity with a
+  /// zero offset when there is no forest.
+  PendantForest::Reduction ReducePair(NodeId s, NodeId t) const {
+    return forest_ != nullptr ? forest_->Reduce(s, t)
+                              : PendantForest::Reduction{s, t, 0.0};
+  }
+
   ErOptions options_;
   double lambda_;
   TransitionOperatorT<WP> op_;
+  /// Null unless a subclass sets it (only GEER does): then both entry
+  /// points answer every query on its core pair and add the exact tree
+  /// offset (graph/algorithms.h).
+  std::shared_ptr<const PendantForest> forest_;
   std::atomic<std::uint64_t> incremental_rebinds_{0};
 
  private:

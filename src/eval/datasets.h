@@ -1,8 +1,9 @@
 // Dataset registry for the experiment harness. Provides scaled synthetic
 // stand-ins for the six SNAP datasets of Table 3 (offline environment —
-// see DESIGN.md §5), plus loading real SNAP edge lists from disk. Each
-// substitute matches its original's average degree and a heavy-tailed /
-// small-world structure; node counts are scaled to laptop budgets.
+// see EXPERIMENTS.md "Datasets"), plus loading real SNAP edge lists from
+// disk. Each substitute matches its original's average degree and a
+// heavy-tailed / small-world structure; node counts are scaled to laptop
+// budgets.
 
 #ifndef GEER_EVAL_DATASETS_H_
 #define GEER_EVAL_DATASETS_H_

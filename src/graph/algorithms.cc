@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 #include <queue>
 
 #include "graph/builder.h"
@@ -171,6 +172,98 @@ std::uint32_t ApproxDiameter(const Graph& graph) {
   (void)ignored;
   (void)d1;
   return d2;
+}
+
+template <typename G>
+std::shared_ptr<const PendantForest> PendantForest::Peel(
+    const G& graph, const double* weights) {
+  const NodeId n = graph.NumNodes();
+  std::vector<std::uint64_t> degree(n);
+  std::vector<NodeId> stack;
+  for (NodeId v = 0; v < n; ++v) {
+    degree[v] = graph.Degree(v);
+    if (degree[v] == 1) stack.push_back(v);
+  }
+  if (stack.empty()) return nullptr;
+
+  auto forest = std::make_shared<PendantForest>();
+  forest->root_.resize(n);
+  forest->parent_.resize(n);
+  std::iota(forest->root_.begin(), forest->root_.end(), NodeId{0});
+  std::iota(forest->parent_.begin(), forest->parent_.end(), NodeId{0});
+  forest->depth_.assign(n, 0);
+  if (weights != nullptr) forest->edge_r_.assign(n, 0.0);
+  // A peeled node's degree drops to 0, so "degree > 0" marks the nodes
+  // still in the graph; its one such neighbour is its parent. Scanning a
+  // row once per peeled node keeps the peel O(n + m).
+  std::vector<NodeId> peeled;
+  const std::vector<std::uint64_t>& offsets = graph.Offsets();
+  while (!stack.empty()) {
+    const NodeId u = stack.back();
+    stack.pop_back();
+    // 0 here: u's last neighbour went first, so u is a tree's root.
+    if (degree[u] != 1) continue;
+    std::uint64_t k = offsets[u];
+    while (degree[graph.NeighborArray()[k]] == 0) ++k;
+    const NodeId p = graph.NeighborArray()[k];
+    forest->parent_[u] = p;
+    if (weights != nullptr) forest->edge_r_[u] = 1.0 / weights[k];
+    degree[u] = 0;
+    peeled.push_back(u);
+    if (--degree[p] == 1) stack.push_back(p);
+  }
+  forest->num_peeled_ = static_cast<NodeId>(peeled.size());
+
+  // Parents are peeled after their children (or never), so the reverse
+  // peel order visits every parent first.
+  if (weights != nullptr) forest->dist_.assign(n, 0.0);
+  for (auto it = peeled.rbegin(); it != peeled.rend(); ++it) {
+    const NodeId u = *it;
+    const NodeId p = forest->parent_[u];
+    forest->root_[u] = forest->root_[p];
+    forest->depth_[u] = forest->depth_[p] + 1;
+    if (weights != nullptr) {
+      forest->dist_[u] = forest->dist_[p] + forest->edge_r_[u];
+    }
+  }
+  return forest;
+}
+
+std::shared_ptr<const PendantForest> PendantForest::Build(
+    const Graph& graph) {
+  return Peel(graph, nullptr);
+}
+
+std::shared_ptr<const PendantForest> PendantForest::Build(
+    const WeightedGraph& graph) {
+  return Peel(graph, graph.WeightArray().data());
+}
+
+PendantForest::Reduction PendantForest::Reduce(NodeId s, NodeId t) const {
+  GEER_DCHECK(s < NumNodes() && t < NumNodes());
+  if (root_[s] != root_[t]) {
+    return {root_[s], root_[t], Resistance(s) + Resistance(t)};
+  }
+  // Same tree: climb the deeper side, then both, to the common ancestor.
+  // Each side sums its own edges bottom-up, so Reduce(t, s) adds the
+  // same two partial sums and the offset keeps its bits.
+  double rs = 0.0;
+  double rt = 0.0;
+  while (depth_[s] > depth_[t]) {
+    rs += EdgeResistance(s);
+    s = parent_[s];
+  }
+  while (depth_[t] > depth_[s]) {
+    rt += EdgeResistance(t);
+    t = parent_[t];
+  }
+  while (s != t) {
+    rs += EdgeResistance(s);
+    s = parent_[s];
+    rt += EdgeResistance(t);
+    t = parent_[t];
+  }
+  return {s, s, rs + rt};
 }
 
 }  // namespace geer

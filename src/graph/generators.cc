@@ -43,11 +43,21 @@ inline NodeId EdgeKeyV(std::uint64_t key) {
 // may InsertReserved into it: the parts share no slot and no counter.
 class EdgeKeySet {
  public:
+  /// Sized for `expected` keys. A split hands each part about
+  /// expected / parts ± √(expected / parts) of them, so a part gets room
+  /// for four standard deviations over its share: without it, a share
+  /// that is a power of two leaves no room, and the first part to pass
+  /// half full doubles the whole table.
   explicit EdgeKeySet(std::uint64_t expected, int partition_bits = 0)
       : partition_bits_(partition_bits),
         sizes_(std::size_t{1} << partition_bits) {
-    Rehash(std::bit_ceil(
-        std::max<std::uint64_t>(16, 2 * (expected >> partition_bits))));
+    const std::uint64_t share = expected >> partition_bits;
+    const std::uint64_t headroom =
+        partition_bits == 0
+            ? 0
+            : 4 * static_cast<std::uint64_t>(
+                      std::sqrt(static_cast<double>(share))) + 16;
+    Rehash(std::bit_ceil(std::max<std::uint64_t>(16, 2 * (share + headroom))));
   }
 
   std::size_t num_parts() const { return sizes_.size(); }

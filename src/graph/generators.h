@@ -4,7 +4,8 @@
 // effective resistances (path, cycle, complete, grid, …) used as oracles
 // in tests; (2) random families (Barabási–Albert, R-MAT, Watts–Strogatz,
 // Erdős–Rényi, SBM) that act as scaled stand-ins for the SNAP datasets the
-// paper evaluates on (see DESIGN.md §5 for the substitution rationale).
+// paper evaluates on (see EXPERIMENTS.md "Datasets" for the substitution
+// rationale).
 //
 // All random generators take an explicit seed and are deterministic.
 

@@ -6,6 +6,7 @@
 
 #include "core/amc.h"
 #include "core/smm.h"
+#include "geer_pendant_checks.h"
 #include "graph/generators.h"
 #include "stats/bounds.h"
 #include "test_util.h"
@@ -184,6 +185,66 @@ TEST(GeerTest, HighDegreePairGetsShortEll) {
   QueryStats stats = geer.EstimateWithStats(0, 100);
   EXPECT_LE(stats.ell, 2u);
   EXPECT_NEAR(stats.value, 2.0 / 200.0, 0.5);
+}
+
+// Pendant trees: GEER answers every query on its 2-core pair and adds the
+// exact series offset (graph/algorithms.h PendantForest).
+
+/// DenseGraphWithTrees plus 18-5, which closes a cycle through the
+/// former tree nodes 16, 17 and 18.
+Graph TreesWithClosedCycle() {
+  GraphBuilder b(24);
+  b.AddEdges(testing::DenseGraphWithTrees().Edges());
+  b.AddEdge(18, 5);
+  return b.Build();
+}
+
+TEST(GeerPendantTest, SameTreePairsAreExactWithoutWalks) {
+  testing::ExpectSameTreePairsExact<UnitWeight>(
+      testing::DenseGraphWithTrees());
+}
+
+TEST(GeerPendantTest, EveryPairWithinEpsilonOfExact) {
+  testing::ExpectEveryPairWithinEpsilon<UnitWeight>(
+      testing::DenseGraphWithTrees());
+}
+
+TEST(GeerPendantTest, SymmetricBitwise) {
+  testing::ExpectSymmetricBitwise<UnitWeight>(testing::DenseGraphWithTrees());
+}
+
+TEST(GeerPendantTest, BatchAndServeMatchSerialBitwise) {
+  testing::ExpectBatchAndServeMatchSerial<UnitWeight>(
+      testing::DenseGraphWithTrees());
+}
+
+TEST(GeerPendantTest, ClonesShareOneForest) {
+  testing::ExpectClonesShareTheForest<UnitWeight>(
+      testing::DenseGraphWithTrees());
+}
+
+TEST(GeerPendantTest, RebindThroughFormerTreeMatchesFresh) {
+  const Graph before = testing::DenseGraphWithTrees();
+  const Graph after = TreesWithClosedCycle();
+  testing::ExpectRebindMatchesFresh<UnitWeight>(before, after, {5, 18});
+}
+
+TEST(GeerPendantTest, SmmAndAmcKeepTheirAnswers) {
+  // Only GEER reduces: SMM's truncated r_ℓ of a tree pair is not the
+  // series offset, and AMC walks from the endpoints themselves.
+  const Graph g = testing::DenseGraphWithTrees();
+  ErOptions opt;
+  opt.epsilon = 0.5;
+  SmmEstimator smm(g, opt);
+  AmcEstimator amc(g, opt);
+  EXPECT_GT(smm.EstimateWithStats(17, 20).spmv_ops, 0u);
+  EXPECT_GT(amc.EstimateWithStats(17, 20).walks, 0u);
+}
+
+TEST(GeerPendantTest, NoForestWithoutDegreeOneNodes) {
+  const Graph g = testing::DenseTestGraph(16);
+  GeerEstimator geer(g);
+  EXPECT_EQ(geer.forest(), nullptr);
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include "graph/generators.h"
 #include "core/amc.h"
 #include "core/solver_er.h"
+#include "geer_pendant_checks.h"
 #include "graph/weighted_generators.h"
 
 namespace geer {
@@ -214,6 +215,42 @@ TEST(WeightedEstimatorTest, ConductanceScalingLawHoldsWithinEpsilon) {
     EXPECT_NEAR(geer.Estimate(s, t), oracle.Estimate(s, t) / c,
                 opt.epsilon + 1e-9);
   }
+}
+
+// Pendant trees under conductances: offsets are Σ 1/w along the tree.
+
+WeightedGraph WeightedTrees() {
+  return gen::WithUniformWeights(testing::DenseGraphWithTrees(), 0.5, 2.0,
+                                 29);
+}
+
+TEST(WeightedGeerPendantTest, SameTreePairsAreExactWithoutWalks) {
+  testing::ExpectSameTreePairsExact<EdgeWeight>(WeightedTrees());
+}
+
+TEST(WeightedGeerPendantTest, EveryPairWithinEpsilonOfExact) {
+  testing::ExpectEveryPairWithinEpsilon<EdgeWeight>(WeightedTrees());
+}
+
+TEST(WeightedGeerPendantTest, SymmetricBitwise) {
+  testing::ExpectSymmetricBitwise<EdgeWeight>(WeightedTrees());
+}
+
+TEST(WeightedGeerPendantTest, BatchAndServeMatchSerialBitwise) {
+  testing::ExpectBatchAndServeMatchSerial<EdgeWeight>(WeightedTrees());
+}
+
+TEST(WeightedGeerPendantTest, ClonesShareOneForest) {
+  testing::ExpectClonesShareTheForest<EdgeWeight>(WeightedTrees());
+}
+
+TEST(WeightedGeerPendantTest, RebindThroughFormerTreeMatchesFresh) {
+  const WeightedGraph before = WeightedTrees();
+  WeightedGraphBuilder b(before.NumNodes());
+  for (const auto& e : before.Edges()) b.AddEdge(e.u, e.v, e.weight);
+  b.AddEdge(18, 5, 1.25);
+  const WeightedGraph after = b.Build();
+  testing::ExpectRebindMatchesFresh<EdgeWeight>(before, after, {5, 18});
 }
 
 }  // namespace
