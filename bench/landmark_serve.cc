@@ -10,14 +10,16 @@
 //   session:  64 MB per-worker session caches, no landmarks — hubs are
 //             cached after first touch but compete for budget and can
 //             be evicted by one-off tail endpoints
-//   landmark: session + the top --landmarks hubs warmed and PINNED per
-//             worker at startup (ServeOptions::landmarks), so the hub
-//             side of every skewed query is a guaranteed cache hit
+//   landmark: session + the top --landmarks hubs as landmarks
+//             (ServeOptions::landmarks): each worker PINS a hub's state
+//             when its first query touching the hub builds it, so after
+//             that the hub side of a skewed query is a guaranteed hit
 //
 // and verifies all three answer vectors are bit-identical to the serial
-// Estimate loop before reporting throughput, latency percentiles and
-// cache hit rate. The numbers land in EXPERIMENTS.md; ctest runs it at
-// --scale=0.02 (bench_landmark_serve_smoke) for the bit-identity check.
+// Estimate loop, and that landmark mode pinned entries, before reporting
+// throughput, latency percentiles, cache hit rate and resident session
+// bytes. The numbers land in EXPERIMENTS.md; ctest runs it at
+// --scale=0.02 (bench_landmark_serve_smoke) for those checks.
 //
 //   bench_landmark_serve [--scale=f] [--seed=n] [--tp-scale=f]
 //                        [--threads=n] [--queries=n] [--zipf=f]
@@ -99,15 +101,15 @@ int Main(int argc, char** argv) {
   if (args.csv) {
     std::printf(
         "method,dataset,epsilon,mode,queries,throughput_qps,p50_ms,p95_ms,"
-        "p99_ms,hit_rate,ms_per_q\n");
+        "p99_ms,hit_rate,ms_per_q,cache_bytes\n");
   } else {
     std::printf(
         "# zipf(%.2f) trace: %zu queries over degree ranking; landmarks=%zu "
         "tp/tpc scale=%g, threads=%d\n",
         zipf, num_queries, num_landmarks, args.tp_scale, threads);
-    std::printf("%-8s %-10s %6s %-10s %12s %9s %9s %9s %9s %9s\n", "method",
-                "dataset", "eps", "mode", "qps", "p50_ms", "p95_ms",
-                "p99_ms", "hit_rate", "ms/q");
+    std::printf("%-8s %-10s %6s %-10s %12s %9s %9s %9s %9s %9s %12s\n",
+                "method", "dataset", "eps", "mode", "qps", "p50_ms",
+                "p95_ms", "p99_ms", "hit_rate", "ms/q", "cache_bytes");
   }
 
   for (const Cell& cell : cells) {
@@ -125,7 +127,7 @@ int Main(int argc, char** argv) {
     opt.lambda = ds->spectral.lambda;
 
     // Serial ground truth every served mode must reproduce bit for bit —
-    // landmark warming must not change a single answer.
+    // landmark pinning must not change a single answer.
     std::vector<double> serial_values(queries.size());
     {
       auto estimator = CreateEstimator(cell.method, ds->graph, opt);
@@ -155,6 +157,9 @@ int Main(int argc, char** argv) {
             << cell.method << " " << mode.name
             << " served answer diverged from serial at query " << i;
       }
+      // Landmark mode must have pinned the hubs its queries built.
+      GEER_CHECK(mode.num_landmarks == 0 || served.session_cache.pinned > 0)
+          << cell.method << " landmark mode pinned no entry";
       const std::uint64_t lookups =
           served.session_cache.hits + served.session_cache.misses;
       const double hit_rate =
@@ -164,17 +169,20 @@ int Main(int argc, char** argv) {
               : 0.0;
       const double ms_per_q =
           served.wall_seconds * 1e3 / static_cast<double>(served.answered);
+      const unsigned long long cache_bytes = served.session_cache.bytes;
       if (args.csv) {
-        std::printf("%s,%s,%g,%s,%zu,%.1f,%.4f,%.4f,%.4f,%.4f,%.4f\n",
+        std::printf("%s,%s,%g,%s,%zu,%.1f,%.4f,%.4f,%.4f,%.4f,%.4f,%llu\n",
                     cell.method, cell.dataset, cell.epsilon, mode.name,
                     queries.size(), served.throughput_qps, served.p50_ms,
-                    served.p95_ms, served.p99_ms, hit_rate, ms_per_q);
+                    served.p95_ms, served.p99_ms, hit_rate, ms_per_q,
+                    cache_bytes);
       } else {
         std::printf(
-            "%-8s %-10s %6g %-10s %12.1f %9.3f %9.3f %9.3f %9.4f %9.4f\n",
+            "%-8s %-10s %6g %-10s %12.1f %9.3f %9.3f %9.3f %9.4f %9.4f "
+            "%12llu\n",
             cell.method, cell.dataset, cell.epsilon, mode.name,
             served.throughput_qps, served.p50_ms, served.p95_ms,
-            served.p99_ms, hit_rate, ms_per_q);
+            served.p99_ms, hit_rate, ms_per_q, cache_bytes);
       }
     }
   }

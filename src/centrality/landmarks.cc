@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <numeric>
 
-#include "util/check.h"
-
 namespace geer {
 namespace {
 
@@ -38,20 +36,6 @@ std::vector<NodeId> SelectLandmarks(const WeightedGraph& graph,
   std::vector<double> score(graph.NumNodes());
   for (NodeId v = 0; v < graph.NumNodes(); ++v) {
     score[v] = graph.Strength(v);
-  }
-  return TopByScore(score, count);
-}
-
-std::vector<NodeId> SelectLandmarksBySpanningCentrality(
-    const Graph& graph, std::size_t count,
-    const SpanningCentralityOptions& options) {
-  const SpanningCentrality sc = EstimateSpanningCentrality(graph, options);
-  const std::vector<Edge> edges = graph.Edges();
-  GEER_CHECK_EQ(edges.size(), sc.edge_er.size());
-  std::vector<double> score(graph.NumNodes(), 0.0);
-  for (std::size_t e = 0; e < edges.size(); ++e) {
-    score[edges[e].first] += sc.edge_er[e];
-    score[edges[e].second] += sc.edge_er[e];
   }
   return TopByScore(score, count);
 }

@@ -1,20 +1,13 @@
-// Landmark (hub) selection for the sublinear serving layer: the K
-// highest-centrality nodes, precomputed/pinned by
-// ErEstimator::WarmLandmarks so Zipf-skewed traffic answers its hub side
-// from warm cache state.
-//
-// Two interchangeable scores, both fully deterministic:
-//   * Node weight (degree / strength) — O(n), the default the serving
-//     layer uses. Matches the rank order Zipf workload generators use,
-//     so popular endpoints and warm landmarks coincide.
-//   * Spanning centrality — Σ over incident edges of the UST-sampled
-//     edge ER (src/centrality/spanning_edge_centrality.h), deterministic
-//     in its seed; picks articulation-heavy hubs rather than merely
-//     high-degree ones. Unweighted graphs only.
+// Landmark (hub) selection for the serving layer: the K nodes of largest
+// node weight (degree / strength), O(n). ServeOptions::landmarks hands
+// them to ErEstimator::EnableSessionCache, whose session pins a
+// landmark's state when a query first builds it, so Zipf-skewed traffic
+// keeps its hub side resident. The rank order matches the one Zipf
+// workload generators use, so popular endpoints and landmarks coincide.
 //
 // Ties always break toward the SMALLER node id, so selection is a pure
-// function of the graph (+ seed) — identical across runs, thread counts
-// and processes, which the landmark determinism suite enforces.
+// function of the graph — identical across runs, thread counts and
+// processes, which the landmark suite enforces.
 
 #ifndef GEER_CENTRALITY_LANDMARKS_H_
 #define GEER_CENTRALITY_LANDMARKS_H_
@@ -22,7 +15,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "centrality/spanning_edge_centrality.h"
 #include "graph/graph.h"
 #include "graph/weighted_graph.h"
 
@@ -34,13 +26,6 @@ namespace geer {
 std::vector<NodeId> SelectLandmarks(const Graph& graph, std::size_t count);
 std::vector<NodeId> SelectLandmarks(const WeightedGraph& graph,
                                     std::size_t count);
-
-/// The `count` nodes of largest spanning centrality (sum of incident
-/// edges' UST-sampled ER), descending, ties by ascending node id.
-/// Deterministic in `options.seed`.
-std::vector<NodeId> SelectLandmarksBySpanningCentrality(
-    const Graph& graph, std::size_t count,
-    const SpanningCentralityOptions& options = {});
 
 }  // namespace geer
 

@@ -241,42 +241,27 @@ class ErEstimator {
   /// recurring endpoints reuse it instead of rebuilding per call — the
   /// serving layer's session state. Off by default so one-shot batch runs keep
   /// their O(n) memory profile. `budget_bytes` bounds the retained
-  /// memory (0 = the implementation default); retained state never
-  /// changes answer VALUES, only the cost charged for them. A no-op for
-  /// estimators with nothing to retain (construction-time state —
-  /// EXACT's factorization, CG's solver, RP's sketch — already persists
-  /// for the instance's lifetime).
-  virtual void EnableSessionCache(std::size_t budget_bytes = 0) {
+  /// memory (0 = the implementation default). Each call starts a fresh,
+  /// empty session with `landmarks` as its landmark set: nothing is built
+  /// here; the first query that touches a landmark builds its state by
+  /// the query's own code and PINS it (exempt from LRU eviction), and an
+  /// epoch RebindGraph that invalidates it leaves it to be rebuilt and
+  /// re-pinned the same way. Retained state never changes answer VALUES,
+  /// only the cost charged for them. A no-op for estimators with nothing
+  /// to retain (construction-time state — EXACT's factorization, CG's
+  /// solver, RP's sketch — already persists for the instance's lifetime).
+  virtual void EnableSessionCache(std::size_t budget_bytes = 0,
+                                  std::span<const NodeId> landmarks = {}) {
     (void)budget_bytes;
+    (void)landmarks;
   }
-
-  /// Drops any state retained by EnableSessionCache (the cache stays
-  /// enabled; subsequent batches repopulate it).
-  virtual void ClearSessionCache() {}
 
   /// Aggregated hit/miss/byte counters over this instance's session and
   /// landmark caches (zeroes when it has none). hits/misses/evictions
-  /// are monotone for the instance's lifetime; bytes/entries/pinned are
+  /// are monotone for the session's lifetime; bytes/entries/pinned are
   /// current gauges. The serving layer snapshots these per worker into
   /// ServeMetrics.
   virtual CacheStats SessionCacheStats() const { return {}; }
-
-  /// Precomputes and PINS per-landmark state in the session cache so
-  /// high-centrality hubs (src/centrality/landmarks.h) are answered from
-  /// warm state: solver columns for EXACT/CG (queries combine the two
-  /// endpoint columns, so a landmark endpoint never re-solves), walk
-  /// populations for TP/TPC and iterate streams for SMM/GEER (the
-  /// node-keyed side of a query hits the warm entry). Pinned entries are
-  /// exempt from LRU eviction but epoch RebindGraph still invalidates a
-  /// landmark whose dependency set intersects epoch.touched — it is then
-  /// re-warmed lazily (and re-pinned) on next use. Warming never changes
-  /// answer VALUES, only who pays for them. Enables the session cache if
-  /// it is off. Returns the number of landmarks warmed (0 for estimators
-  /// without warmable state).
-  virtual std::size_t WarmLandmarks(std::span<const NodeId> landmarks) {
-    (void)landmarks;
-    return 0;
-  }
 
   /// Rebinds this estimator to a new epoch of the (logically same) graph
   /// it was constructed on — the dynamic-graph hook (src/dyn/). On

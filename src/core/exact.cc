@@ -170,7 +170,7 @@ bool ExactEstimatorT<WP>::RebindGraph(const GraphT& graph,
   }
   graph_ = &graph;
   // Columns are functions of the whole factorization: the session
-  // flushes wholesale; landmark columns re-warm (and re-pin) lazily.
+  // flushes wholesale; landmark columns re-pin when next solved.
   if (session_ != nullptr) session_->Rebind(epoch);
   return true;
 }
@@ -178,7 +178,7 @@ bool ExactEstimatorT<WP>::RebindGraph(const GraphT& graph,
 template <WeightPolicy WP>
 ExactColumn ExactEstimatorT<WP>::SolveColumn(NodeId node,
                                              QueryStats* stats) const {
-  if (stats != nullptr) ++stats->solves;
+  ++stats->solves;
   Vector b(graph_->NumNodes(), 0.0);
   b[node] = 1.0;
   // M⁻¹ e_node = L† e_node + 𝟙/n (M⁻¹𝟙 = 𝟙); the rank-one part cancels

@@ -124,13 +124,8 @@ class ExactEstimatorT
   /// `stats`.
   const ExactColumn* ColumnFor(NodeId node, ExactColumn* scratch,
                                QueryStats* stats);
-  /// Charges the solve to `stats` unless it is null (landmark warming).
+  /// Solves M⁻¹ e_node and charges the solve to `stats`.
   ExactColumn SolveColumn(NodeId node, QueryStats* stats) const;
-
-  /// Solves and pins the landmark's column.
-  void WarmLandmark(NodeId lm) override {
-    session_->GetOrCreate(lm, [&] { return SolveColumn(lm, nullptr); });
-  }
 
   NodeId max_nodes_ = 8192;
   std::shared_ptr<const CholeskyFactor> factor_;

@@ -24,11 +24,6 @@ std::uint64_t GeerRemainingSampleBudget(double epsilon, double delta,
 }
 
 template <WeightPolicy WP>
-std::uint32_t GeerEstimatorT<WP>::WarmDepth() const {
-  return PengEll(options_.epsilon, lambda_, options_.max_ell);
-}
-
-template <WeightPolicy WP>
 QueryStats GeerEstimatorT<WP>::EstimateWithCache(NodeId s, NodeId t,
                                                  Stream* s_cache,
                                                  Stream* t_cache) {

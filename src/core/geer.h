@@ -125,9 +125,6 @@ class GeerEstimatorT : public SmmStreamEstimatorT<WP> {
 
   QueryStats EstimateWithCache(NodeId s, NodeId t, Stream* s_cache,
                                Stream* t_cache) override;
-  /// The greedy rule stops SMM somewhere below ℓ, and PengEll bounds
-  /// every per-pair ℓ, so warming to it covers any ℓ_b a query reaches.
-  std::uint32_t WarmDepth() const override;
 
   WalkerFor<WP> walker_;
   Vector walk_table_;  // AMC's walk table, refilled per query

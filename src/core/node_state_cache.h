@@ -2,8 +2,8 @@
 // per-node state across queries: SMM/GEER iterate streams {P^j e_x}, TP
 // walk populations, TPC per-side walk populations, and EXACT/CG solver
 // columns. NodeStateCache layers onto LruByteCache what those caches
-// have in common: the landmark set (landmark entries are pinned when
-// created or looked up), get-or-create and lookup-only access, byte
+// have in common: the landmark set (landmark entries are pinned when a
+// query creates or looks them up), get-or-create and lookup-only access, byte
 // re-accounting between queries, and epoch invalidation.
 // SessionCachedEstimator then implements ErEstimator's session hooks
 // once for all of them.
@@ -42,14 +42,15 @@ class NodeStateCache {
  public:
   static constexpr std::size_t kDefaultBudgetBytes = 64ull << 20;
 
-  /// `budget_bytes` = 0 picks the 64 MB default.
-  explicit NodeStateCache(std::size_t budget_bytes = 0)
-      : lru_(budget_bytes == 0 ? kDefaultBudgetBytes : budget_bytes) {}
-
-  /// Replaces the landmark set. From now on a landmark's entry is pinned
-  /// (budget-exempt) whenever GetOrCreate or Insert reaches it, so an
-  /// entry an epoch swap evicted is re-pinned when it is next rebuilt.
-  void SetLandmarks(std::span<const NodeId> landmarks, NodeId num_nodes) {
+  /// `budget_bytes` = 0 picks the 64 MB default. A landmark's entry
+  /// (each must be < `num_nodes`) is pinned (budget-exempt) whenever
+  /// GetOrCreate or Insert reaches it: when a query first builds it, and
+  /// again when it is rebuilt after an epoch swap evicted it.
+  explicit NodeStateCache(std::size_t budget_bytes = 0,
+                          std::span<const NodeId> landmarks = {},
+                          NodeId num_nodes = 0)
+      : lru_(budget_bytes == 0 ? kDefaultBudgetBytes : budget_bytes) {
+    if (landmarks.empty()) return;
     is_landmark_.assign(num_nodes, 0);
     for (const NodeId lm : landmarks) {
       GEER_CHECK(lm < num_nodes);
@@ -147,43 +148,28 @@ class NodeStateCache {
 };
 
 /// ErEstimator's session hooks, implemented once over a NodeStateCache.
-/// `session_` is null until EnableSessionCache (or WarmLandmarks) runs;
-/// estimators without a session answer through their uncached path.
+/// `session_` is null until EnableSessionCache runs; estimators without
+/// a session answer through their uncached path.
 template <typename GraphT, typename Key, typename Payload,
           typename Hash = std::hash<Key>>
 class SessionCachedEstimator : public ErEstimator {
  public:
   using SessionCache = NodeStateCache<Key, Payload, Hash>;
 
-  /// Starts a fresh, empty session; an earlier landmark set goes with
-  /// the old one. Retained state never changes answer values, only the
-  /// cost charged for them.
-  void EnableSessionCache(std::size_t budget_bytes = 0) override {
-    session_ = std::make_unique<SessionCache>(budget_bytes);
-  }
-  void ClearSessionCache() override {
-    if (session_ != nullptr) session_->Clear();
+  /// Starts a fresh, empty session with `landmarks` as its landmark set;
+  /// the old session goes with its entries and counters. A landmark's
+  /// entry is pinned when a query first builds it.
+  void EnableSessionCache(std::size_t budget_bytes = 0,
+                          std::span<const NodeId> landmarks = {}) override {
+    session_ = std::make_unique<SessionCache>(budget_bytes, landmarks,
+                                              graph_->NumNodes());
   }
   CacheStats SessionCacheStats() const override {
     return session_ != nullptr ? session_->stats() : CacheStats{};
   }
 
-  /// Enables the session if it is off, records the landmark set, builds
-  /// and pins each landmark's state, then sweeps once.
-  std::size_t WarmLandmarks(std::span<const NodeId> landmarks) final {
-    if (session_ == nullptr) EnableSessionCache();
-    session_->SetLandmarks(landmarks, graph_->NumNodes());
-    for (const NodeId lm : landmarks) WarmLandmark(lm);
-    session_->Sweep();
-    return landmarks.size();
-  }
-
  protected:
   explicit SessionCachedEstimator(const GraphT& graph) : graph_(&graph) {}
-
-  /// Builds landmark `lm`'s state in the session through GetOrCreate or
-  /// Insert (which pin it). Counts a hit or a miss like any lookup.
-  virtual void WarmLandmark(NodeId lm) = 0;
 
   const GraphT* graph_;
   std::unique_ptr<SessionCache> session_;

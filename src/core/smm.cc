@@ -256,25 +256,6 @@ std::size_t SmmStreamEstimatorT<WP>::EstimateBatch(
 }
 
 template <WeightPolicy WP>
-void SmmStreamEstimatorT<WP>::WarmLandmark(NodeId lm) {
-  const std::uint32_t depth_cap = SessionDepthCap();
-  Stream* stream = session_->GetOrCreate(lm, [&] {
-    return Stream(*graph_, &op_, lm, depth_cap);
-  });
-  // Deeper demands spill past the cap as usual; extra depth is never
-  // read, so values are unaffected either way.
-  std::uint64_t fresh = 0;
-  stream->EnsureIterations(std::min(WarmDepth(), depth_cap), &fresh);
-}
-
-template <WeightPolicy WP>
-std::uint32_t SmmEstimatorT<WP>::WarmDepth() const {
-  return options_.smm_iterations > 0
-             ? options_.smm_iterations
-             : PengEll(options_.epsilon, lambda_, options_.max_ell);
-}
-
-template <WeightPolicy WP>
 QueryStats SmmEstimatorT<WP>::EstimateWithCache(NodeId s, NodeId t,
                                                 Stream* s_cache,
                                                 Stream* t_cache) {

@@ -222,11 +222,11 @@ class SmmIteratorT {
 };
 
 /// What SMM and GEER share: a per-query Alg. 2 driver over node-keyed
-/// iterate streams, one batch loop, the landmark warm-up, and the epoch
-/// rebind. Every endpoint's stream lives in a NodeStateCache pool (the
-/// session when enabled, a batch-local pool otherwise), so both query
-/// sides reuse streams across the whole batch. Queries run in canonical
-/// (min, max) order with a fixed accumulation order, making
+/// iterate streams, one batch loop (which pins landmark streams), and
+/// the epoch rebind. Every endpoint's stream lives in a NodeStateCache
+/// pool (the session when enabled, a batch-local pool otherwise), so
+/// both query sides reuse streams across the whole batch. Queries run in
+/// canonical (min, max) order with a fixed accumulation order, making
 /// Estimate(s, t) ≡ Estimate(t, s) bitwise and batched values
 /// bit-identical to serial ones. With a pendant forest set, both entry
 /// points first reduce the pair to the 2-core, then canonicalise the
@@ -272,13 +272,6 @@ class SmmStreamEstimatorT
   /// from its stream when one is given.
   virtual QueryStats EstimateWithCache(NodeId s, NodeId t, Stream* s_cache,
                                        Stream* t_cache) = 0;
-  /// Iterate depth a landmark stream is warmed to, before the session's
-  /// per-stream cap.
-  virtual std::uint32_t WarmDepth() const = 0;
-
-  /// Builds and pins the landmark's stream to WarmDepth().
-  void WarmLandmark(NodeId lm) override;
-
   /// (s, t) reduced to its 2-core pair by forest_; the identity with a
   /// zero offset when there is no forest.
   PendantForest::Reduction ReducePair(NodeId s, NodeId t) const {
@@ -337,9 +330,6 @@ class SmmEstimatorT : public SmmStreamEstimatorT<WP> {
 
   QueryStats EstimateWithCache(NodeId s, NodeId t, Stream* s_cache,
                                Stream* t_cache) override;
-  /// A PengEll-budgeted query's depth (the pair-independent bound; the
-  /// refined per-pair ℓ never exceeds it), or the fixed iteration count.
-  std::uint32_t WarmDepth() const override;
 };
 
 /// The two stacks, by their historical names.

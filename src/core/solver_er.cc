@@ -60,7 +60,7 @@ bool SolverEstimatorT<WP>::RebindGraph(const GraphT& graph,
   }
   graph_ = &graph;
   // Columns are solutions against the old Laplacian: the session
-  // flushes wholesale; landmark columns re-warm (and re-pin) lazily.
+  // flushes wholesale; landmark columns re-pin when next solved.
   if (session_ != nullptr) session_->Rebind(epoch);
   return true;
 }
@@ -76,12 +76,10 @@ CgColumn SolverEstimatorT<WP>::SolveColumn(NodeId node,
   // cancel when two columns are differenced.
   col.y = solver_->Solve(b, &cg);
   col.converged = cg.converged;
-  if (stats != nullptr) {
-    ++stats->solves;
-    // One Laplacian SpMV (every arc once) per CG iteration.
-    stats->spmv_ops +=
-        static_cast<std::uint64_t>(cg.iterations) * graph_->NumArcs();
-  }
+  ++stats->solves;
+  // One Laplacian SpMV (every arc once) per CG iteration.
+  stats->spmv_ops +=
+      static_cast<std::uint64_t>(cg.iterations) * graph_->NumArcs();
   return col;
 }
 

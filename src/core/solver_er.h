@@ -98,13 +98,8 @@ class SolverEstimatorT
   /// `stats`.
   const CgColumn* ColumnFor(NodeId node, CgColumn* scratch,
                             QueryStats* stats);
-  /// Charges the solve to `stats` unless it is null (landmark warming).
+  /// Solves L† ê_node and charges the solve to `stats`.
   CgColumn SolveColumn(NodeId node, QueryStats* stats) const;
-
-  /// Solves and pins the landmark's column.
-  void WarmLandmark(NodeId lm) override {
-    session_->GetOrCreate(lm, [&] { return SolveColumn(lm, nullptr); });
-  }
 
   std::shared_ptr<const LaplacianSolverT<WP>> solver_;
   std::shared_ptr<EpochShared<SolverEntry>> shared_solver_;

@@ -63,7 +63,7 @@ bool TpEstimatorT<WP>::RebindGraph(const GraphT& graph,
   if (session_ != nullptr) {
     if (new_ell != old_ell || WalksPerLength(new_ell) != old_eta) {
       // Schedule change: every population has the wrong (ℓ, η).
-      // Landmark populations are re-warmed (and re-pinned) lazily.
+      // Landmark populations are re-pinned when next rebuilt.
       session_->Clear();
     } else if (session_->Rebind(epoch)) {
       // Selective retention: a population whose recorded visit set is
@@ -287,7 +287,7 @@ void TpEstimatorT<WP>::EstimateKeyGroup(NodeId key,
   if (!use_session) return;
 
   // Retain the populations built this group; landmark populations are
-  // pinned on insert (the lazy re-warm after an epoch flush).
+  // pinned on insert.
   if (record_key) session_->Insert(key, std::move(key_rec));
   for (std::size_t j = 0; j < m; ++j) {
     if (state[j].live && state[j].record_o) {
@@ -295,21 +295,6 @@ void TpEstimatorT<WP>::EstimateKeyGroup(NodeId key,
     }
   }
   session_->Sweep();
-}
-
-template <WeightPolicy WP>
-void TpEstimatorT<WP>::WarmLandmark(NodeId lm) {
-  const std::uint32_t ell =
-      PengEll(options_.epsilon, lambda_, options_.max_ell);
-  const std::uint64_t eta = WalksPerLength(ell);
-  session_->GetOrCreate(lm, [&] {
-    TpPopulation rec = TpPopulation::Recorder(ell, eta, graph_->NumNodes());
-    Rng rng(MixSeed(MixSeed(options_.seed, kTpStreamTag), lm));
-    for (std::uint32_t i = 1; i <= ell; ++i) {
-      RecordLength(lm, i, eta, rng, &rec);
-    }
-    return rec;
-  });
 }
 
 template <WeightPolicy WP>

@@ -145,10 +145,6 @@ class TpEstimatorT
   /// where each side's counts come from (see CountEnds).
   void EstimateKeyGroup(NodeId key, std::span<const QueryPair> queries,
                         std::span<QueryStats> stats);
-  /// Pins a full walk population for the landmark: ℓ = PengEll,
-  /// η = WalksPerLength(ℓ), so it answers any query's count lookups.
-  void WarmLandmark(NodeId lm) override;
-
   /// Feeds `count(endpoint, multiplicity)` the endpoints of `node`'s η
   /// length-i walks: a retained population's row is read back for free;
   /// otherwise the walks are simulated from `rng` (charged to `cost`)

@@ -338,24 +338,6 @@ void TpcEstimatorT<WP>::EstimateKeyGroup(NodeId key,
 }
 
 template <WeightPolicy WP>
-void TpcEstimatorT<WP>::WarmLandmark(NodeId lm) {
-  const std::uint32_t ell =
-      PengEll(options_.epsilon, lambda_, options_.max_ell);
-  TpcPopulation* a = PopulationFor(lm, 0, nullptr);
-  TpcPopulation* b = PopulationFor(lm, 1, nullptr);
-  // Advance to the full per-length schedule at the landmark's own β (a
-  // lower bound on any query's β with this endpoint may not hold, so
-  // queries extend the populations in place when they need more walks —
-  // content-addressed streams keep that bit-identical).
-  QueryStats scratch;
-  for (std::uint32_t i = 1; i <= ell; ++i) {
-    const std::uint64_t n_walks = WalksForLength(i, ell, lm, lm);
-    Advance(a, (i + 1) / 2, n_walks, &scratch);
-    Advance(b, i / 2, n_walks, &scratch);
-  }
-}
-
-template <WeightPolicy WP>
 QueryStats TpcEstimatorT<WP>::EstimateWithStats(NodeId s, NodeId t) {
   const QueryPair query{s, t};
   QueryStats stats;

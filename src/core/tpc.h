@@ -198,10 +198,6 @@ class TpcEstimatorT
   TpcPopulation* PopulationFor(NodeId node, std::uint32_t side,
                                std::vector<TpcPopulation>* local);
 
-  /// Pins the landmark's A/B populations, advanced to the full
-  /// per-length schedule at its own β.
-  void WarmLandmark(NodeId lm) override;
-
   ErOptions options_;
   double lambda_;
   WalkerFor<WP> walker_;

@@ -89,25 +89,12 @@ QueryService::QueryService(ErEstimator& estimator,
     workers_.push_back(clone.get());
     session_clones_.push_back(std::move(clone));
   }
-  if (options_.session_cache_bytes > 0) {
+  // Session caches are per worker: each pins the landmarks its own
+  // queries build. Landmarks without a budget get the default budget.
+  if (options_.session_cache_bytes > 0 || !options_.landmarks.empty()) {
     for (ErEstimator* worker : workers_) {
-      worker->EnableSessionCache(options_.session_cache_bytes);
-    }
-  }
-  if (!options_.landmarks.empty()) {
-    obs::Span warm_span("cache_warm");
-    warm_span.Arg("landmarks", options_.landmarks.size());
-    warm_span.Arg("workers", workers_.size());
-    // Every worker pins its own landmark state (session caches are
-    // per-worker); warming before the scheduler starts keeps the first
-    // micro-batch fast and data-race-free.
-    const std::span<const NodeId> landmarks(options_.landmarks);
-    for (ErEstimator* worker : workers_) {
-      worker->WarmLandmarks(landmarks);
-    }
-    std::lock_guard<std::mutex> lock(mu_);
-    for (ErEstimator* worker : workers_) {
-      metrics_.session_cache += worker->SessionCacheStats();
+      worker->EnableSessionCache(options_.session_cache_bytes,
+                                 options_.landmarks);
     }
   }
   scheduler_ = std::thread(&QueryService::SchedulerLoop, this);
@@ -203,9 +190,9 @@ void QueryService::Flush() {
     std::lock_guard<std::mutex> lock(mu_);
     // Publish final cache state: dispatch/swap refresh these counters
     // too, but a one-shot run whose LAST action touched the caches (an
-    // epoch swap flush, a landmark warm) would otherwise report stale
-    // numbers. Safe only while the scheduler is not running the worker
-    // estimators (they are not thread-safe).
+    // epoch swap flush) would otherwise report stale numbers. Safe only
+    // while the scheduler is not running the worker estimators (they
+    // are not thread-safe).
     if (!workers_busy_) {
       metrics_.session_cache = CacheStats{};
       for (const ErEstimator* worker : workers_) {

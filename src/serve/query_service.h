@@ -87,14 +87,17 @@ struct ServeOptions {
   /// rejected immediately (status kRejected) instead of queued.
   std::size_t max_queue = 1 << 16;
   /// Per-worker session-cache budget in bytes passed to
-  /// ErEstimator::EnableSessionCache (0 disables session caches — every
-  /// micro-batch then rebuilds its shared precomputation).
+  /// ErEstimator::EnableSessionCache (0 with no landmarks disables
+  /// session caches — every micro-batch then rebuilds its shared
+  /// precomputation).
   std::size_t session_cache_bytes = 64ull << 20;
-  /// Landmark nodes warmed and pinned in every worker's session cache at
-  /// construction (ErEstimator::WarmLandmarks — enables the session
-  /// cache even when session_cache_bytes is 0). Pick with
-  /// SelectLandmarks (src/centrality/landmarks.h). Values are unchanged;
-  /// queries touching a landmark skip its precomputation.
+  /// Landmark nodes: every worker's session pins a landmark's state when
+  /// the worker's first query touching it builds it, so later queries on
+  /// it skip its precomputation whatever the LRU evicts. Passed to
+  /// ErEstimator::EnableSessionCache; non-empty landmarks with
+  /// session_cache_bytes = 0 still start a session, at the default
+  /// budget. Pick with SelectLandmarks (src/centrality/landmarks.h).
+  /// Values are unchanged.
   std::vector<NodeId> landmarks;
 };
 

@@ -126,14 +126,6 @@ class LruByteCache {
     pinned_bytes_ += it->second->bytes;
   }
 
-  void Unpin(const Key& key) {
-    auto it = index_.find(key);
-    if (it == index_.end() || !it->second->pinned) return;
-    it->second->pinned = false;
-    --pinned_count_;
-    pinned_bytes_ -= it->second->bytes;
-  }
-
   // Drops least-recently-used unpinned entries until the unpinned
   // resident bytes fit the budget. Call only with no entry pointers
   // outstanding.

@@ -1,14 +1,18 @@
 // The landmark/hub layer's contract suite: landmark SELECTION is a pure
-// deterministic function of the graph (+ seed) with ties broken by node
-// id; EXACT/CG answers combined from cached landmark columns are
+// deterministic function of the graph with ties broken by node id;
+// starting a session with landmarks builds nothing, and the first query
+// that touches a landmark builds its state and pins it through an LRU
+// flood (GEER's pinned stream holds only the iterates that query read);
+// EXACT/CG answers combined from cached landmark columns are
 // BIT-IDENTICAL to direct solves (linearity — rank-one centering parts
-// cancel in the 4-term combination); warmed walk/iterate methods
-// (TP/TPC/SMM/GEER) answer bit-identically to unwarmed instances and
-// stay within the contract-test accuracy budget against the CG oracle
-// in both weight modes; the cache hit/miss counters are EXACT on a
-// scripted trace; and an epoch swap (dyn RebindGraph) invalidates
-// landmark state such that rebound-and-rewarmed answers equal a fresh
-// estimator's bit for bit.
+// cancel in the 4-term combination); walk/iterate methods (TP/TPC/SMM/
+// GEER) with pinned landmarks answer bit-identically to instances
+// without a session and stay within the contract-test accuracy budget
+// against the CG oracle in both weight modes; the cache hit/miss
+// counters are EXACT on a scripted trace; and an epoch swap (dyn
+// RebindGraph) invalidates landmark state such that rebound answers,
+// with the landmarks rebuilt and re-pinned, equal a fresh estimator's
+// bit for bit.
 
 #include <gtest/gtest.h>
 
@@ -89,22 +93,6 @@ TEST(LandmarkSelectionTest, WeightedSelectionRanksByStrength) {
   }
 }
 
-TEST(LandmarkSelectionTest, SpanningCentralitySelectionDeterministic) {
-  const Graph graph = Fixture();
-  SpanningCentralityOptions options;
-  options.seed = 7;
-  const std::vector<NodeId> a =
-      SelectLandmarksBySpanningCentrality(graph, 6, options);
-  const std::vector<NodeId> b =
-      SelectLandmarksBySpanningCentrality(graph, 6, options);
-  EXPECT_EQ(a, b);  // run-to-run: pure function of (graph, seed)
-  ASSERT_EQ(a.size(), 6u);
-  std::vector<NodeId> sorted = a;
-  std::sort(sorted.begin(), sorted.end());
-  EXPECT_EQ(std::unique(sorted.begin(), sorted.end()), sorted.end());
-  for (const NodeId lm : a) EXPECT_LT(lm, graph.NumNodes());
-}
-
 // Query pairs mixing landmark-landmark, landmark-other (both endpoint
 // positions), other-other, s > t, and s == t.
 std::vector<QueryPair> MixedQueries(std::span<const NodeId> landmarks) {
@@ -114,111 +102,253 @@ std::vector<QueryPair> MixedQueries(std::span<const NodeId> landmarks) {
           {14, 29}, {29, 14}, {a, a}, {2, 35}};
 }
 
+// Values of `queries` answered by one RunQueryBatch call on one worker:
+// the session path of every estimator (SMM/GEER read their session only
+// through EstimateBatch).
+std::vector<double> BatchValues(ErEstimator& estimator,
+                                std::span<const QueryPair> queries) {
+  std::vector<QueryStats> stats(queries.size());
+  RunQueryBatch(estimator, queries, stats);
+  std::vector<double> values(queries.size());
+  for (std::size_t i = 0; i < queries.size(); ++i) values[i] = stats[i].value;
+  return values;
+}
+
+const char* const kSessionEstimators[] = {"EXACT", "CG",  "TP",
+                                          "TPC",   "SMM", "GEER"};
+
+TEST(LandmarkCacheTest, EnableSessionCacheBuildsNothing) {
+  const Graph graph = Fixture();
+  const std::vector<NodeId> landmarks = SelectLandmarks(graph, 6);
+  for (const std::string name : kSessionEstimators) {
+    auto estimator = CreateEstimator(name, graph, FastOptions());
+    ASSERT_NE(estimator, nullptr) << name;
+    estimator->EnableSessionCache(2048, landmarks);
+    const CacheStats stats = estimator->SessionCacheStats();
+    EXPECT_EQ(stats.entries, 0u) << name;
+    EXPECT_EQ(stats.pinned, 0u) << name;
+    EXPECT_EQ(stats.bytes, 0u) << name;
+    EXPECT_EQ(stats.misses, 0u) << name;
+  }
+}
+
+// The first query that touches a landmark builds its state and pins it;
+// an LRU flood of non-landmark entries under a budget far below the
+// flood's bytes evicts around it, and the repeat query reads it back
+// without fresh work. Budgets as in the scripted trace below.
+TEST(LandmarkCacheTest, FirstQueryPinsLandmarkThroughLruFlood) {
+  struct Case {
+    const char* name;
+    std::size_t budget_bytes;
+    std::uint64_t keys_per_node;  // TPC keys a node's A and B sides
+  };
+  const Case cases[] = {{"SMM", 2048, 1},  {"GEER", 2048, 1},
+                        {"TP", 8192, 1},   {"TPC", 98304, 2},
+                        {"EXACT", 2048, 1}, {"CG", 2048, 1}};
+  const Graph graph = gen::ErdosRenyi(30, 140, 7);
+  const std::vector<NodeId> landmarks = SelectLandmarks(graph, 2);
+  const std::vector<QueryPair> hub = {{landmarks[0], landmarks[1]}};
+  // Every pair of ten non-landmark nodes: each recurs in the batch, so
+  // SMM/GEER admit its stream too.
+  std::vector<NodeId> others;
+  for (NodeId v = 0; others.size() < 10; ++v) {
+    if (v != landmarks[0] && v != landmarks[1]) others.push_back(v);
+  }
+  std::vector<QueryPair> flood;
+  for (std::size_t i = 0; i < others.size(); ++i) {
+    for (std::size_t j = i + 1; j < others.size(); ++j) {
+      flood.push_back({others[i], others[j]});
+    }
+  }
+  const ErOptions options = FastOptions();
+  for (const Case& c : cases) {
+    auto plain = CreateEstimator(c.name, graph, options);
+    auto estimator = CreateEstimator(c.name, graph, options);
+    ASSERT_NE(estimator, nullptr) << c.name;
+    estimator->EnableSessionCache(c.budget_bytes, landmarks);
+    const double expected = plain->Estimate(hub[0].s, hub[0].t);
+
+    std::vector<QueryStats> first(1);
+    RunQueryBatch(*estimator, hub, first);
+    EXPECT_EQ(first[0].value, expected) << c.name;
+    const CacheStats built = estimator->SessionCacheStats();
+    EXPECT_EQ(built.pinned, 2 * c.keys_per_node) << c.name;
+    EXPECT_EQ(built.entries, 2 * c.keys_per_node) << c.name;
+    EXPECT_GT(first[0].spmv_ops + first[0].solves + first[0].walk_steps, 0u)
+        << c.name;
+
+    std::vector<QueryStats> flood_stats(flood.size());
+    RunQueryBatch(*estimator, flood, flood_stats);
+    const CacheStats flooded = estimator->SessionCacheStats();
+    EXPECT_GT(flooded.evictions, built.evictions) << c.name;
+    EXPECT_EQ(flooded.pinned, built.pinned) << c.name;
+
+    std::vector<QueryStats> repeat(1);
+    RunQueryBatch(*estimator, hub, repeat);
+    EXPECT_EQ(repeat[0].value, expected) << c.name;
+    EXPECT_EQ(repeat[0].spmv_ops, 0u) << c.name;
+    EXPECT_EQ(repeat[0].solves, 0u) << c.name;
+    // GEER's AMC walks are per query; the walk methods' populations are
+    // the session state.
+    if (std::string(c.name) == "TP" || std::string(c.name) == "TPC") {
+      EXPECT_EQ(repeat[0].walks, 0u) << c.name;
+      EXPECT_EQ(repeat[0].walk_steps, 0u) << c.name;
+    }
+    const CacheStats after = estimator->SessionCacheStats();
+    EXPECT_EQ(after.misses, flooded.misses) << c.name;
+    EXPECT_EQ(after.pinned, built.pinned) << c.name;
+  }
+}
+
+// GEER reads a stream only up to its greedy switch point ℓ_b (Eq. 17),
+// so a landmark's pinned stream holds exactly the ℓ_b + 1 dense iterates
+// (P^0 … P^ℓ_b applied to e_lm) the first query read, not Peng's ℓ.
+TEST(LandmarkCacheTest, GeerPinsOnlyTheIteratesItsQueryRead) {
+  const Graph graph = testing::DenseTestGraph(20);
+  ErOptions options = FastOptions();
+  options.epsilon = 0.05;
+  options.lambda = ComputeSpectralBounds(graph).lambda;
+  const NodeId lm = SelectLandmarks(graph, 1)[0];
+  const NodeId other = lm == 15 ? 16 : 15;  // a ring node, batch singleton
+  const std::vector<QueryPair> queries = {{lm, other}};
+  auto estimator = CreateEstimator("GEER", graph, options);
+  estimator->EnableSessionCache(0, std::span<const NodeId>(&lm, 1));
+  std::vector<QueryStats> stats(1);
+  RunQueryBatch(*estimator, queries, stats);
+  ASSERT_GT(stats[0].ell_b, 0u);
+  ASSERT_LT(stats[0].ell_b, stats[0].ell);
+  const CacheStats cache = estimator->SessionCacheStats();
+  EXPECT_EQ(cache.entries, 1u);
+  EXPECT_EQ(cache.pinned, 1u);
+  EXPECT_EQ(cache.bytes, (std::uint64_t{stats[0].ell_b} + 1) *
+                             graph.NumNodes() * sizeof(double));
+}
+
 TEST(LandmarkCacheTest, ExactCombinedFromLandmarkColumnsBitIdentical) {
   const Graph graph = Fixture();
   const std::vector<NodeId> landmarks = SelectLandmarks(graph, 6);
   ExactEstimator direct(graph);  // no session cache at all
-  ExactEstimator warmed(graph);
-  EXPECT_EQ(warmed.WarmLandmarks(landmarks), landmarks.size());
-  const CacheStats after_warm = warmed.SessionCacheStats();
-  EXPECT_EQ(after_warm.pinned, landmarks.size());
-  EXPECT_EQ(after_warm.entries, landmarks.size());
-  EXPECT_GT(after_warm.bytes, 0u);
+  ExactEstimator pinned(graph);
+  pinned.EnableSessionCache(0, landmarks);
 
-  for (const QueryPair& q : MixedQueries(landmarks)) {
-    EXPECT_EQ(warmed.Estimate(q.s, q.t), direct.Estimate(q.s, q.t))
-        << "EXACT (" << q.s << "," << q.t << ")";
-    // Combination from cached columns is bitwise symmetric.
-    EXPECT_EQ(warmed.Estimate(q.s, q.t), warmed.Estimate(q.t, q.s))
-        << "EXACT symmetric (" << q.s << "," << q.t << ")";
+  const std::vector<QueryPair> queries = MixedQueries(landmarks);
+  for (int pass = 0; pass < 2; ++pass) {  // build, then read back
+    for (const QueryPair& q : queries) {
+      EXPECT_EQ(pinned.Estimate(q.s, q.t), direct.Estimate(q.s, q.t))
+          << "EXACT (" << q.s << "," << q.t << ") pass " << pass;
+      // Combination from cached columns is bitwise symmetric.
+      EXPECT_EQ(pinned.Estimate(q.s, q.t), pinned.Estimate(q.t, q.s))
+          << "EXACT symmetric (" << q.s << "," << q.t << ") pass " << pass;
+    }
   }
+  // Eight distinct endpoints, of which the queries' two landmarks are
+  // pinned; every column was solved once.
+  const CacheStats after = pinned.SessionCacheStats();
+  EXPECT_EQ(after.pinned, 2u);
+  EXPECT_EQ(after.entries, 8u);
+  EXPECT_EQ(after.misses, 8u);
+  EXPECT_EQ(after.evictions, 0u);
+  EXPECT_GT(after.bytes, 0u);
 }
 
 TEST(LandmarkCacheTest, CgCombinedFromLandmarkColumnsBitIdentical) {
   const Graph graph = Fixture();
   const std::vector<NodeId> landmarks = SelectLandmarks(graph, 6);
   SolverEstimator direct(graph);
-  SolverEstimator warmed(graph);
-  EXPECT_EQ(warmed.WarmLandmarks(landmarks), landmarks.size());
-  for (const QueryPair& q : MixedQueries(landmarks)) {
-    EXPECT_EQ(warmed.Estimate(q.s, q.t), direct.Estimate(q.s, q.t))
-        << "CG (" << q.s << "," << q.t << ")";
-    EXPECT_EQ(warmed.Estimate(q.s, q.t), warmed.Estimate(q.t, q.s))
-        << "CG symmetric (" << q.s << "," << q.t << ")";
+  SolverEstimator pinned(graph);
+  pinned.EnableSessionCache(0, landmarks);
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const QueryPair& q : MixedQueries(landmarks)) {
+      EXPECT_EQ(pinned.Estimate(q.s, q.t), direct.Estimate(q.s, q.t))
+          << "CG (" << q.s << "," << q.t << ") pass " << pass;
+      EXPECT_EQ(pinned.Estimate(q.s, q.t), pinned.Estimate(q.t, q.s))
+          << "CG symmetric (" << q.s << "," << q.t << ") pass " << pass;
+    }
   }
+  EXPECT_EQ(pinned.SessionCacheStats().pinned, 2u);
 }
 
-TEST(LandmarkCacheTest, WarmedWalkMethodsBitIdenticalToUnwarmed) {
+TEST(LandmarkCacheTest, PinnedWalkMethodsBitIdenticalToUnpinned) {
   const Graph graph = Fixture();
   ErOptions opt = FastOptions();
   opt.lambda = ComputeSpectralBounds(graph).lambda;
   const std::vector<NodeId> landmarks = SelectLandmarks(graph, 6);
+  const std::vector<QueryPair> queries = MixedQueries(landmarks);
   for (const std::string name : {"TP", "TPC", "SMM", "GEER"}) {
     auto plain = CreateEstimator(name, graph, opt);
-    auto warmed = CreateEstimator(name, graph, opt);
+    auto pinned = CreateEstimator(name, graph, opt);
     ASSERT_NE(plain, nullptr) << name;
-    EXPECT_GT(warmed->WarmLandmarks(landmarks), 0u) << name;
-    for (const QueryPair& q : MixedQueries(landmarks)) {
-      EXPECT_EQ(warmed->Estimate(q.s, q.t), plain->Estimate(q.s, q.t))
-          << name << " (" << q.s << "," << q.t << ")";
+    pinned->EnableSessionCache(0, landmarks);
+    // The first batch builds and pins the landmark state, the second
+    // reads it back; neither moves an answer.
+    for (int pass = 0; pass < 2; ++pass) {
+      const std::vector<double> values = BatchValues(*pinned, queries);
+      for (std::size_t i = 0; i < queries.size(); ++i) {
+        EXPECT_EQ(values[i], plain->Estimate(queries[i].s, queries[i].t))
+            << name << " (" << queries[i].s << "," << queries[i].t
+            << ") pass " << pass;
+      }
     }
-    // Warming is idempotent: a second warm re-pins resident entries and
-    // still changes no answers.
-    EXPECT_GT(warmed->WarmLandmarks(landmarks), 0u) << name;
-    EXPECT_EQ(warmed->Estimate(landmarks[0], 17),
-              plain->Estimate(landmarks[0], 17))
-        << name << " after re-warm";
+    EXPECT_GT(pinned->SessionCacheStats().pinned, 0u) << name;
   }
 }
 
-TEST(LandmarkCacheTest, WarmedWalkMethodsWithinContractBoundsVsCgOracle) {
+TEST(LandmarkCacheTest, PinnedWalkMethodsWithinContractBoundsVsCgOracle) {
   const Graph graph = Fixture();
   ErOptions opt = FastOptions();
   opt.lambda = ComputeSpectralBounds(graph).lambda;
   const std::vector<NodeId> landmarks = SelectLandmarks(graph, 6);
+  const std::vector<QueryPair> queries = {
+      {landmarks[0], 17}, {23, landmarks[1]}, {14, 29}};
   SolverEstimator oracle(graph);
   for (const std::string name : {"TP", "TPC", "SMM", "GEER"}) {
-    auto warmed = CreateEstimator(name, graph, opt);
-    ASSERT_NE(warmed, nullptr) << name;
-    warmed->WarmLandmarks(landmarks);
-    for (const QueryPair& q :
-         {QueryPair{landmarks[0], 17}, {23, landmarks[1]}, {14, 29}}) {
-      const double truth = oracle.Estimate(q.s, q.t);
-      EXPECT_NEAR(warmed->Estimate(q.s, q.t), truth, opt.epsilon + 1e-9)
-          << name << " (" << q.s << "," << q.t << ")";
+    auto pinned = CreateEstimator(name, graph, opt);
+    ASSERT_NE(pinned, nullptr) << name;
+    pinned->EnableSessionCache(0, landmarks);
+    BatchValues(*pinned, queries);  // builds and pins the hub side
+    const std::vector<double> values = BatchValues(*pinned, queries);
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      const double truth = oracle.Estimate(queries[i].s, queries[i].t);
+      EXPECT_NEAR(values[i], truth, opt.epsilon + 1e-9)
+          << name << " (" << queries[i].s << "," << queries[i].t << ")";
     }
   }
 }
 
-TEST(LandmarkCacheTest, WeightedWarmedMethodsWithinBoundsVsWeightedCg) {
+TEST(LandmarkCacheTest, WeightedPinnedMethodsWithinBoundsVsWeightedCg) {
   const WeightedGraph graph =
       gen::WithUniformWeights(Fixture(), 0.5, 2.0, 99);
   ErOptions opt = FastOptions();
   opt.lambda = ComputeWeightedSpectralBounds(graph).lambda;
   const std::vector<NodeId> landmarks = SelectLandmarks(graph, 6);
+  const std::vector<QueryPair> queries = {
+      {landmarks[0], 17}, {23, landmarks[1]}, {14, 29}};
   WeightedSolverEstimator oracle(graph);
   for (const std::string name : {"TP", "SMM", "GEER"}) {
     auto plain = CreateWeightedEstimator(name, graph, opt);
-    auto warmed = CreateWeightedEstimator(name, graph, opt);
-    ASSERT_NE(warmed, nullptr) << name;
-    warmed->WarmLandmarks(landmarks);
-    for (const QueryPair& q :
-         {QueryPair{landmarks[0], 17}, {23, landmarks[1]}, {14, 29}}) {
-      EXPECT_EQ(warmed->Estimate(q.s, q.t), plain->Estimate(q.s, q.t))
+    auto pinned = CreateWeightedEstimator(name, graph, opt);
+    ASSERT_NE(pinned, nullptr) << name;
+    pinned->EnableSessionCache(0, landmarks);
+    BatchValues(*pinned, queries);  // builds and pins the hub side
+    const std::vector<double> values = BatchValues(*pinned, queries);
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      const QueryPair& q = queries[i];
+      EXPECT_EQ(values[i], plain->Estimate(q.s, q.t))
           << "W-" << name << " (" << q.s << "," << q.t << ")";
-      EXPECT_NEAR(warmed->Estimate(q.s, q.t), oracle.Estimate(q.s, q.t),
-                  opt.epsilon + 1e-9)
+      EXPECT_NEAR(values[i], oracle.Estimate(q.s, q.t), opt.epsilon + 1e-9)
           << "W-" << name << " (" << q.s << "," << q.t << ")";
     }
   }
 }
 
 // The session cache's counters on one scripted trace, per estimator:
-// warm two landmarks, run a batch, repeat it, swap the epoch, run it
-// again. Every lookup of the six node-keyed caches is deterministic, so
-// hits/misses/evictions/entries/pinned are pinned EXACTLY at each
-// checkpoint. The budgets are small enough that the LRU evicts, and the
-// post-swap batch exercises the lazy re-pin of invalidated landmarks.
+// start a session with two landmarks, run a batch, repeat it, swap the
+// epoch, run it again. Every lookup of the six node-keyed caches is
+// deterministic, so hits/misses/evictions/entries/pinned are pinned
+// EXACTLY at each checkpoint. Starting the session builds nothing; the
+// first batch pins the landmarks it touches. The budgets are small
+// enough that the LRU evicts, and the post-swap batch exercises the
+// re-pin of invalidated landmarks.
 struct CacheCounters {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
@@ -241,30 +371,31 @@ std::ostream& operator<<(std::ostream& os, const CacheCounters& c) {
 struct CacheTraceCase {
   const char* name;
   std::size_t budget_bytes;
-  // After: warm, batch, repeat batch, epoch swap, post-swap batch.
+  // After: session start, batch, repeat batch, epoch swap, post-swap
+  // batch.
   CacheCounters expected[5];
 };
 
 TEST(LandmarkCacheTest, SessionCacheCountersOnScriptedTrace) {
   const CacheTraceCase cases[] = {
       {"SMM", 2048,
-       {{0, 2, 0, 2, 2}, {11, 13, 5, 6, 2}, {22, 24, 14, 6, 2},
-        {22, 24, 18, 2, 0}, {31, 37, 25, 6, 2}}},
+       {{0, 0, 0, 0, 0}, {9, 13, 5, 6, 2}, {20, 24, 14, 6, 2},
+        {20, 24, 18, 2, 0}, {29, 37, 25, 6, 2}}},
       {"GEER", 2048,
-       {{0, 2, 0, 2, 2}, {11, 13, 5, 6, 2}, {22, 24, 14, 6, 2},
-        {22, 24, 18, 2, 0}, {31, 37, 25, 6, 2}}},
+       {{0, 0, 0, 0, 0}, {9, 13, 5, 6, 2}, {20, 24, 14, 6, 2},
+        {20, 24, 18, 2, 0}, {29, 37, 25, 6, 2}}},
       {"TP", 8192,
-       {{0, 2, 0, 2, 2}, {9, 12, 1, 10, 2}, {24, 16, 5, 10, 2},
-        {24, 16, 15, 0, 0}, {31, 28, 16, 10, 2}}},
+       {{0, 0, 0, 0, 0}, {7, 12, 1, 10, 2}, {22, 16, 5, 10, 2},
+        {22, 16, 15, 0, 0}, {29, 28, 16, 10, 2}}},
       {"TPC", 98304,
-       {{0, 4, 0, 4, 4}, {11, 33, 25, 8, 4}, {22, 62, 54, 8, 4},
-        {22, 62, 60, 2, 0}, {29, 95, 87, 8, 4}}},
+       {{0, 0, 0, 0, 0}, {7, 33, 25, 8, 4}, {18, 62, 54, 8, 4},
+        {18, 62, 60, 2, 0}, {25, 95, 87, 8, 4}}},
       {"EXACT", 2048,
-       {{0, 2, 0, 2, 2}, {11, 13, 4, 9, 2}, {26, 20, 11, 9, 2},
-        {26, 20, 11, 0, 0}, {35, 33, 15, 9, 2}}},
+       {{0, 0, 0, 0, 0}, {9, 13, 4, 9, 2}, {24, 20, 11, 9, 2},
+        {24, 20, 11, 0, 0}, {33, 33, 15, 9, 2}}},
       {"CG", 2048,
-       {{0, 2, 0, 2, 2}, {11, 13, 4, 9, 2}, {26, 20, 11, 9, 2},
-        {26, 20, 11, 0, 0}, {35, 33, 15, 9, 2}}},
+       {{0, 0, 0, 0, 0}, {9, 13, 4, 9, 2}, {24, 20, 11, 9, 2},
+        {24, 20, 11, 0, 0}, {33, 33, 15, 9, 2}}},
   };
   const ErOptions options = FastOptions();
   for (const CacheTraceCase& c : cases) {
@@ -273,7 +404,6 @@ TEST(LandmarkCacheTest, SessionCacheCountersOnScriptedTrace) {
     std::vector<decltype(snapshot)> held = {snapshot};  // graphs must live
     auto estimator = CreateEstimator(c.name, *snapshot->graph, options);
     ASSERT_NE(estimator, nullptr) << c.name;
-    estimator->EnableSessionCache(c.budget_bytes);
     const std::vector<NodeId> landmarks = SelectLandmarks(*snapshot->graph, 2);
     const NodeId a = landmarks[0];
     const NodeId b = landmarks[1];
@@ -285,7 +415,7 @@ TEST(LandmarkCacheTest, SessionCacheCountersOnScriptedTrace) {
     std::vector<QueryStats> stats(queries.size());
     CacheCounters actual[5];
 
-    estimator->WarmLandmarks(landmarks);
+    estimator->EnableSessionCache(c.budget_bytes, landmarks);
     actual[0] = CountersOf(estimator->SessionCacheStats());
     RunQueryBatch(*estimator, queries, stats);
     actual[1] = CountersOf(estimator->SessionCacheStats());
@@ -316,9 +446,9 @@ TEST(LandmarkCacheTest, SessionCacheCountersOnScriptedTrace) {
 
 // Epoch swap: landmark state bound to the old graph must not leak into
 // the new epoch. After RebindGraph the rebound estimator — with its
-// landmarks lazily re-warmed — answers bit-identically to a fresh
-// estimator built on the from-scratch rebuild, for every estimator with
-// warmable state.
+// landmarks rebuilt and re-pinned by the queries that touch them —
+// answers bit-identically to a fresh estimator built on the
+// from-scratch rebuild, for every estimator with session state.
 TEST(LandmarkCacheTest, EpochSwapKeepsFreshVsRebindBitIdentity) {
   const ErOptions options = FastOptions();  // no λ: rebinds re-derive it
   for (const std::string name :
@@ -330,8 +460,11 @@ TEST(LandmarkCacheTest, EpochSwapKeepsFreshVsRebindBitIdentity) {
     ASSERT_NE(estimator, nullptr) << name;
     const std::vector<NodeId> landmarks =
         SelectLandmarks(*snapshot->graph, 5);
-    EXPECT_GT(estimator->WarmLandmarks(landmarks), 0u) << name;
-    (void)estimator->Estimate(landmarks[0], 9);  // use the warm state
+    estimator->EnableSessionCache(0, landmarks);
+    const std::vector<QueryPair> probe = {{landmarks[0], 9},
+                                          {landmarks[1], 9}};
+    BatchValues(*estimator, probe);  // builds and pins the landmarks
+    EXPECT_GT(estimator->SessionCacheStats().pinned, 0u) << name;
 
     UpdateGenerator generator(dyn, 4242);
     for (int batch = 0; batch < 2; ++batch) {
@@ -344,22 +477,25 @@ TEST(LandmarkCacheTest, EpochSwapKeepsFreshVsRebindBitIdentity) {
       epoch.resized = snapshot->resized;
       ASSERT_TRUE(estimator->RebindGraph(*snapshot->graph, epoch)) << name;
       // Query between swaps so stale-yet-cached state would surface.
-      (void)estimator->Estimate(landmarks[0], 9);
+      BatchValues(*estimator, probe);
     }
 
     const Graph rebuilt = dyn.BuildFromScratch();
     auto fresh = CreateEstimator(name, rebuilt, options);
-    auto fresh_warmed = CreateEstimator(name, rebuilt, options);
-    fresh_warmed->WarmLandmarks(SelectLandmarks(rebuilt, 5));
-    const QueryPair queries[] = {
+    auto fresh_pinned = CreateEstimator(name, rebuilt, options);
+    fresh_pinned->EnableSessionCache(0, SelectLandmarks(rebuilt, 5));
+    BatchValues(*fresh_pinned, probe);
+    const std::vector<QueryPair> queries = {
         {landmarks[0], 9}, {9, landmarks[0]}, {landmarks[1], landmarks[2]},
         {0, 5}, {12, 28}};
-    for (const QueryPair& q : queries) {
-      const double rebound = estimator->Estimate(q.s, q.t);
-      EXPECT_EQ(rebound, fresh->Estimate(q.s, q.t))
+    const std::vector<double> rebound = BatchValues(*estimator, queries);
+    const std::vector<double> pinned = BatchValues(*fresh_pinned, queries);
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      const QueryPair& q = queries[i];
+      EXPECT_EQ(rebound[i], fresh->Estimate(q.s, q.t))
           << name << " rebind-vs-fresh (" << q.s << "," << q.t << ")";
-      EXPECT_EQ(rebound, fresh_warmed->Estimate(q.s, q.t))
-          << name << " rebind-vs-fresh-warmed (" << q.s << "," << q.t
+      EXPECT_EQ(rebound[i], pinned[i])
+          << name << " rebind-vs-fresh-pinned (" << q.s << "," << q.t
           << ")";
     }
   }

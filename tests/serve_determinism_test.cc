@@ -4,7 +4,7 @@
 // at 1, 2 and 8 scheduler worker threads, under any micro-batch
 // boundary (max_batch_size 1 / small / unbounded), under a shuffled
 // arrival order, with concurrent client submitters, and with session
-// caches on or off, and with landmark warm-up configured. Also pins the
+// caches on or off, and with landmarks configured. Also pins the
 // session/landmark cache observability contract (ServeMetrics exposes
 // the LruByteCache counters) and the service's lifecycle semantics:
 // deadline expiry, backpressure rejection, ShutdownNow cancellation and
@@ -17,6 +17,7 @@
 #include <cmath>
 #include <future>
 #include <limits>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -269,9 +270,9 @@ TEST_F(ServeDeterminismTest, SessionCachePersistsAcrossBatchesSameValues) {
     }
     EXPECT_LT(second_spmv, first_spmv) << name;
 
-    // Clearing drops the retained state but keeps the session enabled:
-    // cost resets, values do not.
-    estimator->ClearSessionCache();
+    // A fresh session drops the retained state: cost resets, values do
+    // not.
+    estimator->EnableSessionCache();
     std::vector<QueryStats> third(dense_queries.size());
     RunQueryBatch(*estimator, dense_queries, third);
     std::uint64_t third_spmv = 0;
@@ -290,8 +291,8 @@ TEST_F(ServeDeterminismTest, WalkSessionCachesPersistAcrossBatches) {
   // (TP: endpoint histograms per length; TPC: per-length endpoint
   // snapshots). The second visit to the same sources and targets is
   // entirely lookup-served — a session hit never re-simulates — while
-  // answering bit-identically; clearing resets the cost without moving
-  // any value.
+  // answering bit-identically; a fresh session resets the cost without
+  // moving any value.
   for (const std::string& name : {std::string("TP"), std::string("TPC")}) {
     auto serial = CreateEstimator(name, graph_, options_);
     const std::vector<double> expected = SerialValues(serial.get(), queries_);
@@ -317,7 +318,7 @@ TEST_F(ServeDeterminismTest, WalkSessionCachesPersistAcrossBatches) {
     // Every population the revisit needs is retained: zero fresh walks.
     EXPECT_EQ(second_steps, 0u) << name;
 
-    estimator->ClearSessionCache();
+    estimator->EnableSessionCache();
     std::vector<QueryStats> third(queries_.size());
     RunQueryBatch(*estimator, queries_, third);
     std::uint64_t third_steps = 0;
@@ -387,31 +388,55 @@ TEST_F(ServeDeterminismTest, SessionCacheCountersSurfaceInServeMetrics) {
 }
 
 TEST_F(ServeDeterminismTest, LandmarkModeServesBitIdenticalWithPinnedEntries) {
-  // ServeOptions.landmarks warms and pins per-landmark state in every
-  // worker before the scheduler starts. The contract: answers never move
-  // (landmark combination is exact by linearity for the SpMV methods and
-  // reuses the very populations the direct path would record for the walk
-  // methods), and the pinned warm-up is visible in the metrics snapshot.
+  // ServeOptions.landmarks hands every worker's session its landmark set;
+  // a worker pins a landmark's state when its first query touching it
+  // builds it. The contract: answers never move (landmark combination is
+  // exact by linearity for the SpMV methods and reuses the very
+  // populations the direct path would record for the walk methods), and
+  // the pins are visible in the metrics snapshot.
   const std::vector<NodeId> landmarks = SelectLandmarks(graph_, 8);
   ASSERT_EQ(landmarks.size(), 8u);
+  // The fixture has no degree-1 node, so GEER reduces no pair: the
+  // landmarks a query touches are its endpoints.
+  for (NodeId v = 0; v < graph_.NumNodes(); ++v) ASSERT_GE(graph_.Degree(v), 2u);
+  std::vector<char> touched(graph_.NumNodes(), 0);
+  for (const QueryPair& q : queries_) {
+    if (q.s == q.t) continue;
+    touched[q.s] = touched[q.t] = 1;
+  }
+  std::uint64_t touched_landmarks = 0;
+  for (const NodeId lm : landmarks) touched_landmarks += touched[lm];
+  ASSERT_GT(touched_landmarks, 0u);
   for (const std::string name : {"GEER", "TP", "SMM"}) {
     auto serial = CreateEstimator(name, graph_, options_);
     const std::vector<double> expected = SerialValues(serial.get(), queries_);
-
-    auto estimator = CreateEstimator(name, graph_, options_);
-    ServeOptions serve_options;
-    serve_options.threads = 2;
-    serve_options.max_batch_size = 4;
-    serve_options.max_linger_seconds = 0.0;
-    serve_options.landmarks = landmarks;
-    const ServedWorkloadResult served =
-        Serve(estimator.get(), trace_, serve_options);
-    ExpectServedMatchesSerial(served, trace_, expected, name + " landmarks");
-    // Both workers warmed all 8 landmarks; the warm-up itself counts as
-    // misses, and the pinned gauge proves the entries are budget-exempt.
-    EXPECT_GE(served.session_cache.pinned, landmarks.size()) << name;
-    EXPECT_GT(served.session_cache.misses, 0u) << name;
-    EXPECT_GT(served.session_cache.bytes, 0u) << name;
+    for (const int threads : {1, 2}) {
+      auto estimator = CreateEstimator(name, graph_, options_);
+      ServeOptions serve_options;
+      serve_options.threads = threads;
+      serve_options.max_batch_size = 4;
+      serve_options.max_linger_seconds = 0.0;
+      serve_options.landmarks = landmarks;
+      const ServedWorkloadResult served =
+          Serve(estimator.get(), trace_, serve_options);
+      const std::string label =
+          name + " landmarks, " + std::to_string(threads) + " threads";
+      ExpectServedMatchesSerial(served, trace_, expected, label);
+      // Each worker pins exactly the landmarks its own queries touched.
+      // One worker touches them all; two split them by which worker
+      // claims which group, so each touched landmark is pinned once or
+      // twice.
+      const std::uint64_t pinned = served.session_cache.pinned;
+      EXPECT_GT(pinned, 0u) << label;
+      if (threads == 1) {
+        EXPECT_EQ(pinned, touched_landmarks) << label;
+      } else {
+        EXPECT_GE(pinned, touched_landmarks) << label;
+        EXPECT_LE(pinned, 2 * touched_landmarks) << label;
+      }
+      EXPECT_GT(served.session_cache.misses, 0u) << label;
+      EXPECT_GT(served.session_cache.bytes, 0u) << label;
+    }
   }
 }
 
