@@ -4,10 +4,13 @@
 // h(ℓ−ℓ_b)·(ℓ−ℓ_b) — this bench implements both switch rules over the
 // public SmmIterator/RunAmc API and reports time and chosen ℓ_b, showing
 // how the cost model shifts the switch point and what that does to
-// latency. Like GEER, each query is first reduced to its 2-core pair
-// through PendantForest::Reduce (graph/algorithms.h) and run in
-// canonical (min, max) order, so the "samples" column replays GEER. (The
-// stand-in graphs are described in EXPERIMENTS.md "Datasets".)
+// latency. Like GEER, it runs on the graph's 2-core C through the same
+// PendantCore artifact (graph/algorithms.h): each query is reduced to
+// its core pair in C's ids, iterated and walked on C with G's λ, in
+// canonical (min, max) order. The "samples" model therefore replays
+// GEER, and the bench checks every such query's ℓ_b and walk count
+// against GeerEstimator's own stats. (The stand-in graphs are described
+// in EXPERIMENTS.md "Datasets".)
 
 #include <algorithm>
 #include <cstdio>
@@ -20,6 +23,7 @@
 #include "eval/queries.h"
 #include "eval/table.h"
 #include "graph/algorithms.h"
+#include "util/check.h"
 #include "util/format.h"
 #include "util/timer.h"
 
@@ -42,17 +46,19 @@ AblationResult RunVariant(const Dataset& ds,
                           const std::vector<QueryPair>& queries,
                           const ErOptions& opt, CostModel model,
                           double deadline_s) {
-  TransitionOperator op(ds.graph);
-  const std::shared_ptr<const PendantForest> forest =
-      PendantForest::Build(ds.graph);
+  const std::shared_ptr<const PendantCore<Graph>> core =
+      PendantCore<Graph>::Build(ds.graph);
+  const Graph& graph = core != nullptr ? core->graph() : ds.graph;
+  TransitionOperator op(graph);
+  GeerEstimator geer(ds.graph, opt);
   AblationResult out;
   std::size_t answered = 0;
   Deadline deadline(deadline_s);
   for (const QueryPair& q : queries) {
     Timer timer;
     const PendantForest::Reduction r =
-        forest != nullptr ? forest->Reduce(q.s, q.t)
-                          : PendantForest::Reduction{q.s, q.t, 0.0};
+        core != nullptr ? core->Reduce(q.s, q.t)
+                        : PendantForest::Reduction{q.s, q.t, 0.0};
     if (r.a == r.b) {  // one tree: the offset is the answer, no walks
       benchmark_sink(r.offset);
       out.avg_ms += timer.ElapsedMillis();
@@ -62,11 +68,11 @@ AblationResult RunVariant(const Dataset& ds,
     }
     const NodeId s = std::min(r.a, r.b);
     const NodeId t = std::max(r.a, r.b);
-    const std::uint64_t ds_deg = ds.graph.Degree(s);
-    const std::uint64_t dt_deg = ds.graph.Degree(t);
+    const std::uint64_t ds_deg = graph.Degree(s);
+    const std::uint64_t dt_deg = graph.Degree(t);
     const std::uint32_t ell = RefinedEll(opt.epsilon, *opt.lambda, ds_deg,
                                          dt_deg, opt.max_ell);
-    SmmIterator smm(ds.graph, &op, s, t);
+    SmmIterator smm(graph, &op, s, t);
     while (smm.iterations() < ell) {
       const std::uint32_t remaining = ell - smm.iterations();
       const auto [m1s, m2s] = smm.s_top_two();
@@ -86,11 +92,18 @@ AblationResult RunVariant(const Dataset& ds,
     params.ell_f = ell - smm.iterations();
     Rng rng(opt.seed ^ (static_cast<std::uint64_t>(s) << 32) ^ t);
     AmcRunResult run =
-        RunAmc(ds.graph, s, t, smm.svec(), smm.tvec(), params, rng);
+        RunAmc(graph, s, t, smm.svec(), smm.tvec(), params, rng);
     benchmark_sink(run.r_f + smm.rb() + r.offset);
     out.avg_ms += timer.ElapsedMillis();
     out.avg_lb += smm.iterations();
     out.avg_walks += static_cast<double>(run.walks);
+    if (model == CostModel::kSamples) {
+      const QueryStats stats = geer.EstimateWithStats(q.s, q.t);
+      GEER_CHECK_EQ(stats.ell_b, smm.iterations())
+          << "(" << q.s << "," << q.t << ")";
+      GEER_CHECK_EQ(stats.walks, run.walks)
+          << "(" << q.s << "," << q.t << ")";
+    }
     ++answered;
     if (deadline.Expired()) break;
   }

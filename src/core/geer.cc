@@ -30,8 +30,9 @@ QueryStats GeerEstimatorT<WP>::EstimateWithCache(NodeId s, NodeId t,
   QueryStats stats;
   if (s == t) return stats;
 
-  const double ws = WP::NodeWeight(*graph_, s);
-  const double wt = WP::NodeWeight(*graph_, t);
+  const GraphT& graph = this->walk_graph();
+  const double ws = WP::NodeWeight(graph, s);
+  const double wt = WP::NodeWeight(graph, t);
   // Line 1: ℓ per Eq. (6) (λ precomputed), or Eq. (5) for the ablation.
   const std::uint32_t ell =
       options_.use_peng_ell
@@ -43,7 +44,7 @@ QueryStats GeerEstimatorT<WP>::EstimateWithCache(NodeId s, NodeId t,
                                     options_.max_ell, options_.use_peng_ell);
 
   // Lines 2–9: SMM until the greedy rule (Eq. 17) fires or ℓ_b ≥ ℓ.
-  SmmIteratorT<WP> smm(*graph_, &op_, s, t, s_cache, t_cache);
+  SmmIteratorT<WP> smm(graph, &op_, s, t, s_cache, t_cache);
   const bool fixed_lb = options_.geer_fixed_lb >= 0;
   const std::uint32_t lb_target =
       fixed_lb ? std::min<std::uint32_t>(
@@ -78,7 +79,7 @@ QueryStats GeerEstimatorT<WP>::EstimateWithCache(NodeId s, NodeId t,
   if (params.ell_f > 0) {  // else SMM covered all of ℓ: no walks to feed
     FillAmcWalkTable(smm.svec(), ws, smm.tvec(), wt, &walk_table_);
     run = RunAmcT<WP>(
-        *graph_, walker_, s, t,
+        graph, walker_, s, t,
         AmcWalkTable{walk_table_, smm.s_top_two(), smm.t_top_two()}, params,
         rng);
   }

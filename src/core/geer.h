@@ -23,14 +23,43 @@
 // tree edge is a bridge, so the series law (Doyle & Snell 1984) splits
 //   r(s, t) = R(s → a) + r(a, b) + R(b ← t)
 // exactly, with a, b the roots and R the tree paths' resistances (hops,
-// or Σ 1/w). GEER answers r(a, b) and adds the offset; a pair inside
-// one tree gets its tree path and no walks. The offset carries no
-// error, so |r' − r| = |r'(a, b) − r(a, b)| ≤ ε with probability 1 − δ:
-// Theorem 3.4's guarantee, unchanged. The forest is peeled once per
-// graph epoch, shared by every clone (core/epoch_shared.h), and null on
-// a graph without degree-1 nodes, where nothing changes. It pays
-// because Eq. 6's ℓ and Eq. 9's ψ are worst at a low-degree endpoint,
-// and degree-1 endpoints are exactly the ones it removes.
+// or Σ 1/w). No current between two core nodes enters a tree, so
+// r(a, b) is also the resistance in the 2-core graph C alone, and GEER
+// runs all of Alg. 3 on C (PendantCore): its SMM iterates, AMC walks,
+// walk table and session streams, with C's degrees in Eq. 6's ℓ and
+// Eq. 9's ψ. A pair inside one tree gets its tree path and no walks.
+// The offset carries no error, so |r' − r| = |r'(a, b) − r(a, b)| ≤ ε
+// with probability 1 − δ: Theorem 3.4's guarantee, unchanged. The core
+// is built once per graph epoch, shared by every clone
+// (core/epoch_shared.h), and null on a graph without degree-1 nodes,
+// where GEER walks G itself. It pays because pendant trees only absorb
+// steps, and Eq. 6's ℓ and Eq. 9's ψ are worst at a low-degree endpoint,
+// which degree-1 endpoints are.
+//
+// λ: GEER on C keeps G's λ (from options, the epoch, or a cold Lanczos
+// on G), because λ(C) ≤ λ(G) for the 2-core, and Eq. 6 needs only an
+// upper bound. Write λ = max(λ₂, −λ_n) for the eigenvalues of P = D⁻¹A
+// (λ_n < 0 as tr P = 0, and λ₂ < 0 forces |λ₂| ≤ |λ_n|), and use the
+// Rayleigh quotients over x ≠ 0 with D-weighted denominators
+// Σ_v d(v) x_v² (d = strength under conductances):
+//   1 − λ₂ = min_{x ⊥_D 1} Σ_{uv} w_uv (x_u − x_v)² / Σ_v d(v) x_v²,
+//   1 + λ_n = min_x        Σ_{uv} w_uv (x_u + x_v)² / Σ_v d(v) x_v².
+// (i) λ_n. Extend C's minimiser x to G by alternating signs down each
+// tree, y_v = (−1)^{depth(v)} x_{root(v)}. Every tree edge then has
+// y_u + y_v = 0 and adds nothing to the numerator, while the
+// denominator only gains the tree nodes' mass (and each root's extra
+// degree), so 1 + λ_n(G) ≤ 1 + λ_n(C).
+// (ii) λ₂. Extend C's minimiser x by the root's value, y_v = x_{root(v)}:
+// tree edges add nothing to Σ w (y_u − y_v)². Let m_c ≥ 0 be the mass
+// the trees add at root c, M = Σ m_c, vol_C = Σ d_C. With Σ d_C x = 0,
+// the D_G-projection of y off 1 has squared D_G-norm
+//   Σ d_C x² + Σ m x² − (Σ m x)² / (vol_C + M) ≥ Σ d_C x²
+// by Cauchy–Schwarz, (Σ m x)² ≤ M Σ m x². So the Courant–Fischer
+// quotient of that projection is at most C's, and 1 − λ₂(G) ≤ 1 − λ₂(C).
+// Hence λ(C) ≤ λ(G), and a certified λ_G (θ + r) bounds λ_C too;
+// pendant_forest_test checks both against dense Jacobi on 2,000 random
+// graphs per weight mode. C's own λ is smaller still (youtube: 0.743
+// against 0.889), but takes a Lanczos run of its own.
 //
 // No O(n) scan per greedy step: ApplyAuto reports each iterate's top-two
 // (linalg/transition.h) and the iterate streams keep it beside the
@@ -60,23 +89,24 @@ std::uint64_t GeerRemainingSampleBudget(double epsilon, double delta,
                                         int tau, double psi);
 
 /// GEER shares SMM's node-keyed iterate streams, batch loop, landmark
-/// warm-up and rebind (SmmStreamEstimatorT), and is the one estimator
-/// that sets its pendant forest. The AMC tail runs per query on the
-/// canonical (seed, min, max) stream of the reduced pair and carries no
-/// cross-query state, so batched and session-served values are
-/// bit-identical to serial ones.
+/// sessions and rebind (SmmStreamEstimatorT), and is the one estimator
+/// that sets a pendant core: its iterates, walks, walk table and session
+/// streams all live on the 2-core graph C, while its API takes G's ids.
+/// The AMC tail runs per query on the canonical (seed, min, max) stream
+/// of the reduced pair's C ids and carries no cross-query state, so
+/// batched and session-served values are bit-identical to serial ones.
 template <WeightPolicy WP>
 class GeerEstimatorT : public SmmStreamEstimatorT<WP> {
  public:
   using GraphT = typename WP::GraphT;
+  using Core = PendantCore<GraphT>;
 
-  /// Peels the graph's pendant trees once (graph/algorithms.h).
+  /// Peels the graph's pendant trees and copies its 2-core once
+  /// (graph/algorithms.h); λ stays G's.
   explicit GeerEstimatorT(const GraphT& graph, ErOptions options = {})
-      : SmmStreamEstimatorT<WP>(graph, options), walker_(graph) {
-    forest_ = PendantForest::Build(graph);
-    shared_forest_ =
-        std::make_shared<EpochShared<PendantForest>>(forest_);
-  }
+      : SmmStreamEstimatorT<WP>(graph, options, Core::Build(graph)),
+        walker_(this->walk_graph()),
+        shared_core_(std::make_shared<EpochShared<Core>>(core_)) {}
   // Stores a pointer to `graph`; a temporary would dangle.
   explicit GeerEstimatorT(GraphT&&, ErOptions = {}) = delete;
 
@@ -90,45 +120,45 @@ class GeerEstimatorT : public SmmStreamEstimatorT<WP> {
         new GeerEstimatorT<WP>(*graph_, opt, *this));
   }
 
-  /// Also rebuilds the walk sampler for the new snapshot (the walk table
-  /// is resized on its next fill) and adopts the new epoch's forest,
-  /// peeled once across every clone sharing the holder.
+  /// Adopts the new epoch's core, peeled and copied once across every
+  /// clone sharing the holder, then rebuilds the walk sampler on the
+  /// graph it walks (the walk table is resized on its next fill).
   using ErEstimator::RebindGraph;
   bool RebindGraph(const GraphT& graph, const GraphEpoch& epoch) override {
-    walker_ = WalkerFor<WP>(graph);
-    forest_ = shared_forest_->GetOrBuild(
-        epoch.epoch, [&graph] { return PendantForest::Build(graph); });
-    return SmmStreamEstimatorT<WP>::RebindGraph(graph, epoch);
+    this->Rebind(graph, epoch, shared_core_->GetOrBuild(epoch.epoch, [&graph] {
+      return Core::Build(graph);
+    }));
+    walker_ = WalkerFor<WP>(this->walk_graph());
+    return true;
   }
 
-  /// The forest in use; null when the graph has no degree-1 node.
-  const PendantForest* forest() const { return forest_.get(); }
+  /// The core in use; null when the graph has no degree-1 node, and
+  /// GEER walks G itself.
+  const Core* core() const { return core_.get(); }
 
  private:
   using Base = SmmStreamEstimatorT<WP>;
-  using Base::forest_;
+  using Base::core_;
   using Base::graph_;
   using Base::lambda_;
   using Base::op_;
   using Base::options_;
   using Stream = SmmSourceCacheT<WP>;
 
-  // Clone constructor: adopts `original`'s forest and its epoch-keyed
+  // Clone constructor: adopts `original`'s core and its epoch-keyed
   // holder instead of peeling.
   GeerEstimatorT(const GraphT& graph, ErOptions options,
                  const GeerEstimatorT& original)
-      : SmmStreamEstimatorT<WP>(graph, options),
-        walker_(graph),
-        shared_forest_(original.shared_forest_) {
-    forest_ = original.forest_;
-  }
+      : SmmStreamEstimatorT<WP>(graph, options, original.core_),
+        walker_(this->walk_graph()),
+        shared_core_(original.shared_core_) {}
 
   QueryStats EstimateWithCache(NodeId s, NodeId t, Stream* s_cache,
                                Stream* t_cache) override;
 
-  WalkerFor<WP> walker_;
-  Vector walk_table_;  // AMC's walk table, refilled per query
-  std::shared_ptr<EpochShared<PendantForest>> shared_forest_;
+  WalkerFor<WP> walker_;  // on walk_graph()
+  Vector walk_table_;     // AMC's walk table, refilled per query
+  std::shared_ptr<EpochShared<Core>> shared_core_;
 };
 
 /// The two stacks, by their historical names.

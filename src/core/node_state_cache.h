@@ -45,17 +45,13 @@ class NodeStateCache {
   /// `budget_bytes` = 0 picks the 64 MB default. A landmark's entry
   /// (each must be < `num_nodes`) is pinned (budget-exempt) whenever
   /// GetOrCreate or Insert reaches it: when a query first builds it, and
-  /// again when it is rebuilt after an epoch swap evicted it.
+  /// again when it is rebuilt after an epoch swap evicted it. A nonzero
+  /// `num_nodes` also bounds every key's node (checked in debug builds).
   explicit NodeStateCache(std::size_t budget_bytes = 0,
                           std::span<const NodeId> landmarks = {},
                           NodeId num_nodes = 0)
       : lru_(budget_bytes == 0 ? kDefaultBudgetBytes : budget_bytes) {
-    if (landmarks.empty()) return;
-    is_landmark_.assign(num_nodes, 0);
-    for (const NodeId lm : landmarks) {
-      GEER_CHECK(lm < num_nodes);
-      is_landmark_[lm] = 1;
-    }
+    SetLandmarks(landmarks, num_nodes);
   }
   bool IsLandmark(NodeId node) const {
     return node < is_landmark_.size() && is_landmark_[node] != 0;
@@ -64,6 +60,7 @@ class NodeStateCache {
   /// The resident entry (bumped to most recently used, counted as a hit)
   /// or nullptr (a miss). Never creates and never pins.
   Payload* Find(const Key& key) {
+    CheckKey(key);
     Payload* hit = lru_.Find(key);
     if (hit != nullptr) dirty_.push_back(key);
     return hit;
@@ -74,6 +71,7 @@ class NodeStateCache {
   /// other entries' pointers until Sweep().
   template <typename Make>
   Payload* GetOrCreate(const Key& key, Make&& make) {
+    CheckKey(key);
     Payload* payload = lru_.GetOrCreate(key, std::forward<Make>(make));
     if (IsLandmark(NodeOf(key))) lru_.Pin(key);
     dirty_.push_back(key);
@@ -84,6 +82,7 @@ class NodeStateCache {
   /// `key`. A non-landmark payload larger than the whole budget is not
   /// admitted: it would evict everything else and then itself.
   void Insert(const Key& key, Payload payload) {
+    CheckKey(key);
     const std::size_t bytes = payload.ApproxBytes();
     const bool pinned = IsLandmark(NodeOf(key));
     if (!pinned && bytes > lru_.budget_bytes()) return;
@@ -130,10 +129,33 @@ class NodeStateCache {
     lru_.Clear();
   }
 
+  /// Clear, then re-key: a new landmark set over `num_nodes` nodes, for
+  /// an epoch that renumbered the nodes the entries are keyed by.
+  void Reset(std::span<const NodeId> landmarks, NodeId num_nodes) {
+    Clear();
+    SetLandmarks(landmarks, num_nodes);
+  }
+
   std::size_t budget_bytes() const { return lru_.budget_bytes(); }
   CacheStats stats() const { return lru_.stats(); }
 
  private:
+  void SetLandmarks(std::span<const NodeId> landmarks, NodeId num_nodes) {
+    num_nodes_ = num_nodes;
+    is_landmark_.clear();
+    if (landmarks.empty()) return;
+    is_landmark_.assign(num_nodes, 0);
+    for (const NodeId lm : landmarks) {
+      GEER_CHECK(lm < num_nodes);
+      is_landmark_[lm] = 1;
+    }
+  }
+  void CheckKey(const Key& key) const {
+    GEER_DCHECK(num_nodes_ == 0 || NodeOf(key) < num_nodes_)
+        << "node " << NodeOf(key) << " keyed into a " << num_nodes_
+        << "-node cache";
+  }
+
   static NodeId NodeOf(const Key& key) {
     if constexpr (std::is_integral_v<Key>) {
       return key;
@@ -143,6 +165,7 @@ class NodeStateCache {
   }
 
   LruByteCache<Key, Payload, Hash> lru_;
+  NodeId num_nodes_ = 0;
   std::vector<char> is_landmark_;
   std::vector<Key> dirty_;  // touched since the last Sweep
 };

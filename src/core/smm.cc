@@ -144,10 +144,12 @@ void SmmIteratorT<WP>::Advance() {
 
 template <WeightPolicy WP>
 SmmStreamEstimatorT<WP>::SmmStreamEstimatorT(const GraphT& graph,
-                                             ErOptions options)
+                                             ErOptions options,
+                                             std::shared_ptr<const Core> core)
     : Base(graph),
       options_(options),
-      op_(graph) {
+      core_(std::move(core)),
+      op_(walk_graph()) {
   ValidateOptions(options_);
   lambda_ = options_.lambda.has_value()
                 ? *options_.lambda
@@ -155,16 +157,57 @@ SmmStreamEstimatorT<WP>::SmmStreamEstimatorT(const GraphT& graph,
 }
 
 template <WeightPolicy WP>
-bool SmmStreamEstimatorT<WP>::RebindGraph(const GraphT& graph,
-                                          const GraphEpoch& epoch) {
+std::vector<NodeId> SmmStreamEstimatorT<WP>::WalkLandmarks() const {
+  if (core_ == nullptr) return landmarks_;
+  std::vector<NodeId> mapped;
+  mapped.reserve(landmarks_.size());
+  for (const NodeId lm : landmarks_) mapped.push_back(core_->CoreId(lm));
+  return mapped;
+}
+
+template <WeightPolicy WP>
+void SmmStreamEstimatorT<WP>::EnableSessionCache(
+    std::size_t budget_bytes, std::span<const NodeId> landmarks) {
+  for (const NodeId lm : landmarks) GEER_CHECK(lm < graph_->NumNodes());
+  landmarks_.assign(landmarks.begin(), landmarks.end());
+  session_ = std::make_unique<typename Base::SessionCache>(
+      budget_bytes, WalkLandmarks(), walk_graph().NumNodes());
+}
+
+template <WeightPolicy WP>
+void SmmStreamEstimatorT<WP>::Rebind(const GraphT& graph,
+                                     const GraphEpoch& epoch,
+                                     std::shared_ptr<const Core> core) {
+  // Same membership iff both walk G itself, or both cores hold the same
+  // nodes — then C's ids did not move.
+  const bool same_ids =
+      (core_ == nullptr && core == nullptr) ||
+      (core_ != nullptr && core != nullptr &&
+       core_->CoreNodes() == core->CoreNodes());
   graph_ = &graph;
-  op_ = TransitionOperatorT<WP>(graph);  // member address is stable, so
-                                         // retained streams keep their op_
+  core_ = std::move(core);
+  op_ = TransitionOperatorT<WP>(walk_graph());  // member address is stable,
+                                                // so retained streams keep
+                                                // their op_
   bool warm = false;
   lambda_ = RebindLambda<WP>(graph, epoch, &warm);
   if (warm) incremental_rebinds_.fetch_add(1, std::memory_order_relaxed);
-  if (session_ != nullptr) session_->Rebind(epoch);
-  return true;
+  if (session_ == nullptr) return;
+  if (core_ == nullptr && same_ids) {
+    session_->Rebind(epoch);
+  } else if (!same_ids || epoch.resized) {
+    session_->Reset(WalkLandmarks(), walk_graph().NumNodes());
+  } else {
+    // A C row changes only with an edge between two core nodes, and both
+    // are touched; touched tree nodes change no stream.
+    std::vector<NodeId> touched;
+    for (const NodeId v : epoch.touched) {
+      if (core_->InCore(v)) touched.push_back(core_->CoreId(v));
+    }
+    GraphEpoch on_core = epoch;
+    on_core.touched = touched;
+    session_->Rebind(on_core);
+  }
 }
 
 template <WeightPolicy WP>
@@ -184,7 +227,7 @@ QueryStats SmmStreamEstimatorT<WP>::EstimateWithStats(NodeId s, NodeId t) {
 
 template <WeightPolicy WP>
 std::uint32_t SmmStreamEstimatorT<WP>::SessionDepthCap() const {
-  return Stream::DepthCapFor(graph_->NumNodes(),
+  return Stream::DepthCapFor(walk_graph().NumNodes(),
                              session_->budget_bytes() /
                                  kSessionStreams);
 }
@@ -194,7 +237,7 @@ std::size_t SmmStreamEstimatorT<WP>::EstimateBatch(
     std::span<const QueryPair> queries, std::span<QueryStats> stats,
     const BatchContext& context) {
   GEER_CHECK(stats.size() >= queries.size());
-  const GraphT& graph = *graph_;
+  const GraphT& graph = walk_graph();
   // The session when enabled; otherwise a batch-local pool whose streams
   // keep the full default depth (max_cached = 0).
   using Pool = typename Base::SessionCache;
@@ -203,7 +246,8 @@ std::size_t SmmStreamEstimatorT<WP>::EstimateBatch(
   std::uint32_t depth_cap = 0;
   if (pool == nullptr) {
     constexpr std::size_t kOneShotPoolBytes = 256ull << 20;
-    local.emplace(kOneShotPoolBytes);
+    local.emplace(kOneShotPoolBytes, std::span<const NodeId>{},
+                  graph.NumNodes());
     pool = &*local;
   } else {
     depth_cap = SessionDepthCap();
@@ -219,8 +263,8 @@ std::size_t SmmStreamEstimatorT<WP>::EstimateBatch(
   std::unordered_map<NodeId, std::uint32_t> uses;
   for (std::size_t i = 0; i < queries.size(); ++i) {
     const QueryPair& q = queries[i];
-    GEER_CHECK(q.s < graph.NumNodes());
-    GEER_CHECK(q.t < graph.NumNodes());
+    GEER_CHECK(q.s < graph_->NumNodes());
+    GEER_CHECK(q.t < graph_->NumNodes());
     reduced[i] = ReducePair(q.s, q.t);
     if (reduced[i].a == reduced[i].b) continue;
     ++uses[reduced[i].a];
@@ -261,8 +305,9 @@ QueryStats SmmEstimatorT<WP>::EstimateWithCache(NodeId s, NodeId t,
                                                 Stream* t_cache) {
   QueryStats stats;
   if (s == t) return stats;
-  const double ws = WP::NodeWeight(*graph_, s);
-  const double wt = WP::NodeWeight(*graph_, t);
+  const GraphT& graph = this->walk_graph();
+  const double ws = WP::NodeWeight(graph, s);
+  const double wt = WP::NodeWeight(graph, t);
   std::uint32_t ell;
   if (options_.smm_iterations > 0) {
     ell = options_.smm_iterations;
@@ -276,7 +321,7 @@ QueryStats SmmEstimatorT<WP>::EstimateWithCache(NodeId s, NodeId t,
     stats.truncated = EllWasTruncated(options_.epsilon, lambda_, ws, wt,
                                       options_.max_ell, /*use_peng=*/false);
   }
-  SmmIteratorT<WP> iter(*graph_, &op_, s, t, s_cache, t_cache);
+  SmmIteratorT<WP> iter(graph, &op_, s, t, s_cache, t_cache);
   for (std::uint32_t i = 0; i < ell; ++i) iter.Advance();
   stats.value = iter.rb();
   stats.ell = ell;

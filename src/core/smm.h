@@ -228,10 +228,12 @@ class SmmIteratorT {
 /// both query sides reuse streams across the whole batch. Queries run in
 /// canonical (min, max) order with a fixed accumulation order, making
 /// Estimate(s, t) ≡ Estimate(t, s) bitwise and batched values
-/// bit-identical to serial ones. With a pendant forest set, both entry
-/// points first reduce the pair to the 2-core, then canonicalise the
-/// reduced pair, count stream uses, read streams and seed the query on
-/// it, and add the tree offset last.
+/// bit-identical to serial ones. With a pendant core set (GEER's), the
+/// estimator walks and multiplies on the 2-core graph C instead of G:
+/// both entry points first reduce the pair to its core pair in C's ids,
+/// then canonicalise it, count stream uses, read streams and seed the
+/// query on it, and add the tree offset last. Streams, landmarks and
+/// epoch invalidation are all keyed by C's ids; the public API keeps G's.
 template <WeightPolicy WP>
 class SmmStreamEstimatorT
     : public SessionCachedEstimator<typename WP::GraphT, NodeId,
@@ -247,11 +249,19 @@ class SmmStreamEstimatorT
     return BatchPlan::GroupByEndpoint(queries);
   }
 
+  /// Starts a fresh session on the walked graph; a landmark in a pendant
+  /// tree is keyed by its root, so its root's stream is the one pinned.
+  void EnableSessionCache(std::size_t budget_bytes = 0,
+                          std::span<const NodeId> landmarks = {}) override;
+
   /// Dynamic-graph hook: repoints at the new snapshot, rebuilds the
   /// transition operator, re-derives λ, and invalidates the session
   /// selectively (only streams whose iterate supports were touched).
   using ErEstimator::RebindGraph;
-  bool RebindGraph(const GraphT& graph, const GraphEpoch& epoch) override;
+  bool RebindGraph(const GraphT& graph, const GraphEpoch& epoch) override {
+    Rebind(graph, epoch, nullptr);
+    return true;
+  }
 
   std::uint64_t IncrementalRebinds() const override {
     return incremental_rebinds_.load(std::memory_order_relaxed);
@@ -266,26 +276,46 @@ class SmmStreamEstimatorT
   using Base::session_;
   using Stream = SmmSourceCacheT<WP>;
 
-  SmmStreamEstimatorT(const GraphT& graph, ErOptions options);
+  using Core = PendantCore<GraphT>;
 
-  /// Answers canonical endpoints s < t, reading each side's iterates
-  /// from its stream when one is given.
+  /// λ is G's (options.lambda, or a cold Lanczos run on `graph`) even
+  /// when `core` is set: λ(C) ≤ λ(G) (core/geer.h), so G's λ bounds C's.
+  SmmStreamEstimatorT(const GraphT& graph, ErOptions options,
+                      std::shared_ptr<const Core> core = nullptr);
+
+  /// Answers canonical endpoints s < t, given as ids of walk_graph(),
+  /// reading each side's iterates from its stream when one is given.
   virtual QueryStats EstimateWithCache(NodeId s, NodeId t, Stream* s_cache,
                                        Stream* t_cache) = 0;
-  /// (s, t) reduced to its 2-core pair by forest_; the identity with a
-  /// zero offset when there is no forest.
-  PendantForest::Reduction ReducePair(NodeId s, NodeId t) const {
-    return forest_ != nullptr ? forest_->Reduce(s, t)
-                              : PendantForest::Reduction{s, t, 0.0};
+
+  /// The graph the iterates (and GEER's walks) run on: C when a core is
+  /// set, G otherwise.
+  const GraphT& walk_graph() const {
+    return core_ != nullptr ? core_->graph() : *graph_;
   }
+  /// (s, t) reduced to its core pair in walk_graph()'s ids; the identity
+  /// with a zero offset when there is no core.
+  PendantForest::Reduction ReducePair(NodeId s, NodeId t) const {
+    return core_ != nullptr ? core_->Reduce(s, t)
+                            : PendantForest::Reduction{s, t, 0.0};
+  }
+
+  /// RebindGraph's body, with the new epoch's core (null: walk G). The
+  /// session keeps every stream the epoch cannot have changed: with the
+  /// same core membership, touched core nodes are mapped to C's ids and
+  /// only the streams that read them go. A membership change shifts C's
+  /// ids, so it (like a resize) flushes the session wholesale and
+  /// re-maps the landmarks.
+  void Rebind(const GraphT& graph, const GraphEpoch& epoch,
+              std::shared_ptr<const Core> core);
 
   ErOptions options_;
   double lambda_;
-  TransitionOperatorT<WP> op_;
   /// Null unless a subclass sets it (only GEER does): then both entry
-  /// points answer every query on its core pair and add the exact tree
-  /// offset (graph/algorithms.h).
-  std::shared_ptr<const PendantForest> forest_;
+  /// points answer every query on its core pair in C and add the exact
+  /// tree offset (graph/algorithms.h).
+  std::shared_ptr<const Core> core_;
+  TransitionOperatorT<WP> op_;  // on walk_graph()
   std::atomic<std::uint64_t> incremental_rebinds_{0};
 
  private:
@@ -294,6 +324,10 @@ class SmmStreamEstimatorT
   /// before the LRU starts evicting.
   static constexpr std::size_t kSessionStreams = 8;
   std::uint32_t SessionDepthCap() const;
+  /// landmarks_ in walk_graph()'s ids.
+  std::vector<NodeId> WalkLandmarks() const;
+
+  std::vector<NodeId> landmarks_;  // the session's, in G's ids
 };
 
 /// The standalone SMM competitor: runs Alg. 2 for ℓ_b = ℓ iterations

@@ -4,6 +4,7 @@
 #include <limits>
 #include <numeric>
 #include <queue>
+#include <type_traits>
 
 #include "graph/builder.h"
 #include "util/check.h"
@@ -81,25 +82,55 @@ Graph LargestConnectedComponent(const Graph& graph) {
   std::uint32_t best = static_cast<std::uint32_t>(
       std::max_element(size.begin(), size.end()) - size.begin());
 
-  // The relabelling is monotone and a component is closed under
-  // adjacency, so each kept row maps to a sorted, duplicate-free row of
-  // the result: copy the rows straight into CSR.
-  std::vector<NodeId> remap(n, 0);
-  std::vector<std::uint64_t> offsets = {0};
-  offsets.reserve(size[best] + 1);
-  for (NodeId v = 0; v < n; ++v) {
-    if (label[v] != best) continue;
-    remap[v] = static_cast<NodeId>(offsets.size() - 1);
-    offsets.push_back(offsets.back() + graph.Degree(v));
-  }
-  std::vector<NodeId> neighbors;
-  neighbors.reserve(offsets.back());
-  for (NodeId u = 0; u < n; ++u) {
-    if (label[u] != best) continue;
-    for (NodeId v : graph.Neighbors(u)) neighbors.push_back(remap[v]);
-  }
-  return Graph(std::move(offsets), std::move(neighbors));
+  std::vector<char> keep(n);
+  for (NodeId v = 0; v < n; ++v) keep[v] = label[v] == best ? 1 : 0;
+  std::vector<NodeId> remap;
+  return InducedSubgraph(graph, keep, &remap);
 }
+
+template <typename G>
+G InducedSubgraph(const G& graph, const std::vector<char>& keep,
+                  std::vector<NodeId>* remap) {
+  constexpr bool kWeighted = std::is_same_v<G, WeightedGraph>;
+  const NodeId n = graph.NumNodes();
+  GEER_CHECK_EQ(keep.size(), n);
+  remap->assign(n, 0);
+  NodeId kept = 0;
+  std::uint64_t arc_bound = 0;
+  for (NodeId v = 0; v < n; ++v) {
+    if (keep[v] == 0) continue;
+    (*remap)[v] = kept++;
+    arc_bound += graph.Degree(v);
+  }
+  std::vector<std::uint64_t> offsets = {0};
+  offsets.reserve(std::uint64_t{kept} + 1);
+  std::vector<NodeId> neighbors;
+  neighbors.reserve(arc_bound);
+  std::vector<double> weights;
+  if constexpr (kWeighted) weights.reserve(arc_bound);
+  const std::vector<std::uint64_t>& row = graph.Offsets();
+  const std::vector<NodeId>& arcs = graph.NeighborArray();
+  for (NodeId u = 0; u < n; ++u) {
+    if (keep[u] == 0) continue;
+    for (std::uint64_t k = row[u]; k < row[u + 1]; ++k) {
+      if (keep[arcs[k]] == 0) continue;
+      neighbors.push_back((*remap)[arcs[k]]);
+      if constexpr (kWeighted) weights.push_back(graph.WeightArray()[k]);
+    }
+    offsets.push_back(neighbors.size());
+  }
+  if constexpr (kWeighted) {
+    return G(std::move(offsets), std::move(neighbors), std::move(weights));
+  } else {
+    return G(std::move(offsets), std::move(neighbors));
+  }
+}
+
+template Graph InducedSubgraph(const Graph&, const std::vector<char>&,
+                               std::vector<NodeId>*);
+template WeightedGraph InducedSubgraph(const WeightedGraph&,
+                                       const std::vector<char>&,
+                                       std::vector<NodeId>*);
 
 Graph EnsureNonBipartite(const Graph& graph) {
   if (!IsBipartite(graph)) return graph;
@@ -265,5 +296,29 @@ PendantForest::Reduction PendantForest::Reduce(NodeId s, NodeId t) const {
   }
   return {s, s, rs + rt};
 }
+
+template <typename G>
+std::shared_ptr<const PendantCore<G>> PendantCore<G>::Build(const G& graph) {
+  std::shared_ptr<const PendantForest> forest = PendantForest::Build(graph);
+  if (forest == nullptr) return nullptr;
+  auto core = std::make_shared<PendantCore<G>>();
+  const NodeId n = graph.NumNodes();
+  std::vector<char> keep(n);
+  for (NodeId v = 0; v < n; ++v) keep[v] = forest->Root(v) == v ? 1 : 0;
+  core->core_ = InducedSubgraph(graph, keep, &core->core_id_);
+  core->core_nodes_.reserve(core->core_.NumNodes());
+  for (NodeId v = 0; v < n; ++v) {
+    if (keep[v] != 0) {
+      core->core_nodes_.push_back(v);
+    } else {
+      core->core_id_[v] = core->core_id_[forest->Root(v)];
+    }
+  }
+  core->forest_ = std::move(forest);
+  return core;
+}
+
+template class PendantCore<Graph>;
+template class PendantCore<WeightedGraph>;
 
 }  // namespace geer

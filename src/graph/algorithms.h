@@ -28,6 +28,17 @@ std::vector<std::uint32_t> ConnectedComponents(const Graph& graph);
 /// Ties broken toward the component containing the smallest node id.
 Graph LargestConnectedComponent(const Graph& graph);
 
+/// The subgraph induced by the nodes with keep[v] != 0, relabelled by
+/// their rank among the kept nodes (*remap, n entries; meaningful only
+/// at kept nodes). The map is monotone, so every copied row stays
+/// sorted: one pass copies the kept rows straight into CSR, dropping the
+/// arcs to nodes that are not kept (and, on a conductance graph,
+/// carrying each arc's weight along). LargestConnectedComponent is the
+/// case where no arc is dropped; PendantCore copies the 2-core with it.
+template <typename G>
+G InducedSubgraph(const G& graph, const std::vector<char>& keep,
+                  std::vector<NodeId>* remap);
+
 /// Returns a graph guaranteed non-bipartite: if `graph` is bipartite, adds
 /// one edge closing an odd cycle (between two same-color nodes at minimal
 /// id); otherwise returns the input unchanged. The graph must have ≥ 3
@@ -112,6 +123,50 @@ class PendantForest {
   std::vector<double> edge_r_;
   NodeId num_peeled_ = 0;
 };
+
+/// A graph's 2-core C as a graph of its own, with the forest that reduces
+/// every query to it. C keeps the core nodes in G's order (the id map
+/// G → C is monotone, so min/max of a pair is the same in both) and
+/// copies their rows minus the tree arcs, in the graph's weight mode. No
+/// current between two core nodes flows through a tree (each meets the
+/// rest of G in one node), so r_C(a, b) = r_G(a, b) for core nodes a, b,
+/// and an estimator can answer r_G(s, t) as the forest's offset plus
+/// r_C of the reduced pair, walking and multiplying on C alone. Built in
+/// O(n + m): the peel, then one InducedSubgraph copy. Immutable after
+/// Build, so clones read it concurrently.
+template <typename G>
+class PendantCore {
+ public:
+  /// Null when no node has degree 1: then C would be G itself.
+  static std::shared_ptr<const PendantCore> Build(const G& graph);
+
+  const PendantForest& forest() const { return *forest_; }
+  /// C, with ids in [0, CoreNodes().size()).
+  const G& graph() const { return core_; }
+  /// C id of v's root (of v itself for a core node).
+  NodeId CoreId(NodeId v) const { return core_id_[v]; }
+  /// True iff v is in the 2-core.
+  bool InCore(NodeId v) const { return forest_->Root(v) == v; }
+  /// G id of every C node, ascending (the inverse of CoreId on the core).
+  const std::vector<NodeId>& CoreNodes() const { return core_nodes_; }
+
+  /// PendantForest::Reduce with a and b as C ids.
+  PendantForest::Reduction Reduce(NodeId s, NodeId t) const {
+    PendantForest::Reduction r = forest_->Reduce(s, t);
+    r.a = core_id_[r.a];
+    r.b = core_id_[r.b];
+    return r;
+  }
+
+ private:
+  std::shared_ptr<const PendantForest> forest_;
+  G core_;
+  std::vector<NodeId> core_id_;
+  std::vector<NodeId> core_nodes_;
+};
+
+extern template class PendantCore<Graph>;
+extern template class PendantCore<WeightedGraph>;
 
 }  // namespace geer
 

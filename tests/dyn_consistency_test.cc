@@ -22,6 +22,7 @@
 
 #include "core/batch_engine.h"
 #include "core/exact.h"
+#include "core/geer.h"
 #include "core/registry.h"
 #include "core/smm.h"
 #include "core/solver_er.h"
@@ -378,6 +379,87 @@ TEST(DynConsistencyTest, SmmSessionSurvivesDisjointUpdates) {
       EXPECT_EQ(estimator.Estimate(q.s, q.t), fresh.Estimate(q.s, q.t));
     }
   }
+}
+
+// GEER's session lives on the 2-core graph C, keyed by C's ids. An epoch
+// that keeps core membership maps its touched core nodes to C and keeps
+// every other stream (the revisit hits, with no new miss); an epoch that
+// moves a node into the core shifts C's ids and flushes the session.
+// Both answer bit for bit what a fresh estimator answers. The core is an
+// odd 61-cycle (a stream reads only its ℓ_b-hop ball, ℓ_b fixed at 3)
+// with the tree path 10-61-62 and the leaf 63 on 40.
+template <WeightPolicy WP>
+void RunGeerSessionFollowsCoreMembership() {
+  GraphBuilder b(64);
+  for (NodeId v = 0; v < 61; ++v) b.AddEdge(v, (v + 1) % 61);
+  b.AddEdges({{10, 61}, {61, 62}, {40, 63}});
+  typename WP::GraphT base;
+  if constexpr (WP::kWeighted) {
+    base = gen::WithUniformWeights(b.Build(), 0.5, 2.0, 17);
+  } else {
+    base = b.Build();
+  }
+  ErOptions options = TestOptions();
+  options.geer_fixed_lb = 3;
+  options.lambda = 0.9;
+
+  DynamicGraphT<WP> dyn{typename WP::GraphT(base)};
+  auto snapshot = dyn.Current();
+  std::vector<decltype(snapshot)> held = {snapshot};  // graphs must live
+  GeerEstimatorT<WP> estimator(*snapshot->graph, options);
+  ASSERT_NE(estimator.core(), nullptr);
+  estimator.EnableSessionCache();
+  // Every endpoint recurs (62 as its root 10), so the batch keeps all
+  // three streams in the session.
+  const std::vector<QueryPair> warm = {{5, 9}, {9, 62}, {5, 62}};
+  std::vector<QueryStats> stats(warm.size());
+  RunQueryBatch(estimator, warm, stats);
+  const CacheStats cold = estimator.SessionCacheStats();
+  ASSERT_EQ(cold.entries, 3u);
+
+  const auto expect_fresh = [&](const char* label) {
+    GeerEstimatorT<WP> fresh(*snapshot->graph, options);
+    for (std::size_t i = 0; i < warm.size(); ++i) {
+      EXPECT_EQ(stats[i].value, fresh.Estimate(warm[i].s, warm[i].t))
+          << label << " (" << warm[i].s << "," << warm[i].t << ")";
+    }
+  };
+  const auto commit = [&] {
+    snapshot = dyn.Commit();
+    held.push_back(snapshot);
+    GraphEpoch epoch;
+    epoch.epoch = snapshot->epoch;
+    epoch.touched = std::span<const NodeId>(snapshot->touched);
+    epoch.lambda = options.lambda;
+    ASSERT_TRUE(estimator.RebindGraph(*snapshot->graph, epoch));
+  };
+
+  // A chord between core nodes 30 and 35, far from node 5's ball.
+  dyn.InsertEdge(30, 35);
+  commit();
+  EXPECT_EQ(estimator.SessionCacheStats().entries, cold.entries);
+  RunQueryBatch(estimator, warm, stats);
+  const CacheStats kept = estimator.SessionCacheStats();
+  EXPECT_EQ(kept.misses, cold.misses);
+  EXPECT_EQ(kept.hits, cold.hits + 2 * warm.size());
+  expect_fresh("core-only epoch");
+
+  // 62-20 closes a cycle through the tree path: 61 and 62 join the core.
+  dyn.InsertEdge(62, 20);
+  commit();
+  EXPECT_EQ(estimator.core()->graph().NumNodes(), 63u);
+  EXPECT_EQ(estimator.SessionCacheStats().entries, 0u);
+  RunQueryBatch(estimator, warm, stats);
+  EXPECT_GT(estimator.SessionCacheStats().misses, kept.misses);
+  expect_fresh("membership epoch");
+}
+
+TEST(DynConsistencyTest, GeerSessionFollowsCoreMembershipUnweighted) {
+  RunGeerSessionFollowsCoreMembership<UnitWeight>();
+}
+
+TEST(DynConsistencyTest, GeerSessionFollowsCoreMembershipWeighted) {
+  RunGeerSessionFollowsCoreMembership<EdgeWeight>();
 }
 
 // ---- PR 7: incremental epoch maintenance -------------------------------

@@ -218,6 +218,13 @@ TEST(GeerPendantTest, BatchAndServeMatchSerialBitwise) {
       testing::DenseGraphWithTrees());
 }
 
+TEST(GeerPendantTest, BatchAndServeMatchSerialOnShuffledIds) {
+  testing::ExpectBatchAndServeMatchSerial<UnitWeight>(
+      testing::ShuffledGraphWithTrees());
+  testing::ExpectEveryPairWithinEpsilon<UnitWeight>(
+      testing::ShuffledGraphWithTrees());
+}
+
 TEST(GeerPendantTest, ClonesShareOneForest) {
   testing::ExpectClonesShareTheForest<UnitWeight>(
       testing::DenseGraphWithTrees());
@@ -244,7 +251,7 @@ TEST(GeerPendantTest, SmmAndAmcKeepTheirAnswers) {
 TEST(GeerPendantTest, NoForestWithoutDegreeOneNodes) {
   const Graph g = testing::DenseTestGraph(16);
   GeerEstimator geer(g);
-  EXPECT_EQ(geer.forest(), nullptr);
+  EXPECT_EQ(geer.core(), nullptr);
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
 // GEER on graphs with pendant trees: the checks the unweighted and the
 // weighted suites both run (geer_algorithm_test, weighted_er_test). GEER
-// reduces every query to the 2-core by the series law, so a pair inside
-// one tree is exact with no walks, and every other answer must keep the
-// ε guarantee and the bit-identity contracts of serial, batched and
-// served queries.
+// reduces every query to the 2-core by the series law and answers the
+// core pair on the 2-core graph C, so a pair inside one tree is exact
+// with no walks, and every other answer must keep the ε guarantee and
+// the bit-identity contracts of serial, batched and served queries.
 
 #ifndef GEER_TESTS_GEER_PENDANT_CHECKS_H_
 #define GEER_TESTS_GEER_PENDANT_CHECKS_H_
@@ -43,6 +43,17 @@ inline Graph DenseGraphWithTrees() {
   return b.Build();
 }
 
+/// DenseGraphWithTrees relabelled by v → 7v mod 24, so core and tree ids
+/// interleave: the 2-core's 16 nodes keep G ids up to 22, and C's ids
+/// (their ranks) differ from G's. Tree node 20 hangs off root 21.
+inline Graph ShuffledGraphWithTrees() {
+  GraphBuilder b(24);
+  for (const auto& [u, v] : DenseGraphWithTrees().Edges()) {
+    b.AddEdge((7 * u) % 24, (7 * v) % 24);
+  }
+  return b.Build();
+}
+
 /// Pairs inside one tree (or a tree node and its own root).
 inline std::vector<QueryPair> SameTreePairs() {
   return {{17, 20}, {20, 17}, {18, 3}, {16, 19}, {18, 16}, {21, 22},
@@ -66,7 +77,7 @@ template <WeightPolicy WP>
 void ExpectSameTreePairsExact(const typename WP::GraphT& graph) {
   GeerEstimatorT<WP> geer(graph);
   ExactEstimatorT<WP> exact(graph);
-  ASSERT_NE(geer.forest(), nullptr);
+  ASSERT_NE(geer.core(), nullptr);
   for (const QueryPair& q : SameTreePairs()) {
     const QueryStats stats = geer.EstimateWithStats(q.s, q.t);
     EXPECT_NEAR(stats.value, exact.Estimate(q.s, q.t), 1e-12)
@@ -160,25 +171,29 @@ void ExpectBatchAndServeMatchSerial(const typename WP::GraphT& graph) {
   service.Shutdown();
 }
 
-/// Clones adopt the primary's forest instead of peeling their own.
+/// Clones adopt the primary's core (forest, C and id map) instead of
+/// peeling and copying their own, and so do the per-call clones of
+/// RunQueryBatch.
 template <WeightPolicy WP>
 void ExpectClonesShareTheForest(const typename WP::GraphT& graph) {
   GeerEstimatorT<WP> geer(graph);
-  ASSERT_NE(geer.forest(), nullptr);
+  ASSERT_NE(geer.core(), nullptr);
+  EXPECT_LT(geer.core()->graph().NumNodes(), graph.NumNodes());
   const std::unique_ptr<ErEstimator> clone = geer.CloneForBatch();
   const auto* typed = dynamic_cast<const GeerEstimatorT<WP>*>(clone.get());
   ASSERT_NE(typed, nullptr);
-  EXPECT_EQ(typed->forest(), geer.forest());
+  EXPECT_EQ(typed->core(), geer.core());
+  EXPECT_EQ(&typed->core()->graph(), &geer.core()->graph());
   const std::unique_ptr<ErEstimator> grandchild = typed->CloneForBatch();
-  EXPECT_EQ(dynamic_cast<const GeerEstimatorT<WP>*>(grandchild.get())
-                ->forest(),
-            geer.forest());
+  EXPECT_EQ(
+      dynamic_cast<const GeerEstimatorT<WP>*>(grandchild.get())->core(),
+      geer.core());
 }
 
 /// `after` is `before` plus edges that close a cycle through tree nodes.
 /// A primary and its clone, both with warm session caches, rebind to it
-/// as one epoch: they peel once between them, and answer every pair
-/// bit-identically to an estimator built fresh on `after`.
+/// as one epoch: they peel and copy C once between them, and answer
+/// every pair bit-identically to an estimator built fresh on `after`.
 template <WeightPolicy WP>
 void ExpectRebindMatchesFresh(const typename WP::GraphT& before,
                               const typename WP::GraphT& after,
@@ -191,7 +206,7 @@ void ExpectRebindMatchesFresh(const typename WP::GraphT& before,
   std::vector<QueryStats> warm(pairs.size());
   geer.EstimateBatch(pairs, warm);
   clone->EstimateBatch(pairs, warm);
-  const PendantForest* old_forest = geer.forest();
+  const PendantCore<typename WP::GraphT>* old_core = geer.core();
 
   GraphEpoch epoch;
   epoch.epoch = 1;
@@ -200,8 +215,8 @@ void ExpectRebindMatchesFresh(const typename WP::GraphT& before,
   ASSERT_TRUE(geer.RebindGraph(after, epoch));
   ASSERT_TRUE(clone->RebindGraph(after, epoch));
   const auto* typed = dynamic_cast<const GeerEstimatorT<WP>*>(clone.get());
-  EXPECT_NE(geer.forest(), old_forest);
-  EXPECT_EQ(typed->forest(), geer.forest());
+  EXPECT_NE(geer.core(), old_core);
+  EXPECT_EQ(typed->core(), geer.core());
 
   ErOptions opt;
   opt.lambda = epoch.lambda;

@@ -24,6 +24,8 @@
 #include "centrality/landmarks.h"
 #include "core/batch_engine.h"
 #include "core/exact.h"
+#include "core/geer.h"
+#include "core/node_state_cache.h"
 #include "core/registry.h"
 #include "core/solver_er.h"
 #include "dyn/dynamic_graph.h"
@@ -31,6 +33,7 @@
 #include "graph/weighted_generators.h"
 #include "linalg/spectral.h"
 #include "rw/rng.h"
+#include "geer_pendant_checks.h"
 #include "test_util.h"
 
 namespace geer {
@@ -223,6 +226,79 @@ TEST(LandmarkCacheTest, GeerPinsOnlyTheIteratesItsQueryRead) {
   EXPECT_EQ(cache.bytes, (std::uint64_t{stats[0].ell_b} + 1) *
                              graph.NumNodes() * sizeof(double));
 }
+
+// GEER walks the 2-core graph C, so its session is keyed by C's ids: a
+// landmark in a pendant tree pins its root's stream on C, which holds
+// ℓ_b + 1 iterates of n_C entries. The fixture interleaves core and tree
+// ids (core nodes keep G ids up to 22, n_C = 16), and the session's
+// NodeStateCache checks that every key is below n_C, so a G id leaking
+// into it would abort the test.
+TEST(LandmarkCacheTest, GeerTreeLandmarkPinsItsRootOnTheCore) {
+  const Graph graph = testing::ShuffledGraphWithTrees();
+  ErOptions options = FastOptions();
+  options.epsilon = 0.05;
+  options.lambda = ComputeSpectralBounds(graph).lambda;
+  const NodeId tree_lm = 20;
+  const NodeId root = 21;
+  GeerEstimator by_tree(graph, options);
+  ASSERT_NE(by_tree.core(), nullptr);
+  const NodeId n_c = by_tree.core()->graph().NumNodes();
+  ASSERT_EQ(n_c, 16u);
+  ASSERT_EQ(by_tree.core()->forest().Root(tree_lm), root);
+  by_tree.EnableSessionCache(0, std::span<const NodeId>(&tree_lm, 1));
+  const std::vector<QueryPair> first = {{tree_lm, 4}};
+  std::vector<QueryStats> stats(1);
+  RunQueryBatch(by_tree, first, stats);
+  ASSERT_GT(stats[0].ell_b, 0u);
+  const CacheStats cache = by_tree.SessionCacheStats();
+  EXPECT_EQ(cache.entries, 1u);
+  EXPECT_EQ(cache.pinned, 1u);
+  EXPECT_EQ(cache.bytes,
+            (std::uint64_t{stats[0].ell_b} + 1) * n_c * sizeof(double));
+
+  // The same session as one whose landmark is the root itself, and the
+  // same answers as no session at all. The queries pair tree nodes of
+  // different trees, core nodes with G ids ≥ n_C, and the root.
+  GeerEstimator by_root(graph, options);
+  by_root.EnableSessionCache(0, std::span<const NodeId>(&root, 1));
+  GeerEstimator plain(graph, options);
+  const std::vector<QueryPair> queries = {
+      {tree_lm, 4}, {22, 18}, {16, root}, {13, 23}, {root, 22},
+      {6, 20},      {18, 7},  {tree_lm, 18}};
+  const std::vector<double> tree_values = BatchValues(by_tree, queries);
+  BatchValues(by_root, first);
+  const std::vector<double> root_values = BatchValues(by_root, queries);
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    const double expected = plain.Estimate(queries[i].s, queries[i].t);
+    EXPECT_EQ(testing::BitsOf(tree_values[i]), testing::BitsOf(expected))
+        << "(" << queries[i].s << "," << queries[i].t << ")";
+    EXPECT_EQ(testing::BitsOf(root_values[i]), testing::BitsOf(expected))
+        << "(" << queries[i].s << "," << queries[i].t << ")";
+  }
+  const CacheStats tree_cache = by_tree.SessionCacheStats();
+  const CacheStats root_cache = by_root.SessionCacheStats();
+  EXPECT_EQ(tree_cache.pinned, 1u);
+  EXPECT_EQ(tree_cache.pinned, root_cache.pinned);
+  EXPECT_EQ(tree_cache.entries, root_cache.entries);
+  EXPECT_EQ(tree_cache.bytes, root_cache.bytes);
+  EXPECT_EQ(tree_cache.hits, root_cache.hits);
+  EXPECT_EQ(tree_cache.misses, root_cache.misses);
+  EXPECT_EQ(tree_cache.bytes % (n_c * sizeof(double)), 0u);
+}
+
+#ifndef NDEBUG
+struct BytePayload {
+  std::size_t ApproxBytes() const { return 8; }
+};
+
+TEST(LandmarkCacheTest, NodeStateCacheRejectsKeysPastItsNodeCount) {
+  NodeStateCache<NodeId, BytePayload> cache(0, {}, 16);
+  EXPECT_NE(cache.GetOrCreate(15, [] { return BytePayload{}; }), nullptr);
+  EXPECT_DEATH(cache.Find(16), "16-node cache");
+  EXPECT_DEATH(cache.GetOrCreate(20, [] { return BytePayload{}; }),
+               "16-node cache");
+}
+#endif
 
 TEST(LandmarkCacheTest, ExactCombinedFromLandmarkColumnsBitIdentical) {
   const Graph graph = Fixture();

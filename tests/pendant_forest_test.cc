@@ -1,6 +1,8 @@
-// PendantForest: the degree-1 peel and the series-law reduction of a
-// query pair to the 2-core, checked against the dense Laplacian
-// pseudo-inverse on every pair, in both weight modes.
+// PendantForest and PendantCore: the degree-1 peel, the series-law
+// reduction of a query pair to the 2-core, and the 2-core as a graph of
+// its own (C), checked against the dense Laplacian pseudo-inverse on
+// every pair, in both weight modes — plus the spectral lemma that lets
+// GEER walk C under G's λ: λ(C) ≤ λ(G).
 
 #include "graph/algorithms.h"
 
@@ -11,6 +13,7 @@
 #include <cstdint>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "graph/builder.h"
@@ -18,6 +21,8 @@
 #include "graph/weight_policy.h"
 #include "graph/weighted_generators.h"
 #include "linalg/jacobi_eigen.h"
+#include "linalg/spectral.h"
+#include "rw/rng.h"
 
 namespace geer {
 namespace {
@@ -292,6 +297,206 @@ TEST(PendantForestTest, ConcurrentReadersAgreeWithSerial) {
       EXPECT_EQ(Bits(seen[r][i]), Bits(serial[i])) << "reader " << r;
     }
   }
+}
+
+/// The core's edges, relabelled to C's ids through CoreId, fed to the
+/// builder of the graph's weight mode.
+Graph BuildFromCoreEdges(const Graph& graph, const PendantCore<Graph>& core) {
+  GraphBuilder b(core.graph().NumNodes());
+  for (const auto& [u, v] : graph.Edges()) {
+    if (core.InCore(u) && core.InCore(v)) {
+      b.AddEdge(core.CoreId(u), core.CoreId(v));
+    }
+  }
+  return b.Build();
+}
+
+WeightedGraph BuildFromCoreEdges(const WeightedGraph& graph,
+                                 const PendantCore<WeightedGraph>& core) {
+  WeightedGraphBuilder b(core.graph().NumNodes());
+  for (const auto& e : graph.Edges()) {
+    if (core.InCore(e.u) && core.InCore(e.v)) {
+      b.AddEdge(core.CoreId(e.u), core.CoreId(e.v), e.weight);
+    }
+  }
+  return b.Build();
+}
+
+template <typename G>
+std::vector<double> WeightsOf(const G& graph) {
+  if constexpr (std::is_same_v<G, WeightedGraph>) {
+    return graph.WeightArray();
+  } else {
+    return {};
+  }
+}
+
+/// C's CSR equals, byte for byte, GraphBuilder's graph of the core edges;
+/// the id map is monotone, CoreNodes inverts it, a tree node maps to its
+/// root's id; and r_C(a, b) = r_G(a, b) on every core pair.
+template <WeightPolicy WP>
+void ExpectCoreIsTheInducedCore(const typename WP::GraphT& graph,
+                                const std::string& name) {
+  using G = typename WP::GraphT;
+  const std::shared_ptr<const PendantCore<G>> core =
+      PendantCore<G>::Build(graph);
+  ASSERT_NE(core, nullptr) << name;
+  const G& c = core->graph();
+  const PendantForest& forest = core->forest();
+  EXPECT_EQ(c.NumNodes(), graph.NumNodes() - forest.NumPeeled()) << name;
+  ASSERT_EQ(core->CoreNodes().size(), c.NumNodes()) << name;
+  NodeId next = 0;
+  for (NodeId v = 0; v < graph.NumNodes(); ++v) {
+    if (core->InCore(v)) {
+      EXPECT_EQ(core->CoreId(v), next) << name << " node " << v;
+      EXPECT_EQ(core->CoreNodes()[next], v) << name;
+      ++next;
+    } else {
+      EXPECT_EQ(core->CoreId(v), core->CoreId(forest.Root(v)))
+          << name << " node " << v;
+    }
+  }
+  const G built = BuildFromCoreEdges(graph, *core);
+  EXPECT_EQ(c.Offsets(), built.Offsets()) << name;
+  EXPECT_EQ(c.NeighborArray(), built.NeighborArray()) << name;
+  const std::vector<double> w = WeightsOf(c);
+  const std::vector<double> w_built = WeightsOf(built);
+  ASSERT_EQ(w.size(), w_built.size()) << name;
+  for (std::size_t k = 0; k < w.size(); ++k) {
+    EXPECT_EQ(Bits(w[k]), Bits(w_built[k])) << name << " arc " << k;
+  }
+
+  const Matrix er_g = PseudoInverseEr<WP>(graph);
+  const Matrix er_c = PseudoInverseEr<WP>(c);
+  for (NodeId a = 0; a < c.NumNodes(); ++a) {
+    for (NodeId b = a + 1; b < c.NumNodes(); ++b) {
+      const double truth =
+          er_g(core->CoreNodes()[a], core->CoreNodes()[b]);
+      EXPECT_LE(std::abs(er_c(a, b) - truth), 1e-9 * truth)
+          << name << " core pair (" << a << "," << b << ")";
+    }
+  }
+}
+
+/// CoreWithTrees relabelled by v → 5v mod 14, so core and tree ids
+/// interleave and C's ids differ from G's.
+Graph ShuffledCoreWithTrees() {
+  GraphBuilder b(14);
+  for (const auto& [u, v] : CoreWithTrees().Edges()) {
+    b.AddEdge((5 * u) % 14, (5 * v) % 14);
+  }
+  return b.Build();
+}
+
+TEST(PendantCoreTest, NoDegreeOneNodeMeansNoCore) {
+  EXPECT_EQ(PendantCore<Graph>::Build(gen::Cycle(7)), nullptr);
+  EXPECT_EQ(PendantCore<WeightedGraph>::Build(
+                gen::WithUniformWeights(gen::Cycle(7), 0.5, 2.0, 3)),
+            nullptr);
+}
+
+TEST(PendantCoreTest, CoreIsTheInducedCoreUnweighted) {
+  ExpectCoreIsTheInducedCore<UnitWeight>(gen::Lollipop(5, 4), "lollipop");
+  ExpectCoreIsTheInducedCore<UnitWeight>(TriangleWithBranchingTree(),
+                                         "triangle+tree");
+  ExpectCoreIsTheInducedCore<UnitWeight>(CoreWithTrees(), "core+trees");
+  ExpectCoreIsTheInducedCore<UnitWeight>(ShuffledCoreWithTrees(),
+                                         "shuffled core+trees");
+}
+
+TEST(PendantCoreTest, CoreIsTheInducedCoreWeighted) {
+  ExpectCoreIsTheInducedCore<EdgeWeight>(
+      gen::WithUniformWeights(gen::Lollipop(5, 4), 0.2, 5.0, 12),
+      "lollipop");
+  ExpectCoreIsTheInducedCore<EdgeWeight>(WeightedTriangleWithBranchingTree(),
+                                         "triangle+tree");
+  ExpectCoreIsTheInducedCore<EdgeWeight>(
+      gen::WithUniformWeights(ShuffledCoreWithTrees(), 0.2, 5.0, 13),
+      "shuffled core+trees");
+}
+
+TEST(PendantCoreTest, ReduceMapsTheCorePairToCoreIds) {
+  const Graph g = ShuffledCoreWithTrees();
+  const auto core = PendantCore<Graph>::Build(g);
+  ASSERT_NE(core, nullptr);
+  for (NodeId s = 0; s < g.NumNodes(); ++s) {
+    for (NodeId t = 0; t < g.NumNodes(); ++t) {
+      const PendantForest::Reduction in_g = core->forest().Reduce(s, t);
+      const PendantForest::Reduction in_c = core->Reduce(s, t);
+      EXPECT_EQ(in_c.a, core->CoreId(in_g.a));
+      EXPECT_EQ(in_c.b, core->CoreId(in_g.b));
+      EXPECT_EQ(Bits(in_c.offset), Bits(in_g.offset));
+    }
+  }
+}
+
+/// A random connected, non-bipartite graph with pendant trees: a
+/// triangle grown by nodes joined to 2–3 earlier core nodes (so the
+/// core has minimum degree 2), random chords, then tree nodes each
+/// hung off a random earlier node, core or tree.
+Graph RandomGraphWithTrees(Rng& rng) {
+  const NodeId core_n = 3 + static_cast<NodeId>(rng.NextBounded(8));
+  const NodeId tree_n = 1 + static_cast<NodeId>(rng.NextBounded(9));
+  GraphBuilder b(core_n + tree_n);
+  b.AddEdges({{0, 1}, {1, 2}, {2, 0}});
+  for (NodeId v = 3; v < core_n; ++v) {
+    const NodeId links = 2 + static_cast<NodeId>(rng.NextBounded(2));
+    for (NodeId k = 0; k < links; ++k) {
+      b.AddEdge(v, static_cast<NodeId>(rng.NextBounded(v)));
+    }
+  }
+  const NodeId chords = static_cast<NodeId>(rng.NextBounded(core_n));
+  for (NodeId k = 0; k < chords; ++k) {
+    const NodeId u = static_cast<NodeId>(rng.NextBounded(core_n));
+    const NodeId v = static_cast<NodeId>(rng.NextBounded(core_n));
+    if (u != v) b.AddEdge(u, v);
+  }
+  for (NodeId v = core_n; v < core_n + tree_n; ++v) {
+    b.AddEdge(v, static_cast<NodeId>(rng.NextBounded(v)));
+  }
+  return b.Build();
+}
+
+/// The lemma GEER's walk on C rests on (core/geer.h): the dense λ of C
+/// never exceeds G's, and the certified Lanczos λ of G bounds C's dense
+/// λ, on 2,000 random graphs per weight mode.
+template <WeightPolicy WP>
+void ExpectCoreLambdaAtMostGraphLambda(std::uint64_t seed) {
+  Rng rng(seed);
+  int trees_on_tree_nodes = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    const Graph skeleton = RandomGraphWithTrees(rng);
+    typename WP::GraphT graph;
+    if constexpr (WP::kWeighted) {
+      graph = gen::WithUniformWeights(skeleton, 0.2, 5.0, seed + trial);
+    } else {
+      graph = skeleton;
+    }
+    const auto core = PendantCore<typename WP::GraphT>::Build(graph);
+    ASSERT_NE(core, nullptr) << "trial " << trial;
+    for (NodeId v = 0; v < graph.NumNodes(); ++v) {
+      if (!core->InCore(v) && core->forest().Depth(v) > 1) {
+        ++trees_on_tree_nodes;
+        break;
+      }
+    }
+    const double lambda_g = ComputeSpectralBoundsDenseT<WP>(graph).lambda;
+    const double lambda_c =
+        ComputeSpectralBoundsDenseT<WP>(core->graph()).lambda;
+    const double certified = ComputeSpectralBoundsT<WP>(graph).lambda;
+    EXPECT_LE(lambda_c, lambda_g + 1e-12) << "trial " << trial;
+    EXPECT_GE(certified, lambda_c - 1e-12) << "trial " << trial;
+  }
+  // The fixture reaches trees that hang off tree nodes, not only leaves.
+  EXPECT_GT(trees_on_tree_nodes, 500);
+}
+
+TEST(PendantCoreTest, CoreLambdaAtMostGraphLambdaUnweighted) {
+  ExpectCoreLambdaAtMostGraphLambda<UnitWeight>(31);
+}
+
+TEST(PendantCoreTest, CoreLambdaAtMostGraphLambdaWeighted) {
+  ExpectCoreLambdaAtMostGraphLambda<EdgeWeight>(32);
 }
 
 }  // namespace

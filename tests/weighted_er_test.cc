@@ -240,6 +240,13 @@ TEST(WeightedGeerPendantTest, BatchAndServeMatchSerialBitwise) {
   testing::ExpectBatchAndServeMatchSerial<EdgeWeight>(WeightedTrees());
 }
 
+TEST(WeightedGeerPendantTest, BatchAndServeMatchSerialOnShuffledIds) {
+  const WeightedGraph graph = gen::WithUniformWeights(
+      testing::ShuffledGraphWithTrees(), 0.5, 2.0, 29);
+  testing::ExpectBatchAndServeMatchSerial<EdgeWeight>(graph);
+  testing::ExpectEveryPairWithinEpsilon<EdgeWeight>(graph);
+}
+
 TEST(WeightedGeerPendantTest, ClonesShareOneForest) {
   testing::ExpectClonesShareTheForest<EdgeWeight>(WeightedTrees());
 }
